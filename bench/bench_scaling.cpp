@@ -13,6 +13,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pfair/pfair.hpp"
@@ -70,6 +71,21 @@ double best_ms(int reps, Fn&& fn) {
     const double ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
     if (r == 0 || ms < best) best = ms;
+  }
+  return best;
+}
+
+// Interleaved off/on timing (one pair per rep), so a background load
+// burst hits both sides instead of skewing whichever leg ran while it
+// lasted; best-of keeps the quiet samples.  Returns {off, on} in ms.
+template <typename Off, typename On>
+std::pair<double, double> best_pair(int reps, Off&& off_fn, On&& on_fn) {
+  std::pair<double, double> best{0.0, 0.0};
+  for (int r = 0; r < reps; ++r) {
+    const double off = best_ms(1, off_fn);
+    const double on = best_ms(1, on_fn);
+    if (r == 0 || off < best.first) best.first = off;
+    if (r == 0 || on < best.second) best.second = on;
   }
   return best;
 }
@@ -267,6 +283,59 @@ int run_bench(pfair::bench::BenchContext& ctx) {
     std::cout << at.str() << "\n";
   }
 
+  // --- Metrics overhead: sched.* metrics on the production path ---
+  // An attached MetricsRegistry rides the O(changes) fast path: counters
+  // from the placement hooks and the incremental quality accounting, the
+  // ready-set histogram from the heap size.  Required shape: < 1.5x the
+  // plain runtime at n = 4096; the target is <= 1.2x (reported).
+  std::cout << "\n=== metrics overhead (n = 4096) ===\n\n";
+  double metrics_sfq_ratio = 0.0, metrics_dvq_ratio = 0.0;
+  {
+    constexpr std::int64_t n = 4096;
+    const TaskSystem sys = make_scaling_system(n);
+    const int reps = 11;
+    SfqOptions opts;
+    opts.horizon_limit = kHorizon + 8;
+    const auto [sfq_off, sfq_on] = best_pair(
+        reps, [&] { (void)schedule_sfq(sys, opts); },
+        [&] {
+          MetricsRegistry reg;
+          SfqOptions mopts = opts;
+          mopts.metrics = &reg;
+          (void)schedule_sfq(sys, mopts);
+        });
+    const BernoulliYield yields(static_cast<std::uint64_t>(n) + 5, 1, 2,
+                                Time::ticks(kTicksPerSlot / 2),
+                                kQuantum - kTick);
+    DvqOptions dopts;
+    dopts.horizon_limit = kHorizon + 8;
+    const auto [dvq_off, dvq_on] = best_pair(
+        reps, [&] { (void)schedule_dvq(sys, yields, dopts); },
+        [&] {
+          MetricsRegistry reg;
+          DvqOptions mopts = dopts;
+          mopts.metrics = &reg;
+          (void)schedule_dvq(sys, yields, mopts);
+        });
+    metrics_sfq_ratio = sfq_on / std::max(sfq_off, 1e-9);
+    metrics_dvq_ratio = dvq_on / std::max(dvq_off, 1e-9);
+    ctx.value("metrics.sfq_off_ms", sfq_off);
+    ctx.value("metrics.sfq_on_ms", sfq_on);
+    ctx.value("metrics.sfq_overhead", metrics_sfq_ratio);
+    ctx.value("metrics.dvq_off_ms", dvq_off);
+    ctx.value("metrics.dvq_on_ms", dvq_on);
+    ctx.value("metrics.dvq_overhead", metrics_dvq_ratio);
+    TextTable mt;
+    mt.header({"model", "off (ms)", "metered (ms)", "ratio", "target"});
+    mt.row({"sfq", cell(sfq_off, 2), cell(sfq_on, 2),
+            cell(metrics_sfq_ratio, 2),
+            metrics_sfq_ratio <= 1.2 ? "<= 1.2x met" : "> 1.2x"});
+    mt.row({"dvq", cell(dvq_off, 2), cell(dvq_on, 2),
+            cell(metrics_dvq_ratio, 2),
+            metrics_dvq_ratio <= 1.2 ? "<= 1.2x met" : "> 1.2x"});
+    std::cout << mt.str() << "\n";
+  }
+
   // --- Scheduler-quality counters (n = 4096) ---
   // Incremental counters maintained on the fast path, checked against
   // the O(schedule) offline recount; the numbers land in the report so
@@ -333,23 +402,11 @@ int run_bench(pfair::bench::BenchContext& ctx) {
     std::cout << "\n=== profiler overhead (n = 4096) ===\n\n";
     constexpr std::int64_t n = 4096;
     const TaskSystem sys = make_scaling_system(n);
-    // Off/on samples are interleaved (one pair per rep) so a background
-    // load burst hits both sides instead of skewing whichever leg ran
-    // while it lasted; best-of keeps the quiet samples.
     const int reps = 11;
-    auto best_pair = [&](auto&& off_fn, auto&& on_fn) {
-      std::pair<double, double> best{0.0, 0.0};
-      for (int r = 0; r < reps; ++r) {
-        const double off = best_ms(1, off_fn);
-        const double on = best_ms(1, on_fn);
-        if (r == 0 || off < best.first) best.first = off;
-        if (r == 0 || on < best.second) best.second = on;
-      }
-      return best;
-    };
     SfqOptions opts;
     opts.horizon_limit = kHorizon + 8;
     const auto [sfq_off, sfq_on] = best_pair(
+        reps,
         [&] {
           prof::ProfScope off(nullptr);
           (void)schedule_sfq(sys, opts);
@@ -361,6 +418,7 @@ int run_bench(pfair::bench::BenchContext& ctx) {
     DvqOptions dopts;
     dopts.horizon_limit = kHorizon + 8;
     const auto [dvq_off, dvq_on] = best_pair(
+        reps,
         [&] {
           prof::ProfScope off(nullptr);
           (void)schedule_dvq(sys, yields, dopts);
@@ -578,13 +636,15 @@ int run_bench(pfair::bench::BenchContext& ctx) {
                   construct_speedup_max_n >= 5.0 &&
                   construct_mem_ratio_max_n >= 10.0 && audit_clean &&
                   audit_sfq_ratio < 2.5 && audit_dvq_ratio < 2.5 &&
+                  metrics_sfq_ratio < 1.5 && metrics_dvq_ratio < 1.5 &&
                   quality_match && prof_sfq_ratio < 1.05 &&
                   prof_dvq_ratio < 1.05;
   std::cout << "shape check (bit-identical everywhere incl. arena+scalar "
             << "legs, >=5x sched at n=16384, arena leg no slower than "
             << "fast, >=5x cycle fast-forward, >=5x construction and "
             << ">=10x memory at n=16384, audit clean and < 2.5x at n=4096, "
-            << "quality counters match recount, profiler < 1.05x): "
+            << "metrics < 1.5x at n=4096, quality counters match recount, "
+            << "profiler < 1.05x): "
             << (ok ? "PASS" : "FAIL") << '\n';
   return ok ? 0 : 1;
 }

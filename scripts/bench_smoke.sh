@@ -65,7 +65,7 @@ else
 fi
 
 # Opt-in perf regression guard: compares the scheduler hot-path medians
-# against the committed baseline (BENCH_PR10.json); >15% fails.  Off by
+# against the committed baseline (BENCH_PR12.json); >15% fails.  Off by
 # default because wall-clock numbers are machine-specific.
 if [ "${PERF_GUARD:-0}" = "1" ]; then
   python3 scripts/perf_guard.py --build-dir "$BUILD"

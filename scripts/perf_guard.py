@@ -2,7 +2,7 @@
 """Performance regression guard for the scheduler hot paths.
 
 Compares fresh pfair-bench-v1 reports against the committed baseline
-bundle (BENCH_PR10.json at the repo root) and fails if any guarded case
+bundle (BENCH_PR12.json at the repo root) and fails if any guarded case
 regresses by more than the tolerance on its median ns/op.
 
 Usage:
@@ -43,7 +43,7 @@ import sys
 import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE = os.path.join(REPO, "BENCH_PR10.json")
+BASELINE = os.path.join(REPO, "BENCH_PR12.json")
 TOLERANCE = 0.15
 
 # (bench target, report name, extra argv, extra env)

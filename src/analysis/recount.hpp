@@ -7,19 +7,38 @@
 // structure the simulator walked: slot boundaries for SFQ, the distinct
 // readiness/completion instants for DVQ.  By construction it is
 // path-independent, so
-//   incremental (fast path) == incremental (instrumented path) == recount
+//   incremental (fast path) == recount
 // is asserted in tests/prof_test.cpp across policies and workloads, and
 // `pfairsim --profile` re-verifies it on every run.
 //
 // Both overloads require a *complete* schedule (every subtask placed) —
 // a truncated run's counters depend on where the horizon cut it.
+//
+// The recount is also the quality source of explain runs: the reference
+// schedulers fill SfqOptions/DvqOptions::quality and the sched.*
+// quality metrics from it after the run.  That is why the SFQ overload
+// is compiled into pfair_sched and the DVQ one into pfair_dvq.
 #pragma once
+
+#include <vector>
 
 #include "dvq/dvq_schedule.hpp"
 #include "obs/quality.hpp"
 #include "sched/schedule.hpp"
 
 namespace pfair {
+
+namespace detail {
+/// One placement on a processor (for the context-switch count).
+struct ProcCell {
+  int proc;
+  std::int64_t at;
+  std::int32_t task;
+};
+/// Counts context switches from per-processor placement order (sorts
+/// `cells`).
+void count_switches(std::vector<ProcCell>& cells, QualityCounters& q);
+}  // namespace detail
 
 /// Recounts quality for an SFQ (slot-synchronous) schedule:
 /// decision_points = horizon (one decision per slot), idle =

@@ -3,7 +3,10 @@
 //
 // This replaced the removed `DvqOptions::log_decisions` flag: install a
 // DvqDecisionSink as the trace sink (or behind a TeeSink) and it
-// rebuilds the same log the old ad-hoc logger recorded.  One decision
+// rebuilds the same log the old ad-hoc logger recorded.  The log needs
+// explain events (free processors, unserved ready subtasks), so
+// `schedule_dvq` serves such a run from schedule_dvq_reference; a
+// DvqSimulator rejects the sink.  One decision
 // spans the events between two kEventBegin boundaries; it is committed
 // on flush() (end of the simulator step) and only if at least one
 // subtask started — exactly the instants the old logger kept.

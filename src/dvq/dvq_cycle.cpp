@@ -6,6 +6,7 @@
 
 #include "core/assert.hpp"
 #include "dvq/dvq_simulator.hpp"
+#include "dvq/reference_scheduler.hpp"
 #include "obs/prof.hpp"
 #include "sched/state_hash.hpp"
 
@@ -122,6 +123,12 @@ DvqCycleSchedule::DvqCycleSchedule(DvqSchedule inner, CycleStats stats,
         static_cast<std::int32_t>(sp.skip_begin + sp.skip_count - 1)};
     makespan_ = std::max(makespan_, placement(last).completion());
   }
+  // Simulated slots: the spliced makespan (a partial last slot counts)
+  // less the skipped region — the counterpart of schedule_sfq_cyclic's
+  // sim.now() - slots_skipped.
+  stats_.sim_slots =
+      (makespan_.raw_ticks() + kTicksPerSlot - 1) / kTicksPerSlot -
+      stats_.slots_skipped;
 }
 
 DvqPlacement DvqCycleSchedule::placement(const SubtaskRef& ref) const {
@@ -158,6 +165,9 @@ DvqSchedule DvqCycleSchedule::materialize(std::int64_t horizon) const {
 DvqCycleSchedule schedule_dvq_cyclic(const TaskSystem& sys,
                                      const YieldModel& yields,
                                      const DvqOptions& opts) {
+  if (wants_explain(opts.trace)) {
+    return DvqCycleSchedule(schedule_dvq_reference(sys, yields, opts));
+  }
   const std::int64_t limit =
       opts.horizon_limit > 0 ? opts.horizon_limit : default_horizon(sys);
   std::optional<DvqSimulator> sim_store;
@@ -232,7 +242,6 @@ DvqCycleSchedule schedule_dvq_cyclic(const TaskSystem& sys,
     }
   }
   sim.run_until(Time::slots(limit));
-  stats.sim_slots = limit - stats.slots_skipped;
   const bool complete = sim.done();
   if (!stats.engaged) {
     return DvqCycleSchedule(std::move(sim).take_schedule());

@@ -5,14 +5,36 @@
 
 #include "dvq/dvq_cycle.hpp"
 #include "dvq/dvq_simulator.hpp"
+#include "dvq/reference_scheduler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
 #include "sched/sfq_scheduler.hpp"
 
 namespace pfair {
 
+namespace {
+
+/// The "sched.idle_ticks" gauge: capacity minus busy time over the
+/// makespan.
+void publish_idle_ticks(const TaskSystem& sys, const DvqSchedule& sched,
+                        MetricsRegistry& reg) {
+  std::int64_t busy = 0;
+  for (const std::int64_t b : sched.busy_ticks()) busy += b;
+  reg.gauge("sched.idle_ticks")
+      .set(sched.makespan().raw_ticks() * sys.processors() - busy);
+}
+
+}  // namespace
+
 DvqSchedule schedule_dvq(const TaskSystem& sys, const YieldModel& yields,
                          const DvqOptions& opts) {
+  if (wants_explain(opts.trace)) {
+    DvqSchedule sched = schedule_dvq_reference(sys, yields, opts);
+    if (opts.metrics != nullptr) {
+      publish_idle_ticks(sys, sched, *opts.metrics);
+    }
+    return sched;
+  }
   if (opts.cycle_detect && opts.trace == nullptr && opts.metrics == nullptr &&
       opts.quality == nullptr && yields.periodic_costs()) {
     const std::int64_t limit =
@@ -36,11 +58,7 @@ DvqSchedule schedule_dvq(const TaskSystem& sys, const YieldModel& yields,
   if (opts.quality != nullptr) sim.set_quality(opts.quality);
   sim.run_until(Time::slots(slot_limit));
   if (opts.metrics != nullptr) {
-    const DvqSchedule& sched = sim.schedule();
-    std::int64_t busy = 0;
-    for (const std::int64_t b : sched.busy_ticks()) busy += b;
-    opts.metrics->gauge("sched.idle_ticks")
-        .set(sched.makespan().raw_ticks() * sys.processors() - busy);
+    publish_idle_ticks(sys, sim.schedule(), *opts.metrics);
   }
   return std::move(sim).take_schedule();
 }

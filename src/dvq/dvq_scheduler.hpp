@@ -30,11 +30,15 @@ struct DvqOptions {
   /// Hard stop, in slots (0 = automatic, as for the SFQ scheduler).
   std::int64_t horizon_limit = 0;
   /// Optional structured trace receiver (not owned; see obs/trace.hpp).
-  /// An instrumented run produces a bit-identical schedule.
+  /// A sink whose mask fits kDecisionTraceEvents is fed from the
+  /// O(changes) fast path; one asking for explain events (e.g. a
+  /// DvqDecisionSink) makes this an explain run of
+  /// schedule_dvq_reference.  Either way the schedule is bit-identical.
   TraceSink* trace = nullptr;
   /// Optional metrics registry (not owned); sched.* counters and
-  /// histograms accumulate into it, plus a final "sched.idle_ticks"
-  /// gauge (capacity minus busy time over the makespan).
+  /// histograms accumulate into it on the fast path, plus a final
+  /// "sched.idle_ticks" gauge (capacity minus busy time over the
+  /// makespan).
   MetricsRegistry* metrics = nullptr;
   /// Optional scheduler-quality counters (not owned; obs/quality.hpp):
   /// preemptions, migrations, idle capacity, context switches

@@ -136,11 +136,7 @@ void DvqSimulator::step_into(std::vector<SubtaskRef>& started) {
   // hundred nanoseconds, so even one clock-read pair per event would be
   // double-digit overhead — run_until() scopes the whole loop instead.
   if (probe_.enabled()) [[unlikely]] {
-    if (probe_.wants_full_instrumentation()) {
-      step_instrumented(started, t);
-    } else {
-      step_fast<true>(started, t);
-    }
+    step_fast<true>(started, t);
   } else {
     step_fast<false>(started, t);
   }
@@ -149,15 +145,43 @@ void DvqSimulator::step_into(std::vector<SubtaskRef>& started) {
   }
 }
 
+void DvqSimulator::set_trace_sink(TraceSink* sink) {
+  PFAIR_REQUIRE(!wants_explain(sink),
+                "the simulator emits decision events only; explain events "
+                "come from schedule_dvq_reference (or schedule_dvq, which "
+                "routes such a sink there)");
+  probe_.set_sink(sink);
+}
+
+void DvqSimulator::attach_metrics(MetricsRegistry& reg) {
+  probe_.attach_metrics(reg);
+  if (quality_ == nullptr) {
+    metric_quality_ = QualityCounters{};
+    start_quality(&metric_quality_);
+  }
+}
+
+void DvqSimulator::detach_metrics() {
+  probe_.detach_metrics();
+  if (quality_ == &metric_quality_) start_quality(nullptr);
+}
+
 void DvqSimulator::set_quality(QualityCounters* q) {
   PFAIR_REQUIRE(q == nullptr || remaining_ == sys_->total_subtasks(),
                 "attach quality counters before the first step");
-  quality_ = q;
-  if (q != nullptr) {
-    const auto procs = static_cast<std::size_t>(sys_->processors());
-    q->resize_procs(procs);
-    proc_task_.assign(procs, -1);
+  if (q == nullptr && probe_.metering()) {
+    metric_quality_ = QualityCounters{};
+    q = &metric_quality_;
   }
+  start_quality(q);
+}
+
+void DvqSimulator::start_quality(QualityCounters* q) {
+  quality_ = q;
+  if (q == nullptr) return;
+  const auto procs = static_cast<std::size_t>(sys_->processors());
+  q->resize_procs(procs);
+  proc_task_.assign(procs, -1);
 }
 
 #if defined(__GNUC__)
@@ -168,6 +192,8 @@ void DvqSimulator::note_quality_event(std::size_t free0,
                                       std::size_t base) {
   QualityCounters& q = *quality_;
   ++q.decision_points;
+  std::int64_t migrations = 0;
+  std::int64_t preemptions = 0;
   for (std::size_t i = base; i < started.size(); ++i) {
     const SubtaskRef ref = started[i];
     const DvqPlacement& pl = sched_.placement(ref);
@@ -175,7 +201,7 @@ void DvqSimulator::note_quality_event(std::size_t free0,
     if (ref.seq > 0) {
       const DvqPlacement& prev =
           sched_.placement(SubtaskRef{ref.task, ref.seq - 1});
-      if (prev.proc >= 0 && prev.proc != proc) ++q.migrations;
+      if (prev.proc >= 0 && prev.proc != proc) ++migrations;
       // Preemption: this subtask was ready the instant its predecessor
       // completed (eligibility had already passed) yet starts strictly
       // later — the task was descheduled in between.  Charged once, at
@@ -184,7 +210,7 @@ void DvqSimulator::note_quality_event(std::size_t free0,
       if (pl.start > prev_end &&
           Time::slots(sys_->task(ref.task).eligible_at(ref.seq)) <=
               prev_end) {
-        ++q.preemptions;
+        ++preemptions;
       }
     }
     std::int32_t& occupant = proc_task_[static_cast<std::size_t>(proc)];
@@ -200,139 +226,57 @@ void DvqSimulator::note_quality_event(std::size_t free0,
   // processor was busy): nothing is idle.  Otherwise every free
   // processor the work-conserving dispatch left unfilled idles for this
   // decision instant.
-  if (free0 == 0) return;
   const std::size_t placed = started.size() - base;
-  if (placed < free0) {
-    q.idle_slots += static_cast<std::int64_t>(free0 - placed);
-  }
+  const auto idle =
+      static_cast<std::int64_t>(free0 > placed ? free0 - placed : 0);
+  q.migrations += migrations;
+  q.preemptions += preemptions;
+  q.idle_slots += idle;
+  probe_.count_quality(preemptions, migrations, idle);
 }
 
-template <bool kTraced>
+template <bool kProbed>
 void DvqSimulator::step_fast(std::vector<SubtaskRef>& started, Time t) {
-  if constexpr (kTraced) {
+  if constexpr (kProbed) {
     probe_.begin_decision(TraceEventKind::kEventBegin, t);
+    // The ready set is only consulted when a processor is free.
+    if (!free_procs_.empty()) {
+      probe_.ready_size(static_cast<std::int64_t>(ready_q_.size()));
+    }
   }
   // 2.+3. Hand each free processor (ascending id) the highest-priority
-  // live ready subtask, immediately (work-conserving).
-  while (!free_procs_.empty()) {
-    SubtaskRef ref{};
-    bool found = false;
-    while (!ready_q_.empty()) {
-      ref = ready_q_.pop_best();
-      // Skip entries scheduled behind the heap's back by an instrumented
-      // step (the head moved on).
-      if (head_[static_cast<std::size_t>(ref.task)] == ref.seq) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) break;
+  // ready subtask, immediately (work-conserving).  Every queued entry
+  // names its task's current head: entries leave the queue only by
+  // being popped here (warp rebuilds it outright).
+  while (!free_procs_.empty() && !ready_q_.empty()) {
+    const SubtaskRef ref = ready_q_.pop_best();
     const std::int32_t proc = free_procs_.front();
     std::pop_heap(free_procs_.begin(), free_procs_.end(), kLargerProc);
     free_procs_.pop_back();
     [[maybe_unused]] const Time c = commit_placement(ref, t, proc);
-    if constexpr (kTraced) note_placement(t, ref, proc, c);
+    if constexpr (kProbed) note_placement(t, ref, proc, c);
     started.push_back(ref);
   }
-  if constexpr (kTraced) probe_.end_decision();
+  if constexpr (kProbed) probe_.end_decision();
 }
 
-// noinline: instrumented-path-only code; folding it into step() costs
-// the *uninstrumented* path measurable icache pressure.
-#if defined(__GNUC__)
-__attribute__((noinline))
-#endif
-void DvqSimulator::step_instrumented(std::vector<SubtaskRef>& started,
-                                     Time t) {
-  probe_.begin_decision(TraceEventKind::kEventBegin, t);
-
-  // 2. Free processors and ready subtasks — the pre-optimization full
-  // scans, so the event stream is unchanged.
-  std::vector<int> free_procs = idle_processors();
-  if (free_procs.empty()) {
-    probe_.end_decision();
-    return;
-  }
-  for (const int p : free_procs) probe_.proc_free(t, p);
-  scratch_ready_.clear();
-  for (std::size_t k = 0; k < head_.size(); ++k) {
-    const Task& task = sys_->task(static_cast<std::int64_t>(k));
-    if (head_[k] >= task.num_subtasks()) continue;
-    if (ready_at_[k] > t) continue;
-    scratch_ready_.push_back(SubtaskRef{static_cast<std::int32_t>(k),
-                                        static_cast<std::int32_t>(head_[k])});
-  }
-  std::vector<SubtaskRef>& ready = scratch_ready_;
-  probe_.ready_set(t, static_cast<std::int64_t>(ready.size()));
-  if (ready.empty()) {
-    probe_.idle(t, static_cast<std::int64_t>(free_procs.size()));
-    probe_.end_decision();
-    return;
-  }
-
-  // 3. Assign in priority order, immediately (work-conserving).
-  const auto m = std::min(free_procs.size(), ready.size());
-  sort_ready_instrumented(ready, m, t);
-  for (std::size_t r = 0; r < m; ++r) {
-    const SubtaskRef ref = ready[r];
-    const int proc = free_procs[r];
-    // The r-th free processor in ascending id order is exactly the r-th
-    // pop of the free-processor min-heap — keep it in sync.
-    PFAIR_ASSERT(free_procs_.front() == proc);
-    std::pop_heap(free_procs_.begin(), free_procs_.end(), kLargerProc);
-    free_procs_.pop_back();
-    const Time c = commit_placement(ref, t, proc);
-    note_placement(t, ref, proc, c);
-    started.push_back(ref);
-  }
-  // Ready subtasks left unserved at this instant (the paper's blocked
-  // work) and capacity beyond the ready set.
-  for (std::size_t r = m; r < ready.size(); ++r) {
-    probe_.preempt(t, ready[r]);
-  }
-  if (m < free_procs.size()) {
-    probe_.idle(t, static_cast<std::int64_t>(free_procs.size() - m));
-  }
-  probe_.end_decision();
-}
-
-#if defined(__GNUC__)
-__attribute__((noinline))
-#endif
-void DvqSimulator::sort_ready_instrumented(std::vector<SubtaskRef>& ready,
-                                           std::size_t m, Time t) {
-  std::int64_t ncmp = 0;
-  const bool tracing = probe_.tracing();
-  std::partial_sort(
-      ready.begin(), ready.begin() + static_cast<std::ptrdiff_t>(m),
-      ready.end(),
-      [this, t, tracing, &ncmp](const SubtaskRef& a, const SubtaskRef& b) {
-        ++ncmp;
-        TieRule rule = TieRule::kTie;
-        const int c = order_.compare(a, b, &rule);
-        const bool a_wins = c != 0 ? c < 0 : a < b;
-        if (tracing) {
-          probe_.compare_outcome(t, a_wins ? a : b, a_wins ? b : a, rule);
-        }
-        return a_wins;
-      });
-  probe_.comparisons(ncmp);
-}
-
+// noinline: probe-only code; folding it into step() costs the unprobed
+// path measurable icache pressure.
 #if defined(__GNUC__)
 __attribute__((noinline))
 #endif
 void DvqSimulator::note_placement(Time t, SubtaskRef ref, int proc,
                                   Time c) {
   probe_.place(t, ref, proc, c.raw_ticks());
-  if (ref.seq > 0) {
+  if (ref.seq > 0 && probe_.tracing()) {
     const int prev = sched_.placement(SubtaskRef{ref.task, ref.seq - 1}).proc;
     if (prev >= 0 && prev != proc) probe_.migrate(t, ref, prev, proc);
   }
-  const Time completion = t + c;
+  const std::int64_t deadline = keys_.packable()
+                                    ? keys_.deadline_of(keys_.order_key(ref))
+                                    : sys_->subtask(ref).deadline;
   const std::int64_t tard = std::max<std::int64_t>(
-      0, completion.raw_ticks() -
-             sys_->subtask(ref).deadline * kTicksPerSlot);
+      0, (t + c).raw_ticks() - deadline * kTicksPerSlot);
   probe_.deadline(t, ref, tard);
 }
 
@@ -348,7 +292,7 @@ void DvqSimulator::run_until(Time time_limit) {
 void DvqSimulator::warp(std::int64_t cycles, std::int64_t cycle_slots,
                         const std::vector<std::int64_t>& cycle_allocs,
                         std::int64_t boundary_slot) {
-  PFAIR_REQUIRE(!probe_.enabled(), "warp would skip trace events");
+  PFAIR_REQUIRE(!probe_.enabled(), "warp would skip trace events and metrics");
   PFAIR_REQUIRE(quality_ == nullptr, "warp would skip quality accounting");
   PFAIR_REQUIRE(cycles >= 0 && cycle_slots > 0, "bad warp parameters");
   if (cycles == 0) return;

@@ -16,13 +16,14 @@
 // Schedules are bit-identical to the retained naive reference
 // (`schedule_dvq_reference`).
 //
-// With a probe attached, step() takes the instrumented path — the
-// pre-optimization full scan and event-reporting partial_sort — so
-// trace streams and metric values stay exactly stable.  Exception: a
-// sink whose event_mask() fits inside kDecisionTraceEvents (e.g. the
-// InvariantAuditor) is served from the fast path with only the
-// decision-outcome events emitted.  Whatever the path, the placements
-// are the same.
+// A probe (decision-mask trace sink and/or metrics) rides on the same
+// fast path: decision events are reported as placements commit,
+// sched.ready_set_size is the ready heap's size at each instant with a
+// free processor, and the quality metrics come from the incremental
+// QualityCounters accounting (note_quality_event).  The explain events
+// (kExplainTraceEvents) come only from `schedule_dvq_reference`;
+// set_trace_sink rejects a sink asking for them, and `schedule_dvq`
+// routes such a sink there.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +33,7 @@
 #include "dvq/dvq_schedule.hpp"
 #include "dvq/yield.hpp"
 #include "obs/probe.hpp"
+#include "obs/quality.hpp"
 #include "sched/packed_key.hpp"
 #include "sched/priority.hpp"
 #include "sched/ready_queue.hpp"
@@ -39,7 +41,6 @@
 namespace pfair {
 
 struct DvqOptions;       // dvq/dvq_scheduler.hpp
-struct QualityCounters;  // obs/quality.hpp
 
 /// Incremental event-driven DVQ scheduler.  The task system and yield
 /// model must outlive the simulator.
@@ -89,8 +90,6 @@ class DvqSimulator {
   [[nodiscard]] Time proc_busy_until(std::int64_t proc) const {
     return procs_[static_cast<std::size_t>(proc)].busy_until;
   }
-  /// True iff a probe (trace sink or metrics) is attached.
-  [[nodiscard]] bool instrumented() const { return probe_.enabled(); }
 
   /// Fast-forwards `cycles` repetitions of a steady-state cycle of
   /// `cycle_slots` slots detected at slot boundary `boundary_slot` (all
@@ -107,19 +106,22 @@ class DvqSimulator {
   [[nodiscard]] const DvqSchedule& schedule() const { return sched_; }
   [[nodiscard]] DvqSchedule take_schedule() && { return std::move(sched_); }
 
-  /// Installs a structured trace sink (not owned; null uninstalls).  An
-  /// instrumented run places every subtask identically.  To collect a
-  /// per-instant decision log, install a DvqDecisionSink (see
-  /// dvq/decision_sink.hpp).
-  void set_trace_sink(TraceSink* sink) { probe_.set_sink(sink); }
+  /// Installs a structured trace sink (not owned; null uninstalls) — at
+  /// any step; placements are unaffected.  The sink's event_mask() must
+  /// fit in kDecisionTraceEvents: explain events (and with them the
+  /// DvqDecisionSink log) come from schedule_dvq_reference, which
+  /// schedule_dvq routes such a sink to (a ContractViolation here).
+  void set_trace_sink(TraceSink* sink);
   /// Accumulates sched.* metrics (see obs/probe.hpp) into `reg`, which
-  /// must outlive the simulator.
-  void attach_metrics(MetricsRegistry& reg) { probe_.attach_metrics(reg); }
+  /// must outlive the simulator or the next detach_metrics().  May be
+  /// attached mid-run: counting starts at the next step.
+  void attach_metrics(MetricsRegistry& reg);
+  void detach_metrics();
   /// Accumulates scheduler-quality counters (obs/quality.hpp) into `q`
-  /// incrementally, one O(changes) update per event, on every path —
-  /// placements are unaffected.  Must be attached before the first
-  /// step; `q` must outlive the simulator.  analysis/recount.hpp
-  /// recomputes the same numbers offline.
+  /// incrementally, one O(changes) update per event — placements are
+  /// unaffected.  Must be attached before the first step; `q` must
+  /// outlive the simulator.  analysis/recount.hpp recomputes the same
+  /// numbers offline.
   void set_quality(QualityCounters* q);
 
  private:
@@ -129,26 +131,23 @@ class DvqSimulator {
   // One event instant's decisions appended into `started` (not cleared;
   // reused as a scratch buffer by run_until).
   void step_into(std::vector<SubtaskRef>& started);
-  // The O(changes) decision body.  kTraced additionally reports the
-  // decision-outcome events (event begin, placements, migrations,
-  // deadlines) — the kDecisionTraceEvents subset of the instrumented
-  // stream — without the naive scan.
-  template <bool kTraced>
+  // The O(changes) decision body.  kProbed additionally reports the
+  // decision events and the ready-set size to the probe.
+  template <bool kProbed>
   void step_fast(std::vector<SubtaskRef>& started, Time t);
-  // The pre-optimization decision body: naive ready scan + instrumented
-  // sort + trace/metrics reporting.  Identical placements.
-  void step_instrumented(std::vector<SubtaskRef>& started, Time t);
-  void sort_ready_instrumented(std::vector<SubtaskRef>& ready,
-                               std::size_t m, Time t);
   void note_placement(Time t, SubtaskRef ref, int proc, Time c);
-  // Folds one event instant's decisions into quality_: `free0` is the
-  // free-processor count before dispatch, `started[base..)` the
-  // placements made at this instant (already committed).
+  // Folds one event instant's decisions into quality_ and the probe's
+  // quality metrics: `free0` is the free-processor count before
+  // dispatch, `started[base..)` the placements made at this instant
+  // (already committed).
   void note_quality_event(std::size_t free0,
                           const std::vector<SubtaskRef>& started,
                           std::size_t base);
+  // Points quality_ at `q` (null: off) and resets the per-processor
+  // occupancy.
+  void start_quality(QualityCounters* q);
 
-  // Bookkeeping shared by both paths for one placement at instant `t`:
+  // Bookkeeping for one placement at instant `t`:
   // records the placement, books the completion event, and enqueues the
   // successor's readiness.  Returns the charged cost.
   Time commit_placement(const SubtaskRef& ref, Time t, int proc);
@@ -185,12 +184,14 @@ class DvqSimulator {
   ArenaVector<std::int32_t> free_procs_;  // min-heap of idle processors
 
   std::vector<SubtaskRef> scratch_started_;
-  std::vector<SubtaskRef> scratch_ready_;  // instrumented path only
   Time now_;
   std::int64_t remaining_;
 
   // Quality accounting (null = off): the task each processor last ran.
+  // With metrics but no caller-supplied counters, quality_ points at
+  // metric_quality_ (see SfqSimulator).
   QualityCounters* quality_ = nullptr;
+  QualityCounters metric_quality_;
   std::vector<std::int32_t> proc_task_;
 };
 

@@ -4,8 +4,9 @@
 #include <queue>
 #include <vector>
 
+#include "analysis/recount.hpp"
 #include "core/assert.hpp"
-#include "sched/sfq_scheduler.hpp"
+#include "sched/reference_scheduler.hpp"
 
 namespace pfair {
 
@@ -17,6 +18,10 @@ DvqSchedule schedule_dvq_reference(const TaskSystem& sys,
   const Time time_limit = Time::slots(slot_limit);
   const PriorityOrder order(sys, opts.policy);
   DvqSchedule sched(sys);
+  SchedProbe probe;
+  probe.set_sink(opts.trace);
+  if (opts.metrics != nullptr) probe.attach_metrics(*opts.metrics);
+  const bool explain = probe.enabled();
 
   struct Proc {
     bool busy = false;
@@ -60,13 +65,20 @@ DvqSchedule schedule_dvq_reference(const TaskSystem& sys,
         }
       }
     }
+    if (explain) probe.begin_decision(TraceEventKind::kEventBegin, t);
 
     // 2. Free processors and ready subtasks.
     std::vector<int> free_procs;
     for (std::size_t pi = 0; pi < procs.size(); ++pi) {
       if (!procs[pi].busy) free_procs.push_back(static_cast<int>(pi));
     }
-    if (free_procs.empty()) continue;
+    if (free_procs.empty()) {
+      if (explain) probe.end_decision();
+      continue;
+    }
+    if (explain) {
+      for (const int p : free_procs) probe.proc_free(t, p);
+    }
     std::vector<SubtaskRef> ready;
     for (std::size_t k = 0; k < n; ++k) {
       const Task& task = sys.task(static_cast<std::int64_t>(k));
@@ -75,21 +87,35 @@ DvqSchedule schedule_dvq_reference(const TaskSystem& sys,
       ready.push_back(SubtaskRef{static_cast<std::int32_t>(k),
                                  static_cast<std::int32_t>(head[k])});
     }
-    if (ready.empty()) continue;
+    if (explain) probe.ready_set(t, static_cast<std::int64_t>(ready.size()));
+    if (ready.empty()) {
+      if (explain) {
+        probe.idle(t, static_cast<std::int64_t>(free_procs.size()));
+        probe.end_decision();
+      }
+      continue;
+    }
 
     // 3. Assign in priority order, immediately (work-conserving).
     const auto m = std::min(free_procs.size(), ready.size());
-    std::partial_sort(ready.begin(),
-                      ready.begin() + static_cast<std::ptrdiff_t>(m),
-                      ready.end(),
-                      [&order](const SubtaskRef& a, const SubtaskRef& b) {
-                        return order.higher(a, b);
-                      });
+    detail::sort_ready(order, ready, m, probe, t);
     for (std::size_t r = 0; r < m; ++r) {
       const SubtaskRef ref = ready[r];
       const Time c = yields.checked_cost(sys, ref);
       const int proc = free_procs[r];
       sched.place(ref, t, c, proc);
+      if (explain) {
+        probe.place(t, ref, proc, c.raw_ticks());
+        if (ref.seq > 0) {
+          const int prev =
+              sched.placement(SubtaskRef{ref.task, ref.seq - 1}).proc;
+          if (prev != proc) probe.migrate(t, ref, prev, proc);
+        }
+        const std::int64_t tard = std::max<std::int64_t>(
+            0, (t + c).raw_ticks() -
+                   sys.subtask(ref).deadline * kTicksPerSlot);
+        probe.deadline(t, ref, tard);
+      }
       Proc& pr = procs[static_cast<std::size_t>(proc)];
       pr.busy = true;
       pr.busy_until = t + c;
@@ -104,6 +130,23 @@ DvqSchedule schedule_dvq_reference(const TaskSystem& sys,
             Time::slots(task_k.subtask(head[k]).eligible), pr.busy_until);
       }
     }
+    if (explain) {
+      // Ready subtasks left unserved at this instant (the paper's
+      // blocked work) and capacity beyond the ready set.
+      for (std::size_t r = m; r < ready.size(); ++r) {
+        probe.preempt(t, ready[r]);
+      }
+      if (m < free_procs.size()) {
+        probe.idle(t, static_cast<std::int64_t>(free_procs.size() - m));
+      }
+      probe.end_decision();
+    }
+  }
+
+  if ((opts.quality != nullptr || probe.metering()) && sched.complete()) {
+    const QualityCounters q = recount_quality(sys, sched);
+    if (opts.quality != nullptr) *opts.quality += q;
+    probe.count_quality(q.preemptions, q.migrations, q.idle_slots);
   }
   return sched;
 }

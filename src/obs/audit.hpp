@@ -23,8 +23,8 @@
 // times, so slots where nothing can go wrong cost O(1).  The auditor's
 // event_mask() fits inside kDecisionTraceEvents, so attaching *only* an
 // auditor keeps the simulators on their fast paths; it also tolerates
-// the full instrumented stream (extra kinds are ignored), including
-// streams replayed from `pfairsim --trace` JSONL files.
+// the full stream of an explain run (extra kinds are ignored),
+// including streams replayed from `pfairsim --trace` JSONL files.
 //
 // Violations surface three ways: an `AuditFinding` record (kept up to
 // AuditOptions::max_findings), a `kAuditFinding` trace event forwarded

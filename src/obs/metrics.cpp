@@ -50,6 +50,19 @@ void Histogram::add(std::int64_t x) noexcept {
   grow_max(x);
 }
 
+void Histogram::add_repeated(std::int64_t x, std::int64_t n) noexcept {
+  if (n <= 0) return;
+  const int b =
+      x <= 0 ? 0
+             : 64 - std::countl_zero(static_cast<std::uint64_t>(x));
+  buckets_[static_cast<std::size_t>(b)].fetch_add(
+      n, std::memory_order_relaxed);
+  sum_.fetch_add(x * n, std::memory_order_relaxed);
+  count_.fetch_add(n, std::memory_order_relaxed);
+  shrink_min(x);
+  grow_max(x);
+}
+
 void Histogram::merge_from(const Histogram& other) noexcept {
   std::int64_t n = 0;
   for (int b = 0; b < kBuckets; ++b) {

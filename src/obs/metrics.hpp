@@ -75,6 +75,8 @@ class Histogram {
   static constexpr int kBuckets = 65;
 
   void add(std::int64_t x) noexcept;
+  /// Adds `n` >= 0 samples of value `x` — one update for a batch.
+  void add_repeated(std::int64_t x, std::int64_t n) noexcept;
   /// Folds `other`'s samples into this histogram.  Lock-free and safe
   /// against concurrent add()s on either side; associative and
   /// commutative over the resulting (count, sum, min, max, buckets).

@@ -4,9 +4,20 @@
 // metric handles.  Every hook is inline and starts with a null check,
 // so an unconfigured probe costs one predictable branch per call site
 // and touches no memory; `enabled()` lets hot loops skip whole
-// instrumentation blocks (ready-set scans, per-compare tracing) in one
-// test.  Attaching metrics resolves registry names once, up front —
-// the per-event path never does a string lookup.
+// instrumentation blocks in one test.  Attaching metrics resolves
+// registry names once, up front — the per-event path never does a
+// string lookup.
+//
+// Two paths serve a probe, and the hooks are grouped by path:
+//   * decision hooks (begin/end_decision, place, migrate, deadline)
+//     fire on both;
+//   * the O(changes) fast paths of SfqSimulator / DvqSimulator add the
+//     counting hooks (ready_size, count_quality) — every sched.* metric
+//     except sched.comparisons is served there;
+//   * the explain hooks (ready_set, compare_outcome, comparisons,
+//     preempt, proc_free, idle) fire only on the reference schedulers,
+//     which scan and sort every decision anyway.  A sink asking for any
+//     explain event (see wants_explain) gets such an explain run.
 #pragma once
 
 #include "obs/metrics.hpp"
@@ -14,7 +25,12 @@
 
 namespace pfair {
 
-/// Metric names used by `SchedProbe::attach_metrics`.
+/// Metric names used by `SchedProbe::attach_metrics`.  One definition
+/// per counter: sched.preemptions / .migrations / .idle_quanta follow
+/// QualityCounters (obs/quality.hpp) — incremental on the fast path,
+/// recounted offline after an explain run — and sched.comparisons (with
+/// its per-decision histogram) is counted only by explain runs, the
+/// only path that compares subtasks pairwise.
 namespace sched_metrics {
 inline constexpr const char* kInvocations = "sched.invocations";
 inline constexpr const char* kComparisons = "sched.comparisons";
@@ -33,28 +49,21 @@ class SchedProbe {
  public:
   SchedProbe() = default;
 
-  /// Installs `sink` and caches its event mask — re-install the sink if
-  /// its mask changes.
-  void set_sink(TraceSink* sink) {
-    sink_ = sink;
-    mask_ = sink != nullptr ? sink->event_mask() : 0;
-  }
+  /// Installs `sink` (null uninstalls).
+  void set_sink(TraceSink* sink) { sink_ = sink; }
   /// Resolves the sched.* metric names in `reg` (stable handles).
   void attach_metrics(MetricsRegistry& reg);
+  /// Drops the metric handles; counting stops, the registry keeps its
+  /// values.
+  void detach_metrics() { *this = SchedProbe(sink_); }
 
   [[nodiscard]] bool tracing() const { return sink_ != nullptr; }
   [[nodiscard]] bool metering() const { return invocations_ != nullptr; }
   /// True iff any hook would do work — hot loops branch on this once.
   [[nodiscard]] bool enabled() const { return tracing() || metering(); }
-  /// True iff the naive instrumented scan is required to serve this
-  /// probe: metrics need full ready-set/comparison accounting, and so
-  /// does any sink wanting events beyond kDecisionTraceEvents.  When
-  /// enabled() but not wants_full_instrumentation(), the simulators use
-  /// the O(changes) fast path and emit only decision-outcome events.
-  [[nodiscard]] bool wants_full_instrumentation() const {
-    return metering() || (mask_ & ~kDecisionTraceEvents) != 0;
-  }
   [[nodiscard]] TraceSink* sink() const { return sink_; }
+
+  // --- Decision hooks (fast and explain paths) ---
 
   /// One scheduler invocation (slot boundary / event instant).
   void begin_decision(TraceEventKind kind, Time at, std::int64_t detail = 0) {
@@ -67,13 +76,91 @@ class SchedProbe {
       emit(e);
     }
   }
-  /// Commits the decision in grouping sinks (see TraceSink::flush).
+  /// Commits the decision in grouping sinks (see TraceSink::flush) and
+  /// flushes the decision's batched placement / on-time counts.
   void end_decision() {
     if (sink_ != nullptr) sink_->flush();
+    if (pending_placements_ != 0) {
+      placements_->add(pending_placements_);
+      pending_placements_ = 0;
+    }
+    if (pending_on_time_ != 0) {
+      tardiness_->add_repeated(0, pending_on_time_);
+      pending_on_time_ = 0;
+    }
   }
 
-  void ready_set(Time at, std::int64_t n) {
+  /// `detail`: slot index (SFQ) or cost in ticks (DVQ).
+  void place(Time at, const SubtaskRef& ref, int proc,
+             std::int64_t detail) {
+    if (placements_ != nullptr) ++pending_placements_;
+    if (sink_ != nullptr) {
+      TraceEvent e;
+      e.kind = TraceEventKind::kPlace;
+      e.proc = proc;
+      e.at = at;
+      e.subject = ref;
+      e.detail = detail;
+      emit(e);
+    }
+  }
+
+  /// Trace-only: sched.migrations counts through count_quality.
+  void migrate(Time at, const SubtaskRef& ref, int from, int to) {
+    if (sink_ != nullptr) {
+      TraceEvent e;
+      e.kind = TraceEventKind::kMigrate;
+      e.aux = from;
+      e.proc = to;
+      e.at = at;
+      e.subject = ref;
+      emit(e);
+    }
+  }
+
+  /// Deadline outcome of a completed subtask.
+  void deadline(Time at, const SubtaskRef& ref,
+                std::int64_t tardiness_ticks) {
+    if (tardiness_ != nullptr) {
+      if (tardiness_ticks > 0) {
+        tardiness_->add(tardiness_ticks);
+        deadline_misses_->add();
+      } else {
+        ++pending_on_time_;
+      }
+    }
+    if (sink_ != nullptr) {
+      TraceEvent e;
+      e.kind = tardiness_ticks > 0 ? TraceEventKind::kDeadlineMiss
+                                   : TraceEventKind::kDeadlineHit;
+      e.at = at;
+      e.subject = ref;
+      e.detail = tardiness_ticks;
+      emit(e);
+    }
+  }
+
+  // --- Counting hooks (metrics only, no events) ---
+
+  /// Size of one decision's ready set, read off the fast path's heap.
+  void ready_size(std::int64_t n) {
     if (ready_size_ != nullptr) ready_size_->add(n);
+  }
+  /// Quality increments (QualityCounters definitions): per decision on
+  /// the fast path, once from the recount after an explain run.
+  void count_quality(std::int64_t preemptions, std::int64_t migrations,
+                     std::int64_t idle) {
+    if (preemptions_ == nullptr) return;
+    if (preemptions != 0) preemptions_->add(preemptions);
+    if (migrations != 0) migrations_->add(migrations);
+    if (idle != 0) idle_quanta_->add(idle);
+  }
+
+  // --- Explain hooks (reference schedulers only) ---
+
+  /// The ready set a decision scanned (also feeds the size histogram).
+  void ready_set(Time at, std::int64_t n) {
+    ready_size(n);
     if (sink_ != nullptr) {
       TraceEvent e;
       e.kind = TraceEventKind::kReadySet;
@@ -103,36 +190,9 @@ class SchedProbe {
     if (compares_per_decision_ != nullptr) compares_per_decision_->add(n);
   }
 
-  /// `detail`: slot index (SFQ) or cost in ticks (DVQ).
-  void place(Time at, const SubtaskRef& ref, int proc,
-             std::int64_t detail) {
-    if (placements_ != nullptr) placements_->add();
-    if (sink_ != nullptr) {
-      TraceEvent e;
-      e.kind = TraceEventKind::kPlace;
-      e.proc = proc;
-      e.at = at;
-      e.subject = ref;
-      e.detail = detail;
-      emit(e);
-    }
-  }
-
-  void migrate(Time at, const SubtaskRef& ref, int from, int to) {
-    if (migrations_ != nullptr) migrations_->add();
-    if (sink_ != nullptr) {
-      TraceEvent e;
-      e.kind = TraceEventKind::kMigrate;
-      e.aux = from;
-      e.proc = to;
-      e.at = at;
-      e.subject = ref;
-      emit(e);
-    }
-  }
-
+  /// A ready subtask denied a processor (trace-only; sched.preemptions
+  /// counts through count_quality).
   void preempt(Time at, const SubtaskRef& ref) {
-    if (preemptions_ != nullptr) preemptions_->add();
     if (sink_ != nullptr) {
       TraceEvent e;
       e.kind = TraceEventKind::kPreempt;
@@ -153,9 +213,9 @@ class SchedProbe {
     }
   }
 
-  /// `count` processors left without work after a decision.
+  /// `count` processors left without work after a decision (trace-only;
+  /// sched.idle_quanta counts through count_quality).
   void idle(Time at, std::int64_t count) {
-    if (idle_quanta_ != nullptr) idle_quanta_->add(count);
     if (sink_ != nullptr) {
       TraceEvent e;
       e.kind = TraceEventKind::kProcIdle;
@@ -165,29 +225,11 @@ class SchedProbe {
     }
   }
 
-  /// Deadline outcome of a completed subtask.
-  void deadline(Time at, const SubtaskRef& ref,
-                std::int64_t tardiness_ticks) {
-    if (tardiness_ != nullptr) tardiness_->add(tardiness_ticks);
-    if (tardiness_ticks > 0 && deadline_misses_ != nullptr) {
-      deadline_misses_->add();
-    }
-    if (sink_ != nullptr) {
-      TraceEvent e;
-      e.kind = tardiness_ticks > 0 ? TraceEventKind::kDeadlineMiss
-                                   : TraceEventKind::kDeadlineHit;
-      e.at = at;
-      e.subject = ref;
-      e.detail = tardiness_ticks;
-      emit(e);
-    }
-  }
-
  private:
+  explicit SchedProbe(TraceSink* sink) : sink_(sink) {}
   void emit(const TraceEvent& e) { sink_->on_event(e); }
 
   TraceSink* sink_ = nullptr;
-  TraceEventMask mask_ = 0;
   Counter* invocations_ = nullptr;
   Counter* comparisons_ = nullptr;
   Counter* placements_ = nullptr;
@@ -198,6 +240,10 @@ class SchedProbe {
   Histogram* ready_size_ = nullptr;
   Histogram* compares_per_decision_ = nullptr;
   Histogram* tardiness_ = nullptr;
+  // Per-decision batches, flushed by end_decision: one atomic update per
+  // decision instead of one per placement.
+  std::int64_t pending_placements_ = 0;
+  std::int64_t pending_on_time_ = 0;
 };
 
 }  // namespace pfair

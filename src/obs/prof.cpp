@@ -13,7 +13,7 @@ namespace pfair::prof {
 
 namespace detail {
 
-thread_local ThreadState* tl_state = nullptr;
+constinit thread_local ThreadState* tl_state = nullptr;
 
 struct PhaseAccum {
   std::int64_t count = 0;

@@ -128,8 +128,11 @@ void publish_profile(const ProfileSnapshot& snap, MetricsRegistry& reg);
 
 namespace detail {
 struct ThreadState;
-/// Non-null while a ProfScope is live on this thread.
-extern thread_local ThreadState* tl_state;
+/// Non-null while a ProfScope is live on this thread.  `constinit`
+/// tells other translation units there is no dynamic initializer, so
+/// reads are direct TLS loads — no TLS wrapper call, which GCC's UBSan
+/// misreports as a null load in static-library builds.
+extern thread_local constinit ThreadState* tl_state;
 }  // namespace detail
 
 /// True iff spans on this thread currently record anywhere.

@@ -15,6 +15,19 @@ std::string quality_to_string(const QualityCounters& q) {
   return os.str();
 }
 
+QualityCounters& QualityCounters::operator+=(const QualityCounters& o) {
+  preemptions += o.preemptions;
+  migrations += o.migrations;
+  idle_slots += o.idle_slots;
+  context_switches += o.context_switches;
+  decision_points += o.decision_points;
+  resize_procs(o.per_proc_switches.size());
+  for (std::size_t p = 0; p < o.per_proc_switches.size(); ++p) {
+    per_proc_switches[p] += o.per_proc_switches[p];
+  }
+  return *this;
+}
+
 void publish_quality(const QualityCounters& q, MetricsRegistry& reg,
                      const std::string& prefix) {
   reg.counter(prefix + ".preemptions").add(q.preemptions);

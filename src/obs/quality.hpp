@@ -5,9 +5,12 @@
 // literature compares algorithms on (a schedule that meets every
 // deadline but thrashes tasks across CPUs is not free).  Both
 // simulators maintain them incrementally when a `QualityCounters` is
-// attached via SfqOptions/DvqOptions; analysis/recount.hpp recomputes
-// the same numbers from a finished schedule in O(schedule), so the
-// incremental path is testable against an independent oracle.
+// attached via SfqOptions/DvqOptions (or metrics are — the
+// sched.preemptions / .migrations / .idle_quanta metrics share these
+// definitions); analysis/recount.hpp recomputes the same numbers from a
+// finished schedule in O(schedule), so the incremental path is testable
+// against an independent oracle, and explain runs take their counters
+// from it.
 //
 // Definitions (shared across the slot-synchronous and event-driven
 // models; "instant" is a slot boundary for SFQ and a dispatch event for
@@ -50,6 +53,8 @@ struct QualityCounters {
   std::vector<std::int64_t> per_proc_switches;
 
   bool operator==(const QualityCounters&) const = default;
+  /// Adds `o` field by field (per-processor switches included).
+  QualityCounters& operator+=(const QualityCounters& o);
 
   /// Ensures per_proc_switches covers `procs` processors.
   void resize_procs(std::size_t procs) {

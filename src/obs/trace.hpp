@@ -45,9 +45,9 @@ enum class TraceEventKind : std::uint8_t {
 [[nodiscard]] const char* to_string(TraceEventKind k);
 
 /// Bitmask over TraceEventKind: bit `1 << kind` set means the sink wants
-/// events of that kind.  A sink's mask is a *path-selection hint* for the
-/// simulators, not a filter: a sink may still receive events outside its
-/// mask (e.g. from an instrumented run forced by another sink in a tee).
+/// events of that kind.  A sink's mask is a *path-selection hint*, not a
+/// filter: a sink may still receive events outside its mask (e.g. from
+/// an explain run requested by another sink in a tee).
 using TraceEventMask = std::uint32_t;
 
 [[nodiscard]] constexpr TraceEventMask trace_mask_of(TraceEventKind k) {
@@ -58,12 +58,9 @@ using TraceEventMask = std::uint32_t;
 inline constexpr TraceEventMask kAllTraceEvents =
     (trace_mask_of(TraceEventKind::kAuditFinding) << 1) - 1;
 
-/// The decision-outcome subset the O(changes) fast paths can emit without
-/// falling back to the naive instrumented scan: slot/event boundaries,
-/// placements, migrations and deadline outcomes.  A sink whose mask is a
-/// subset of this keeps the simulator on the fast path (see
-/// SchedProbe::wants_full_instrumentation); ready-set sizes, comparison
-/// outcomes, preemptions, free/idle processors require the full scan.
+/// The decision-outcome events: slot/event boundaries, placements,
+/// migrations, deadline outcomes and audit findings.  The O(changes)
+/// fast paths of both simulators emit exactly these.
 inline constexpr TraceEventMask kDecisionTraceEvents =
     trace_mask_of(TraceEventKind::kSlotBegin) |
     trace_mask_of(TraceEventKind::kEventBegin) |
@@ -72,6 +69,26 @@ inline constexpr TraceEventMask kDecisionTraceEvents =
     trace_mask_of(TraceEventKind::kDeadlineHit) |
     trace_mask_of(TraceEventKind::kDeadlineMiss) |
     trace_mask_of(TraceEventKind::kAuditFinding);
+
+/// The "explain" events — why each decision came out the way it did:
+/// ready sets, comparison outcomes, ready subtasks denied a processor,
+/// free and idle processors.  Only the reference schedulers, which scan
+/// and sort every decision, emit them; `schedule_sfq` / `schedule_dvq`
+/// (and the `_into` / cyclic variants) route a run whose sink asks for
+/// any of them to `schedule_*_reference` — an explain run.  Filtered to
+/// kDecisionTraceEvents, an explain run's stream is byte-identical to
+/// the fast path's.
+inline constexpr TraceEventMask kExplainTraceEvents =
+    trace_mask_of(TraceEventKind::kReadySet) |
+    trace_mask_of(TraceEventKind::kCompare) |
+    trace_mask_of(TraceEventKind::kPreempt) |
+    trace_mask_of(TraceEventKind::kProcFree) |
+    trace_mask_of(TraceEventKind::kProcIdle);
+
+static_assert((kDecisionTraceEvents & kExplainTraceEvents) == 0 &&
+                  (kDecisionTraceEvents | kExplainTraceEvents) ==
+                      kAllTraceEvents,
+              "every event kind is either a decision or an explain event");
 
 /// Which priority rule decided a comparison (see PriorityOrder::compare).
 enum class TieRule : std::uint8_t {
@@ -113,9 +130,9 @@ class TraceSink {
   /// sinks that group events per decision can commit.  Default no-op.
   virtual void flush() {}
   /// The event kinds this sink needs (default: everything).  Queried
-  /// once when the sink is installed; sinks that only need the
-  /// kDecisionTraceEvents subset keep the simulator on its O(changes)
-  /// fast path.
+  /// when a run starts: a mask within kDecisionTraceEvents keeps the run
+  /// on the O(changes) fast path, anything more makes it an explain run
+  /// (see wants_explain).
   [[nodiscard]] virtual TraceEventMask event_mask() const {
     return kAllTraceEvents;
   }
@@ -179,8 +196,8 @@ class TeeSink final : public TraceSink {
     if (a_ != nullptr) a_->flush();
     if (b_ != nullptr) b_->flush();
   }
-  /// Union of the children's needs: any child requiring the full stream
-  /// pulls the whole tee onto the instrumented path.
+  /// Union of the children's needs: any child asking for explain events
+  /// makes the whole tee an explain run.
   [[nodiscard]] TraceEventMask event_mask() const override {
     TraceEventMask m = 0;
     if (a_ != nullptr) m |= a_->event_mask();
@@ -192,6 +209,12 @@ class TeeSink final : public TraceSink {
   TraceSink* a_;
   TraceSink* b_;
 };
+
+/// True iff `sink` asks for any explain event, i.e. a run feeding it
+/// must be an explain run on the reference path.
+[[nodiscard]] inline bool wants_explain(const TraceSink* sink) {
+  return sink != nullptr && (sink->event_mask() & kExplainTraceEvents) != 0;
+}
 
 /// Serializes one event as a single-line JSON object (no newline).
 [[nodiscard]] std::string trace_event_json(const TraceEvent& e);

@@ -7,6 +7,7 @@
 #include "core/assert.hpp"
 #include "obs/prof.hpp"
 #include "obs/probe.hpp"
+#include "sched/reference_scheduler.hpp"
 #include "sched/simulator.hpp"
 #include "sched/state_hash.hpp"
 
@@ -97,6 +98,9 @@ SlotSchedule CycleSchedule::materialize(std::int64_t horizon) const {
 
 CycleSchedule schedule_sfq_cyclic(const TaskSystem& sys,
                                   const SfqOptions& opts) {
+  if (wants_explain(opts.trace)) {
+    return CycleSchedule(schedule_sfq_reference(sys, opts));
+  }
   const std::int64_t limit =
       opts.horizon_limit > 0 ? opts.horizon_limit : default_horizon(sys);
   std::optional<SfqSimulator> sim_store;

@@ -50,7 +50,10 @@ struct CycleStats {
   std::int64_t detect_slot = 0;     ///< t1: boundary where recurrence confirmed
   std::int64_t cycles_skipped = 0;  ///< m
   std::int64_t slots_skipped = 0;   ///< m * C
-  std::int64_t sim_slots = 0;       ///< slots actually simulated
+  /// Slots actually simulated (engaged runs): SFQ, the final slot less
+  /// slots_skipped; DVQ, the makespan in slots (a partial last slot
+  /// counts) less slots_skipped.
+  std::int64_t sim_slots = 0;
 };
 
 /// A schedule stored as real prefix + one stored cycle + repeat count +
@@ -104,9 +107,11 @@ class CycleSchedule {
 /// cycles as the horizon and the tasks' subtask counts allow.  Falls
 /// back to a plain full run (stats().engaged == false) whenever the
 /// system is not fingerprintable, the horizon never reaches a second
-/// hyperperiod boundary, no recurrence shows up, or the run is
-/// instrumented (opts.trace / opts.metrics) — instrumented streams are
-/// never elided.  Ignores opts.cycle_detect (callers gate on it).
+/// hyperperiod boundary, no recurrence shows up, or the run is observed
+/// (opts.trace / opts.metrics / opts.quality) — observed streams are
+/// never elided.  A trace sink asking for explain events makes this an
+/// explain run of schedule_sfq_reference, wrapped unengaged.  Ignores
+/// opts.cycle_detect (callers gate on it).
 [[nodiscard]] CycleSchedule schedule_sfq_cyclic(const TaskSystem& sys,
                                                 const SfqOptions& opts = {});
 

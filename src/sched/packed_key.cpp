@@ -119,6 +119,7 @@ PackedKeys::PackedKeys(const TaskSystem& sys, Policy policy, Arena* arena)
   const int shift_d =
       (has_tiebreak_fields ? 1 + bits_gd : 0) + bits_w + bits_t;
   deadline_shift_ = shift_d;
+  min_deadline_ = min_d;
 
   // Size the flat arrays: flyweight tasks contribute min(e, count)
   // in-period positions, materialized ones a position per subtask.

@@ -107,6 +107,12 @@ class PackedKeys {
   /// than every key with a smaller one regardless of the low bits.
   /// The ready queue's deadline staging relies on exactly this.
   [[nodiscard]] int deadline_shift() const { return deadline_shift_; }
+  /// The pseudo-deadline encoded in `key` (an order_key of this system),
+  /// read back without touching the task: what the simulators' probed
+  /// placement hooks use for tardiness.
+  [[nodiscard]] std::int64_t deadline_of(std::uint64_t key) const {
+    return static_cast<std::int64_t>(key >> deadline_shift_) + min_deadline_;
+  }
 
  private:
   const TaskSystem* sys_;
@@ -120,6 +126,7 @@ class PackedKeys {
   ArenaVector<std::uint64_t> step_;
   int tie_bits_ = 0;
   int deadline_shift_ = 0;
+  std::int64_t min_deadline_ = 0;  // bias of the deadline field
   bool packable_ = false;
 };
 

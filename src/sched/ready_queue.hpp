@@ -44,10 +44,10 @@
 // allocations across repeated schedule calls); otherwise the heap.
 //
 // Entries are never erased in place.  A task's head subtask enters when
-// it becomes available and normally leaves by being popped; when the
-// instrumented (probe-on) path schedules behind the queue's back, the
-// stale entry stays and callers skip it with a head check (an entry is
-// live iff it still names its task's next unscheduled subtask).
+// it becomes available and leaves only by being popped and placed, so
+// every entry names its task's next unscheduled subtask — the
+// simulators have no second decision body that could schedule behind
+// the queue's back (clear() is how warp starts over).
 #pragma once
 
 #include <algorithm>

@@ -77,7 +77,7 @@ class SlotSchedule {
   void clear_placements();
 
  private:
-  // The uninstrumented hot path writes cells through a raw pointer —
+  // The simulator's hot path writes cells through a raw pointer —
   // the simulator's head cursor already guarantees place()'s
   // preconditions (valid ref, never placed twice), so the checked
   // accessor would only re-verify per placement what is invariant.

@@ -5,6 +5,7 @@
 
 #include "obs/prof.hpp"
 #include "sched/compressed_schedule.hpp"
+#include "sched/reference_scheduler.hpp"
 #include "sched/simulator.hpp"
 
 namespace pfair {
@@ -19,6 +20,7 @@ std::int64_t default_horizon(const TaskSystem& sys) {
 }
 
 SlotSchedule schedule_sfq(const TaskSystem& sys, const SfqOptions& opts) {
+  if (wants_explain(opts.trace)) return schedule_sfq_reference(sys, opts);
   if (opts.cycle_detect && opts.trace == nullptr &&
       opts.metrics == nullptr && opts.quality == nullptr) {
     // The cyclic driver runs the same simulator and warps over proven
@@ -46,6 +48,10 @@ SlotSchedule schedule_sfq(const TaskSystem& sys, const SfqOptions& opts) {
 
 void schedule_sfq_into(const TaskSystem& sys, const SfqOptions& opts,
                        SlotSchedule& out) {
+  if (wants_explain(opts.trace)) {
+    out = schedule_sfq_reference(sys, opts);
+    return;
+  }
   out.clear_placements();
   const std::int64_t limit =
       opts.horizon_limit > 0 ? opts.horizon_limit : default_horizon(sys);

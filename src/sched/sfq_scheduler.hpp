@@ -28,10 +28,13 @@ struct SfqOptions {
   /// suboptimal policies / infeasible systems).
   std::int64_t horizon_limit = 0;
   /// Optional structured trace receiver (not owned; see obs/trace.hpp).
-  /// An instrumented run produces a bit-identical schedule.
+  /// A sink whose mask fits kDecisionTraceEvents is fed from the
+  /// O(changes) fast path; one asking for explain events makes this an
+  /// explain run of schedule_sfq_reference.  Either way the schedule is
+  /// bit-identical.
   TraceSink* trace = nullptr;
   /// Optional metrics registry (not owned); sched.* counters and
-  /// histograms accumulate into it (see obs/probe.hpp).
+  /// histograms accumulate into it on the fast path (see obs/probe.hpp).
   MetricsRegistry* metrics = nullptr;
   /// Optional scheduler-quality counters (not owned; obs/quality.hpp):
   /// preemptions, migrations, idle slots, context switches accumulate
@@ -50,8 +53,8 @@ struct SfqOptions {
   /// Steady-state cycle detection (sched/compressed_schedule.hpp): skip
   /// proven-recurring hyperperiods instead of simulating them.  Placements
   /// are bit-identical either way; the knob exists so A/B tests can force
-  /// the full run.  Automatically off while `trace` or `metrics` is
-  /// attached — instrumented streams are never elided.
+  /// the full run.  Automatically off while `trace`, `metrics` or
+  /// `quality` is attached — observed streams are never elided.
   bool cycle_detect = true;
 };
 

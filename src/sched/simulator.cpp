@@ -256,11 +256,7 @@ void SfqSimulator::step_into(ArenaVector<SubtaskRef>& picks) {
   {
     PFAIR_PROF_SPAN(kReadyHeap);
     if (probe_.enabled()) [[unlikely]] {
-      if (probe_.wants_full_instrumentation()) {
-        step_instrumented(picks);
-      } else {
-        step_fast<true>(picks);
-      }
+      step_fast<true>(picks);
     } else {
       step_fast<false>(picks);
     }
@@ -270,15 +266,51 @@ void SfqSimulator::step_into(ArenaVector<SubtaskRef>& picks) {
   }
 }
 
+void SfqSimulator::set_trace_sink(TraceSink* sink) {
+  PFAIR_REQUIRE(!wants_explain(sink),
+                "the simulator emits decision events only; explain events "
+                "come from schedule_sfq_reference (or schedule_sfq, which "
+                "routes such a sink there)");
+  probe_.set_sink(sink);
+}
+
+void SfqSimulator::attach_metrics(MetricsRegistry& reg) {
+  probe_.attach_metrics(reg);
+  if (quality_ == nullptr) {
+    metric_quality_ = QualityCounters{};
+    start_quality(&metric_quality_);
+  }
+}
+
+void SfqSimulator::detach_metrics() {
+  probe_.detach_metrics();
+  if (quality_ == &metric_quality_) start_quality(nullptr);
+}
+
 void SfqSimulator::set_quality(QualityCounters* q) {
   PFAIR_REQUIRE(q == nullptr || now_ == 0,
                 "attach quality counters before the first step");
+  if (q == nullptr && probe_.metering()) {
+    metric_quality_ = QualityCounters{};
+    q = &metric_quality_;
+  }
+  start_quality(q);
+}
+
+void SfqSimulator::start_quality(QualityCounters* q) {
   quality_ = q;
-  if (q != nullptr) {
-    const auto procs = static_cast<std::size_t>(sys_->processors());
-    q->resize_procs(procs);
-    proc_task_.assign(procs, -1);
-    prev_tasks_.clear();
+  prev_tasks_.clear();
+  if (q == nullptr) return;
+  const auto procs = static_cast<std::size_t>(sys_->processors());
+  q->resize_procs(procs);
+  proc_task_.assign(procs, -1);
+  if (now_ == 0) return;
+  // Started mid-run (metrics attached late): last slot's occupants are
+  // the preemption candidates of the next step.
+  for (std::size_t k = 0; k < hot_.size(); ++k) {
+    if (hot_[k].last_slot == now_ - 1) {
+      prev_tasks_.push_back(static_cast<std::int32_t>(k));
+    }
   }
 }
 
@@ -290,13 +322,15 @@ void SfqSimulator::note_quality(const SubtaskRef* picks, std::size_t count) {
   QualityCounters& q = *quality_;
   ++q.decision_points;
   const auto procs = static_cast<std::size_t>(sys_->processors());
-  q.idle_slots += static_cast<std::int64_t>(procs - count);
+  const auto idle = static_cast<std::int64_t>(procs - count);
+  std::int64_t migrations = 0;
+  std::int64_t preemptions = 0;
   for (std::size_t r = 0; r < count; ++r) {
     const SubtaskRef ref = picks[r];
     if (ref.seq > 0) {
       const int prev =
           sched_->placement(SubtaskRef{ref.task, ref.seq - 1}).proc;
-      if (prev >= 0 && prev != static_cast<int>(r)) ++q.migrations;
+      if (prev >= 0 && prev != static_cast<int>(r)) ++migrations;
     }
     std::int32_t& occupant = proc_task_[r];
     if (occupant != ref.task) {
@@ -320,17 +354,22 @@ void SfqSimulator::note_quality(const SubtaskRef* picks, std::size_t count) {
     if (pr.elig_base + static_cast<std::int64_t>(h.job) * h.elig_p > t) {
       continue;
     }
-    ++q.preemptions;
+    ++preemptions;
   }
   prev_tasks_.clear();
   for (std::size_t r = 0; r < count; ++r) prev_tasks_.push_back(picks[r].task);
+  q.idle_slots += idle;
+  q.migrations += migrations;
+  q.preemptions += preemptions;
+  probe_.count_quality(preemptions, migrations, idle);
 }
 
-template <bool kTraced>
+template <bool kProbed>
 void SfqSimulator::step_fast(ArenaVector<SubtaskRef>& picks) {
   [[maybe_unused]] const Time at = Time::slots(now_);
-  if constexpr (kTraced) {
+  if constexpr (kProbed) {
     probe_.begin_decision(TraceEventKind::kSlotBegin, at, now_);
+    probe_.ready_size(static_cast<std::int64_t>(ready_q_.size()));
   }
   const auto m = static_cast<std::size_t>(sys_->processors());
   const HotTask* hot = hot_.data();
@@ -339,93 +378,36 @@ void SfqSimulator::step_fast(ArenaVector<SubtaskRef>& picks) {
     if (packed_) {
       simd::prefetch(&hot[static_cast<std::size_t>(ready_q_.peek_task())]);
     }
+    // Every queued entry names its task's current head: entries leave
+    // the queue only by being popped here (warp rebuilds it outright).
     const SubtaskRef ref = ready_q_.pop_best();
-    // Skip entries scheduled behind the heap's back by an instrumented
-    // step (the head moved on).
-    const HotTask& h = hot[static_cast<std::size_t>(ref.task)];
-    if (h.head != ref.seq) continue;
     const int proc = static_cast<int>(picks.size());
-    place_fast(h, ref.seq, proc);
-    if constexpr (kTraced) note_placement(at, ref, proc);
+    place_fast(hot[static_cast<std::size_t>(ref.task)], ref.seq, proc);
+    if constexpr (kProbed) note_placement(at, ref, proc);
     commit_placement(ref);
     picks.push_back(ref);
   }
   ++now_;
-  if constexpr (kTraced) probe_.end_decision();
+  if constexpr (kProbed) probe_.end_decision();
 }
 
-// noinline: instrumented-path-only code; folding these into step() costs
-// the *uninstrumented* path measurable icache pressure.
-#if defined(__GNUC__)
-__attribute__((noinline))
-#endif
-void SfqSimulator::step_instrumented(ArenaVector<SubtaskRef>& picks) {
-  const Time at = Time::slots(now_);
-  probe_.begin_decision(TraceEventKind::kSlotBegin, at, now_);
-  scratch_instr_ = ready();
-  const auto m = std::min<std::size_t>(
-      static_cast<std::size_t>(sys_->processors()), scratch_instr_.size());
-  sort_picks_instrumented(scratch_instr_, m, at);
-  scratch_instr_.resize(m);
-  for (std::size_t r = 0; r < m; ++r) {
-    const SubtaskRef ref = scratch_instr_[r];
-    sched_->place(ref, now_, static_cast<int>(r));
-    note_placement(at, ref, static_cast<int>(r));
-    commit_placement(ref);
-    picks.push_back(ref);
-  }
-  ++now_;
-  probe_.end_decision();
-}
-
-#if defined(__GNUC__)
-__attribute__((noinline))
-#endif
-void SfqSimulator::sort_picks_instrumented(std::vector<SubtaskRef>& picks,
-                                           std::size_t m, Time at) {
-  probe_.ready_set(at, static_cast<std::int64_t>(picks.size()));
-  // Instrumented comparator: identical ordering (same compare + same id
-  // tie-break), with the comparison count and — when tracing — the
-  // deciding rule reported on the side.
-  std::int64_t ncmp = 0;
-  const bool tracing = probe_.tracing();
-  std::partial_sort(
-      picks.begin(), picks.begin() + static_cast<std::ptrdiff_t>(m),
-      picks.end(),
-      [this, at, tracing, &ncmp](const SubtaskRef& a, const SubtaskRef& b) {
-        ++ncmp;
-        TieRule rule = TieRule::kTie;
-        const int c = order_.compare(a, b, &rule);
-        const bool a_wins = c != 0 ? c < 0 : a < b;
-        if (tracing) {
-          probe_.compare_outcome(at, a_wins ? a : b, a_wins ? b : a, rule);
-        }
-        return a_wins;
-      });
-  probe_.comparisons(ncmp);
-  // Tasks that held a processor in the previous slot and are ready but
-  // lost out in this one were preempted; unused capacity is idle.
-  for (std::size_t r = m; r < picks.size(); ++r) {
-    const auto k = static_cast<std::size_t>(picks[r].task);
-    if (hot_[k].last_slot == now_ - 1) probe_.preempt(at, picks[r]);
-  }
-  const auto procs = static_cast<std::size_t>(sys_->processors());
-  if (m < procs) {
-    probe_.idle(at, static_cast<std::int64_t>(procs - m));
-  }
-}
-
+// noinline: probe-only code; folding it into step() costs the unprobed
+// path measurable icache pressure.
 #if defined(__GNUC__)
 __attribute__((noinline))
 #endif
 void SfqSimulator::note_placement(Time at, SubtaskRef ref, int proc) {
   probe_.place(at, ref, proc, now_);
-  if (ref.seq > 0) {
+  if (ref.seq > 0 && probe_.tracing()) {
     const int prev = sched_->placement(SubtaskRef{ref.task, ref.seq - 1}).proc;
     if (prev >= 0 && prev != proc) probe_.migrate(at, ref, prev, proc);
   }
-  const std::int64_t tard_slots =
-      std::max<std::int64_t>(0, now_ + 1 - sys_->subtask(ref).deadline);
+  // Called before commit_placement: the hot record still holds the
+  // placed subtask's key, which encodes its deadline.
+  const std::int64_t deadline =
+      packed_ ? keys_.deadline_of(hot_[static_cast<std::size_t>(ref.task)].next_key)
+              : sys_->subtask(ref).deadline;
+  const std::int64_t tard_slots = std::max<std::int64_t>(0, now_ + 1 - deadline);
   probe_.deadline(at, ref, tard_slots * kTicksPerSlot);
 }
 
@@ -438,7 +420,7 @@ void SfqSimulator::run_until(std::int64_t slot_limit) {
 
 void SfqSimulator::warp(std::int64_t cycles, std::int64_t cycle_slots,
                         const std::vector<std::int64_t>& cycle_allocs) {
-  PFAIR_REQUIRE(!probe_.enabled(), "warp would skip trace events");
+  PFAIR_REQUIRE(!probe_.enabled(), "warp would skip trace events and metrics");
   PFAIR_REQUIRE(quality_ == nullptr, "warp would skip quality accounting");
   PFAIR_REQUIRE(cycles >= 0 && cycle_slots > 0, "bad warp parameters");
   if (cycles == 0) return;

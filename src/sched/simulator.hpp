@@ -17,7 +17,7 @@
 // (`schedule_sfq_reference`), which re-scans and re-sorts everything —
 // the A/B equivalence suite asserts this across policies and workloads.
 //
-// The uninstrumented hot path is data-oriented.  All per-task mutable
+// The hot path is data-oriented.  All per-task mutable
 // state a placement touches lives in one 64-byte HotTask record (head,
 // last slot, the head's precomputed priority key, and the in-period
 // cursor that advances it without division); the per-position
@@ -32,14 +32,14 @@
 // in steady state.  None of this changes placements: keys realize the
 // same strict total order, so the A/B suite pins bit-identicality.
 //
-// With a probe attached (trace sink or metrics), step() instead takes
-// the instrumented path: the naive full scan plus the event-reporting
-// partial_sort, unchanged from before this optimization, so trace
-// streams and metric values stay exactly stable.  Exception: a sink
-// whose event_mask() fits inside kDecisionTraceEvents (e.g. the
-// InvariantAuditor) is served from the fast path with only the
-// decision-outcome events emitted.  Whatever the path, the placements
-// are the same.
+// A probe (decision-mask trace sink and/or metrics) rides on the same
+// fast path: the decision events are reported as placements commit,
+// sched.ready_set_size is the ready heap's size (staged entries
+// included) at each decision, and the quality metrics come from the
+// incremental QualityCounters accounting (note_quality).  There is no
+// second decision body.  The explain events (kExplainTraceEvents) come
+// only from `schedule_sfq_reference`; set_trace_sink rejects a sink
+// asking for them, and `schedule_sfq` routes such a sink there.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +49,7 @@
 #include "core/arena.hpp"
 #include "core/rational.hpp"
 #include "obs/probe.hpp"
+#include "obs/quality.hpp"
 #include "sched/packed_key.hpp"
 #include "sched/priority.hpp"
 #include "sched/ready_queue.hpp"
@@ -57,7 +58,6 @@
 namespace pfair {
 
 struct SfqOptions;       // sched/sfq_scheduler.hpp
-struct QualityCounters;  // obs/quality.hpp
 
 /// Incremental slot-by-slot Pfair scheduler.
 /// The task system (and arena / external schedule, if supplied) must
@@ -113,8 +113,6 @@ class SfqSimulator {
     // counters are one.
     return hot_[static_cast<std::size_t>(task)].head;
   }
-  /// True iff a probe (trace sink or metrics) is attached.
-  [[nodiscard]] bool instrumented() const { return probe_.enabled(); }
 
   /// Fast-forwards `cycles` repetitions of a detected steady-state cycle
   /// of `cycle_slots` slots in which task k places exactly
@@ -130,17 +128,20 @@ class SfqSimulator {
             const std::vector<std::int64_t>& cycle_allocs);
 
   /// Installs a structured trace sink (not owned; may be null to
-  /// uninstall).  With no sink and no metrics attached, step() takes the
-  /// uninstrumented path and the schedule produced is bit-identical.
-  void set_trace_sink(TraceSink* sink) { probe_.set_sink(sink); }
+  /// uninstall) — at any step; placements are unaffected.  The sink's
+  /// event_mask() must fit in kDecisionTraceEvents: explain events come
+  /// from schedule_sfq_reference (a ContractViolation otherwise).
+  void set_trace_sink(TraceSink* sink);
   /// Accumulates sched.* metrics (see obs/probe.hpp) into `reg`, which
-  /// must outlive the simulator.
-  void attach_metrics(MetricsRegistry& reg) { probe_.attach_metrics(reg); }
+  /// must outlive the simulator or the next detach_metrics().  May be
+  /// attached mid-run: counting starts at the next step.
+  void attach_metrics(MetricsRegistry& reg);
+  void detach_metrics();
   /// Accumulates scheduler-quality counters (obs/quality.hpp) into `q`
-  /// incrementally, one O(M) update per slot, on every path (fast,
-  /// traced, instrumented) — placements are unaffected.  Must be
-  /// attached before the first step; `q` must outlive the simulator.
-  /// analysis/recount.hpp recomputes the same numbers offline.
+  /// incrementally, one O(M) update per slot — placements are
+  /// unaffected.  Must be attached before the first step; `q` must
+  /// outlive the simulator.  analysis/recount.hpp recomputes the same
+  /// numbers offline.
   void set_quality(QualityCounters* q);
 
  private:
@@ -188,23 +189,20 @@ class SfqSimulator {
   // One slot's decisions appended into `picks` (not cleared; reused as a
   // scratch buffer by run_until so the hot loop never reallocates).
   void step_into(ArenaVector<SubtaskRef>& picks);
-  // The O(changes) slot body.  kTraced additionally reports the
-  // decision-outcome events (slot begin, placements, migrations,
-  // deadlines) — the kDecisionTraceEvents subset of the instrumented
-  // stream — without the naive scan.
-  template <bool kTraced>
+  // The O(changes) slot body.  kProbed additionally reports the
+  // decision events and the ready-set size to the probe.
+  template <bool kProbed>
   void step_fast(ArenaVector<SubtaskRef>& picks);
-  // The pre-optimization slot body: naive scan + instrumented sort +
-  // trace/metrics reporting.  Identical placements, full reporting.
-  void step_instrumented(ArenaVector<SubtaskRef>& picks);
-  void sort_picks_instrumented(std::vector<SubtaskRef>& picks,
-                               std::size_t m, Time at);
   void note_placement(Time at, SubtaskRef ref, int proc);
   // Folds one slot's decisions (already committed; now_ advanced) into
-  // quality_.  `picks[r]` ran on processor r — true on every path.
+  // quality_ and the probe's quality metrics.  `picks[r]` ran on
+  // processor r.
   void note_quality(const SubtaskRef* picks, std::size_t count);
+  // Points quality_ at `q` (null: off) and resets the incremental state;
+  // mid-run, last slot's occupants are re-derived from the counters.
+  void start_quality(QualityCounters* q);
 
-  // Bookkeeping shared by both paths for one placement in slot now():
+  // Bookkeeping for one placement in slot now():
   // head/lag/progress counters plus the successor's calendar entry.
   void commit_placement(const SubtaskRef& ref);
   // Marks task `task`'s current head available from `slot` on.
@@ -236,7 +234,6 @@ class SfqSimulator {
   std::int64_t drained_upto_ = -1;
 
   ArenaVector<SubtaskRef> scratch_picks_;
-  std::vector<SubtaskRef> scratch_instr_;  // instrumented path only
   // Warp batch-recompute scratch (SIMD affine_keys operands).
   ArenaVector<std::uint64_t> warp_base_;
   ArenaVector<std::uint64_t> warp_step_;
@@ -250,8 +247,11 @@ class SfqSimulator {
 
   // Quality accounting (null = off): the task occupying each processor
   // at the last slot that used it, and the tasks placed last slot (the
-  // only preemption candidates).
+  // only preemption candidates).  With metrics but no caller-supplied
+  // counters, quality_ points at metric_quality_ so sched.preemptions /
+  // .migrations / .idle_quanta share QualityCounters' definitions.
   QualityCounters* quality_ = nullptr;
+  QualityCounters metric_quality_;
   std::vector<std::int32_t> proc_task_;
   std::vector<std::int32_t> prev_tasks_;
 };

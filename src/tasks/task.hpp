@@ -112,7 +112,7 @@ class Task {
   }
 
   /// e(T) of the subtask at `seq` without synthesizing the full Subtask —
-  /// the only field the simulators' uninstrumented hot paths read.
+  /// the only field the simulators' hot paths read.
   [[nodiscard]] std::int64_t eligible_at(std::int64_t seq) const;
 
   /// True iff subtasks are synthesized from a shared window table.

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -15,8 +16,11 @@
 #include "core/thread_pool.hpp"
 #include "dvq/dvq_scheduler.hpp"
 #include "dvq/reference_scheduler.hpp"
+#include "io/json.hpp"
+#include "io/trace_io.hpp"
 #include "obs/audit.hpp"
 #include "obs/metrics.hpp"
+#include "obs/probe.hpp"
 #include "obs/prof.hpp"
 #include "obs/quality.hpp"
 #include "obs/trace.hpp"
@@ -114,6 +118,21 @@ struct FailureLog {
   }
 };
 
+// Forwards to `inner` while asking only for the decision events, so the
+// run it observes stays on the fast path.
+class DecisionOnly final : public TraceSink {
+ public:
+  explicit DecisionOnly(TraceSink& inner) : inner_(&inner) {}
+  void on_event(const TraceEvent& e) override { inner_->on_event(e); }
+  void flush() override { inner_->flush(); }
+  [[nodiscard]] TraceEventMask event_mask() const override {
+    return kDecisionTraceEvents;
+  }
+
+ private:
+  TraceSink* inner_;
+};
+
 TEST(AbEquivalence, SfqMatchesNaiveReferenceAcrossSeedsAndPolicies) {
   FailureLog failures;
   global_pool().parallel_for(
@@ -127,12 +146,14 @@ TEST(AbEquivalence, SfqMatchesNaiveReferenceAcrossSeedsAndPolicies) {
           const SlotSchedule ref = schedule_sfq_reference(sys, opts);
           const SlotSchedule fast = schedule_sfq(sys, opts);
 
+          // Observed on the fast path: metrics plus a decision-mask sink.
           SfqOptions obs_opts = opts;
-          RingBufferSink sink(512);
+          RingBufferSink ring(512);
+          DecisionOnly sink(ring);
           MetricsRegistry reg;
           obs_opts.trace = &sink;
           obs_opts.metrics = &reg;
-          const SlotSchedule instrumented = schedule_sfq(sys, obs_opts);
+          const SlotSchedule observed = schedule_sfq(sys, obs_opts);
 
           std::string why;
           const std::string tag = "seed " + std::to_string(seed) + " " +
@@ -140,8 +161,8 @@ TEST(AbEquivalence, SfqMatchesNaiveReferenceAcrossSeedsAndPolicies) {
           if (!same_sfq(ref, fast, sys, &why)) {
             failures.record(tag + " fast: " + why);
           }
-          if (!same_sfq(ref, instrumented, sys, &why)) {
-            failures.record(tag + " instrumented: " + why);
+          if (!same_sfq(ref, observed, sys, &why)) {
+            failures.record(tag + " observed: " + why);
           }
       });
   EXPECT_EQ(failures.count.load(), 0) << failures.first;
@@ -164,12 +185,12 @@ TEST(AbEquivalence, DvqMatchesNaiveReferenceAcrossSeedsAndPolicies) {
           const DvqSchedule fast = schedule_dvq(sys, yields, opts);
 
           DvqOptions obs_opts = opts;
-          RingBufferSink sink(512);
+          RingBufferSink ring(512);
+          DecisionOnly sink(ring);
           MetricsRegistry reg;
           obs_opts.trace = &sink;
           obs_opts.metrics = &reg;
-          const DvqSchedule instrumented =
-              schedule_dvq(sys, yields, obs_opts);
+          const DvqSchedule observed = schedule_dvq(sys, yields, obs_opts);
 
           std::string why;
           const std::string tag = "seed " + std::to_string(seed) + " " +
@@ -177,8 +198,8 @@ TEST(AbEquivalence, DvqMatchesNaiveReferenceAcrossSeedsAndPolicies) {
           if (!same_dvq(ref, fast, sys, &why)) {
             failures.record(tag + " fast: " + why);
           }
-          if (!same_dvq(ref, instrumented, sys, &why)) {
-            failures.record(tag + " instrumented: " + why);
+          if (!same_dvq(ref, observed, sys, &why)) {
+            failures.record(tag + " observed: " + why);
           }
       });
   EXPECT_EQ(failures.count.load(), 0) << failures.first;
@@ -283,10 +304,23 @@ TEST(AbEquivalence, FlyweightConstructionMatchesEagerSchedules) {
   }
 }
 
-// Toggling the probe mid-run switches between the instrumented scan and
-// the incremental heap; the schedule must not notice.  This exercises
-// the stale-entry skip in the ready queue (entries consumed behind its
-// back by instrumented steps).
+// A sink that asks only for the decision events (so it may sit on a
+// simulator directly) and counts the placements it sees.
+class PlacementCounter final : public TraceSink {
+ public:
+  void on_event(const TraceEvent& e) override {
+    if (e.kind == TraceEventKind::kPlace) ++placements;
+  }
+  [[nodiscard]] TraceEventMask event_mask() const override {
+    return kDecisionTraceEvents;
+  }
+  std::int64_t placements = 0;
+};
+
+// Toggling observers mid-run — a metrics registry plus a decision-mask
+// sink, attached and detached between steps — must not change the
+// schedule: probed and unprobed steps share one decision body and one
+// ready heap.  Metrics count exactly the observed steps.
 TEST(AbEquivalence, SfqMixedInstrumentationStaysIdentical) {
   for (const Policy policy : kAllPolicies) {
     const TaskSystem sys = make_system(5);
@@ -295,20 +329,32 @@ TEST(AbEquivalence, SfqMixedInstrumentationStaysIdentical) {
     const SlotSchedule ref = schedule_sfq_reference(sys, opts);
 
     SfqSimulator sim(sys, policy);
-    RingBufferSink sink(512);
-    sim.set_trace_sink(&sink);
+    PlacementCounter sink;
+    MetricsRegistry reg;
+    const auto observe = [&](bool on) {
+      sim.set_trace_sink(on ? &sink : nullptr);
+      if (on) {
+        sim.attach_metrics(reg);
+      } else {
+        sim.detach_metrics();
+      }
+    };
     const std::int64_t horizon = default_horizon(sys);
-    sim.run_until(3);              // instrumented slots 0..2
-    sim.set_trace_sink(nullptr);   // fast path from slot 3
+    observe(true);
+    sim.run_until(3);  // observed slots 0..2
+    observe(false);
     sim.run_until(horizon / 2);
-    sim.set_trace_sink(&sink);     // and back
+    observe(true);
     sim.run_until(horizon / 2 + 2);
-    sim.set_trace_sink(nullptr);
+    observe(false);
     sim.run_until(horizon);
 
     std::string why;
     ASSERT_TRUE(same_sfq(ref, sim.schedule(), sys, &why))
         << to_string(policy) << ": " << why;
+    EXPECT_GT(sink.placements, 0);
+    EXPECT_EQ(reg.snapshot().counter_or(sched_metrics::kPlacements),
+              sink.placements);
   }
 }
 
@@ -321,22 +367,143 @@ TEST(AbEquivalence, DvqMixedInstrumentationStaysIdentical) {
     const DvqSchedule ref = schedule_dvq_reference(sys, yields, opts);
 
     DvqSimulator sim(sys, yields, policy);
-    RingBufferSink sink(512);
-    sim.set_trace_sink(&sink);
+    PlacementCounter sink;
+    MetricsRegistry reg;
+    const auto observe = [&](bool on) {
+      sim.set_trace_sink(on ? &sink : nullptr);
+      if (on) {
+        sim.attach_metrics(reg);
+      } else {
+        sim.detach_metrics();
+      }
+    };
+    observe(true);
     for (int i = 0; i < 3 && sim.has_events(); ++i) sim.step();
-    sim.set_trace_sink(nullptr);
+    observe(false);
     const std::int64_t horizon = default_horizon(sys);
     const Time limit = Time::slots(horizon);
     sim.run_until(Time::slots(horizon / 2));
-    sim.set_trace_sink(&sink);
+    observe(true);
     for (int i = 0; i < 2 && sim.has_events(); ++i) sim.step();
-    sim.set_trace_sink(nullptr);
+    observe(false);
     sim.run_until(limit);
 
     std::string why;
     ASSERT_TRUE(same_dvq(ref, sim.schedule(), sys, &why))
         << to_string(policy) << ": " << why;
+    EXPECT_GT(sink.placements, 0);
+    EXPECT_EQ(reg.snapshot().counter_or(sched_metrics::kPlacements),
+              sink.placements);
   }
+}
+
+// The decision-event lines of a JSONL stream, in order; `total` gets
+// the stream's line count.
+std::string decision_lines(const std::string& jsonl, std::size_t* total) {
+  std::istringstream is(jsonl);
+  std::string out;
+  std::string line;
+  *total = 0;
+  while (std::getline(is, line)) {
+    ++*total;
+    const TraceEvent e = trace_event_from_json(parse_json(line));
+    if ((trace_mask_of(e.kind) & kDecisionTraceEvents) != 0) {
+      out += line;
+      out += '\n';
+    }
+  }
+  return out;
+}
+
+// Runs `run(sink)` twice — with a full-mask JSONL sink (an explain run on
+// the reference path) and with the same sink behind a decision-only mask
+// (the fast path) — and checks that the explain stream, filtered to the
+// decision events, is byte-identical to the fast path's stream and
+// really carried explain events.
+template <typename Run>
+bool same_decision_stream(Run&& run, std::string* why) {
+  std::ostringstream full_os;
+  JsonlSink full(full_os);
+  run(&full);
+  std::ostringstream fast_os;
+  JsonlSink fast_json(fast_os);
+  DecisionOnly fast(fast_json);
+  run(&fast);
+  std::size_t full_lines = 0;
+  const std::string filtered = decision_lines(full_os.str(), &full_lines);
+  if (filtered != fast_os.str()) {
+    *why = "filtered explain stream differs from the fast-path stream";
+    return false;
+  }
+  if (full_lines <= fast_json.lines()) {
+    *why = "explain run emitted no explain events";
+    return false;
+  }
+  return true;
+}
+
+bool same_decision_streams(const TaskSystem& sys, const YieldModel& yields,
+                           Policy policy, std::string* why) {
+  SfqOptions sopts;
+  sopts.policy = policy;
+  if (!same_decision_stream(
+          [&](TraceSink* sink) {
+            SfqOptions o = sopts;
+            o.trace = sink;
+            (void)schedule_sfq(sys, o);
+          },
+          why)) {
+    *why = "sfq: " + *why;
+    return false;
+  }
+  DvqOptions dopts;
+  dopts.policy = policy;
+  if (!same_decision_stream(
+          [&](TraceSink* sink) {
+            DvqOptions o = dopts;
+            o.trace = sink;
+            (void)schedule_dvq(sys, yields, o);
+          },
+          why)) {
+    *why = "dvq: " + *why;
+    return false;
+  }
+  return true;
+}
+
+TEST(AbEquivalence, FigureExplainStreamsFilterToFastPathStreams) {
+  const FullQuantumYield full_quanta;
+  for (const char* name : {"fig1a", "fig1b", "fig1c", "fig2", "fig3",
+                           "fig6"}) {
+    const std::optional<FigureScenario> sc = figure_scenario_by_name(name);
+    ASSERT_TRUE(sc.has_value()) << name;
+    const YieldModel& yields =
+        sc->yields != nullptr ? *sc->yields
+                              : static_cast<const YieldModel&>(full_quanta);
+    std::string why;
+    EXPECT_TRUE(same_decision_streams(sc->system, yields, Policy::kPd2, &why))
+        << name << " " << why;
+  }
+}
+
+TEST(AbEquivalence, SeededExplainStreamsFilterToFastPathStreams) {
+  FailureLog failures;
+  global_pool().parallel_for(
+      0, kSeeds * 4,
+      [&](std::int64_t i) {
+          const int seed = static_cast<int>(i / 4);
+          const Policy policy = kAllPolicies[i % 4];
+          const TaskSystem sys = make_system(seed);
+          const BernoulliYield yields(
+              static_cast<std::uint64_t>(seed) * 7919 + 3, 1, 3, kTick,
+              kQuantum - kTick);
+          std::string why;
+          if (!same_decision_streams(sys, yields, policy, &why)) {
+            failures.record("seed " + std::to_string(seed) + " " +
+                            to_string(policy) + " " + why);
+          }
+      });
+  EXPECT_EQ(failures.count.load(), 0) << failures.first;
 }
 
 // Profiling spans (obs/prof.hpp) and quality counters (obs/quality.hpp)

@@ -240,6 +240,33 @@ TEST(CycleFastForward, DeterministicEngagement) {
   EXPECT_GT(dc.stats().slots_skipped, 0);
 }
 
+// Pins the simulated-slot split of an engaged DVQ run on the input the
+// repo benchmark's self-test uses: 4096 tasks of weight 1/p, p cycling
+// through {16, 24, 32, 48, 64}, on 142 processors, horizon 9600, full
+// quanta.  The base cycle is [0, 192) and 49 cycles are skipped; the
+// last subtask completes in slot 9599, so 9599 - 49 * 192 = 191 slots
+// are simulated (not the run limit less the skipped slots).
+TEST(CycleFastForward, DvqSimSlotsAreMakespanLessSkipped) {
+  constexpr std::int64_t kPeriods[] = {16, 24, 32, 48, 64};
+  constexpr std::int64_t kHorizon = 9600;
+  std::vector<Task> tasks;
+  for (std::int64_t k = 0; k < 4096; ++k) {
+    tasks.push_back(Task::periodic("t" + std::to_string(k),
+                                   Weight(1, kPeriods[k % 5]), kHorizon));
+  }
+  const TaskSystem sys(std::move(tasks), 142);
+  const FullQuantumYield yields;
+  const DvqCycleSchedule cyc = schedule_dvq_cyclic(sys, yields);
+  const CycleStats& st = cyc.stats();
+  ASSERT_TRUE(st.engaged);
+  EXPECT_EQ(st.prefix_slots, 0);
+  EXPECT_EQ(st.cycle_slots, 192);
+  EXPECT_EQ(st.cycles_skipped, 49);
+  EXPECT_EQ(st.slots_skipped, 49 * 192);
+  EXPECT_EQ(cyc.makespan(), Time::slots(9599));
+  EXPECT_EQ(st.sim_slots, 191);
+}
+
 // Systems that defeat exact fingerprinting must refuse fast-forward and
 // fall back to the plain full run, bit-identically.
 TEST(CycleFastForward, RefusesAndFallsBackCleanly) {
@@ -290,7 +317,7 @@ TEST(CycleFastForward, RefusesAndFallsBackCleanly) {
   }
 }
 
-// Instrumented runs never fast-forward: the cyclic driver itself falls
+// Observed runs never fast-forward: schedule_sfq_cyclic itself falls
 // back when a trace sink or metrics registry is attached, so trace
 // streams are never elided.
 TEST(CycleFastForward, InstrumentedRunsNeverEngage) {

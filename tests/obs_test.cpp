@@ -6,14 +6,22 @@
 #include <sstream>
 #include <vector>
 
+#include "analysis/recount.hpp"
+#include "core/assert.hpp"
 #include "core/thread_pool.hpp"
 #include "dvq/decision_sink.hpp"
 #include "dvq/dvq_scheduler.hpp"
+#include "dvq/dvq_simulator.hpp"
+#include "dvq/reference_scheduler.hpp"
 #include "io/json.hpp"
+#include "obs/audit.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probe.hpp"
 #include "obs/trace.hpp"
+#include "sched/reference_scheduler.hpp"
 #include "sched/sfq_scheduler.hpp"
+#include "sched/simulator.hpp"
+#include "workload/generator.hpp"
 #include "workload/paper_figures.hpp"
 
 namespace pfair {
@@ -170,6 +178,24 @@ TEST(Metrics, HistogramConcurrentAddsSumExactly) {
   EXPECT_EQ(bucketed, kN);
 }
 
+// A batch of n equal samples is indistinguishable from n single adds.
+TEST(Metrics, HistogramAddRepeatedMatchesSingleAdds) {
+  Histogram batched;
+  Histogram single;
+  for (const std::int64_t x : {0, 5, 1000}) {
+    batched.add_repeated(x, 3);
+    for (int i = 0; i < 3; ++i) single.add(x);
+  }
+  batched.add_repeated(7, 0);  // an empty batch is a no-op
+  EXPECT_EQ(batched.count(), single.count());
+  EXPECT_EQ(batched.sum(), single.sum());
+  EXPECT_EQ(batched.min(), single.min());
+  EXPECT_EQ(batched.max(), single.max());
+  for (int b = 0; b < Histogram::kBuckets; ++b) {
+    EXPECT_EQ(batched.bucket(b), single.bucket(b)) << "bucket " << b;
+  }
+}
+
 TEST(Metrics, RegistryHandlesAreStableAndSnapshotSerializes) {
   MetricsRegistry reg;
   Counter& a = reg.counter("a");
@@ -296,6 +322,180 @@ TEST(DvqSimulator, DecisionSinkOwnStorageMatchesScheduleBound) {
     EXPECT_EQ(x.started, y.started);
     EXPECT_EQ(x.left_ready, y.left_ready);
   }
+}
+
+// --- The two-path rule: metrics on the fast path, explain events on
+// the reference path (obs/probe.hpp). ---
+
+constexpr Policy kMetricPolicies[] = {Policy::kEpdf, Policy::kPf,
+                                      Policy::kPd, Policy::kPd2};
+
+TaskSystem metric_system(int seed) {
+  GeneratorConfig cfg;
+  cfg.processors = 2 + seed % 4;
+  cfg.target_util = Rational(cfg.processors) - Rational(1, 2 + seed % 3);
+  cfg.weights = static_cast<WeightClass>(seed % 4);
+  cfg.horizon = 16 + (seed % 3) * 8;
+  cfg.seed = 500 + static_cast<std::uint64_t>(seed);
+  return generate_periodic(cfg);
+}
+
+BernoulliYield metric_yields(int seed) {
+  return BernoulliYield(static_cast<std::uint64_t>(seed) * 31 + 7, 1, 2,
+                        kTick, kQuantum - kTick);
+}
+
+void expect_quality_metrics(const MetricsSnapshot& snap,
+                            const QualityCounters& q,
+                            const std::string& tag) {
+  EXPECT_EQ(snap.counter_or(sched_metrics::kPreemptions), q.preemptions)
+      << tag;
+  EXPECT_EQ(snap.counter_or(sched_metrics::kMigrations), q.migrations)
+      << tag;
+  EXPECT_EQ(snap.counter_or(sched_metrics::kIdleQuanta), q.idle_slots)
+      << tag;
+}
+
+// Metrics ride the fast path, and the three quality metrics share
+// QualityCounters' definitions: they equal the offline recount.
+TEST(SchedMetrics, FastPathQualityMetricsMatchRecount) {
+  for (int seed = 0; seed < 20; ++seed) {
+    const TaskSystem sys = metric_system(seed);
+    for (const Policy policy : kMetricPolicies) {
+      const std::string tag =
+          "seed " + std::to_string(seed) + " " + to_string(policy);
+      MetricsRegistry sreg;
+      SfqOptions sopts;
+      sopts.policy = policy;
+      sopts.metrics = &sreg;
+      const SlotSchedule ssched = schedule_sfq(sys, sopts);
+      ASSERT_TRUE(ssched.complete()) << tag;
+      expect_quality_metrics(sreg.snapshot(), recount_quality(sys, ssched),
+                             tag + " sfq");
+
+      const BernoulliYield yields = metric_yields(seed);
+      MetricsRegistry dreg;
+      DvqOptions dopts;
+      dopts.policy = policy;
+      dopts.metrics = &dreg;
+      const DvqSchedule dsched = schedule_dvq(sys, yields, dopts);
+      ASSERT_TRUE(dsched.complete()) << tag;
+      expect_quality_metrics(dreg.snapshot(), recount_quality(sys, dsched),
+                             tag + " dvq");
+    }
+  }
+}
+
+void expect_same_histogram(const MetricsSnapshot& fast,
+                           const MetricsSnapshot& ref, const char* name,
+                           const std::string& tag) {
+  ASSERT_TRUE(fast.histograms.count(name) == 1 &&
+              ref.histograms.count(name) == 1)
+      << tag << " " << name;
+  EXPECT_EQ(fast.histograms.at(name).count, ref.histograms.at(name).count)
+      << tag << " " << name;
+  EXPECT_EQ(fast.histograms.at(name).sum, ref.histograms.at(name).sum)
+      << tag << " " << name;
+}
+
+// Every metric both paths serve agrees between the fast path and an
+// explain run — sched.ready_set_size (heap size vs the reference's full
+// scan) included.  Only explain runs count comparisons.
+void expect_paths_agree(const MetricsSnapshot& fast,
+                        const MetricsSnapshot& ref, const std::string& tag) {
+  expect_same_histogram(fast, ref, sched_metrics::kReadySetSize, tag);
+  expect_same_histogram(fast, ref, sched_metrics::kTardinessTicks, tag);
+  for (const char* name :
+       {sched_metrics::kInvocations, sched_metrics::kPlacements,
+        sched_metrics::kDeadlineMisses, sched_metrics::kPreemptions,
+        sched_metrics::kMigrations, sched_metrics::kIdleQuanta}) {
+    EXPECT_EQ(fast.counter_or(name, -1), ref.counter_or(name, -1))
+        << tag << " " << name;
+  }
+  EXPECT_EQ(fast.counter_or(sched_metrics::kComparisons, -1), 0) << tag;
+  EXPECT_EQ(fast.histograms.at(sched_metrics::kComparesPerDecision).count, 0)
+      << tag;
+  EXPECT_GT(ref.counter_or(sched_metrics::kComparisons), 0) << tag;
+}
+
+TEST(SchedMetrics, FastPathAgreesWithExplainRun) {
+  for (int seed = 0; seed < 20; ++seed) {
+    const TaskSystem sys = metric_system(seed);
+    for (const Policy policy : kMetricPolicies) {
+      const std::string tag =
+          "seed " + std::to_string(seed) + " " + to_string(policy);
+      MetricsRegistry sfast;
+      MetricsRegistry sref;
+      SfqOptions sopts;
+      sopts.policy = policy;
+      sopts.metrics = &sfast;
+      (void)schedule_sfq(sys, sopts);
+      sopts.metrics = &sref;
+      (void)schedule_sfq_reference(sys, sopts);
+      expect_paths_agree(sfast.snapshot(), sref.snapshot(), tag + " sfq");
+
+      const BernoulliYield yields = metric_yields(seed);
+      MetricsRegistry dfast;
+      MetricsRegistry dref;
+      DvqOptions dopts;
+      dopts.policy = policy;
+      dopts.metrics = &dfast;
+      (void)schedule_dvq(sys, yields, dopts);
+      dopts.metrics = &dref;
+      (void)schedule_dvq_reference(sys, yields, dopts);
+      expect_paths_agree(dfast.snapshot(), dref.snapshot(), tag + " dvq");
+    }
+  }
+}
+
+// An explain run fills the caller's quality counters from the recount,
+// exactly what the fast path accumulates incrementally.
+TEST(SchedMetrics, ExplainRunFillsQualityFromRecount) {
+  const TaskSystem sys = metric_system(3);
+  QualityCounters fast;
+  QualityCounters explained;
+  RingBufferSink ring(1 << 12);
+  SfqOptions opts;
+  opts.quality = &fast;
+  const SlotSchedule sched = schedule_sfq(sys, opts);
+  opts.quality = &explained;
+  opts.trace = &ring;
+  (void)schedule_sfq(sys, opts);
+  EXPECT_EQ(fast, recount_quality(sys, sched));
+  EXPECT_EQ(explained, fast);
+
+  const BernoulliYield yields = metric_yields(3);
+  QualityCounters dfast;
+  QualityCounters dexplained;
+  DvqOptions dopts;
+  dopts.quality = &dfast;
+  (void)schedule_dvq(sys, yields, dopts);
+  dopts.quality = &dexplained;
+  dopts.trace = &ring;
+  (void)schedule_dvq(sys, yields, dopts);
+  EXPECT_EQ(dexplained, dfast);
+}
+
+// Explain events never reach a simulator: installing a sink that asks
+// for them is a structured contract violation, while a decision-mask
+// sink (the auditor) is accepted.
+TEST(SchedMetrics, SimulatorsRejectExplainSinks) {
+  const TaskSystem sys = fig6_system();
+  RingBufferSink full(16);
+  InvariantAuditor auditor(sys);
+  TeeSink mixed(&auditor, &full);
+
+  SfqSimulator sfq(sys);
+  EXPECT_THROW(sfq.set_trace_sink(&full), ContractViolation);
+  EXPECT_THROW(sfq.set_trace_sink(&mixed), ContractViolation);
+  EXPECT_NO_THROW(sfq.set_trace_sink(&auditor));
+  EXPECT_NO_THROW(sfq.set_trace_sink(nullptr));
+
+  const FullQuantumYield yields;
+  DvqSimulator dvq(sys, yields);
+  EXPECT_THROW(dvq.set_trace_sink(&full), ContractViolation);
+  EXPECT_THROW(dvq.set_trace_sink(&mixed), ContractViolation);
+  EXPECT_NO_THROW(dvq.set_trace_sink(&auditor));
 }
 
 TEST(TraceEventJson, RoundTripsThroughTheParser) {

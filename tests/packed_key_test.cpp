@@ -99,6 +99,32 @@ TEST(PackedKey, MirrorsCompareOnGeneratedWorkloads) {
   }
 }
 
+// deadline_of decodes the pseudo-deadline field of any order key — the
+// probed placement hooks read tardiness through it.
+TEST(PackedKey, DeadlineOfDecodesEveryKey) {
+  GeneratorConfig cfg;
+  cfg.processors = 3;
+  cfg.target_util = Rational(5, 2);
+  cfg.weights = WeightClass::kMixed;
+  cfg.horizon = 40;
+  cfg.seed = 9;
+  const TaskSystem periodic = generate_periodic(cfg);
+  const TaskSystem phased = advance_eligibility(periodic, 2, 1, 4, 5);
+  const TaskSystem gis = drop_subtasks(add_is_jitter(periodic, 3, 1, 3, 7),
+                                       1, 6, 3);
+  for (const TaskSystem* sys : {&periodic, &phased, &gis}) {
+    for (const Policy policy : {Policy::kEpdf, Policy::kPd, Policy::kPd2}) {
+      const PackedKeys keys(*sys, policy);
+      ASSERT_TRUE(keys.packable());
+      for (const SubtaskRef& ref : all_refs(*sys)) {
+        ASSERT_EQ(keys.deadline_of(keys.order_key(ref)),
+                  sys->subtask(ref).deadline)
+            << ref << " " << to_string(policy);
+      }
+    }
+  }
+}
+
 // The guarantee the packing leans on: within one task, pseudo-deadlines
 // strictly increase, so the task-id tie-break never reorders same-task
 // subtasks relative to `higher`.

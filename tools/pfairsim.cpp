@@ -41,7 +41,10 @@
 //   --quiet                    suppress the rendered schedule
 //
 // --trace/--metrics/--prom/--chrome-trace/--audit cover sfq and dvq;
-// the staggered model keeps its own loop and is not instrumented.
+// the staggered model keeps its own loop and is not observable.
+// --metrics and an --audit-only sink ride the simulators' fast path;
+// --trace and --chrome-trace ask for every event kind, which makes the
+// run an explain run on the reference scheduler (obs/trace.hpp).
 // Under --fast-forward the sfq trace/audit sinks are fed by replaying
 // the decision stream of the compressed schedule (--metrics/--prom
 // still need a live run and are ignored); the dvq fast-forward path has
@@ -325,7 +328,7 @@ int run(const CliOptions& o) {
   if (o.fast_forward && o.model == CliOptions::Model::kSfq &&
       (!o.metrics_path.empty() || !o.prom_path.empty())) {
     std::cerr << "pfairsim: warning: --metrics/--prom need a live "
-                 "instrumented run; ignoring them under --fast-forward\n";
+                 "observed run; ignoring them under --fast-forward\n";
   }
   // Observability sinks are built for live sfq/dvq runs and for the sfq
   // fast-forward path (fed by decision replay).  --metrics/--prom count
