@@ -10,12 +10,17 @@
 #include <memory>
 #include <sstream>
 #include <string_view>
+#include <thread>
 
+#include "core/simd.hpp"
 #include "io/json.hpp"
 #include "io/prometheus.hpp"
 
 #ifndef PFAIR_GIT_DESCRIBE
 #define PFAIR_GIT_DESCRIBE "unknown"
+#endif
+#ifndef PFAIR_BUILD_TYPE
+#define PFAIR_BUILD_TYPE "unknown"
 #endif
 
 namespace pfair::bench {
@@ -43,6 +48,33 @@ WallStats wall_stats(std::vector<double> ms) {
   return w;
 }
 
+std::string compiler_name() {
+#if defined(__clang__)
+  return "clang " + std::to_string(__clang_major__) + "." +
+         std::to_string(__clang_minor__) + "." +
+         std::to_string(__clang_patchlevel__);
+#elif defined(__GNUC__)
+  return "gcc " + std::to_string(__GNUC__) + "." +
+         std::to_string(__GNUC_MINOR__) + "." +
+         std::to_string(__GNUC_PATCHLEVEL__);
+#else
+  return "unknown";
+#endif
+}
+
+/// The machine a report was measured on, as a JSON object: core count,
+/// SIMD backend, compiler and CMake build type.  scripts/perf_guard.py
+/// copies it into the baseline bundle and skips the comparison when a
+/// check runs on a different box.
+std::string box_fingerprint_json() {
+  std::ostringstream os;
+  os << R"({"cores": )" << std::thread::hardware_concurrency()
+     << R"(, "simd": ")" << simd::isa_name() << R"(", "compiler": ")"
+     << json_escape(compiler_name()) << R"(", "build_type": ")"
+     << json_escape(PFAIR_BUILD_TYPE) << "\"}";
+  return os.str();
+}
+
 }  // namespace
 
 void BenchContext::value(const std::string& name, double v) {
@@ -61,6 +93,7 @@ std::string bench_report_json(const BenchReport& report) {
   os << R"(  "schema": "pfair-bench-v1",)" << "\n";
   os << R"(  "bench": ")" << json_escape(report.bench) << "\",\n";
   os << R"(  "git": ")" << json_escape(PFAIR_GIT_DESCRIBE) << "\",\n";
+  os << R"(  "box": )" << box_fingerprint_json() << ",\n";
   os << R"(  "ok": )" << (report.exit_code == 0 ? "true" : "false") << ",\n";
   os << R"(  "exit_code": )" << report.exit_code << ",\n";
   os << R"(  "repetitions": )" << report.wall_ms.size() << ",\n";

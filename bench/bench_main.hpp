@@ -22,7 +22,8 @@
 // times, any scalar values the bench recorded via `ctx.value()`, the
 // per-case timings (google-benchmark benches), an optional profile
 // section, and a full metrics snapshot, plus `git describe` metadata
-// captured at configure time — enough to diff two runs of the same
+// captured at configure time and the box fingerprint (cores, SIMD
+// backend, compiler, build type) — enough to diff two runs of the same
 // bench across commits (see tools/pfairstat.cpp).
 #pragma once
 

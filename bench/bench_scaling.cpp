@@ -392,6 +392,77 @@ int run_bench(pfair::bench::BenchContext& ctx) {
     std::cout << qt.str() << "\n";
   }
 
+  // --- Post-simulation layers (n = 4096) ---
+  // What runs after the simulator on every pfairsim run: validity,
+  // tardiness, the quality recount and the CSV export, in ns per
+  // placement.  All four are O(placements) with no per-row allocation;
+  // the post/ cases (ns per call) let perf_guard catch a return to
+  // per-row strings or tree-map slot counts.
+  std::cout << "\n=== post-simulation layers (n = 4096) ===\n\n";
+  {
+    constexpr std::int64_t n = 4096;
+    const TaskSystem sys = make_scaling_system(n);
+    const int reps = 11;
+    SfqOptions opts;
+    opts.horizon_limit = kHorizon + 8;
+    const SlotSchedule ssched = schedule_sfq(sys, opts);
+    const BernoulliYield yields(static_cast<std::uint64_t>(n) + 5, 1, 2,
+                                Time::ticks(kTicksPerSlot / 2),
+                                kQuantum - kTick);
+    DvqOptions dopts;
+    dopts.horizon_limit = kHorizon + 8;
+    const DvqSchedule dsched = schedule_dvq(sys, yields, dopts);
+    const double placements = static_cast<double>(sys.total_subtasks());
+
+    std::size_t sink = 0;
+    const auto per_call = [&](auto&& fn) { return best_ms(reps, fn) * 1e6; };
+    const std::pair<const char*, double> layers[] = {
+        {"validity_sfq", per_call([&] {
+           sink += check_slot_schedule(sys, ssched).violations.size();
+         })},
+        {"validity_dvq", per_call([&] {
+           sink += check_dvq_schedule(sys, dsched, kQuantum).violations.size();
+         })},
+        {"tardiness_sfq", per_call([&] {
+           sink += static_cast<std::size_t>(
+               measure_tardiness(sys, ssched).late_subtasks);
+         })},
+        {"tardiness_dvq", per_call([&] {
+           sink += static_cast<std::size_t>(
+               measure_tardiness(sys, dsched).late_subtasks);
+         })},
+        {"recount_sfq", per_call([&] {
+           sink += static_cast<std::size_t>(
+               recount_quality(sys, ssched).context_switches);
+         })},
+        {"recount_dvq", per_call([&] {
+           sink += static_cast<std::size_t>(
+               recount_quality(sys, dsched).context_switches);
+         })},
+        {"export_sfq", per_call([&] {
+           sink += export_slot_schedule(sys, ssched).rows();
+         })},
+        {"export_dvq", per_call([&] {
+           sink += export_dvq_schedule(sys, dsched).rows();
+         })},
+    };
+    PFAIR_ASSERT(sink > 0);
+    TextTable lt;
+    lt.header({"layer", "ns / placement", "ms / call"});
+    for (const auto& [name, ns] : layers) {
+      ctx.value(std::string("post.") + name + "_ns_per_placement",
+                ns / placements);
+      pfair::bench::BenchCase c;
+      c.name = std::string("post/") + name;
+      c.ns_per_op = ns;
+      c.iterations = reps;
+      ctx.add_case(std::move(c));
+      lt.row({name, cell(ns / placements, 1), cell(ns / 1e6, 3)});
+    }
+    std::cout << sys.total_subtasks() << " placements per schedule\n"
+              << lt.str() << "\n";
+  }
+
   // --- Profiler overhead (n = 4096, only under --profile) ---
   // Same workload with span recording suspended (ProfScope(nullptr))
   // vs recording into the harness profiler.  Spans are two TSC reads

@@ -46,7 +46,7 @@ import json, sys
 for path in sys.argv[1:]:
     with open(path) as f:
         doc = json.load(f)
-    for key in ("schema", "bench", "git", "ok", "exit_code", "repetitions",
+    for key in ("schema", "bench", "git", "box", "ok", "exit_code", "repetitions",
                 "wall_ms", "values", "cases", "profile", "metrics"):
         assert key in doc, f"{path}: missing {key!r}"
     assert doc["schema"] == "pfair-bench-v1", f"{path}: bad schema"
@@ -65,7 +65,7 @@ else
 fi
 
 # Opt-in perf regression guard: compares the scheduler hot-path medians
-# against the committed baseline (BENCH_PR12.json); >15% fails.  Off by
+# against the committed baseline (BENCH_PR13.json); >15% fails.  Off by
 # default because wall-clock numbers are machine-specific.
 if [ "${PERF_GUARD:-0}" = "1" ]; then
   python3 scripts/perf_guard.py --build-dir "$BUILD"

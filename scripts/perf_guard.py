@@ -2,7 +2,7 @@
 """Performance regression guard for the scheduler hot paths.
 
 Compares fresh pfair-bench-v1 reports against the committed baseline
-bundle (BENCH_PR12.json at the repo root) and fails if any guarded case
+bundle (BENCH_PR13.json at the repo root) and fails if any guarded case
 regresses by more than the tolerance on its median ns/op.
 
 Usage:
@@ -29,8 +29,12 @@ schedulers' costs.  The naive reference timings (sfq_ref/*, dvq_ref/*)
 ride along in the reports but are deliberately unguarded — the oracle is
 allowed to be slow.
 
-Baselines are machine-specific: regenerate with --write-baseline when
-benching hardware changes, and read absolute numbers with that in mind.
+Baselines are machine-specific.  Every report carries the fingerprint
+of the box it ran on ("box": cores, SIMD backend, compiler, build type);
+--write-baseline copies it into the bundle, and a check whose fresh
+reports come from a different box prints both fingerprints and skips
+the comparison.  Regenerate the baseline with --write-baseline on the
+box that will check against it.
 """
 
 import argparse
@@ -43,7 +47,7 @@ import sys
 import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE = os.path.join(REPO, "BENCH_PR12.json")
+BASELINE = os.path.join(REPO, "BENCH_PR13.json")
 TOLERANCE = 0.15
 
 # (bench target, report name, extra argv, extra env)
@@ -93,6 +97,9 @@ GUARDED_PATTERNS = [
     # Steady-state cycle fast-forward (bench_scaling); the full-horizon
     # simulations it is compared against are unguarded references.
     r"^cycle/",
+    # Post-simulation layers (bench_scaling): validity, tardiness,
+    # recount and CSV export, one call over a whole schedule.
+    r"^post/",
 ]
 
 # Cases whose baseline median sits below this ride along in the reports
@@ -148,6 +155,24 @@ def case_medians(report):
 
 def guarded(name):
     return any(re.search(p, name) for p in GUARDED_PATTERNS)
+
+
+def report_box(reports):
+    """The box fingerprint shared by a set of reports (None if absent);
+    exits if the reports disagree — they must come from one run."""
+    boxes = {json.dumps(r.get("box"), sort_keys=True) for r in reports.values()}
+    if len(boxes) != 1:
+        sys.exit(f"perf_guard: reports disagree on the box: {sorted(boxes)}")
+    return json.loads(boxes.pop())
+
+
+def describe_box(box):
+    if not isinstance(box, dict):
+        return "unknown box (no fingerprint)"
+    return (
+        f"{box.get('cores', '?')} cores, {box.get('simd', '?')}, "
+        f"{box.get('compiler', '?')}, {box.get('build_type', '?')}"
+    )
 
 
 def profile_phases(report):
@@ -280,6 +305,7 @@ def main():
         bundle = {
             "schema": "pfair-perf-baseline-v1",
             "tolerance": args.tolerance,
+            "box": report_box(fresh),
             "reports": fresh,
         }
         with open(args.baseline, "w") as f:
@@ -297,6 +323,22 @@ def main():
         baseline = json.load(f)
     if baseline.get("schema") != "pfair-perf-baseline-v1":
         sys.exit("perf_guard: unrecognized baseline schema")
+
+    base_box = baseline.get("box")
+    fresh_box = report_box(fresh)
+    if base_box != fresh_box:
+        print(
+            "perf_guard: WARNING: baseline and fresh reports come from "
+            "different boxes\n"
+            f"  baseline: {describe_box(base_box)}\n"
+            f"  fresh:    {describe_box(fresh_box)}"
+        )
+        print(
+            "perf_guard: not compared (timings from different boxes "
+            "say nothing about the code); regenerate the baseline "
+            "here with --write-baseline"
+        )
+        return 0
 
     print(f"perf_guard: comparing against {args.baseline}")
     failures = check(baseline, fresh, args.tolerance)

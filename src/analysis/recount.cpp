@@ -10,19 +10,20 @@ namespace pfair {
 
 namespace detail {
 
-// Context switches from placements alone: sort each processor's
-// placements by time; every adjacent pair with different tasks is one
-// switch (idle gaps do not reset the previous occupant).
-void count_switches(std::vector<ProcCell>& cells, QualityCounters& q) {
-  std::sort(cells.begin(), cells.end(),
-            [](const ProcCell& a, const ProcCell& b) {
-              return a.proc != b.proc ? a.proc < b.proc : a.at < b.at;
-            });
-  for (std::size_t i = 1; i < cells.size(); ++i) {
-    if (cells[i].proc != cells[i - 1].proc) continue;
-    if (cells[i].task == cells[i - 1].task) continue;
-    ++q.context_switches;
-    ++q.per_proc_switches[static_cast<std::size_t>(cells[i].proc)];
+void count_switches(const std::vector<ProcCell>& by_time,
+                    QualityCounters& q) {
+  const std::size_t procs = q.per_proc_switches.size();
+  std::vector<std::int32_t> occupant(procs, -1);
+  for (const ProcCell& c : by_time) {
+    PFAIR_REQUIRE(c.proc >= 0 && static_cast<std::size_t>(c.proc) < procs,
+                  "placement on processor " << c.proc << " of " << procs);
+    std::int32_t& last = occupant[static_cast<std::size_t>(c.proc)];
+    if (last == c.task) continue;
+    if (last >= 0) {
+      ++q.context_switches;
+      ++q.per_proc_switches[static_cast<std::size_t>(c.proc)];
+    }
+    last = c.task;
   }
 }
 
@@ -40,6 +41,7 @@ QualityCounters recount_quality(const TaskSystem& sys,
   q.decision_points = sched.horizon();
   std::int64_t placed_total = 0;
   std::vector<detail::ProcCell> cells;
+  cells.reserve(static_cast<std::size_t>(sys.total_subtasks()));
   for (std::int64_t k = 0; k < sched.num_tasks(); ++k) {
     const Task& task = sys.task(k);
     for (std::int64_t s = 0; s < sched.num_subtasks(k); ++s) {
@@ -48,7 +50,7 @@ QualityCounters recount_quality(const TaskSystem& sys,
       const SlotPlacement pl = sched.placement(ref);
       ++placed_total;
       cells.push_back(
-          detail::ProcCell{pl.proc, pl.slot, static_cast<std::int32_t>(k)});
+          detail::ProcCell{pl.slot, pl.proc, static_cast<std::int32_t>(k)});
       if (s == 0) continue;
       const SlotPlacement prev =
           sched.placement(SubtaskRef{ref.task, ref.seq - 1});
@@ -64,6 +66,28 @@ QualityCounters recount_quality(const TaskSystem& sys,
     }
   }
   q.idle_slots = q.decision_points * procs - placed_total;
+
+  // Order the placements by slot for the switch sweep: a stable
+  // counting sort when the slots are dense enough, else a comparison
+  // sort (a hand-built schedule with one far-out slot must not cost
+  // O(horizon) memory).  Either way each processor's cells end up in
+  // (slot, task) order, which is all the sweep reads.
+  const std::int64_t horizon = sched.horizon();
+  if (horizon <= 4 * placed_total) {
+    std::vector<std::int64_t> first(static_cast<std::size_t>(horizon) + 1, 0);
+    for (const detail::ProcCell& c : cells) {
+      ++first[static_cast<std::size_t>(c.at) + 1];
+    }
+    for (std::size_t t = 1; t < first.size(); ++t) first[t] += first[t - 1];
+    std::vector<detail::ProcCell> by_slot(cells.size());
+    for (const detail::ProcCell& c : cells) {
+      by_slot[static_cast<std::size_t>(first[static_cast<std::size_t>(c.at)]++)] =
+          c;
+    }
+    cells.swap(by_slot);
+  } else {
+    std::sort(cells.begin(), cells.end(), detail::cell_before);
+  }
   detail::count_switches(cells, q);
   return q;
 }

@@ -3,10 +3,12 @@
 // the quality counters from this oracle after the reference scheduler
 // finishes.
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "analysis/recount.hpp"
 #include "core/assert.hpp"
+#include "core/radix_sort.hpp"
 #include "core/time.hpp"
 
 namespace pfair {
@@ -25,10 +27,13 @@ QualityCounters recount_quality(const TaskSystem& sys,
   // of the per-task scan directly: a preemption is a subtask that was
   // ready the instant its predecessor completed (eligibility already
   // passed) yet starts strictly later.
+  const auto total = static_cast<std::size_t>(sys.total_subtasks());
   std::vector<std::int64_t> readies;
-  std::vector<std::int64_t> starts;
   std::vector<std::int64_t> ends;
   std::vector<detail::ProcCell> cells;
+  readies.reserve(total);
+  ends.reserve(total);
+  cells.reserve(total);
   for (std::int64_t k = 0; k < sched.num_tasks(); ++k) {
     const Task& task = sys.task(k);
     std::int64_t prev_end = 0;
@@ -40,10 +45,9 @@ QualityCounters recount_quality(const TaskSystem& sys,
           Time::slots(task.eligible_at(s)).raw_ticks();
       const std::int64_t start = pl.start.raw_ticks();
       readies.push_back(s == 0 ? elig : std::max(elig, prev_end));
-      starts.push_back(start);
       ends.push_back(pl.completion().raw_ticks());
       cells.push_back(
-          detail::ProcCell{pl.proc, start, static_cast<std::int32_t>(k)});
+          detail::ProcCell{start, pl.proc, static_cast<std::int32_t>(k)});
       if (s > 0) {
         if (sched.placement(SubtaskRef{ref.task, ref.seq - 1}).proc !=
             pl.proc) {
@@ -54,27 +58,34 @@ QualityCounters recount_quality(const TaskSystem& sys,
       prev_end = pl.completion().raw_ticks();
     }
   }
+  // Cells sorted by start time double as the sorted start list.  Radix
+  // sorts (core/radix_sort.hpp) keep every ordering O(N).
+  {
+    std::vector<detail::ProcCell> scratch;
+    sort_by_key(
+        cells, scratch, [](const detail::ProcCell& c) { return c.at; },
+        detail::cell_before);
+  }
   detail::count_switches(cells, q);
-  if (starts.empty()) return q;
+  if (cells.empty()) return q;
+  {
+    std::vector<std::int64_t> scratch;
+    sort_int64(readies, scratch);
+    sort_int64(ends, scratch);
+  }
 
   // Decision instants: every readiness instant, plus every completion at
   // or before the last start (the simulator stops once all work is
-  // placed, so later completions are never stepped).
-  const std::int64_t t_last =
-      *std::max_element(starts.begin(), starts.end());
+  // placed, so later completions are never stepped) — a merge of the
+  // two sorted lists.
+  const std::int64_t t_last = cells.back().at;
   std::vector<std::int64_t> instants;
   instants.reserve(readies.size() + ends.size());
-  instants.insert(instants.end(), readies.begin(), readies.end());
-  for (const std::int64_t e : ends) {
-    if (e <= t_last) instants.push_back(e);
-  }
-  std::sort(instants.begin(), instants.end());
+  std::merge(readies.begin(), readies.end(), ends.begin(),
+             std::upper_bound(ends.begin(), ends.end(), t_last),
+             std::back_inserter(instants));
   instants.erase(std::unique(instants.begin(), instants.end()),
                  instants.end());
-
-  std::sort(readies.begin(), readies.end());
-  std::sort(starts.begin(), starts.end());
-  std::sort(ends.begin(), ends.end());
 
   // One sweep, three monotone cursors, for decision points and idle
   // capacity.  At each instant t (before that instant's dispatch):
@@ -85,10 +96,10 @@ QualityCounters recount_quality(const TaskSystem& sys,
   std::size_t i_start_le = 0; // start <= t
   std::size_t i_end_le = 0;   // completion <= t
   for (const std::int64_t t : instants) {
-    while (i_start_lt < starts.size() && starts[i_start_lt] < t) {
+    while (i_start_lt < cells.size() && cells[i_start_lt].at < t) {
       ++i_start_lt;
     }
-    while (i_start_le < starts.size() && starts[i_start_le] <= t) {
+    while (i_start_le < cells.size() && cells[i_start_le].at <= t) {
       ++i_start_le;
     }
     while (i_end_le < ends.size() && ends[i_end_le] <= t) ++i_end_le;

@@ -1,9 +1,10 @@
 #include "analysis/validity.hpp"
 
 #include <algorithm>
-#include <map>
+#include <span>
 #include <sstream>
 
+#include "core/radix_sort.hpp"
 #include "dvq/dvq_cycle.hpp"
 #include "sched/compressed_schedule.hpp"
 
@@ -48,6 +49,59 @@ void add(ValidityReport& rep, Violation::Kind kind, SubtaskRef ref,
   rep.violations.push_back(Violation{kind, ref, detail});
 }
 
+void report_overload(ValidityReport& rep, std::int64_t slot,
+                     std::int64_t load, std::int64_t procs) {
+  if (load <= procs) return;
+  std::ostringstream os;
+  os << "slot " << slot << " holds " << load << " subtasks on " << procs
+     << " processors";
+  add(rep, Violation::Kind::kOverloadedSlot, SubtaskRef{}, os.str());
+}
+
+/// Per-slot loads for condition (iii), reported in ascending slot order.
+/// Counted in a dense per-slot vector when the horizon is at most 4x the
+/// subtask count; otherwise (a hand-built or replayed schedule with a
+/// far-out slot) the placed slots are listed, sorted and run-length
+/// counted, so the check never allocates O(horizon).
+class SlotLoads {
+ public:
+  SlotLoads(std::int64_t horizon, std::int64_t subtasks)
+      : dense_(horizon <= 4 * subtasks) {
+    if (dense_) load_.assign(static_cast<std::size_t>(horizon), 0);
+  }
+
+  void add(std::int64_t slot) {
+    if (!dense_) {
+      load_.push_back(slot);
+      return;
+    }
+    // Every placement lies below the horizon (1 + latest occupied slot).
+    PFAIR_REQUIRE(slot >= 0 && slot < static_cast<std::int64_t>(load_.size()),
+                  "slot " << slot << " outside the schedule's horizon");
+    ++load_[static_cast<std::size_t>(slot)];
+  }
+
+  void report(ValidityReport& rep, std::int64_t procs) {
+    if (dense_) {
+      for (std::size_t t = 0; t < load_.size(); ++t) {
+        report_overload(rep, static_cast<std::int64_t>(t), load_[t], procs);
+      }
+      return;
+    }
+    std::sort(load_.begin(), load_.end());
+    for (std::size_t i = 0; i < load_.size();) {
+      std::size_t j = i;
+      while (j < load_.size() && load_[j] == load_[i]) ++j;
+      report_overload(rep, load_[i], static_cast<std::int64_t>(j - i), procs);
+      i = j;
+    }
+  }
+
+ private:
+  bool dense_;
+  std::vector<std::int64_t> load_;  // dense: load per slot; else: slots
+};
+
 // Both checkers read schedules only through placement() — templating
 // over the schedule type lets cycle-compressed schedules run the
 // identical checks with synthesized placements resolved on demand.
@@ -55,7 +109,7 @@ template <class Sched>
 ValidityReport check_slot_impl(const TaskSystem& sys, const Sched& sched,
                                std::int64_t tardiness_allowance) {
   ValidityReport rep;
-  std::map<std::int64_t, std::int64_t> slot_load;
+  SlotLoads loads(sched.horizon(), sys.total_subtasks());
 
   for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
     const Task& task = sys.task(k);
@@ -69,7 +123,7 @@ ValidityReport check_slot_impl(const TaskSystem& sys, const Sched& sched,
             "never placed (horizon reached?)");
         continue;
       }
-      ++slot_load[p.slot];
+      loads.add(p.slot);
       if (p.slot < sub.eligible) {
         std::ostringstream os;
         os << "slot " << p.slot << " < e = " << sub.eligible;
@@ -97,29 +151,48 @@ ValidityReport check_slot_impl(const TaskSystem& sys, const Sched& sched,
     }
   }
 
-  for (const auto& [slot, load] : slot_load) {
-    if (load > sys.processors()) {
-      std::ostringstream os;
-      os << "slot " << slot << " holds " << load << " subtasks on "
-         << sys.processors() << " processors";
-      add(rep, Violation::Kind::kOverloadedSlot, SubtaskRef{}, os.str());
-    }
-  }
+  loads.report(rep, sys.processors());
   return rep;
+}
+
+/// One allocation on one processor, for the DVQ overlap check.
+struct Busy {
+  Time start, end;
+  SubtaskRef ref;
+};
+
+/// The DVQ overlap check's per-processor lanes, kept per thread across
+/// calls: lane p is busy[first[p], first[p + 1]).  Lanes allocated and
+/// freed per call (~24 B per placement, megabytes on long schedules) are
+/// handed back to the system by the allocator and page-faulted in again
+/// by the next call, at a cost that varies from run to run with the
+/// allocator's trim state.  Sized exactly, the kept buffer holds the
+/// largest schedule this thread has checked.
+struct BusyLanes {
+  std::vector<Busy> busy;
+  std::vector<std::size_t> first;
+  std::vector<Busy> scratch;  // radix-sort buffer, one lane long
+};
+
+BusyLanes& busy_lanes() {
+  thread_local BusyLanes lanes;
+  return lanes;
 }
 
 template <class Sched>
 ValidityReport check_dvq_impl(const TaskSystem& sys, const Sched& sched,
                               Time tardiness_allowance) {
   ValidityReport rep;
-
-  // Per-processor occupancy for overlap checking.
-  struct Busy {
-    Time start, end;
-    SubtaskRef ref;
+  const auto procs = static_cast<std::size_t>(sys.processors());
+  const auto on_proc = [procs](const DvqPlacement& p) {
+    return p.placed && p.proc >= 0 && static_cast<std::size_t>(p.proc) < procs;
   };
-  std::vector<std::vector<Busy>> per_proc(
-      static_cast<std::size_t>(sys.processors()));
+
+  // Per-processor occupancy for overlap checking: this pass counts each
+  // lane's allocations, the next one fills the lanes.
+  BusyLanes& lanes = busy_lanes();
+  std::vector<std::size_t>& first = lanes.first;
+  first.assign(procs + 1, 0);
 
   for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
     const Task& task = sys.task(k);
@@ -156,19 +229,37 @@ ValidityReport check_dvq_impl(const TaskSystem& sys, const Sched& sched,
       }
       prev_completion = p.completion();
       has_prev = true;
-      if (p.proc >= 0 &&
-          static_cast<std::size_t>(p.proc) < per_proc.size()) {
-        per_proc[static_cast<std::size_t>(p.proc)].push_back(
-            Busy{p.start, p.completion(), ref});
+      if (on_proc(p)) ++first[static_cast<std::size_t>(p.proc) + 1];
+    }
+  }
+  for (std::size_t q = 0; q < procs; ++q) first[q + 1] += first[q];
+
+  // Each lane in subtask order.
+  std::vector<Busy>& busy = lanes.busy;
+  busy.resize(first[procs]);
+  std::vector<std::size_t> next(first.begin(), first.end() - 1);
+  for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
+    for (std::int32_t s = 0; s < sys.task(k).num_subtasks(); ++s) {
+      const SubtaskRef ref{k, s};
+      const DvqPlacement p = sched.placement(ref);
+      if (on_proc(p)) {
+        busy[next[static_cast<std::size_t>(p.proc)]++] =
+            Busy{p.start, p.completion(), ref};
       }
     }
   }
 
   // No two allocations may overlap on one processor ("overloaded"
-  // here means a processor double-booked at some instant).
-  for (auto& lane : per_proc) {
-    std::sort(lane.begin(), lane.end(),
-              [](const Busy& a, const Busy& b) { return a.start < b.start; });
+  // here means a processor double-booked at some instant).  Equal starts
+  // break by subtask, so the report order is deterministic (the radix
+  // sort is stable and lanes are filled in subtask order).
+  for (std::size_t q = 0; q < procs; ++q) {
+    const std::span<Busy> lane(busy.data() + first[q], first[q + 1] - first[q]);
+    sort_by_key<Busy>(
+        lane, lanes.scratch, [](const Busy& b) { return b.start.raw_ticks(); },
+        [](const Busy& a, const Busy& b) {
+          return a.start != b.start ? a.start < b.start : a.ref < b.ref;
+        });
     for (std::size_t i = 1; i < lane.size(); ++i) {
       if (lane[i].start < lane[i - 1].end) {
         std::ostringstream os;

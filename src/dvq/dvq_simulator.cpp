@@ -282,6 +282,7 @@ void DvqSimulator::note_placement(Time t, SubtaskRef ref, int proc,
 
 void DvqSimulator::run_until(Time time_limit) {
   PFAIR_PROF_SPAN(kDvqEvents);
+  const SchedProbe::Batch batch(probe_);
   while (remaining_ > 0 && has_events() &&
          next_event_time() < time_limit) {
     scratch_started_.clear();

@@ -69,6 +69,8 @@ class DvqSimulator {
 
   /// Runs until done() or the event queue drains or `time_limit` is
   /// reached (events at or beyond the limit are not processed).
+  /// Attached metrics reach the registry when it returns (counts are
+  /// batched per call; step() flushes per decision).
   void run_until(Time time_limit);
 
   /// Processors currently idle (valid between steps).

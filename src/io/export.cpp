@@ -1,5 +1,6 @@
 #include "io/export.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -111,21 +112,47 @@ void finish_trace(std::ostream& os, bool& first, const TaskSystem& sys,
   os << ", \"displayTimeUnit\": \"ms\"}\n";
 }
 
+/// Pre-sizes `w` for one row per subtask: the task's name (quoted at
+/// worst) plus `number_bytes` of numeric cells and separators.
+void reserve_rows(CsvWriter& w, const TaskSystem& sys,
+                  std::size_t number_bytes) {
+  std::size_t bytes = w.text().size();
+  for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
+    const Task& task = sys.task(k);
+    bytes += (task.name().size() + 2 + number_bytes) *
+             static_cast<std::size_t>(task.num_subtasks());
+  }
+  w.reserve(bytes);
+}
+
 }  // namespace
+
+// The CSV exporters append typed cells straight into the writer's
+// buffer: each task's name is escaped once, and tardiness comes from
+// the placement and deadline already in hand.
 
 CsvWriter export_task_system(const TaskSystem& sys) {
   CsvWriter w;
   w.header({"task", "name", "weight", "index", "theta", "release",
             "deadline", "eligible", "bbit", "group_deadline"});
+  reserve_rows(w, sys, 72);
   for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
     const Task& task = sys.task(k);
+    const std::string name = csv_escape(task.name());
+    const std::string weight = csv_escape(task.weight().str());
     for (std::int32_t i = 0; i < task.num_subtasks(); ++i) {
       const Subtask s = task.subtask_at(i);
-      w.row({std::to_string(k), task.name(), task.weight().str(),
-             std::to_string(s.index), std::to_string(s.theta),
-             std::to_string(s.release), std::to_string(s.deadline),
-             std::to_string(s.eligible), s.bbit ? "1" : "0",
-             std::to_string(s.group_deadline)});
+      w.cell(k)
+          .escaped_cell(name)
+          .escaped_cell(weight)
+          .cell(s.index)
+          .cell(s.theta)
+          .cell(s.release)
+          .cell(s.deadline)
+          .cell(s.eligible)
+          .cell(s.bbit ? 1 : 0)
+          .cell(s.group_deadline)
+          .end_row();
     }
   }
   return w;
@@ -136,17 +163,23 @@ CsvWriter export_slot_schedule(const TaskSystem& sys,
   CsvWriter w;
   w.header({"task", "name", "index", "slot", "proc", "deadline",
             "tardiness_slots"});
+  reserve_rows(w, sys, 40);
   for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
     const Task& task = sys.task(k);
+    const std::string name = csv_escape(task.name());
     for (std::int32_t s = 0; s < task.num_subtasks(); ++s) {
-      const SubtaskRef ref{k, s};
-      const SlotPlacement& p = sched.placement(ref);
+      const SlotPlacement p = sched.placement(SubtaskRef{k, s});
       if (!p.scheduled()) continue;
-      w.row({std::to_string(k), task.name(),
-             std::to_string(task.subtask(s).index), std::to_string(p.slot),
-             std::to_string(p.proc),
-             std::to_string(task.subtask(s).deadline),
-             std::to_string(subtask_tardiness(sys, sched, ref))});
+      const Subtask sub = task.subtask_at(s);
+      // Completion in the SFQ model is slot + 1.
+      w.cell(k)
+          .escaped_cell(name)
+          .cell(sub.index)
+          .cell(p.slot)
+          .cell(p.proc)
+          .cell(sub.deadline)
+          .cell(std::max<std::int64_t>(0, p.slot + 1 - sub.deadline))
+          .end_row();
     }
   }
   return w;
@@ -157,18 +190,24 @@ CsvWriter export_dvq_schedule(const TaskSystem& sys,
   CsvWriter w;
   w.header({"task", "name", "index", "start_ticks", "cost_ticks", "proc",
             "deadline", "tardiness_ticks"});
+  reserve_rows(w, sys, 56);
   for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
     const Task& task = sys.task(k);
+    const std::string name = csv_escape(task.name());
     for (std::int32_t s = 0; s < task.num_subtasks(); ++s) {
-      const SubtaskRef ref{k, s};
-      const DvqPlacement& p = sched.placement(ref);
+      const DvqPlacement& p = sched.placement(SubtaskRef{k, s});
       if (!p.placed) continue;
-      w.row({std::to_string(k), task.name(),
-             std::to_string(task.subtask(s).index),
-             std::to_string(p.start.raw_ticks()),
-             std::to_string(p.cost.raw_ticks()), std::to_string(p.proc),
-             std::to_string(task.subtask(s).deadline),
-             std::to_string(subtask_tardiness_ticks(sys, sched, ref))});
+      const Subtask sub = task.subtask_at(s);
+      const Time late = p.completion() - Time::slots(sub.deadline);
+      w.cell(k)
+          .escaped_cell(name)
+          .cell(sub.index)
+          .cell(p.start.raw_ticks())
+          .cell(p.cost.raw_ticks())
+          .cell(p.proc)
+          .cell(sub.deadline)
+          .cell(std::max<std::int64_t>(0, late.raw_ticks()))
+          .end_row();
     }
   }
   return w;

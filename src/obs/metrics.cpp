@@ -39,9 +39,7 @@ void Histogram::grow_max(std::int64_t x) noexcept {
 }
 
 void Histogram::add(std::int64_t x) noexcept {
-  const int b =
-      x <= 0 ? 0
-             : 64 - std::countl_zero(static_cast<std::uint64_t>(x));
+  const int b = bucket_of(x);
   buckets_[static_cast<std::size_t>(b)].fetch_add(
       1, std::memory_order_relaxed);
   sum_.fetch_add(x, std::memory_order_relaxed);
@@ -52,9 +50,7 @@ void Histogram::add(std::int64_t x) noexcept {
 
 void Histogram::add_repeated(std::int64_t x, std::int64_t n) noexcept {
   if (n <= 0) return;
-  const int b =
-      x <= 0 ? 0
-             : 64 - std::countl_zero(static_cast<std::uint64_t>(x));
+  const int b = bucket_of(x);
   buckets_[static_cast<std::size_t>(b)].fetch_add(
       n, std::memory_order_relaxed);
   sum_.fetch_add(x * n, std::memory_order_relaxed);
@@ -83,6 +79,23 @@ void Histogram::merge_from(const Histogram& other) noexcept {
   // Sentinels make empty-source merges a no-op for min/max.
   shrink_min(other.min_.load(std::memory_order_relaxed));
   grow_max(other.max_.load(std::memory_order_relaxed));
+}
+
+void Histogram::merge_from(const HistogramBatch& batch) noexcept {
+  if (batch.empty()) return;
+  // Samples lie in the buckets of [min, max]; a batch of one decision's
+  // samples usually touches one bucket.
+  for (int b = bucket_of(batch.min_); b <= bucket_of(batch.max_); ++b) {
+    const std::int64_t c = batch.buckets_[static_cast<std::size_t>(b)];
+    if (c != 0) {
+      buckets_[static_cast<std::size_t>(b)].fetch_add(
+          c, std::memory_order_relaxed);
+    }
+  }
+  count_.fetch_add(batch.count_, std::memory_order_relaxed);
+  sum_.fetch_add(batch.sum_, std::memory_order_relaxed);
+  shrink_min(batch.min_);
+  grow_max(batch.max_);
 }
 
 double HistogramSnapshot::quantile(double q) const {

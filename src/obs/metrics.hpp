@@ -12,6 +12,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -67,6 +68,8 @@ class Gauge {
   std::atomic<std::int64_t> v_{0};
 };
 
+class HistogramBatch;
+
 /// Log2-bucketed histogram over nonnegative int64 samples.  Bucket b
 /// holds samples with bit-width b (bucket 0: x <= 0); exact count, sum,
 /// min and max are kept alongside the buckets.
@@ -77,6 +80,8 @@ class Histogram {
   void add(std::int64_t x) noexcept;
   /// Adds `n` >= 0 samples of value `x` — one update for a batch.
   void add_repeated(std::int64_t x, std::int64_t n) noexcept;
+  /// Folds a thread-local batch of samples in (see HistogramBatch).
+  void merge_from(const HistogramBatch& batch) noexcept;
   /// Folds `other`'s samples into this histogram.  Lock-free and safe
   /// against concurrent add()s on either side; associative and
   /// commutative over the resulting (count, sum, min, max, buckets).
@@ -84,6 +89,11 @@ class Histogram {
 
   [[nodiscard]] std::int64_t count() const noexcept {
     return count_.load(std::memory_order_relaxed);
+  }
+  /// Bucket of a sample: its bit width (0 for x <= 0).
+  [[nodiscard]] static int bucket_of(std::int64_t x) noexcept {
+    return x <= 0 ? 0
+                  : 64 - std::countl_zero(static_cast<std::uint64_t>(x));
   }
   [[nodiscard]] std::int64_t sum() const noexcept {
     return sum_.load(std::memory_order_relaxed);
@@ -111,6 +121,30 @@ class Histogram {
   // "first sample" special case — that keeps merge_from lock-free too.
   std::atomic<std::int64_t> min_{INT64_MAX};
   std::atomic<std::int64_t> max_{INT64_MIN};
+};
+
+/// Histogram samples gathered by one thread without atomics, folded
+/// into a Histogram by one merge_from — for hot loops that would
+/// otherwise pay an atomic update per sample.
+class HistogramBatch {
+ public:
+  void add(std::int64_t x) noexcept {
+    ++buckets_[static_cast<std::size_t>(Histogram::bucket_of(x))];
+    ++count_;
+    sum_ += x;
+    if (x < min_) min_ = x;
+    if (x > max_) max_ = x;
+  }
+  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+  void clear() noexcept { *this = HistogramBatch(); }
+
+ private:
+  friend class Histogram;
+  std::array<std::int64_t, Histogram::kBuckets> buckets_{};
+  std::int64_t count_ = 0;
+  std::int64_t sum_ = 0;
+  std::int64_t min_ = INT64_MAX;
+  std::int64_t max_ = INT64_MIN;
 };
 
 /// Plain-data view of one histogram at snapshot time.

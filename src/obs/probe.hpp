@@ -55,7 +55,10 @@ class SchedProbe {
   void attach_metrics(MetricsRegistry& reg);
   /// Drops the metric handles; counting stops, the registry keeps its
   /// values.
-  void detach_metrics() { *this = SchedProbe(sink_); }
+  void detach_metrics() {
+    flush_counts();
+    *this = SchedProbe(sink_);
+  }
 
   [[nodiscard]] bool tracing() const { return sink_ != nullptr; }
   [[nodiscard]] bool metering() const { return invocations_ != nullptr; }
@@ -67,7 +70,7 @@ class SchedProbe {
 
   /// One scheduler invocation (slot boundary / event instant).
   void begin_decision(TraceEventKind kind, Time at, std::int64_t detail = 0) {
-    if (invocations_ != nullptr) invocations_->add();
+    if (invocations_ != nullptr) ++pending_invocations_;
     if (sink_ != nullptr) {
       TraceEvent e;
       e.kind = kind;
@@ -76,19 +79,35 @@ class SchedProbe {
       emit(e);
     }
   }
-  /// Commits the decision in grouping sinks (see TraceSink::flush) and
-  /// flushes the decision's batched placement / on-time counts.
+  /// Commits the decision in grouping sinks (see TraceSink::flush) and,
+  /// outside a Batch, flushes the decision's pending counts.
   void end_decision() {
     if (sink_ != nullptr) sink_->flush();
-    if (pending_placements_ != 0) {
-      placements_->add(pending_placements_);
-      pending_placements_ = 0;
-    }
-    if (pending_on_time_ != 0) {
-      tardiness_->add_repeated(0, pending_on_time_);
-      pending_on_time_ = 0;
-    }
+    if (!batching_) flush_counts();
   }
+
+  /// Defers the counting hooks' registry updates (invocations,
+  /// placements, on-time outcomes, ready-set samples) from every
+  /// decision to the end of the scope: a simulator's run loop opens one
+  /// so a whole run costs a handful of atomic updates, not several per
+  /// event.  Metrics read after the scope closes are unchanged.
+  class Batch {
+   public:
+    explicit Batch(SchedProbe& probe)
+        : probe_(probe), outer_(probe.batching_) {
+      probe_.batching_ = true;
+    }
+    ~Batch() {
+      probe_.batching_ = outer_;
+      if (!outer_) probe_.flush_counts();
+    }
+    Batch(const Batch&) = delete;
+    Batch& operator=(const Batch&) = delete;
+
+   private:
+    SchedProbe& probe_;
+    bool outer_;
+  };
 
   /// `detail`: slot index (SFQ) or cost in ticks (DVQ).
   void place(Time at, const SubtaskRef& ref, int proc,
@@ -144,7 +163,7 @@ class SchedProbe {
 
   /// Size of one decision's ready set, read off the fast path's heap.
   void ready_size(std::int64_t n) {
-    if (ready_size_ != nullptr) ready_size_->add(n);
+    if (ready_size_ != nullptr) pending_ready_sizes_.add(n);
   }
   /// Quality increments (QualityCounters definitions): per decision on
   /// the fast path, once from the recount after an explain run.
@@ -228,6 +247,24 @@ class SchedProbe {
  private:
   explicit SchedProbe(TraceSink* sink) : sink_(sink) {}
   void emit(const TraceEvent& e) { sink_->on_event(e); }
+  void flush_counts() {
+    if (pending_invocations_ != 0) {
+      invocations_->add(pending_invocations_);
+      pending_invocations_ = 0;
+    }
+    if (pending_placements_ != 0) {
+      placements_->add(pending_placements_);
+      pending_placements_ = 0;
+    }
+    if (pending_on_time_ != 0) {
+      tardiness_->add_repeated(0, pending_on_time_);
+      pending_on_time_ = 0;
+    }
+    if (!pending_ready_sizes_.empty()) {
+      ready_size_->merge_from(pending_ready_sizes_);
+      pending_ready_sizes_.clear();
+    }
+  }
 
   TraceSink* sink_ = nullptr;
   Counter* invocations_ = nullptr;
@@ -240,10 +277,14 @@ class SchedProbe {
   Histogram* ready_size_ = nullptr;
   Histogram* compares_per_decision_ = nullptr;
   Histogram* tardiness_ = nullptr;
-  // Per-decision batches, flushed by end_decision: one atomic update per
-  // decision instead of one per placement.
+  // Pending counts, flushed by end_decision (or by the enclosing Batch):
+  // one atomic update per decision or per run instead of one per
+  // placement or event.
+  std::int64_t pending_invocations_ = 0;
   std::int64_t pending_placements_ = 0;
   std::int64_t pending_on_time_ = 0;
+  HistogramBatch pending_ready_sizes_;
+  bool batching_ = false;
 };
 
 }  // namespace pfair

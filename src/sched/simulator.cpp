@@ -123,7 +123,7 @@ SlotSchedule SfqSimulator::take_schedule() && {
 }
 
 void SfqSimulator::mark_available(std::int32_t task, std::int64_t slot) {
-  const auto s = static_cast<std::size_t>(slot);
+  const auto s = static_cast<std::size_t>(slot - cal_base_);
   if (s >= bucket_head_.size()) {
     const std::size_t old = bucket_head_.size();
     const std::size_t grown = std::max(s + 1, old * 2);
@@ -154,7 +154,7 @@ void SfqSimulator::drain_calendar() {
   const HotTask* hot = hot_.data();
   while (drained_upto_ < now_) {
     ++drained_upto_;
-    const auto s = static_cast<std::size_t>(drained_upto_);
+    const auto s = static_cast<std::size_t>(drained_upto_ - cal_base_);
     if (s >= bucket_head_.size()) continue;
     std::int32_t c = bucket_head_[s];
     if (c < 0) continue;
@@ -412,6 +412,7 @@ void SfqSimulator::note_placement(Time at, SubtaskRef ref, int proc) {
 }
 
 void SfqSimulator::run_until(std::int64_t slot_limit) {
+  const SchedProbe::Batch batch(probe_);
   while (!done() && now_ < slot_limit) {
     scratch_picks_.clear();
     step_into(scratch_picks_);
@@ -468,8 +469,11 @@ void SfqSimulator::warp(std::int64_t cycles, std::int64_t cycle_slots,
   // names a pre-warp head seq, so drop them all and re-derive each
   // task's availability from the counters (exactly as the constructor
   // and commit_placement would have).
+  // The calendar restarts at the new now_: indexing it by absolute slot
+  // would make the first post-warp entry grow it over every skipped slot.
   ready_q_.clear();
-  for (std::size_t i = 0; i < bucket_head_.size(); ++i) bucket_head_[i] = -1;
+  bucket_head_.clear();
+  cal_base_ = now_;
   chunks_.clear();
   free_chunk_ = -1;
   drained_upto_ = now_ - 1;

@@ -87,6 +87,8 @@ class SfqSimulator {
   std::vector<SubtaskRef> step();
 
   /// Runs until done() or `slot_limit` steps have been taken in total.
+  /// Attached metrics reach the registry when it returns (counts are
+  /// batched per call; step() flushes per decision).
   void run_until(std::int64_t slot_limit);
 
   /// The schedule accumulated so far.
@@ -225,10 +227,11 @@ class SfqSimulator {
   ArenaVector<HotTask> hot_;
   ArenaVector<PosRec> pos_;
 
-  // Calendar of availability transitions: bucket_head_[slot] chains
-  // BucketChunks (at most one pending transition per task, so the pool
-  // high-water is bounded by the task count).
+  // Calendar of availability transitions: bucket_head_[slot - cal_base_]
+  // chains BucketChunks (at most one pending transition per task, so the
+  // pool high-water is bounded by the task count).  warp() rebases it.
   ArenaVector<std::int32_t> bucket_head_;
+  std::int64_t cal_base_ = 0;
   ArenaVector<BucketChunk> chunks_;
   std::int32_t free_chunk_ = -1;
   std::int64_t drained_upto_ = -1;

@@ -2,8 +2,8 @@
 // that silently vanished (ignored by .gitignore, deleted, renamed) once
 // left scripts/perf_guard.py with nothing to compare against; this test
 // loads the exact file the guard names and checks its schema: a
-// pfair-perf-baseline-v1 bundle holding one pfair-bench-v1 report per
-// bench the guard runs.
+// pfair-perf-baseline-v1 bundle holding the box fingerprint and one
+// pfair-bench-v1 report per bench the guard runs.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -26,9 +26,9 @@ std::string read_file(const std::string& path) {
 
 void expect_bench_report(const JsonValue& r, const std::string& name) {
   SCOPED_TRACE(name);
-  for (const char* key : {"schema", "bench", "git", "ok", "exit_code",
-                          "repetitions", "wall_ms", "values", "cases",
-                          "profile", "metrics"}) {
+  for (const char* key : {"schema", "bench", "git", "box", "ok",
+                          "exit_code", "repetitions", "wall_ms", "values",
+                          "cases", "profile", "metrics"}) {
     ASSERT_NE(r.find(key), nullptr) << "missing " << key;
   }
   EXPECT_EQ(r.at("schema").string, "pfair-bench-v1");
@@ -56,6 +56,14 @@ TEST(PerfBaseline, GuardNamesACommittedBundle) {
   const JsonValue bundle = parse_json(read_file(path));
   EXPECT_EQ(bundle.at("schema").string, "pfair-perf-baseline-v1");
   EXPECT_TRUE(bundle.at("tolerance").is(JsonValue::Kind::kNumber));
+  // The box the baseline was measured on, so a check elsewhere can warn
+  // instead of comparing blindly.
+  const JsonValue* box = bundle.find("box");
+  ASSERT_NE(box, nullptr) << m[1].str() << " lacks the box fingerprint";
+  EXPECT_TRUE(box->at("cores").is(JsonValue::Kind::kNumber));
+  for (const char* key : {"simd", "compiler", "build_type"}) {
+    EXPECT_TRUE(box->at(key).is(JsonValue::Kind::kString)) << "box." << key;
+  }
   const JsonValue& reports = bundle.at("reports");
   ASSERT_TRUE(reports.is(JsonValue::Kind::kObject));
 

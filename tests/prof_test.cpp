@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "analysis/recount.hpp"
+#include "core/radix_sort.hpp"
 #include "core/thread_pool.hpp"
 #include "dvq/dvq_scheduler.hpp"
 #include "io/json.hpp"
@@ -393,6 +394,172 @@ TEST(Quality, DvqIncrementalMatchesRecountAcrossSeedsAndPolicies) {
     }
   });
   EXPECT_EQ(failures.count.load(), 0) << failures.first;
+}
+
+// --- recount edge cases ------------------------------------------------
+
+QualityCounters counters(std::int64_t decisions, std::int64_t preemptions,
+                         std::int64_t migrations, std::int64_t idle,
+                         std::vector<std::int64_t> per_proc) {
+  QualityCounters q;
+  q.decision_points = decisions;
+  q.preemptions = preemptions;
+  q.migrations = migrations;
+  q.idle_slots = idle;
+  for (const std::int64_t s : per_proc) q.context_switches += s;
+  q.per_proc_switches = std::move(per_proc);
+  return q;
+}
+
+TEST(Recount, DvqEqualStartsOnDifferentProcessors) {
+  // A and B start together on both processors, then swap processors at
+  // the next quantum: two migrations, one switch per processor.
+  std::vector<Task> tasks;
+  tasks.push_back(Task::periodic("A", Weight(1, 1), 2));
+  tasks.push_back(Task::periodic("B", Weight(1, 1), 2));
+  const TaskSystem sys(std::move(tasks), 2);
+  DvqSchedule sched(sys);
+  sched.place(SubtaskRef{0, 0}, Time::slots(0), kQuantum, 0);
+  sched.place(SubtaskRef{1, 0}, Time::slots(0), kQuantum, 1);
+  sched.place(SubtaskRef{0, 1}, Time::slots(1), kQuantum, 1);
+  sched.place(SubtaskRef{1, 1}, Time::slots(1), kQuantum, 0);
+  // Instants: readiness {0, 1}; completions <= last start {1}.
+  EXPECT_EQ(recount_quality(sys, sched), counters(2, 0, 2, 0, {1, 1}));
+}
+
+TEST(Recount, IdleGapsKeepThePreviousOccupant) {
+  // Processor 0 runs A, idles, runs A again (no switch), then B (one
+  // switch).
+  std::vector<Task> tasks;
+  tasks.push_back(Task::periodic("A", Weight(1, 3), 6));  // e = 0, 3
+  tasks.push_back(Task::periodic("B", Weight(1, 6), 6));  // e = 0
+  const TaskSystem sys(std::move(tasks), 1);
+
+  SlotSchedule slots(sys);
+  slots.place(SubtaskRef{0, 0}, 0, 0);
+  slots.place(SubtaskRef{0, 1}, 3, 0);
+  slots.place(SubtaskRef{1, 0}, 5, 0);
+  // Six slot decisions, three placements: three idle quanta.
+  EXPECT_EQ(recount_quality(sys, slots), counters(6, 0, 0, 3, {1}));
+
+  DvqSchedule dvq(sys);
+  dvq.place(SubtaskRef{0, 0}, Time::slots(0), kQuantum, 0);
+  dvq.place(SubtaskRef{0, 1}, Time::slots(3), kQuantum, 0);
+  dvq.place(SubtaskRef{1, 0}, Time::slots(5), kQuantum, 0);
+  // Instants: readiness {0, 3}; completions <= 5 {1, 4}.  The processor
+  // is free and unfilled at 1 and 4.
+  EXPECT_EQ(recount_quality(sys, dvq), counters(4, 0, 0, 2, {1}));
+}
+
+TEST(Recount, SingleSubtaskSystem) {
+  std::vector<Task> tasks;
+  tasks.push_back(Task::periodic("solo", Weight(1, 4), 4));
+  const TaskSystem sys(std::move(tasks), 3);
+  ASSERT_EQ(sys.total_subtasks(), 1);
+
+  SfqOptions sopts;
+  QualityCounters slive;
+  sopts.quality = &slive;
+  const SlotSchedule slots = schedule_sfq(sys, sopts);
+  EXPECT_EQ(recount_quality(sys, slots), counters(1, 0, 0, 2, {0, 0, 0}));
+  EXPECT_EQ(recount_quality(sys, slots), slive);
+
+  const FullQuantumYield full;
+  DvqOptions dopts;
+  QualityCounters dlive;
+  dopts.quality = &dlive;
+  const DvqSchedule dvq = schedule_dvq(sys, full, dopts);
+  EXPECT_EQ(recount_quality(sys, dvq), counters(1, 0, 0, 2, {0, 0, 0}));
+  EXPECT_EQ(recount_quality(sys, dvq), dlive);
+}
+
+// 200 seeded systems x 4 policies x both models.  Sizes cycle from
+// theorem-sweep scale (a few hundred to ~2k subtasks) up to wide systems
+// (~8k subtasks), so the recount's sorts run on both sides of the radix
+// threshold (kRadixSortMin).  The sparse slot fallback is covered by
+// Validity.FarOutSlotTakesTheSparsePath.
+TaskSystem sized_system(int seed) {
+  GeneratorConfig cfg;
+  const bool wide = seed % 20 == 19;
+  cfg.processors = wide ? 48 : 2 + seed % 15;
+  cfg.target_util = Rational(cfg.processors) - Rational(1, 2 + seed % 3);
+  cfg.weights = wide ? WeightClass::kLight : static_cast<WeightClass>(seed % 4);
+  cfg.horizon = wide ? 96 : 24 + (seed % 5) * 24;
+  cfg.seed = 77000 + static_cast<std::uint64_t>(seed);
+  TaskSystem sys = generate_periodic(cfg);
+  const auto s = static_cast<std::uint64_t>(seed);
+  switch (seed % 3) {
+    case 1:
+      sys = add_is_jitter(sys, 3, 1, 3, s);
+      break;
+    case 2:
+      sys = drop_subtasks(sys, 1, 4, s);
+      break;
+    default:
+      break;
+  }
+  return sys;
+}
+
+TEST(Quality, RecountMatchesIncrementalOnBothSidesOfTheRadixThreshold) {
+  constexpr int kSystems = 200;
+  FailureLog failures;
+  std::atomic<int> above{0}, below{0};
+  global_pool().parallel_for(0, kSystems, [&](std::int64_t i) {
+    const int seed = static_cast<int>(i);
+    const TaskSystem sys = sized_system(seed);
+    (static_cast<std::size_t>(sys.total_subtasks()) >= kRadixSortMin ? above
+                                                                     : below)
+        .fetch_add(1, std::memory_order_relaxed);
+    const BernoulliYield yields(static_cast<std::uint64_t>(seed) * 31 + 7, 1,
+                                2, kTick, kQuantum - kTick);
+    for (const Policy policy : kAllPolicies) {
+      const std::string tag =
+          "seed " + std::to_string(seed) + " " + to_string(policy);
+      SfqOptions sopts;
+      sopts.policy = policy;
+      QualityCounters slive;
+      sopts.quality = &slive;
+      const SlotSchedule slots = schedule_sfq(sys, sopts);
+      if (slots.complete() && recount_quality(sys, slots) != slive) {
+        failures.record(tag + " sfq: " + quality_to_string(slive));
+      }
+      DvqOptions dopts;
+      dopts.policy = policy;
+      QualityCounters dlive;
+      dopts.quality = &dlive;
+      const DvqSchedule dvq = schedule_dvq(sys, yields, dopts);
+      if (dvq.complete() && recount_quality(sys, dvq) != dlive) {
+        failures.record(tag + " dvq: " + quality_to_string(dlive));
+      }
+    }
+  });
+  EXPECT_EQ(failures.count.load(), 0) << failures.first;
+  EXPECT_GT(above.load(), 20);
+  EXPECT_GT(below.load(), 20);
+}
+
+// --- batched histogram samples ------------------------------------------
+
+TEST(Histogram, BatchMergeEqualsPerSampleAdds) {
+  Histogram direct, batched;
+  HistogramBatch batch;
+  for (const std::int64_t x : {0L, 1L, 5L, 5L, 1000L, 7L, 1L << 40, 3L}) {
+    direct.add(x);
+    batch.add(x);
+  }
+  batched.merge_from(batch);
+  EXPECT_EQ(batched.count(), direct.count());
+  EXPECT_EQ(batched.sum(), direct.sum());
+  EXPECT_EQ(batched.min(), direct.min());
+  EXPECT_EQ(batched.max(), direct.max());
+  for (int b = 0; b < Histogram::kBuckets; ++b) {
+    EXPECT_EQ(batched.bucket(b), direct.bucket(b)) << "bucket " << b;
+  }
+  batch.clear();
+  EXPECT_TRUE(batch.empty());
+  batched.merge_from(batch);  // an empty batch changes nothing
+  EXPECT_EQ(batched.count(), direct.count());
 }
 
 }  // namespace
