@@ -107,18 +107,6 @@ BENCHMARK(BM_SfqSchedule)
     ->Args({8, static_cast<int>(Policy::kPd2)})
     ->Args({16, static_cast<int>(Policy::kPd2)});
 
-void BM_SfqScheduleIndexed(benchmark::State& state) {
-  const auto m = static_cast<int>(state.range(0));
-  const TaskSystem sys = make_system(m, 48, 7);
-  SfqOptions opts;
-  opts.policy = Policy::kPd2;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(schedule_sfq_indexed(sys, opts));
-  }
-  report_decisions(state, sys.total_subtasks());
-}
-BENCHMARK(BM_SfqScheduleIndexed)->Arg(4)->Arg(8)->Arg(16);
-
 void BM_PdbSchedule(benchmark::State& state) {
   const TaskSystem sys = make_system(static_cast<int>(state.range(0)), 48, 7);
   for (auto _ : state) {

@@ -32,12 +32,14 @@ int run_bench(pfair::bench::BenchContext&) {
     // Aligned (SFQ): all M processors decide at every slot boundary.
     const std::int64_t aligned_concurrency = m;
 
-    StaggeredOptions sopts;
-    sopts.log_decisions = true;
-    const DvqSchedule stag = schedule_staggered(sys, yields, sopts);
+    // Each staggered decision starts exactly one subtask, so decisions
+    // per instant are placements per start tick.
+    const DvqSchedule stag = schedule_staggered(sys, yields);
     std::map<std::int64_t, std::int64_t> per_instant;
-    for (const DvqDecision& d : stag.decisions()) {
-      ++per_instant[d.at.raw_ticks()];
+    for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
+      for (std::int32_t s = 0; s < sys.task(k).num_subtasks(); ++s) {
+        ++per_instant[stag.placement(SubtaskRef{k, s}).start.raw_ticks()];
+      }
     }
     std::int64_t stag_concurrency = 0;
     for (const auto& [at, n] : per_instant) {

@@ -9,13 +9,20 @@ BUILD="${1:-build-rel}"
 cmake -B "$BUILD" -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$BUILD" -j --target \
   bench_fig2_models bench_table1_pdb bench_micro_sched bench_scaling \
-  bench_throughput pfairsim >/dev/null
+  bench_throughput bench_switching bench_staggered pfairsim >/dev/null
 
 OUT="$BUILD/bench-reports"
 mkdir -p "$OUT"
 "$BUILD/bench/bench_fig2_models" --json="$OUT/BENCH_fig2_models.json" \
   >/dev/null
 "$BUILD/bench/bench_table1_pdb" --json="$OUT/BENCH_table1_pdb.json" \
+  >/dev/null
+# X9 and X5 shape checks (a few ms each): every schedule complete, early
+# release adds no context switches or migrations, and staggered
+# decisions never coincide.
+"$BUILD/bench/bench_switching" --json="$OUT/BENCH_switching.json" \
+  >/dev/null
+"$BUILD/bench/bench_staggered" --json="$OUT/BENCH_staggered.json" \
   >/dev/null
 # Sustained-throughput bench: exercises the arena-backed steady-state
 # path and its own shape checks (bit-identical schedules, zero arena

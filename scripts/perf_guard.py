@@ -57,7 +57,7 @@ BENCHES = [
         "micro_sched",
         [
             "--benchmark_filter="
-            "BM_SfqSchedule|BM_SfqScheduleIndexed|BM_DvqSchedule",
+            "BM_SfqSchedule|BM_DvqSchedule",
             "--benchmark_repetitions=3",
         ],
         {},
@@ -80,7 +80,6 @@ BENCHES = [
 
 GUARDED_PATTERNS = [
     r"^BM_SfqSchedule/",
-    r"^BM_SfqScheduleIndexed/",
     r"^BM_DvqSchedule/",
     r"^sfq_fast/",
     # SIMD+arena and forced-scalar legs of the P1 sweep: the optimized

@@ -23,13 +23,7 @@ void DvqDecisionSink::on_event(const TraceEvent& e) {
 }
 
 void DvqDecisionSink::flush() {
-  if (!cur_.started.empty()) {
-    if (sched_ != nullptr) {
-      sched_->log_decision(std::move(cur_));
-    } else {
-      own_.push_back(std::move(cur_));
-    }
-  }
+  if (!cur_.started.empty()) decisions_.push_back(std::move(cur_));
   cur_ = DvqDecision{};
 }
 

@@ -23,16 +23,6 @@ struct DvqPlacement {
   [[nodiscard]] Time completion() const { return start + cost; }
 };
 
-/// One decision instant of the DVQ engine: which processors were free,
-/// which subtasks started, and which ready subtasks were left waiting.
-/// This is the raw material for the blocking analysis of Sec. 3.1.
-struct DvqDecision {
-  Time at;
-  std::vector<int> free_procs;
-  std::vector<SubtaskRef> started;
-  std::vector<SubtaskRef> left_ready;  ///< ready but unserved at `at`
-};
-
 /// A complete DVQ (or staggered) schedule.
 class DvqSchedule {
  public:
@@ -45,12 +35,6 @@ class DvqSchedule {
 
   /// Latest completion time (Time() if nothing placed).
   [[nodiscard]] Time makespan() const { return makespan_; }
-
-  /// Decision log, in time order.
-  [[nodiscard]] const std::vector<DvqDecision>& decisions() const {
-    return decisions_;
-  }
-  void log_decision(DvqDecision d) { decisions_.push_back(std::move(d)); }
 
   /// Total busy ticks per processor (for idle accounting).
   [[nodiscard]] const std::vector<std::int64_t>& busy_ticks() const {
@@ -67,7 +51,6 @@ class DvqSchedule {
 
  private:
   std::vector<std::vector<DvqPlacement>> placements_;  // [task][seq]
-  std::vector<DvqDecision> decisions_;
   std::vector<std::int64_t> busy_ticks_;
   Time makespan_;
 };

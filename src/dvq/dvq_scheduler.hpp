@@ -24,9 +24,8 @@ struct QualityCounters;  // obs/quality.hpp
 
 struct DvqOptions {
   Policy policy = Policy::kPd2;
-  // log_decisions was removed 2026-08 after one release of deprecation:
-  // install a DvqDecisionSink (dvq/decision_sink.hpp) as `trace` to get
-  // the identical per-instant decision log.
+  // For the per-instant decision log, install a DvqDecisionSink
+  // (dvq/decision_sink.hpp) as `trace`.
   /// Hard stop, in slots (0 = automatic, as for the SFQ scheduler).
   std::int64_t horizon_limit = 0;
   /// Optional structured trace receiver (not owned; see obs/trace.hpp).

@@ -57,13 +57,6 @@ DvqSchedule schedule_staggered(const TaskSystem& sys, const YieldModel& yields,
       ++head[j];
       pred_completion[j] = t + c;
       --remaining;
-      if (opts.log_decisions) {
-        DvqDecision dec;
-        dec.at = t;
-        dec.free_procs = {static_cast<int>(k)};
-        dec.started = {best};
-        sched.log_decision(std::move(dec));
-      }
     }
   }
   return sched;

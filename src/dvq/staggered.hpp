@@ -21,7 +21,6 @@ namespace pfair {
 
 struct StaggeredOptions {
   Policy policy = Policy::kPd2;
-  bool log_decisions = false;
   std::int64_t horizon_limit = 0;  ///< 0 = automatic
 };
 

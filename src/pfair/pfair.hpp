@@ -30,7 +30,6 @@
 #include "tasks/windows.hpp"         // IWYU pragma: export
 
 #include "sched/compressed_schedule.hpp"  // IWYU pragma: export
-#include "sched/indexed_scheduler.hpp"  // IWYU pragma: export
 #include "sched/packed_key.hpp"     // IWYU pragma: export
 #include "sched/pdb_scheduler.hpp"  // IWYU pragma: export
 #include "sched/priority.hpp"       // IWYU pragma: export
@@ -64,7 +63,6 @@
 #include "analysis/pdb_blocking.hpp"     // IWYU pragma: export
 #include "analysis/recount.hpp"          // IWYU pragma: export
 #include "analysis/sb_construction.hpp"  // IWYU pragma: export
-#include "analysis/switching.hpp"        // IWYU pragma: export
 #include "analysis/tardiness.hpp"        // IWYU pragma: export
 #include "analysis/validity.hpp"         // IWYU pragma: export
 

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "analysis/lag.hpp"
-#include "analysis/switching.hpp"
 #include "core/rng.hpp"
 #include "sched/sfq_scheduler.hpp"
 #include "tasks/group_deadline.hpp"
@@ -79,51 +78,6 @@ TEST(Differential, GroupDeadlineAgainstCascadeSimulation) {
     EXPECT_EQ(group_deadline(w, i), pseudo_deadline(w, j))
         << w.str() << " i=" << i;
   }
-}
-
-TEST(Differential, SwitchingStatsAgainstNaiveRecount) {
-  GeneratorConfig cfg;
-  cfg.processors = 3;
-  cfg.target_util = Rational(3);
-  cfg.horizon = 16;
-  cfg.seed = 5;
-  const TaskSystem sys = generate_periodic(cfg);
-  const SlotSchedule sched = schedule_sfq(sys);
-  const SwitchingStats st = measure_switching(sys, sched);
-
-  // Naive recount of migrations and job breaks.
-  std::int64_t migrations = 0, breaks = 0, subtasks = 0;
-  for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
-    SlotPlacement prev;
-    bool has_prev = false;
-    for (std::int32_t s = 0; s < sys.task(k).num_subtasks(); ++s) {
-      const SlotPlacement p = sched.placement(SubtaskRef{k, s});
-      ++subtasks;
-      if (has_prev) {
-        if (p.proc != prev.proc) ++migrations;
-        if (p.slot != prev.slot + 1) ++breaks;
-      }
-      prev = p;
-      has_prev = true;
-    }
-  }
-  EXPECT_EQ(st.subtasks, subtasks);
-  EXPECT_EQ(st.migrations, migrations);
-  EXPECT_EQ(st.job_breaks, breaks);
-
-  // Naive context-switch recount: per slot per processor occupant list.
-  std::int64_t switches = 0;
-  for (int pi = 0; pi < 3; ++pi) {
-    std::int32_t occupant = -1;
-    for (std::int64_t t = 0; t < sched.horizon(); ++t) {
-      for (const SubtaskRef& ref : sched.slot_contents(t)) {
-        if (sched.placement(ref).proc != pi) continue;
-        if (occupant != -1 && occupant != ref.task) ++switches;
-        occupant = ref.task;
-      }
-    }
-  }
-  EXPECT_EQ(st.context_switches, switches);
 }
 
 TEST(Differential, SubtasksBeforeAgainstLinearScan) {

@@ -286,22 +286,20 @@ TEST(DvqSimulator, TracingDoesNotChangeTheSchedule) {
   EXPECT_GT(snap.counter_or(sched_metrics::kMigrations), 0);
 }
 
-// DvqDecisionSink (the replacement for the removed log_decisions flag)
-// must produce the identical decision log in own-storage mode, alone or
-// teed alongside another sink.
-TEST(DvqSimulator, DecisionSinkOwnStorageMatchesScheduleBound) {
+// DvqDecisionSink must produce the identical decision log alone or teed
+// alongside another sink.
+TEST(DvqSimulator, DecisionSinkAloneMatchesTeeSink) {
   const FigureScenario sc = fig2_scenario(Time::ticks(kTicksPerSlot / 8));
 
-  DvqSchedule bound_sched(sc.system);
-  DvqDecisionSink bound(bound_sched);
-  DvqOptions legacy;
-  legacy.trace = &bound;
-  const DvqSchedule base = schedule_dvq(sc.system, *sc.yields, legacy);
-  ASSERT_FALSE(bound_sched.decisions().empty());
+  DvqDecisionSink alone;
+  DvqOptions single;
+  single.trace = &alone;
+  const DvqSchedule base = schedule_dvq(sc.system, *sc.yields, single);
+  ASSERT_FALSE(alone.decisions().empty());
 
-  DvqDecisionSink own;
+  DvqDecisionSink teed;
   RingBufferSink ring(1 << 16);
-  TeeSink tee(&own, &ring);
+  TeeSink tee(&teed, &ring);
   DvqOptions both;
   both.trace = &tee;
   const DvqSchedule mixed = schedule_dvq(sc.system, *sc.yields, both);
@@ -313,10 +311,10 @@ TEST(DvqSimulator, DecisionSinkOwnStorageMatchesScheduleBound) {
     }
   }
 
-  ASSERT_EQ(bound_sched.decisions().size(), own.decisions().size());
-  for (std::size_t i = 0; i < own.decisions().size(); ++i) {
-    const DvqDecision& x = bound_sched.decisions()[i];
-    const DvqDecision& y = own.decisions()[i];
+  ASSERT_EQ(alone.decisions().size(), teed.decisions().size());
+  for (std::size_t i = 0; i < teed.decisions().size(); ++i) {
+    const DvqDecision& x = alone.decisions()[i];
+    const DvqDecision& y = teed.decisions()[i];
     EXPECT_EQ(x.at, y.at);
     EXPECT_EQ(x.free_procs, y.free_procs);
     EXPECT_EQ(x.started, y.started);

@@ -473,6 +473,83 @@ TEST(Recount, SingleSubtaskSystem) {
   EXPECT_EQ(recount_quality(sys, dvq), dlive);
 }
 
+// Migrations, preemptions and context switches pinned on small
+// schedules, down to the model comparison bench_switching (X9) reports.
+// A preemption is a subtask that could have run back-to-back with its
+// predecessor but did not (the former "job break").
+
+TEST(Switching, HandBuiltSlotSchedule) {
+  // Task A (1/1) on alternating processors.
+  std::vector<Task> tasks;
+  tasks.push_back(Task::periodic("A", Weight(4, 4), 4).with_early_release());
+  const TaskSystem sys(std::move(tasks), 2);
+  SlotSchedule sched(sys);
+  sched.place(SubtaskRef{0, 0}, 0, 0);
+  sched.place(SubtaskRef{0, 1}, 1, 1);  // migration
+  sched.place(SubtaskRef{0, 2}, 2, 1);
+  sched.place(SubtaskRef{0, 3}, 4, 0);  // migration + preemption (gap)
+  const QualityCounters q = recount_quality(sys, sched);
+  EXPECT_TRUE(sched.complete());
+  EXPECT_EQ(q.migrations, 2);
+  EXPECT_EQ(q.preemptions, 1);
+  // Each processor only ever ran task A: no context switches.
+  EXPECT_EQ(q.context_switches, 0);
+}
+
+TEST(Switching, ContextSwitchesCountOccupantChanges) {
+  std::vector<Task> tasks;
+  tasks.push_back(Task::periodic("A", Weight(1, 2), 4));
+  tasks.push_back(Task::periodic("B", Weight(1, 2), 4));
+  const TaskSystem sys(std::move(tasks), 1);
+  SlotSchedule sched(sys);
+  sched.place(SubtaskRef{0, 0}, 0, 0);
+  sched.place(SubtaskRef{1, 0}, 1, 0);  // A -> B
+  sched.place(SubtaskRef{0, 1}, 2, 0);  // B -> A
+  sched.place(SubtaskRef{1, 1}, 3, 0);  // A -> B; B_2 ready since 2
+  const QualityCounters q = recount_quality(sys, sched);
+  EXPECT_EQ(q.context_switches, 3);
+  EXPECT_EQ(q.migrations, 0);
+  EXPECT_EQ(q.preemptions, 1);
+}
+
+TEST(Switching, DvqBackToBackIsNoBreak) {
+  std::vector<Task> tasks;
+  tasks.push_back(Task::periodic("A", Weight(2, 2), 2).with_early_release());
+  const TaskSystem sys(std::move(tasks), 1);
+  const FixedYield yields(Time::ticks(kTicksPerSlot / 2));
+  const DvqSchedule dvq = schedule_dvq(sys, yields);
+  const QualityCounters q = recount_quality(sys, dvq);
+  EXPECT_EQ(q.migrations, 0);
+  EXPECT_EQ(q.preemptions, 0);  // T_2 starts the instant T_1 yields
+  EXPECT_EQ(q.context_switches, 0);
+}
+
+TEST(Switching, DvqReducesJobBreaksVsSfq) {
+  // With early release and early yields, DVQ runs a job's subtasks
+  // back-to-back where SFQ must wait for the next boundary.
+  GeneratorConfig cfg;
+  cfg.processors = 2;
+  cfg.target_util = Rational(2);
+  cfg.weights = WeightClass::kHeavy;
+  cfg.horizon = 20;
+  cfg.seed = 12;
+  const TaskSystem sys = generate_periodic(cfg).with_early_release();
+  const FixedYield yields(Time::ticks(kTicksPerSlot / 2));
+  const SlotSchedule sfq_sched = schedule_sfq(sys);
+  const DvqSchedule dvq_sched = schedule_dvq(sys, yields);
+  ASSERT_TRUE(sfq_sched.complete());
+  ASSERT_TRUE(dvq_sched.complete());
+  const QualityCounters sfq = recount_quality(sys, sfq_sched);
+  const QualityCounters dvq = recount_quality(sys, dvq_sched);
+  EXPECT_EQ(sfq.migrations, 22);
+  EXPECT_EQ(sfq.preemptions, 17);
+  EXPECT_EQ(sfq.context_switches, 30);
+  EXPECT_EQ(dvq.migrations, 7);
+  EXPECT_EQ(dvq.preemptions, 3);
+  EXPECT_EQ(dvq.context_switches, 12);
+  EXPECT_LE(dvq.preemptions, sfq.preemptions);
+}
+
 // 200 seeded systems x 4 policies x both models.  Sizes cycle from
 // theorem-sweep scale (a few hundred to ~2k subtasks) up to wide systems
 // (~8k subtasks), so the recount's sorts run on both sides of the radix

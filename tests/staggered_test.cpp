@@ -68,12 +68,15 @@ TEST(Staggered, NoSimultaneousDecisions) {
   cfg.seed = 4;
   const TaskSystem sys = generate_periodic(cfg);
   const FullQuantumYield yields;
-  StaggeredOptions opts;
-  opts.log_decisions = true;
-  const DvqSchedule sched = schedule_staggered(sys, yields, opts);
+  const DvqSchedule sched = schedule_staggered(sys, yields);
+  ASSERT_TRUE(sched.complete());
+  // Each staggered decision starts exactly one subtask, so decisions per
+  // instant are placements per start tick.
   std::map<std::int64_t, int> per_instant;
-  for (const DvqDecision& d : sched.decisions()) {
-    ++per_instant[d.at.raw_ticks()];
+  for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
+    for (std::int32_t s = 0; s < sys.task(k).num_subtasks(); ++s) {
+      ++per_instant[sched.placement(SubtaskRef{k, s}).start.raw_ticks()];
+    }
   }
   for (const auto& [at, n] : per_instant) {
     EXPECT_EQ(n, 1) << "simultaneous decisions at tick " << at;
