@@ -395,10 +395,12 @@ int run_bench(pfair::bench::BenchContext& ctx) {
   // --- Post-simulation layers (n = 4096) ---
   // What runs after the simulator on every pfairsim run: validity,
   // tardiness, the quality recount and the CSV export, in ns per
-  // placement.  All four are O(placements) with no per-row allocation;
-  // the post/ cases (ns per call) let perf_guard catch a return to
-  // per-row strings or tree-map slot counts.
+  // placement.  All four are O(placements) with no per-row allocation
+  // and walk each task once in seq order; the post/ cases (ns per call)
+  // let perf_guard catch a return to per-row strings, tree-map slot
+  // counts or per-subtask random-access lookups.
   std::cout << "\n=== post-simulation layers (n = 4096) ===\n\n";
+  bool post_cyclic_engaged = false;
   {
     constexpr std::int64_t n = 4096;
     const TaskSystem sys = make_scaling_system(n);
@@ -447,19 +449,59 @@ int run_bench(pfair::bench::BenchContext& ctx) {
          })},
     };
     PFAIR_ASSERT(sink > 0);
+
+    // The same passes on cycle-compressed schedules of a steady-state
+    // shaped system (n = 1024 over 16 hyperperiods, DVQ yields 3/4
+    // quantum), never materialized: the per-task walks visit every
+    // skipped cycle as a shifted run of the stored base cycle.
+    constexpr std::int64_t cn = 1024;
+    constexpr std::int64_t kCyclicHorizon = 16 * 192;
+    std::vector<Task> ctasks =
+        build_tasks(cn, kCyclicHorizon, /*eager=*/false, /*cache=*/nullptr);
+    Rational cutil(0);
+    for (const Task& task : ctasks) cutil += task.weight().value();
+    const TaskSystem csys(std::move(ctasks), static_cast<int>(cutil.ceil()));
+    const CycleSchedule csfq = schedule_sfq_cyclic(csys);
+    const FixedYield cyields(Time::slots_frac(0, 1, 4));
+    const DvqCycleSchedule cdvq = schedule_dvq_cyclic(csys, cyields);
+    post_cyclic_engaged = csfq.stats().engaged && cdvq.stats().engaged;
+    const double cplacements = static_cast<double>(csys.total_subtasks());
+    const std::pair<const char*, double> cyclic_layers[] = {
+        {"validity_cyclic_sfq", per_call([&] {
+           sink += check_slot_schedule(csys, csfq).violations.size();
+         })},
+        {"validity_cyclic_dvq", per_call([&] {
+           sink +=
+               check_dvq_schedule(csys, cdvq, kQuantum).violations.size();
+         })},
+        {"tardiness_cyclic_sfq", per_call([&] {
+           sink += static_cast<std::size_t>(
+               measure_tardiness(csys, csfq).total_subtasks);
+         })},
+        {"tardiness_cyclic_dvq", per_call([&] {
+           sink += static_cast<std::size_t>(
+               measure_tardiness(csys, cdvq).total_subtasks);
+         })},
+    };
+
     TextTable lt;
     lt.header({"layer", "ns / placement", "ms / call"});
-    for (const auto& [name, ns] : layers) {
-      ctx.value(std::string("post.") + name + "_ns_per_placement",
-                ns / placements);
+    const auto report = [&](const char* name, double ns, double per) {
+      ctx.value(std::string("post.") + name + "_ns_per_placement", ns / per);
       pfair::bench::BenchCase c;
       c.name = std::string("post/") + name;
       c.ns_per_op = ns;
       c.iterations = reps;
       ctx.add_case(std::move(c));
-      lt.row({name, cell(ns / placements, 1), cell(ns / 1e6, 3)});
+      lt.row({name, cell(ns / per, 1), cell(ns / 1e6, 3)});
+    };
+    for (const auto& [name, ns] : layers) report(name, ns, placements);
+    for (const auto& [name, ns] : cyclic_layers) {
+      report(name, ns, cplacements);
     }
-    std::cout << sys.total_subtasks() << " placements per schedule\n"
+    std::cout << sys.total_subtasks() << " placements per schedule ("
+              << csys.total_subtasks() << " per cyclic schedule, engaged: "
+              << (post_cyclic_engaged ? "yes" : "NO") << ")\n"
               << lt.str() << "\n";
   }
 
@@ -700,7 +742,7 @@ int run_bench(pfair::bench::BenchContext& ctx) {
   }
 
   const bool ok = all_identical && construction_identical &&
-                  cycle_identical && cycle_engaged &&
+                  cycle_identical && cycle_engaged && post_cyclic_engaged &&
                   cycle_sfq_speedup >= 5.0 && cycle_dvq_speedup >= 5.0 &&
                   (sfq_speedup_max_n >= 5.0 || dvq_speedup_max_n >= 5.0) &&
                   arena_vs_fast_max_n < 1.15 &&
@@ -713,7 +755,8 @@ int run_bench(pfair::bench::BenchContext& ctx) {
   std::cout << "shape check (bit-identical everywhere incl. arena+scalar "
             << "legs, >=5x sched at n=16384, arena leg no slower than "
             << "fast, >=5x cycle fast-forward, >=5x construction and "
-            << ">=10x memory at n=16384, audit clean and < 2.5x at n=4096, "
+            << ">=10x memory at n=16384, cyclic post-simulation schedules "
+            << "engaged, audit clean and < 2.5x at n=4096, "
             << "metrics < 1.5x at n=4096, quality counters match recount, "
             << "profiler < 1.05x): "
             << (ok ? "PASS" : "FAIL") << '\n';

@@ -267,6 +267,18 @@ def check(baseline, fresh, tolerance):
                 )
         if bench_regressed:
             attribute_regression(bench_name, base_report, fresh_report)
+    # Guarded cases the baseline has never seen (a bench or a case added
+    # since it was written) cannot be compared; list them so they are not
+    # mistaken for checked ones.
+    for bench_name, fresh_report in sorted(fresh.items()):
+        base_report = baseline["reports"].get(bench_name)
+        base_cases = case_medians(base_report) if base_report else {}
+        for name, fresh_ns in sorted(case_medians(fresh_report).items()):
+            if guarded(name) and name not in base_cases:
+                print(
+                    f"  new  {bench_name}/{name}: {fresh_ns:12.0f} ns/op "
+                    f"(unguarded until --write-baseline)"
+                )
     if compared == 0:
         failures.append("no guarded cases compared — baseline empty?")
     elif worst is not None:

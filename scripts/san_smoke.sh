@@ -5,7 +5,9 @@
 # multi-threaded hammer test included), and the simulator hot paths over
 # them — plus the post-simulation layers (validity, recount, CSV export)
 # in analysis_test, prof_test and io_test, whose edge-case tests drive
-# the sparse slot fallback and the radix sorts.  Any ASan/UBSan report
+# the sparse slot fallback and the radix sorts, and cycle_test, whose
+# compressed schedules drive the per-task placement walks over skipped
+# cycles.  Any ASan/UBSan report
 # aborts the run (-fno-sanitize-recover=all).
 # Usage: scripts/san_smoke.sh [build-dir]   (default build-san)
 set -e
@@ -17,11 +19,11 @@ cmake -B "$BUILD" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "$BUILD" -j --target \
   tasks_test window_table_test priority_test packed_key_test \
   sfq_test simulator_test ab_equivalence_test analysis_test prof_test \
-  io_test >/dev/null
+  io_test cycle_test >/dev/null
 
 for t in tasks_test window_table_test priority_test packed_key_test \
          sfq_test simulator_test ab_equivalence_test analysis_test prof_test \
-         io_test; do
+         io_test cycle_test; do
   echo "san_smoke: $t"
   "$BUILD/tests/$t" --gtest_brief=1
 done

@@ -42,28 +42,26 @@ QualityCounters recount_quality(const TaskSystem& sys,
   std::int64_t placed_total = 0;
   std::vector<detail::ProcCell> cells;
   cells.reserve(static_cast<std::size_t>(sys.total_subtasks()));
-  for (std::int64_t k = 0; k < sched.num_tasks(); ++k) {
-    const Task& task = sys.task(k);
-    for (std::int64_t s = 0; s < sched.num_subtasks(k); ++s) {
-      const SubtaskRef ref{static_cast<std::int32_t>(k),
-                           static_cast<std::int32_t>(s)};
-      const SlotPlacement pl = sched.placement(ref);
+  for (std::int32_t k = 0; k < sched.num_tasks(); ++k) {
+    SubtaskCursor subs(sys.task(k));
+    SlotPlacement prev;
+    sched.walk_task(k, [&](std::int32_t s, const SlotPlacement& pl) {
+      const std::int64_t eligible = subs.next().eligible;
       ++placed_total;
-      cells.push_back(
-          detail::ProcCell{pl.slot, pl.proc, static_cast<std::int32_t>(k)});
-      if (s == 0) continue;
-      const SlotPlacement prev =
-          sched.placement(SubtaskRef{ref.task, ref.seq - 1});
-      if (prev.proc != pl.proc) ++q.migrations;
-      // The task ran at prev.slot, its next subtask was ready at
-      // prev.slot + 1 (eligible, predecessor done) but did not run
-      // there: one preemption, charged at that slot.  Later waiting
-      // slots are not re-charged — the incremental path only considers
-      // the previous slot's occupants.
-      if (pl.slot > prev.slot + 1 && task.eligible_at(s) <= prev.slot + 1) {
-        ++q.preemptions;
+      cells.push_back(detail::ProcCell{pl.slot, pl.proc, k});
+      if (s > 0) {
+        if (prev.proc != pl.proc) ++q.migrations;
+        // The task ran at prev.slot, its next subtask was ready at
+        // prev.slot + 1 (eligible, predecessor done) but did not run
+        // there: one preemption, charged at that slot.  Later waiting
+        // slots are not re-charged — the incremental path only
+        // considers the previous slot's occupants.
+        if (pl.slot > prev.slot + 1 && eligible <= prev.slot + 1) {
+          ++q.preemptions;
+        }
       }
-    }
+      prev = pl;
+    });
   }
   q.idle_slots = q.decision_points * procs - placed_total;
 

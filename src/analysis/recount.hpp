@@ -16,8 +16,9 @@
 //
 // The recount stays an independent oracle of the fast path even though
 // it is itself O(placements): every sort key — slot, start, readiness,
-// completion — is derived from the placements and `eligible_at`, never
-// from simulator order or state.  The sorts are a counting sort by slot
+// completion — is derived from the placements and the tasks' eligibility
+// times (one SubtaskCursor walk per task), never from simulator order or
+// state.  The sorts are a counting sort by slot
 // (SFQ) and a radix sort by tick time (DVQ, core/radix_sort.hpp); they
 // change only how fast the keys are ordered, not what is counted.
 //

@@ -34,29 +34,24 @@ QualityCounters recount_quality(const TaskSystem& sys,
   readies.reserve(total);
   ends.reserve(total);
   cells.reserve(total);
-  for (std::int64_t k = 0; k < sched.num_tasks(); ++k) {
-    const Task& task = sys.task(k);
+  for (std::int32_t k = 0; k < sched.num_tasks(); ++k) {
+    SubtaskCursor subs(sys.task(k));
     std::int64_t prev_end = 0;
-    for (std::int64_t s = 0; s < sched.num_subtasks(k); ++s) {
-      const SubtaskRef ref{static_cast<std::int32_t>(k),
-                           static_cast<std::int32_t>(s)};
-      const DvqPlacement& pl = sched.placement(ref);
+    int prev_proc = -1;
+    sched.walk_task(k, [&](std::int32_t s, const DvqPlacement& pl) {
       const std::int64_t elig =
-          Time::slots(task.eligible_at(s)).raw_ticks();
+          Time::slots(subs.next().eligible).raw_ticks();
       const std::int64_t start = pl.start.raw_ticks();
       readies.push_back(s == 0 ? elig : std::max(elig, prev_end));
       ends.push_back(pl.completion().raw_ticks());
-      cells.push_back(
-          detail::ProcCell{start, pl.proc, static_cast<std::int32_t>(k)});
+      cells.push_back(detail::ProcCell{start, pl.proc, k});
       if (s > 0) {
-        if (sched.placement(SubtaskRef{ref.task, ref.seq - 1}).proc !=
-            pl.proc) {
-          ++q.migrations;
-        }
+        if (prev_proc != pl.proc) ++q.migrations;
         if (start > prev_end && elig <= prev_end) ++q.preemptions;
       }
       prev_end = pl.completion().raw_ticks();
-    }
+      prev_proc = pl.proc;
+    });
   }
   // Cells sorted by start time double as the sorted start list.  Radix
   // sorts (core/radix_sort.hpp) keep every ordering O(N).

@@ -7,41 +7,47 @@
 
 namespace pfair {
 
-std::int64_t subtask_tardiness(const TaskSystem& sys,
-                               const SlotSchedule& sched,
-                               const SubtaskRef& ref) {
-  const Subtask& sub = sys.subtask(ref);
-  const std::int64_t completion = sched.completion_slot(ref);
-  return std::max<std::int64_t>(0, completion - sub.deadline);
-}
+namespace {
 
-std::int64_t subtask_tardiness_ticks(const TaskSystem& sys,
-                                     const DvqSchedule& sched,
-                                     const SubtaskRef& ref) {
-  const Subtask& sub = sys.subtask(ref);
-  const DvqPlacement& p = sched.placement(ref);
-  PFAIR_REQUIRE(p.placed, "subtask " << ref << " not scheduled");
+bool placed(const SlotPlacement& p) { return p.scheduled(); }
+bool placed(const DvqPlacement& p) { return p.placed; }
+
+/// Eq. (7) in slots; completion in the SFQ model is slot + 1.
+std::int64_t tardiness_slots(const Subtask& sub, const SlotPlacement& p) {
+  return std::max<std::int64_t>(0, p.slot + 1 - sub.deadline);
+}
+/// Eq. (7) in ticks, for either model.
+std::int64_t tardiness_ticks(const Subtask& sub, const SlotPlacement& p) {
+  return tardiness_slots(sub, p) * kTicksPerSlot;
+}
+std::int64_t tardiness_ticks(const Subtask& sub, const DvqPlacement& p) {
   const Time late = p.completion() - Time::slots(sub.deadline);
   return std::max<std::int64_t>(0, late.raw_ticks());
 }
 
-namespace {
+/// Zips task k's subtask cursor with the schedule's placement walk:
+/// f(ref, tardiness ticks), or f(ref, -1) for an unscheduled subtask.
+/// The one per-subtask loop behind every summary below, for all four
+/// schedule types.
+template <class Sched, class F>
+void walk_tardiness(const TaskSystem& sys, const Sched& sched,
+                    std::int32_t k, F&& f) {
+  SubtaskCursor subs(sys.task(k));
+  sched.walk_task(k, [&](std::int32_t s, const auto& p) {
+    const Subtask sub = subs.next();
+    f(SubtaskRef{k, s}, placed(p) ? tardiness_ticks(sub, p) : -1);
+  });
+}
 
-template <class Sched, class TardFn, class PlacedFn>
-TardinessSummary measure(const TaskSystem& sys, const Sched& sched,
-                         TardFn tard_ticks, PlacedFn placed) {
+template <class Sched>
+TardinessSummary measure(const TaskSystem& sys, const Sched& sched) {
   TardinessSummary sum;
   for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
-    const Task& task = sys.task(k);
-    for (std::int32_t s = 0; s < task.num_subtasks(); ++s) {
-      const SubtaskRef ref{k, s};
+    walk_tardiness(sys, sched, k, [&](const SubtaskRef& ref, std::int64_t t) {
       ++sum.total_subtasks;
-      if (!placed(sched, ref)) {
+      if (t < 0) {
         ++sum.unscheduled;
-        continue;
-      }
-      const std::int64_t t = tard_ticks(sys, sched, ref);
-      if (t > 0) {
+      } else if (t > 0) {
         ++sum.late_subtasks;
         sum.total_ticks += t;
         if (t > sum.max_ticks) {
@@ -49,199 +55,123 @@ TardinessSummary measure(const TaskSystem& sys, const Sched& sched,
           sum.worst = ref;
         }
       }
-    }
+    });
   }
   return sum;
 }
 
-}  // namespace
-
-TardinessSummary measure_tardiness(const TaskSystem& sys,
-                                   const SlotSchedule& sched) {
-  return measure(
-      sys, sched,
-      [](const TaskSystem& y, const SlotSchedule& c, const SubtaskRef& r) {
-        return subtask_tardiness(y, c, r) * kTicksPerSlot;
-      },
-      [](const SlotSchedule& c, const SubtaskRef& r) {
-        return c.placement(r).scheduled();
-      });
-}
-
-TardinessSummary measure_tardiness(const TaskSystem& sys,
-                                   const DvqSchedule& sched) {
-  return measure(
-      sys, sched,
-      [](const TaskSystem& y, const DvqSchedule& c, const SubtaskRef& r) {
-        return subtask_tardiness_ticks(y, c, r);
-      },
-      [](const DvqSchedule& c, const SubtaskRef& r) {
-        return c.placement(r).placed;
-      });
-}
-
-namespace {
-
-template <class Sched, class TardFn, class PlacedFn>
-std::vector<std::int64_t> values(const TaskSystem& sys, const Sched& sched,
-                                 TardFn tard_ticks, PlacedFn placed) {
+template <class Sched>
+std::vector<std::int64_t> values(const TaskSystem& sys, const Sched& sched) {
   std::vector<std::int64_t> out;
   out.reserve(static_cast<std::size_t>(sys.total_subtasks()));
   for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
-    const Task& task = sys.task(k);
-    for (std::int32_t s = 0; s < task.num_subtasks(); ++s) {
-      const SubtaskRef ref{k, s};
-      if (!placed(sched, ref)) continue;
-      out.push_back(tard_ticks(sys, sched, ref));
-    }
+    walk_tardiness(sys, sched, k, [&](const SubtaskRef&, std::int64_t t) {
+      if (t >= 0) out.push_back(t);
+    });
   }
   return out;
 }
 
-}  // namespace
-
-std::vector<std::int64_t> tardiness_values_ticks(const TaskSystem& sys,
-                                                 const SlotSchedule& sched) {
-  return values(
-      sys, sched,
-      [](const TaskSystem& y, const SlotSchedule& c, const SubtaskRef& r) {
-        return subtask_tardiness(y, c, r) * kTicksPerSlot;
-      },
-      [](const SlotSchedule& c, const SubtaskRef& r) {
-        return c.placement(r).scheduled();
-      });
-}
-
-std::vector<std::int64_t> tardiness_values_ticks(const TaskSystem& sys,
-                                                 const DvqSchedule& sched) {
-  return values(
-      sys, sched,
-      [](const TaskSystem& y, const DvqSchedule& c, const SubtaskRef& r) {
-        return subtask_tardiness_ticks(y, c, r);
-      },
-      [](const DvqSchedule& c, const SubtaskRef& r) {
-        return c.placement(r).placed;
-      });
-}
-
-namespace {
-
-template <class Sched, class TardFn, class PlacedFn>
+template <class Sched>
 void record_metrics(const TaskSystem& sys, const Sched& sched,
-                    MetricsRegistry& reg, TardFn tard_ticks,
-                    PlacedFn placed) {
+                    MetricsRegistry& reg) {
   Histogram& overall = reg.histogram("sched.tardiness_ticks");
   std::int64_t max_ticks = 0, unscheduled = 0;
   for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
-    const Task& task = sys.task(k);
     Histogram& per_task =
-        reg.histogram("task." + task.name() + ".tardiness_ticks");
-    for (std::int32_t s = 0; s < task.num_subtasks(); ++s) {
-      const SubtaskRef ref{k, s};
-      if (!placed(sched, ref)) {
+        reg.histogram("task." + sys.task(k).name() + ".tardiness_ticks");
+    walk_tardiness(sys, sched, k, [&](const SubtaskRef&, std::int64_t t) {
+      if (t < 0) {
         ++unscheduled;
-        continue;
+        return;
       }
-      const std::int64_t t = tard_ticks(sys, sched, ref);
       overall.add(t);
       per_task.add(t);
       max_ticks = std::max(max_ticks, t);
-    }
+    });
   }
   reg.gauge("sched.tardiness_max_ticks").set_max(max_ticks);
   reg.gauge("sched.unscheduled_subtasks").set(unscheduled);
 }
 
-}  // namespace
-
-void record_tardiness_metrics(const TaskSystem& sys,
-                              const SlotSchedule& sched,
-                              MetricsRegistry& reg) {
-  record_metrics(
-      sys, sched, reg,
-      [](const TaskSystem& y, const SlotSchedule& c, const SubtaskRef& r) {
-        return subtask_tardiness(y, c, r) * kTicksPerSlot;
-      },
-      [](const SlotSchedule& c, const SubtaskRef& r) {
-        return c.placement(r).scheduled();
-      });
+/// The placement of `ref` for the single-subtask functions, which
+/// require it to be scheduled.
+template <class Sched>
+auto scheduled_placement(const Sched& sched, const SubtaskRef& ref) {
+  const auto p = sched.placement(ref);
+  PFAIR_REQUIRE(placed(p), "subtask " << ref << " not scheduled");
+  return p;
 }
 
-void record_tardiness_metrics(const TaskSystem& sys,
-                              const DvqSchedule& sched,
-                              MetricsRegistry& reg) {
-  record_metrics(
-      sys, sched, reg,
-      [](const TaskSystem& y, const DvqSchedule& c, const SubtaskRef& r) {
-        return subtask_tardiness_ticks(y, c, r);
-      },
-      [](const DvqSchedule& c, const SubtaskRef& r) {
-        return c.placement(r).placed;
-      });
+}  // namespace
+
+std::int64_t subtask_tardiness(const TaskSystem& sys,
+                               const SlotSchedule& sched,
+                               const SubtaskRef& ref) {
+  return tardiness_slots(sys.subtask(ref), scheduled_placement(sched, ref));
 }
 
 std::int64_t subtask_tardiness(const TaskSystem& sys,
                                const CycleSchedule& sched,
                                const SubtaskRef& ref) {
-  const Subtask& sub = sys.subtask(ref);
-  const std::int64_t completion = sched.completion_slot(ref);
-  return std::max<std::int64_t>(0, completion - sub.deadline);
+  return tardiness_slots(sys.subtask(ref), scheduled_placement(sched, ref));
+}
+
+std::int64_t subtask_tardiness_ticks(const TaskSystem& sys,
+                                     const DvqSchedule& sched,
+                                     const SubtaskRef& ref) {
+  return tardiness_ticks(sys.subtask(ref), scheduled_placement(sched, ref));
 }
 
 std::int64_t subtask_tardiness_ticks(const TaskSystem& sys,
                                      const DvqCycleSchedule& sched,
                                      const SubtaskRef& ref) {
-  const Subtask& sub = sys.subtask(ref);
-  const DvqPlacement p = sched.placement(ref);
-  PFAIR_REQUIRE(p.placed, "subtask " << ref << " not scheduled");
-  const Time late = p.completion() - Time::slots(sub.deadline);
-  return std::max<std::int64_t>(0, late.raw_ticks());
+  return tardiness_ticks(sys.subtask(ref), scheduled_placement(sched, ref));
 }
 
+TardinessSummary measure_tardiness(const TaskSystem& sys,
+                                   const SlotSchedule& sched) {
+  return measure(sys, sched);
+}
+TardinessSummary measure_tardiness(const TaskSystem& sys,
+                                   const DvqSchedule& sched) {
+  return measure(sys, sched);
+}
 TardinessSummary measure_tardiness(const TaskSystem& sys,
                                    const CycleSchedule& sched) {
-  return measure(
-      sys, sched,
-      [](const TaskSystem& y, const CycleSchedule& c, const SubtaskRef& r) {
-        return subtask_tardiness(y, c, r) * kTicksPerSlot;
-      },
-      [](const CycleSchedule& c, const SubtaskRef& r) {
-        return c.placement(r).scheduled();
-      });
+  return measure(sys, sched);
 }
-
 TardinessSummary measure_tardiness(const TaskSystem& sys,
                                    const DvqCycleSchedule& sched) {
-  return measure(
-      sys, sched,
-      [](const TaskSystem& y, const DvqCycleSchedule& c,
-         const SubtaskRef& r) { return subtask_tardiness_ticks(y, c, r); },
-      [](const DvqCycleSchedule& c, const SubtaskRef& r) {
-        return c.placement(r).placed;
-      });
+  return measure(sys, sched);
 }
 
 std::vector<std::int64_t> tardiness_values_ticks(const TaskSystem& sys,
-                                                 const CycleSchedule& sched) {
-  return values(
-      sys, sched,
-      [](const TaskSystem& y, const CycleSchedule& c, const SubtaskRef& r) {
-        return subtask_tardiness(y, c, r) * kTicksPerSlot;
-      },
-      [](const CycleSchedule& c, const SubtaskRef& r) {
-        return c.placement(r).scheduled();
-      });
+                                                 const SlotSchedule& sched) {
+  return values(sys, sched);
 }
-
+std::vector<std::int64_t> tardiness_values_ticks(const TaskSystem& sys,
+                                                 const DvqSchedule& sched) {
+  return values(sys, sched);
+}
+std::vector<std::int64_t> tardiness_values_ticks(const TaskSystem& sys,
+                                                 const CycleSchedule& sched) {
+  return values(sys, sched);
+}
 std::vector<std::int64_t> tardiness_values_ticks(
     const TaskSystem& sys, const DvqCycleSchedule& sched) {
-  return values(
-      sys, sched,
-      [](const TaskSystem& y, const DvqCycleSchedule& c,
-         const SubtaskRef& r) { return subtask_tardiness_ticks(y, c, r); },
-      [](const DvqCycleSchedule& c, const SubtaskRef& r) {
-        return c.placement(r).placed;
-      });
+  return values(sys, sched);
+}
+
+void record_tardiness_metrics(const TaskSystem& sys,
+                              const SlotSchedule& sched,
+                              MetricsRegistry& reg) {
+  record_metrics(sys, sched, reg);
+}
+void record_tardiness_metrics(const TaskSystem& sys,
+                              const DvqSchedule& sched,
+                              MetricsRegistry& reg) {
+  record_metrics(sys, sched, reg);
 }
 
 }  // namespace pfair

@@ -1,4 +1,8 @@
 // Tardiness — Eq. (7): tardiness(T_i, S) = max(0, completion - d(T_i)).
+//
+// The whole-schedule summaries walk each task once in seq order, zipping
+// its SubtaskCursor with the schedule's placement walk (no per-subtask
+// division); the single-subtask functions are the random-access form.
 #pragma once
 
 #include <cstdint>
@@ -74,7 +78,8 @@ void record_tardiness_metrics(const TaskSystem& sys,
                               MetricsRegistry& reg);
 
 /// Cycle-compressed schedules run through the identical measurements —
-/// synthesized placements are resolved on demand, never materialized.
+/// synthesized placements are walked per task (each skipped cycle a
+/// shifted run over the stored base cycle), never materialized.
 [[nodiscard]] std::int64_t subtask_tardiness(const TaskSystem& sys,
                                              const CycleSchedule& sched,
                                              const SubtaskRef& ref);

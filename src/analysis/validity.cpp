@@ -44,18 +44,22 @@ std::string ValidityReport::str(std::size_t max_items) const {
 
 namespace {
 
-void add(ValidityReport& rep, Violation::Kind kind, SubtaskRef ref,
-         const std::string& detail) {
-  rep.violations.push_back(Violation{kind, ref, detail});
+/// Appends one violation whose detail streams `parts`.  Out of line and
+/// cold, so the per-subtask loops below stay small enough to inline.
+template <class... Parts>
+[[gnu::noinline, gnu::cold]] void add(ValidityReport& rep,
+                                      Violation::Kind kind, SubtaskRef ref,
+                                      const Parts&... parts) {
+  std::ostringstream os;
+  (os << ... << parts);
+  rep.violations.push_back(Violation{kind, ref, os.str()});
 }
 
 void report_overload(ValidityReport& rep, std::int64_t slot,
                      std::int64_t load, std::int64_t procs) {
   if (load <= procs) return;
-  std::ostringstream os;
-  os << "slot " << slot << " holds " << load << " subtasks on " << procs
-     << " processors";
-  add(rep, Violation::Kind::kOverloadedSlot, SubtaskRef{}, os.str());
+  add(rep, Violation::Kind::kOverloadedSlot, SubtaskRef{}, "slot ", slot,
+      " holds ", load, " subtasks on ", procs, " processors");
 }
 
 /// Per-slot loads for condition (iii), reported in ascending slot order.
@@ -102,9 +106,10 @@ class SlotLoads {
   std::vector<std::int64_t> load_;  // dense: load per slot; else: slots
 };
 
-// Both checkers read schedules only through placement() — templating
-// over the schedule type lets cycle-compressed schedules run the
-// identical checks with synthesized placements resolved on demand.
+// Both checkers zip each task's subtask cursor with the schedule's
+// per-task placement walk — templating over the schedule type lets
+// cycle-compressed schedules run the identical checks, their skipped
+// cycles walked as shifted runs of the stored base cycle.
 template <class Sched>
 ValidityReport check_slot_impl(const TaskSystem& sys, const Sched& sched,
                                std::int64_t tardiness_allowance) {
@@ -112,43 +117,36 @@ ValidityReport check_slot_impl(const TaskSystem& sys, const Sched& sched,
   SlotLoads loads(sched.horizon(), sys.total_subtasks());
 
   for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
-    const Task& task = sys.task(k);
+    SubtaskCursor subs(sys.task(k));
     std::int64_t prev_slot = -1;
-    for (std::int32_t s = 0; s < task.num_subtasks(); ++s) {
+    sched.walk_task(k, [&](std::int32_t s, const SlotPlacement& p) {
       const SubtaskRef ref{k, s};
-      const Subtask& sub = task.subtask(s);
-      const SlotPlacement p = sched.placement(ref);
+      const Subtask sub = subs.next();
       if (!p.scheduled()) {
         add(rep, Violation::Kind::kUnscheduled, ref,
             "never placed (horizon reached?)");
-        continue;
+        return;
       }
       loads.add(p.slot);
       if (p.slot < sub.eligible) {
-        std::ostringstream os;
-        os << "slot " << p.slot << " < e = " << sub.eligible;
-        add(rep, Violation::Kind::kBeforeEligible, ref, os.str());
+        add(rep, Violation::Kind::kBeforeEligible, ref, "slot ", p.slot,
+            " < e = ", sub.eligible);
       }
       // Completion in the SFQ model is slot + 1.
       if (p.slot + 1 > sub.deadline + tardiness_allowance) {
-        std::ostringstream os;
-        os << "completes at " << p.slot + 1 << " > d = " << sub.deadline
-           << " + allowance " << tardiness_allowance;
-        add(rep, Violation::Kind::kDeadlineMiss, ref, os.str());
+        add(rep, Violation::Kind::kDeadlineMiss, ref, "completes at ",
+            p.slot + 1, " > d = ", sub.deadline, " + allowance ",
+            tardiness_allowance);
       }
-      if (s > 0 && p.slot <= prev_slot) {
-        std::ostringstream os;
-        if (p.slot == prev_slot) {
-          os << "shares slot " << p.slot << " with its predecessor";
-          add(rep, Violation::Kind::kIntraTaskParallel, ref, os.str());
-        } else {
-          os << "slot " << p.slot << " precedes predecessor slot "
-             << prev_slot;
-          add(rep, Violation::Kind::kPrecedence, ref, os.str());
-        }
+      if (s > 0 && p.slot == prev_slot) {
+        add(rep, Violation::Kind::kIntraTaskParallel, ref, "shares slot ",
+            p.slot, " with its predecessor");
+      } else if (s > 0 && p.slot < prev_slot) {
+        add(rep, Violation::Kind::kPrecedence, ref, "slot ", p.slot,
+            " precedes predecessor slot ", prev_slot);
       }
       prev_slot = p.slot;
-    }
+    });
   }
 
   loads.report(rep, sys.processors());
@@ -195,42 +193,37 @@ ValidityReport check_dvq_impl(const TaskSystem& sys, const Sched& sched,
   first.assign(procs + 1, 0);
 
   for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
-    const Task& task = sys.task(k);
+    SubtaskCursor subs(sys.task(k));
     Time prev_completion;
     bool has_prev = false;
-    for (std::int32_t s = 0; s < task.num_subtasks(); ++s) {
+    sched.walk_task(k, [&](std::int32_t s, const DvqPlacement& p) {
       const SubtaskRef ref{k, s};
-      const Subtask& sub = task.subtask(s);
-      const DvqPlacement p = sched.placement(ref);
+      const Subtask sub = subs.next();
       if (!p.placed) {
         add(rep, Violation::Kind::kUnscheduled, ref,
             "never placed (horizon reached?)");
-        continue;
+        return;
       }
       if (p.start < Time::slots(sub.eligible)) {
-        std::ostringstream os;
-        os << "starts at " << p.start << " < e = " << sub.eligible;
-        add(rep, Violation::Kind::kBeforeEligible, ref, os.str());
+        add(rep, Violation::Kind::kBeforeEligible, ref, "starts at ",
+            p.start, " < e = ", sub.eligible);
       }
       if (p.completion() > Time::slots(sub.deadline) + tardiness_allowance) {
-        std::ostringstream os;
-        os << "completes at " << p.completion() << " > d = " << sub.deadline
-           << " + allowance " << tardiness_allowance;
-        add(rep, Violation::Kind::kDeadlineMiss, ref, os.str());
+        add(rep, Violation::Kind::kDeadlineMiss, ref, "completes at ",
+            p.completion(), " > d = ", sub.deadline, " + allowance ",
+            tardiness_allowance);
       }
       if (has_prev && p.start < prev_completion) {
-        std::ostringstream os;
-        os << "starts at " << p.start << " before predecessor completes at "
-           << prev_completion;
         // Overlapping execution of one task = illegal parallelism; a
         // non-overlapping but out-of-order start cannot happen with
         // sequence-ordered placements, so report as parallelism.
-        add(rep, Violation::Kind::kIntraTaskParallel, ref, os.str());
+        add(rep, Violation::Kind::kIntraTaskParallel, ref, "starts at ",
+            p.start, " before predecessor completes at ", prev_completion);
       }
       prev_completion = p.completion();
       has_prev = true;
       if (on_proc(p)) ++first[static_cast<std::size_t>(p.proc) + 1];
-    }
+    });
   }
   for (std::size_t q = 0; q < procs; ++q) first[q + 1] += first[q];
 
@@ -239,14 +232,12 @@ ValidityReport check_dvq_impl(const TaskSystem& sys, const Sched& sched,
   busy.resize(first[procs]);
   std::vector<std::size_t> next(first.begin(), first.end() - 1);
   for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
-    for (std::int32_t s = 0; s < sys.task(k).num_subtasks(); ++s) {
-      const SubtaskRef ref{k, s};
-      const DvqPlacement p = sched.placement(ref);
+    sched.walk_task(k, [&](std::int32_t s, const DvqPlacement& p) {
       if (on_proc(p)) {
         busy[next[static_cast<std::size_t>(p.proc)]++] =
-            Busy{p.start, p.completion(), ref};
+            Busy{p.start, p.completion(), SubtaskRef{k, s}};
       }
-    }
+    });
   }
 
   // No two allocations may overlap on one processor ("overloaded"
@@ -262,10 +253,9 @@ ValidityReport check_dvq_impl(const TaskSystem& sys, const Sched& sched,
         });
     for (std::size_t i = 1; i < lane.size(); ++i) {
       if (lane[i].start < lane[i - 1].end) {
-        std::ostringstream os;
-        os << "overlaps " << lane[i - 1].ref << " on processor (starts "
-           << lane[i].start << " before " << lane[i - 1].end << ")";
-        add(rep, Violation::Kind::kOverloadedSlot, lane[i].ref, os.str());
+        add(rep, Violation::Kind::kOverloadedSlot, lane[i].ref, "overlaps ",
+            lane[i - 1].ref, " on processor (starts ", lane[i].start,
+            " before ", lane[i - 1].end, ")");
       }
     }
   }

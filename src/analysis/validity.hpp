@@ -60,7 +60,8 @@ struct ValidityReport {
     Time tardiness_allowance = Time());
 
 /// Cycle-compressed schedules run through the identical checks —
-/// synthesized placements are resolved on demand, never materialized.
+/// synthesized placements are walked per task (each skipped cycle a
+/// shifted run over the stored base cycle), never materialized.
 [[nodiscard]] ValidityReport check_slot_schedule(
     const TaskSystem& sys, const CycleSchedule& sched,
     std::int64_t tardiness_allowance = 0);

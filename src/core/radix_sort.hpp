@@ -1,9 +1,10 @@
 // Stable LSD radix sort by a 64-bit integer key, for the O(N) offline
 // passes (analysis/recount, analysis/validity).  Keys are rebased on
-// their minimum, and only the bytes that vary across the input get a
-// pass — tick times of a short schedule span ~27 bits, so a sort is
-// three or four counting passes over the data plus one O(N) scratch
-// buffer.
+// their minimum, low bits shared by every key are shifted out, and only
+// the bytes that vary across the input get a pass — tick times of a
+// short schedule span ~27 bits, so a sort is three or four counting
+// passes over the data plus one O(N) scratch buffer, fewer when every
+// time lies on a coarser grid (fixed yields).
 //
 // Below kRadixSortMin elements a comparison sort is cheaper than the
 // per-pass histogram setup; sort_by_key then uses std::sort with the
@@ -16,6 +17,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -34,24 +36,32 @@ void radix_sort_by_key(std::type_identity_t<std::span<T>> v,
                        std::vector<T>& scratch, Key key) {
   const std::size_t n = v.size();
   if (n < 2) return;
-  std::int64_t lo = key(v[0]);
-  std::int64_t hi = lo;
+  const std::int64_t first = key(v[0]);
+  std::int64_t lo = first;
+  std::int64_t hi = first;
+  std::uint64_t differ = 0;  // bits in which some key differs from first
   for (const T& x : v) {
     const std::int64_t k = key(x);
     lo = std::min(lo, k);
     hi = std::max(hi, k);
+    differ |= static_cast<std::uint64_t>(k ^ first);
   }
+  if (differ == 0) return;  // all keys equal: already sorted
   // Rebased keys lie in [0, hi - lo]; unsigned wrap-around makes the
-  // subtraction exact for any int64 pair.
+  // subtraction exact for any int64 pair.  Low bits every key shares
+  // (tick times on a coarse grid) are shifted out before the byte split.
   const auto base = static_cast<std::uint64_t>(lo);
-  const std::uint64_t range = static_cast<std::uint64_t>(hi) - base;
+  const int shift = std::countr_zero(differ);
+  const auto digits = [base, shift, &key](const T& x) {
+    return (static_cast<std::uint64_t>(key(x)) - base) >> shift;
+  };
+  const std::uint64_t range = (static_cast<std::uint64_t>(hi) - base) >> shift;
   std::size_t passes = 0;
   while (passes < 8 && (range >> (8 * passes)) != 0) ++passes;
-  if (passes == 0) return;  // all keys equal: already sorted
 
   std::array<std::array<std::size_t, 256>, 8> counts{};
   for (const T& x : v) {
-    const std::uint64_t k = static_cast<std::uint64_t>(key(x)) - base;
+    const std::uint64_t k = digits(x);
     for (std::size_t p = 0; p < passes; ++p) ++counts[p][(k >> (8 * p)) & 0xff];
   }
   if (scratch.size() < n) scratch.resize(n);
@@ -71,8 +81,7 @@ void radix_sort_by_key(std::type_identity_t<std::span<T>> v,
       sum += here;
     }
     for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t k = static_cast<std::uint64_t>(key(src[i])) - base;
-      dst[c[(k >> (8 * p)) & 0xff]++] = src[i];
+      dst[c[(digits(src[i]) >> (8 * p)) & 0xff]++] = src[i];
     }
     std::swap(src, dst);
   }

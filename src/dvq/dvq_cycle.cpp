@@ -117,6 +117,11 @@ DvqCycleSchedule::DvqCycleSchedule(DvqSchedule inner, CycleStats stats,
                 "one splice per task required");
   for (std::size_t k = 0; k < splices_.size(); ++k) {
     const TaskSplice& sp = splices_[k];
+    PFAIR_REQUIRE(sp.skip_begin >= 0 && sp.skip_count >= 0 &&
+                      sp.skip_begin + sp.skip_count <=
+                          inner_.num_subtasks(static_cast<std::int64_t>(k)) &&
+                      (sp.skip_count == 0 || sp.per_cycle > 0),
+                  "splice of task " << k << " out of range");
     if (sp.skip_count == 0) continue;
     const SubtaskRef last{
         static_cast<std::int32_t>(k),

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/assert.hpp"
 #include "core/time.hpp"
 #include "tasks/task_system.hpp"
 
@@ -30,6 +31,28 @@ class DvqSchedule {
 
   [[nodiscard]] const DvqPlacement& placement(const SubtaskRef& ref) const;
   void place(const SubtaskRef& ref, Time start, Time cost, int proc);
+
+  /// Visits the placements of seqs [first, last) of `task` in seq order,
+  /// calling f(seq, placement) — the sequential counterpart of
+  /// `placement()`; the range is checked once, not per read.
+  template <class F>
+  void walk_seqs(std::int64_t task, std::int64_t first, std::int64_t last,
+                 F&& f) const {
+    PFAIR_REQUIRE(task >= 0 && task < num_tasks() && 0 <= first &&
+                      first <= last && last <= num_subtasks(task),
+                  "bad walk of task " << task << " over seqs [" << first
+                                      << ", " << last << ")");
+    const DvqPlacement* row =
+        placements_[static_cast<std::size_t>(task)].data();
+    for (std::int64_t s = first; s < last; ++s) {
+      f(static_cast<std::int32_t>(s), row[s]);
+    }
+  }
+  /// Visits every placement of `task` in seq order: f(seq, placement).
+  template <class F>
+  void walk_task(std::int64_t task, F&& f) const {
+    walk_seqs(task, 0, num_subtasks(task), f);
+  }
 
   [[nodiscard]] bool complete() const;
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "analysis/tardiness.hpp"
 #include "io/json.hpp"
 #include "obs/prof.hpp"
 
@@ -128,8 +127,9 @@ void reserve_rows(CsvWriter& w, const TaskSystem& sys,
 }  // namespace
 
 // The CSV exporters append typed cells straight into the writer's
-// buffer: each task's name is escaped once, and tardiness comes from
-// the placement and deadline already in hand.
+// buffer: each task's name is escaped once, each task is walked once in
+// seq order (its SubtaskCursor zipped with the placement walk), and
+// tardiness comes from the placement and deadline already in hand.
 
 CsvWriter export_task_system(const TaskSystem& sys) {
   CsvWriter w;
@@ -140,8 +140,9 @@ CsvWriter export_task_system(const TaskSystem& sys) {
     const Task& task = sys.task(k);
     const std::string name = csv_escape(task.name());
     const std::string weight = csv_escape(task.weight().str());
+    SubtaskCursor subs(task);
     for (std::int32_t i = 0; i < task.num_subtasks(); ++i) {
-      const Subtask s = task.subtask_at(i);
+      const Subtask s = subs.next();
       w.cell(k)
           .escaped_cell(name)
           .escaped_cell(weight)
@@ -167,10 +168,10 @@ CsvWriter export_slot_schedule(const TaskSystem& sys,
   for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
     const Task& task = sys.task(k);
     const std::string name = csv_escape(task.name());
-    for (std::int32_t s = 0; s < task.num_subtasks(); ++s) {
-      const SlotPlacement p = sched.placement(SubtaskRef{k, s});
-      if (!p.scheduled()) continue;
-      const Subtask sub = task.subtask_at(s);
+    SubtaskCursor subs(task);
+    sched.walk_task(k, [&](std::int32_t, const SlotPlacement& p) {
+      const Subtask sub = subs.next();
+      if (!p.scheduled()) return;
       // Completion in the SFQ model is slot + 1.
       w.cell(k)
           .escaped_cell(name)
@@ -180,7 +181,7 @@ CsvWriter export_slot_schedule(const TaskSystem& sys,
           .cell(sub.deadline)
           .cell(std::max<std::int64_t>(0, p.slot + 1 - sub.deadline))
           .end_row();
-    }
+    });
   }
   return w;
 }
@@ -194,10 +195,10 @@ CsvWriter export_dvq_schedule(const TaskSystem& sys,
   for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
     const Task& task = sys.task(k);
     const std::string name = csv_escape(task.name());
-    for (std::int32_t s = 0; s < task.num_subtasks(); ++s) {
-      const DvqPlacement& p = sched.placement(SubtaskRef{k, s});
-      if (!p.placed) continue;
-      const Subtask sub = task.subtask_at(s);
+    SubtaskCursor subs(task);
+    sched.walk_task(k, [&](std::int32_t, const DvqPlacement& p) {
+      const Subtask sub = subs.next();
+      if (!p.placed) return;
       const Time late = p.completion() - Time::slots(sub.deadline);
       w.cell(k)
           .escaped_cell(name)
@@ -208,7 +209,7 @@ CsvWriter export_dvq_schedule(const TaskSystem& sys,
           .cell(sub.deadline)
           .cell(std::max<std::int64_t>(0, late.raw_ticks()))
           .end_row();
-    }
+    });
   }
   return w;
 }
@@ -243,16 +244,15 @@ std::string export_chrome_trace(const TaskSystem& sys,
   bool first = true;
   for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
     const Task& task = sys.task(k);
-    for (std::int32_t s = 0; s < task.num_subtasks(); ++s) {
-      const SubtaskRef ref{k, s};
-      const DvqPlacement& p = sched.placement(ref);
-      if (!p.placed) continue;
-      emit_event(os, first,
-                 task.name() + "_" + std::to_string(task.subtask(s).index),
+    SubtaskCursor subs(task);
+    sched.walk_task(k, [&](std::int32_t, const DvqPlacement& p) {
+      const Subtask sub = subs.next();
+      if (!p.placed) return;
+      const Time late = p.completion() - Time::slots(sub.deadline);
+      emit_event(os, first, task.name() + "_" + std::to_string(sub.index),
                  p.proc, to_trace_us(p.start), to_trace_us(p.cost),
-                 task.subtask(s).deadline,
-                 subtask_tardiness_ticks(sys, sched, ref));
-    }
+                 sub.deadline, std::max<std::int64_t>(0, late.raw_ticks()));
+    });
   }
   finish_trace(os, first, sys, extras);
   return os.str();
@@ -266,16 +266,16 @@ std::string export_chrome_trace(const TaskSystem& sys,
   bool first = true;
   for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
     const Task& task = sys.task(k);
-    for (std::int32_t s = 0; s < task.num_subtasks(); ++s) {
-      const SubtaskRef ref{k, s};
-      const SlotPlacement& p = sched.placement(ref);
-      if (!p.scheduled()) continue;
-      emit_event(os, first,
-                 task.name() + "_" + std::to_string(task.subtask(s).index),
+    SubtaskCursor subs(task);
+    sched.walk_task(k, [&](std::int32_t, const SlotPlacement& p) {
+      const Subtask sub = subs.next();
+      if (!p.scheduled()) return;
+      emit_event(os, first, task.name() + "_" + std::to_string(sub.index),
                  p.proc, p.slot * kTraceUsPerSlot, kTraceUsPerSlot,
-                 task.subtask(s).deadline,
-                 subtask_tardiness(sys, sched, ref) * kTicksPerSlot);
-    }
+                 sub.deadline,
+                 std::max<std::int64_t>(0, p.slot + 1 - sub.deadline) *
+                     kTicksPerSlot);
+    });
   }
   finish_trace(os, first, sys, extras);
   return os.str();

@@ -18,14 +18,20 @@
 // sequence is identical, so the processor assignment is too).  The
 // class satisfies the SlotSchedule accessor surface, so the validity /
 // lag / tardiness analyses and the InvariantAuditor consume it
-// unchanged; `materialize(h)` expands to a plain SlotSchedule for the
-// reference oracles.  Building and storing a CycleSchedule is
+// unchanged.  The whole-schedule passes (validity, tardiness) walk it
+// per task with `walk_task`, which visits each skipped cycle as one
+// shifted run over the stored base cycle; random access (lag, the
+// auditor replay, `slot_contents`) resolves `placement()` on demand.
+// `materialize(h)` expands to a plain SlotSchedule for the reference
+// oracles.  Building and storing a CycleSchedule is
 // O(prefix + cycle + tail + tasks) regardless of the horizon.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "core/assert.hpp"
 #include "sched/schedule.hpp"
 #include "sched/sfq_scheduler.hpp"
 
@@ -41,6 +47,34 @@ struct TaskSplice {
   std::int64_t per_cycle = 0;    ///< subtasks this task places per cycle
   std::int64_t skip_count = 0;   ///< cycles_skipped * per_cycle
 };
+
+namespace detail {
+
+/// The seq-order walk of one spliced task, shared by both compressed
+/// schedule types: the stored prefix, then the base cycle once per
+/// synthesized cycle j = 1, 2, ... as `shifted(base, j * cycle_slots)`,
+/// then the stored tail.  No division per subtask: the cycle index and
+/// its shift advance once per cycle.
+template <class Stored, class Shift, class F>
+void walk_splice(const Stored& stored, std::int64_t task,
+                 const TaskSplice& sp, std::int64_t cycle_slots,
+                 Shift shifted, F& f) {
+  stored.walk_seqs(task, 0, sp.skip_begin, f);
+  auto seq = static_cast<std::int32_t>(sp.skip_begin);
+  std::int64_t shift = cycle_slots;
+  for (std::int64_t off = 0; off < sp.skip_count; off += sp.per_cycle) {
+    const std::int64_t len = std::min(sp.per_cycle, sp.skip_count - off);
+    stored.walk_seqs(task, sp.cycle_begin, sp.cycle_begin + len,
+                     [&](std::int32_t, const auto& base) {
+                       f(seq++, shifted(base, shift));
+                     });
+    shift += cycle_slots;
+  }
+  stored.walk_seqs(task, sp.skip_begin + sp.skip_count,
+                   stored.num_subtasks(task), f);
+}
+
+}  // namespace detail
 
 /// What the cycle detector did for one run.
 struct CycleStats {
@@ -70,6 +104,23 @@ class CycleSchedule {
                 std::vector<TaskSplice> splices, bool complete);
 
   [[nodiscard]] SlotPlacement placement(const SubtaskRef& ref) const;
+  /// Visits every placement of `task` in seq order, f(seq, placement):
+  /// the stored prefix, the base cycle once per skipped cycle shifted
+  /// whole cycles later, then the stored tail.  Every synthesized read
+  /// keeps placement()'s "base cycle placement missing" contract.
+  template <class F>
+  void walk_task(std::int64_t task, F&& f) const {
+    if (!stats_.engaged) return inner_.walk_task(task, f);
+    PFAIR_REQUIRE(task >= 0 && task < num_tasks(), "bad task " << task);
+    detail::walk_splice(
+        inner_, task, splices_[static_cast<std::size_t>(task)],
+        stats_.cycle_slots,
+        [](const SlotPlacement& base, std::int64_t shift) {
+          PFAIR_REQUIRE(base.scheduled(), "base cycle placement missing");
+          return SlotPlacement{base.slot + shift, base.proc};
+        },
+        f);
+  }
   [[nodiscard]] bool complete() const { return complete_; }
   [[nodiscard]] std::int64_t horizon() const { return horizon_; }
   [[nodiscard]] std::int64_t completion_slot(const SubtaskRef& ref) const;

@@ -16,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/assert.hpp"
 #include "tasks/task_system.hpp"
 
 namespace pfair {
@@ -65,6 +66,29 @@ class SlotSchedule {
   [[nodiscard]] std::int64_t num_subtasks(std::int64_t task) const {
     return offsets_[static_cast<std::size_t>(task) + 1] -
            offsets_[static_cast<std::size_t>(task)];
+  }
+
+  /// Visits the placements of seqs [first, last) of `task` in seq order,
+  /// calling f(seq, placement) — the sequential counterpart of
+  /// `placement()` for passes over a whole schedule: the range is
+  /// checked once, not per read.
+  template <class F>
+  void walk_seqs(std::int64_t task, std::int64_t first, std::int64_t last,
+                 F&& f) const {
+    PFAIR_REQUIRE(task >= 0 && task < num_tasks() && 0 <= first &&
+                      first <= last && last <= num_subtasks(task),
+                  "bad walk of task " << task << " over seqs [" << first
+                                      << ", " << last << ")");
+    const Cell* c = cells_.get() + offsets_[static_cast<std::size_t>(task)];
+    for (std::int64_t s = first; s < last; ++s) {
+      f(static_cast<std::int32_t>(s),
+        SlotPlacement{c[s].slot_p1 - 1, c[s].proc_p1 - 1});
+    }
+  }
+  /// Visits every placement of `task` in seq order: f(seq, placement).
+  template <class F>
+  void walk_task(std::int64_t task, F&& f) const {
+    walk_seqs(task, 0, num_subtasks(task), f);
   }
 
   /// Number of placements recorded so far.

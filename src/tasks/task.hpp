@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "core/assert.hpp"
 #include "tasks/subtask.hpp"
 #include "tasks/weight.hpp"
 #include "tasks/window_table.hpp"
@@ -138,6 +139,8 @@ class Task {
   [[nodiscard]] std::int64_t max_deadline() const;
 
  private:
+  friend class SubtaskCursor;
+
   Task(std::string name, Weight w, TaskKind kind,
        std::vector<Subtask> subtasks);
   Task(std::string name, Weight w, TaskKind kind, std::int64_t phase,
@@ -163,6 +166,66 @@ class Task {
   std::int64_t phase_ = 0;
   std::int64_t count_ = 0;
   bool early_release_ = false;
+};
+
+/// Reads a task's subtasks in seq order: the k-th `next()` returns
+/// exactly `task.subtask_at(k)`, with no division or modulo per step.
+/// A flyweight task advances a window-table index and its period shift,
+/// plus, under early release, a counter inside the raw-(e, p) job; a
+/// materialized task reads its vector.  The sequential counterpart of
+/// `subtask_at` for the passes that walk a whole schedule (validity,
+/// tardiness, recount, export).  A call past the last subtask (a
+/// schedule shaped for another system) throws; the task must outlive
+/// the cursor.
+class SubtaskCursor {
+ public:
+  explicit SubtaskCursor(const Task& task)
+      : left_(task.num_subtasks()),
+        stored_(task.subtasks_.data()),
+        table_(task.table_.get()),
+        theta_(task.phase_),
+        shift_(task.phase_),
+        job_release_(task.phase_),
+        job_len_(task.early_release_ ? task.weight_.e : 0),
+        job_period_(task.weight_.p) {}
+
+  [[nodiscard]] Subtask next() {
+    PFAIR_REQUIRE(left_-- > 0, "subtask cursor ran past the end of its task");
+    if (table_ == nullptr) return *stored_++;
+    const WindowTable& t = *table_;
+    Subtask s;
+    s.index = ++index_;
+    s.theta = theta_;
+    s.release = shift_ + t.release_at(rem_);
+    s.deadline = shift_ + t.deadline_at(rem_);
+    s.bbit = t.bbit_at(rem_);
+    s.group_deadline = t.heavy() ? shift_ + t.group_deadline_at(rem_) : 0;
+    s.eligible = job_len_ > 0 ? job_release_ : s.release;
+    if (++rem_ == t.e()) {
+      rem_ = 0;
+      shift_ += t.p();
+    }
+    if (job_len_ > 0 && ++job_pos_ == job_len_) {
+      job_pos_ = 0;
+      job_release_ += job_period_;
+    }
+    return s;
+  }
+
+ private:
+  std::int64_t left_;         // subtasks not yet returned
+  const Subtask* stored_;     // materialized path: the next subtask
+  const WindowTable* table_;  // flyweight path (null if materialized)
+  std::int64_t theta_;
+  std::int64_t index_ = 0;  // Pfair index of the last subtask returned
+  std::int64_t rem_ = 0;    // table entry of the next subtask
+  std::int64_t shift_;      // phase + (whole table periods) * reduced p
+  // Early release: the eligibility of every subtask of a raw-(e, p) job
+  // is that job's release; job_len_ == 0 when the transform is off.
+  std::int64_t job_release_;
+  std::int64_t job_pos_ = 0;
+  std::int64_t job_len_;
+  std::int64_t job_period_;
 };
 
 }  // namespace pfair

@@ -227,6 +227,32 @@ TEST(RadixSort, RecordsKeepInsertionOrderAmongEqualKeys) {
   }
 }
 
+// Keys on a coarse grid with an odd offset (every key shares its low 21
+// bits, as tick times under a fixed yield do), negatives included: the
+// shared bits are shifted out and the order stays the stable one.
+TEST(RadixSort, SharedLowBitsOnAGridKeepTheStableOrder) {
+  struct Rec {
+    std::int64_t key;
+    std::size_t pos;
+  };
+  Rng rng(21);
+  std::vector<Rec> v(3000);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const auto step = static_cast<std::int64_t>(rng.next_u64() % 4096) - 2048;
+    v[i] = Rec{step * (std::int64_t{1} << 21) + 5, i};
+  }
+  std::vector<Rec> want = v;
+  std::stable_sort(want.begin(), want.end(),
+                   [](const Rec& a, const Rec& b) { return a.key < b.key; });
+  std::vector<Rec> scratch;
+  radix_sort_by_key(v, scratch, [](const Rec& r) { return r.key; });
+  ASSERT_EQ(v.size(), want.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    EXPECT_EQ(v[i].key, want[i].key);
+    EXPECT_EQ(v[i].pos, want[i].pos);
+  }
+}
+
 /// Overlap violations of a DVQ schedule, as (ref, detail) pairs.
 std::vector<std::pair<SubtaskRef, std::string>> overlaps(
     const ValidityReport& rep) {

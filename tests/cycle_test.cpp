@@ -11,9 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <initializer_list>
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "analysis/hyperperiod.hpp"
 #include "analysis/lag.hpp"
@@ -333,10 +337,39 @@ TEST(CycleFastForward, InstrumentedRunsNeverEngage) {
   EXPECT_TRUE(audit.clean()) << audit.findings().front().str();
 }
 
+void expect_same_summary(const TardinessSummary& a, const TardinessSummary& b,
+                         const std::string& what) {
+  EXPECT_EQ(a.max_ticks, b.max_ticks) << what;
+  EXPECT_EQ(a.total_ticks, b.total_ticks) << what;
+  EXPECT_EQ(a.late_subtasks, b.late_subtasks) << what;
+  EXPECT_EQ(a.total_subtasks, b.total_subtasks) << what;
+  EXPECT_EQ(a.unscheduled, b.unscheduled) << what;
+  EXPECT_EQ(a.worst, b.worst) << what;
+}
+
+/// Violations whose subtask lies in a skipped cycle (placed in the
+/// compressed schedule, absent from its stored part).
+template <class Cyc>
+std::size_t synthesized_violations(const Cyc& cyc, const ValidityReport& r) {
+  std::size_t n = 0;
+  for (const Violation& v : r.violations) {
+    if (!v.ref.valid()) continue;
+    const auto stored = cyc.stored().placement(v.ref);
+    const auto spliced = cyc.placement(v.ref);
+    if constexpr (std::is_same_v<decltype(stored), const SlotPlacement>) {
+      if (!stored.scheduled() && spliced.scheduled()) ++n;
+    } else {
+      if (!stored.placed && spliced.placed) ++n;
+    }
+  }
+  return n;
+}
+
 // Every analysis consumes the CycleSchedule unchanged: identical
 // verdicts to the materialized schedule, and the InvariantAuditor
 // replayed from the compressed representation reports zero findings.
 TEST(CycleFastForward, AnalysesAndAuditorConsumeCycleSchedule) {
+  std::size_t synthesized = 0;
   for (int seed = 0; seed < 16; ++seed) {
     const TaskSystem sys = make_cyclic_system(seed, 8);
     SfqOptions opts;
@@ -349,11 +382,17 @@ TEST(CycleFastForward, AnalysesAndAuditorConsumeCycleSchedule) {
     ASSERT_TRUE(cyc.stats().engaged) << "seed " << seed;
     const SlotSchedule flat = cyc.materialize(cyc.horizon());
 
-    // Validity: same verdict, same violation count.
-    const ValidityReport vr_c = check_slot_schedule(sys, cyc);
-    const ValidityReport vr_f = check_slot_schedule(sys, flat);
-    EXPECT_EQ(vr_c.valid(), vr_f.valid()) << "seed " << seed;
-    EXPECT_EQ(vr_c.violations.size(), vr_f.violations.size());
+    // Validity: the same report, violation for violation — also with an
+    // allowance of -1, which fails every subtask completing at its
+    // deadline.
+    EXPECT_EQ(check_slot_schedule(sys, cyc).str(SIZE_MAX),
+              check_slot_schedule(sys, flat).str(SIZE_MAX))
+        << "seed " << seed;
+    const ValidityReport strict = check_slot_schedule(sys, cyc, -1);
+    EXPECT_EQ(strict.str(SIZE_MAX),
+              check_slot_schedule(sys, flat, -1).str(SIZE_MAX))
+        << "seed " << seed;
+    synthesized += synthesized_violations(cyc, strict);
 
     // Lag: identical extrema over the full horizon, and Pfairness holds
     // either way.
@@ -366,12 +405,9 @@ TEST(CycleFastForward, AnalysesAndAuditorConsumeCycleSchedule) {
     EXPECT_TRUE(lag(sys, cyc, 0, h / 2) == lag(sys, flat, 0, h / 2));
 
     // Tardiness: identical summaries and value vectors.
-    const TardinessSummary ts_c = measure_tardiness(sys, cyc);
-    const TardinessSummary ts_f = measure_tardiness(sys, flat);
-    EXPECT_EQ(ts_c.max_ticks, ts_f.max_ticks) << "seed " << seed;
-    EXPECT_EQ(ts_c.total_ticks, ts_f.total_ticks);
-    EXPECT_EQ(ts_c.late_subtasks, ts_f.late_subtasks);
-    EXPECT_EQ(ts_c.unscheduled, ts_f.unscheduled);
+    expect_same_summary(measure_tardiness(sys, cyc),
+                        measure_tardiness(sys, flat),
+                        "seed " + std::to_string(seed));
     EXPECT_EQ(tardiness_values_ticks(sys, cyc),
               tardiness_values_ticks(sys, flat));
 
@@ -389,32 +425,103 @@ TEST(CycleFastForward, AnalysesAndAuditorConsumeCycleSchedule) {
     EXPECT_EQ(cyc.slot_contents(probe), flat.slot_contents(probe))
         << "seed " << seed;
   }
+  // Fully loaded seeds complete subtasks at their deadlines inside the
+  // skipped cycles, so the strict leg compared violations there.
+  EXPECT_GT(synthesized, 0u);
 }
 
 // DVQ analyses likewise: validity and tardiness on the compressed
-// schedule match the materialized run.
+// schedule match the materialized run — under full-quantum yields and
+// under steady_state's fixed 3/4-quantum yields, which desynchronize the
+// schedule (tardiness below one quantum) and so fail the allowance-zero
+// check inside synthesized cycles.
 TEST(CycleFastForward, DvqAnalysesConsumeCycleSchedule) {
-  for (int seed = 0; seed < 8; ++seed) {
-    const TaskSystem sys = make_cyclic_system(seed, 8);
-    const FullQuantumYield y;
-    DvqOptions opts;
-    opts.horizon_limit = 6 * kPool;
-    const DvqCycleSchedule cyc = schedule_dvq_cyclic(sys, y, opts);
-    if (!cyc.stats().engaged) continue;
-    const DvqSchedule flat = cyc.materialize(opts.horizon_limit);
+  const FullQuantumYield full;
+  const FixedYield three_quarters(Time::slots_frac(0, 1, 4));
+  for (const YieldModel* y :
+       std::initializer_list<const YieldModel*>{&full, &three_quarters}) {
+    int engaged = 0;
+    std::size_t synthesized = 0;
+    for (int seed = 0; seed < 8; ++seed) {
+      const TaskSystem sys = make_cyclic_system(seed, 8);
+      DvqOptions opts;
+      opts.horizon_limit = 6 * kPool;
+      const DvqCycleSchedule cyc = schedule_dvq_cyclic(sys, *y, opts);
+      if (!cyc.stats().engaged) continue;
+      ++engaged;
+      const DvqSchedule flat = cyc.materialize(opts.horizon_limit);
+      const std::string what = "seed " + std::to_string(seed) +
+                               (y == &full ? " full" : " 3/4");
 
-    const ValidityReport vr_c = check_dvq_schedule(sys, cyc, kQuantum);
-    const ValidityReport vr_f = check_dvq_schedule(sys, flat, kQuantum);
-    EXPECT_EQ(vr_c.valid(), vr_f.valid()) << "seed " << seed;
-    EXPECT_EQ(vr_c.violations.size(), vr_f.violations.size());
+      EXPECT_EQ(check_dvq_schedule(sys, cyc, kQuantum).str(SIZE_MAX),
+                check_dvq_schedule(sys, flat, kQuantum).str(SIZE_MAX))
+          << what;
+      const ValidityReport strict = check_dvq_schedule(sys, cyc, Time());
+      EXPECT_EQ(strict.str(SIZE_MAX),
+                check_dvq_schedule(sys, flat, Time()).str(SIZE_MAX))
+          << what;
+      synthesized += synthesized_violations(cyc, strict);
 
-    const TardinessSummary ts_c = measure_tardiness(sys, cyc);
-    const TardinessSummary ts_f = measure_tardiness(sys, flat);
-    EXPECT_EQ(ts_c.max_ticks, ts_f.max_ticks) << "seed " << seed;
-    EXPECT_EQ(ts_c.total_ticks, ts_f.total_ticks);
-    EXPECT_EQ(tardiness_values_ticks(sys, cyc),
-              tardiness_values_ticks(sys, flat));
+      expect_same_summary(measure_tardiness(sys, cyc),
+                          measure_tardiness(sys, flat), what);
+      EXPECT_EQ(tardiness_values_ticks(sys, cyc),
+                tardiness_values_ticks(sys, flat))
+          << what;
+    }
+    // A silent `continue` on every seed would leave nothing compared.
+    EXPECT_GT(engaged, 0);
+    if (y == &three_quarters) {
+      EXPECT_GT(synthesized, 0u);
+    }
   }
+}
+
+// The splice contract: a hand-built compressed schedule whose base cycle
+// lacks a placement that a synthesized subtask copies makes every whole-
+// schedule pass throw, exactly as random access through placement() does.
+// One task of weight 1/2 on one processor, a 4-slot cycle [0, 4) skipped
+// once: seqs 2 and 3 are copies of seqs 0 and 1 shifted by 4 slots, and
+// seq 0 is never placed (seq 1, the base of the last synthesized seq,
+// is, so construction succeeds).
+TEST(CycleFastForward, MissingBasePlacementViolatesSpliceContract) {
+  std::vector<Task> tasks;
+  tasks.push_back(Task::periodic("T", Weight(1, 2), 12));
+  const TaskSystem sys(std::move(tasks), 1);
+  ASSERT_EQ(sys.task(0).num_subtasks(), 6);
+  CycleStats stats;
+  stats.engaged = true;
+  stats.prefix_slots = 0;
+  stats.cycle_slots = 4;
+  stats.detect_slot = 4;
+  stats.cycles_skipped = 1;
+  stats.slots_skipped = 4;
+  const std::vector<TaskSplice> splices = {
+      TaskSplice{/*cycle_begin=*/0, /*skip_begin=*/2, /*per_cycle=*/2,
+                 /*skip_count=*/2}};
+  const auto ref = [](std::int32_t seq) { return SubtaskRef{0, seq}; };
+
+  SlotSchedule slots(sys);
+  slots.place(ref(1), 2, 0);
+  slots.place(ref(4), 8, 0);
+  slots.place(ref(5), 10, 0);
+  const CycleSchedule cyc(std::move(slots), stats, splices, false);
+  EXPECT_EQ(cyc.placement(ref(3)).slot, 6);
+  EXPECT_THROW((void)cyc.placement(ref(2)), ContractViolation);
+  EXPECT_THROW((void)check_slot_schedule(sys, cyc), ContractViolation);
+  EXPECT_THROW((void)measure_tardiness(sys, cyc), ContractViolation);
+  EXPECT_THROW((void)tardiness_values_ticks(sys, cyc), ContractViolation);
+
+  DvqSchedule dvq(sys);
+  dvq.place(ref(1), Time::slots(2), kQuantum, 0);
+  dvq.place(ref(4), Time::slots(8), kQuantum, 0);
+  dvq.place(ref(5), Time::slots(10), kQuantum, 0);
+  const DvqCycleSchedule dcyc(std::move(dvq), stats, splices, false);
+  EXPECT_EQ(dcyc.placement(ref(3)).start, Time::slots(6));
+  EXPECT_THROW((void)dcyc.placement(ref(2)), ContractViolation);
+  EXPECT_THROW((void)check_dvq_schedule(sys, dcyc, kQuantum),
+               ContractViolation);
+  EXPECT_THROW((void)measure_tardiness(sys, dcyc), ContractViolation);
+  EXPECT_THROW((void)tardiness_values_ticks(sys, dcyc), ContractViolation);
 }
 
 // The generalized periodicity check and the online detector agree: a

@@ -1,9 +1,11 @@
 // Flyweight window tables (tasks/window_table.hpp): equivalence with the
-// scalar formulas and the pre-flyweight eager construction, cache sharing
-// and thread safety, and the subtasks_before overflow regression.
+// scalar formulas and the pre-flyweight eager construction, the
+// sequential SubtaskCursor against subtask_at, cache sharing and thread
+// safety, and the subtasks_before overflow regression.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -121,6 +123,70 @@ TEST(Flyweight, BitIdenticalToEagerConstruction) {
   EXPECT_EQ(combos, 270);
   // One table per distinct *rate*, not per distinct (e, p) pair.
   EXPECT_LT(cache.size(), 135u);
+}
+
+/// Every field of every subtask read through a SubtaskCursor equals the
+/// random-access `subtask_at` of the same seq.
+void expect_cursor_matches_subtask_at(const Task& task) {
+  SubtaskCursor cur(task);
+  for (std::int64_t s = 0; s < task.num_subtasks(); ++s) {
+    const Subtask a = cur.next();
+    const Subtask b = task.subtask_at(s);
+    const std::string at = task.name() + " " + task.weight().str() +
+                           (task.early_release() ? " ER" : "") + " seq " +
+                           std::to_string(s);
+    ASSERT_EQ(a.index, b.index) << at;
+    ASSERT_EQ(a.theta, b.theta) << at;
+    ASSERT_EQ(a.release, b.release) << at;
+    ASSERT_EQ(a.deadline, b.deadline) << at;
+    ASSERT_EQ(a.eligible, b.eligible) << at;
+    ASSERT_EQ(a.bbit, b.bbit) << at;
+    ASSERT_EQ(a.group_deadline, b.group_deadline) << at;
+  }
+}
+
+// The sequential cursor the post-simulation passes walk with is pinned to
+// subtask_at for every task kind: the 270 weight x phase combos above
+// (zero and nonzero phase, heavy weights with group deadlines, raw and
+// reducible pairs), with and without early release, over counts that are
+// not a multiple of e, flyweight and materialized, plus IS and GIS tasks.
+TEST(SubtaskCursor, MatchesSubtaskAtForEveryTaskKind) {
+  WindowTableCache cache;
+  int combos = 0;
+  for (const Weight& w : weight_universe(16)) {
+    for (const std::int64_t phase : {std::int64_t{0}, std::int64_t{5}}) {
+      // 6.5 periods plus one slot: the count stops mid-period.
+      const std::int64_t horizon = phase + 6 * w.p + w.p / 2 + 1;
+      const Task fly = Task::periodic_phased("f", w, phase, horizon, &cache);
+      const Task eager = Task::periodic_phased_eager("e", w, phase, horizon);
+      ASSERT_TRUE(fly.flyweight());
+      for (const Task* t : {&fly, &eager}) {
+        expect_cursor_matches_subtask_at(*t);
+        expect_cursor_matches_subtask_at(t->with_early_release());
+      }
+      ++combos;
+    }
+  }
+  EXPECT_EQ(combos, 270);
+
+  const Task is = Task::intra_sporadic("is", Weight(5, 7), {0, 0, 2, 2, 3, 7},
+                                       23);
+  const Task gis = Task::gis("gis", Weight(8, 11),
+                             {{1, 0, -1}, {2, 0, 0}, {4, 1, -1}, {5, 1, 5},
+                              {9, 3, -1}, {10, 3, -1}, {14, 4, 18}});
+  for (const Task* t : {&is, &gis}) {
+    ASSERT_FALSE(t->flyweight());
+    expect_cursor_matches_subtask_at(*t);
+    expect_cursor_matches_subtask_at(t->with_early_release());
+  }
+
+  // Reading past the last subtask is a contract violation on both paths.
+  const Task fly = Task::periodic("f", Weight(3, 7), 14);
+  for (const Task* t : {&fly, &is}) {
+    SubtaskCursor cur(*t);
+    for (std::int64_t s = 0; s < t->num_subtasks(); ++s) (void)cur.next();
+    EXPECT_THROW((void)cur.next(), ContractViolation) << t->name();
+  }
 }
 
 TEST(Flyweight, ZeroSubtaskAndUnitWeightEdges) {
