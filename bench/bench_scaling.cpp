@@ -8,6 +8,7 @@
 // n; the shape check requires >= 5x at n = 16384 and bit-identical
 // schedules at every point.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <iostream>
 #include <limits>
@@ -401,6 +402,7 @@ int run_bench(pfair::bench::BenchContext& ctx) {
   // counts or per-subtask random-access lookups.
   std::cout << "\n=== post-simulation layers (n = 4096) ===\n\n";
   bool post_cyclic_engaged = false;
+  double cyclic_64_vs_16 = 0;
   {
     constexpr std::int64_t n = 4096;
     const TaskSystem sys = make_scaling_system(n);
@@ -451,38 +453,63 @@ int run_bench(pfair::bench::BenchContext& ctx) {
     PFAIR_ASSERT(sink > 0);
 
     // The same passes on cycle-compressed schedules of a steady-state
-    // shaped system (n = 1024 over 16 hyperperiods, DVQ yields 3/4
-    // quantum), never materialized: the per-task walks visit every
-    // skipped cycle as a shifted run of the stored base cycle.
+    // shaped system (n = 1024, DVQ yields 3/4 quantum), never
+    // materialized, at 16 and at 64 hyperperiods: the passes walk one
+    // synthesized cycle and account for the other skipped ones in closed
+    // form, so four times the horizon must cost well under twice as
+    // much.  The 16-hyperperiod cases keep their historical names.
     constexpr std::int64_t cn = 1024;
-    constexpr std::int64_t kCyclicHorizon = 16 * 192;
-    std::vector<Task> ctasks =
-        build_tasks(cn, kCyclicHorizon, /*eager=*/false, /*cache=*/nullptr);
-    Rational cutil(0);
-    for (const Task& task : ctasks) cutil += task.weight().value();
-    const TaskSystem csys(std::move(ctasks), static_cast<int>(cutil.ceil()));
-    const CycleSchedule csfq = schedule_sfq_cyclic(csys);
-    const FixedYield cyields(Time::slots_frac(0, 1, 4));
-    const DvqCycleSchedule cdvq = schedule_dvq_cyclic(csys, cyields);
-    post_cyclic_engaged = csfq.stats().engaged && cdvq.stats().engaged;
-    const double cplacements = static_cast<double>(csys.total_subtasks());
-    const std::pair<const char*, double> cyclic_layers[] = {
-        {"validity_cyclic_sfq", per_call([&] {
-           sink += check_slot_schedule(csys, csfq).violations.size();
-         })},
-        {"validity_cyclic_dvq", per_call([&] {
-           sink +=
-               check_dvq_schedule(csys, cdvq, kQuantum).violations.size();
-         })},
-        {"tardiness_cyclic_sfq", per_call([&] {
-           sink += static_cast<std::size_t>(
-               measure_tardiness(csys, csfq).total_subtasks);
-         })},
-        {"tardiness_cyclic_dvq", per_call([&] {
-           sink += static_cast<std::size_t>(
-               measure_tardiness(csys, cdvq).total_subtasks);
-         })},
+    constexpr std::int64_t kHyper = 192;
+    const auto cyclic_system = [&](std::int64_t hyperperiods) {
+      std::vector<Task> ctasks = build_tasks(cn, hyperperiods * kHyper,
+                                             /*eager=*/false,
+                                             /*cache=*/nullptr);
+      Rational cutil(0);
+      for (const Task& task : ctasks) cutil += task.weight().value();
+      return TaskSystem(std::move(ctasks), static_cast<int>(cutil.ceil()));
     };
+    const TaskSystem csys = cyclic_system(16);
+    const TaskSystem csys64 = cyclic_system(64);
+    const FixedYield cyields(Time::slots_frac(0, 1, 4));
+    const CycleSchedule csfq = schedule_sfq_cyclic(csys);
+    const DvqCycleSchedule cdvq = schedule_dvq_cyclic(csys, cyields);
+    const CycleSchedule csfq64 = schedule_sfq_cyclic(csys64);
+    const DvqCycleSchedule cdvq64 = schedule_dvq_cyclic(csys64, cyields);
+    post_cyclic_engaged = csfq.stats().engaged && cdvq.stats().engaged &&
+                          csfq64.stats().engaged && cdvq64.stats().engaged;
+    const auto cyclic_cases = [&](const TaskSystem& cs,
+                                  const CycleSchedule& sfq,
+                                  const DvqCycleSchedule& dvq) {
+      return std::array<double, 4>{
+          per_call([&] {
+            sink += check_slot_schedule(cs, sfq).violations.size();
+          }),
+          per_call([&] {
+            sink +=
+                check_dvq_schedule(cs, dvq, kQuantum).violations.size();
+          }),
+          per_call([&] {
+            sink += static_cast<std::size_t>(
+                measure_tardiness(cs, sfq).total_subtasks);
+          }),
+          per_call([&] {
+            sink += static_cast<std::size_t>(
+                measure_tardiness(cs, dvq).total_subtasks);
+          })};
+    };
+    const std::array<double, 4> ns16 = cyclic_cases(csys, csfq, cdvq);
+    const std::array<double, 4> ns64 = cyclic_cases(csys64, csfq64, cdvq64);
+    const char* const cyclic_names[] = {"validity_cyclic_sfq",
+                                        "validity_cyclic_dvq",
+                                        "tardiness_cyclic_sfq",
+                                        "tardiness_cyclic_dvq"};
+    double sum16 = 0, sum64 = 0;
+    for (std::size_t i = 0; i < ns16.size(); ++i) {
+      sum16 += ns16[i];
+      sum64 += ns64[i];
+    }
+    cyclic_64_vs_16 = sum64 / std::max(sum16, 1e-9);
+    ctx.value("post.cyclic_64hp_vs_16hp", cyclic_64_vs_16);
 
     TextTable lt;
     lt.header({"layer", "ns / placement", "ms / call"});
@@ -496,13 +523,18 @@ int run_bench(pfair::bench::BenchContext& ctx) {
       lt.row({name, cell(ns / per, 1), cell(ns / 1e6, 3)});
     };
     for (const auto& [name, ns] : layers) report(name, ns, placements);
-    for (const auto& [name, ns] : cyclic_layers) {
-      report(name, ns, cplacements);
+    for (std::size_t i = 0; i < ns16.size(); ++i) {
+      report(cyclic_names[i], ns16[i],
+             static_cast<double>(csys.total_subtasks()));
+      report((std::string(cyclic_names[i]) + "_64hp").c_str(), ns64[i],
+             static_cast<double>(csys64.total_subtasks()));
     }
     std::cout << sys.total_subtasks() << " placements per schedule ("
-              << csys.total_subtasks() << " per cyclic schedule, engaged: "
+              << csys.total_subtasks() << " / " << csys64.total_subtasks()
+              << " per cyclic schedule at 16 / 64 hyperperiods, engaged: "
               << (post_cyclic_engaged ? "yes" : "NO") << ")\n"
-              << lt.str() << "\n";
+              << lt.str() << "cyclic analysis at 64 hp vs 16 hp: "
+              << cyclic_64_vs_16 << "x\n\n";
   }
 
   // --- Profiler overhead (n = 4096, only under --profile) ---
@@ -743,6 +775,7 @@ int run_bench(pfair::bench::BenchContext& ctx) {
 
   const bool ok = all_identical && construction_identical &&
                   cycle_identical && cycle_engaged && post_cyclic_engaged &&
+                  cyclic_64_vs_16 < 2.0 &&
                   cycle_sfq_speedup >= 5.0 && cycle_dvq_speedup >= 5.0 &&
                   (sfq_speedup_max_n >= 5.0 || dvq_speedup_max_n >= 5.0) &&
                   arena_vs_fast_max_n < 1.15 &&
@@ -756,7 +789,8 @@ int run_bench(pfair::bench::BenchContext& ctx) {
             << "legs, >=5x sched at n=16384, arena leg no slower than "
             << "fast, >=5x cycle fast-forward, >=5x construction and "
             << ">=10x memory at n=16384, cyclic post-simulation schedules "
-            << "engaged, audit clean and < 2.5x at n=4096, "
+            << "engaged, cyclic analysis at 64 hp < 2x at 16 hp, "
+            << "audit clean and < 2.5x at n=4096, "
             << "metrics < 1.5x at n=4096, quality counters match recount, "
             << "profiler < 1.05x): "
             << (ok ? "PASS" : "FAIL") << '\n';

@@ -39,25 +39,70 @@ void walk_tardiness(const TaskSystem& sys, const Sched& sched,
   });
 }
 
+/// Adds one subtask's tardiness in ticks (-1: unscheduled) to `sum`.
+/// `worst` moves only on a strictly greater value, so it names the
+/// first subtask in walk order attaining max_ticks.
+void tally(TardinessSummary& sum, const SubtaskRef& ref, std::int64_t t) {
+  ++sum.total_subtasks;
+  if (t < 0) {
+    ++sum.unscheduled;
+  } else if (t > 0) {
+    ++sum.late_subtasks;
+    sum.total_ticks += t;
+    if (t > sum.max_ticks) {
+      sum.max_ticks = t;
+      sum.worst = ref;
+    }
+  }
+}
+
 template <class Sched>
 TardinessSummary measure(const TaskSystem& sys, const Sched& sched) {
   TardinessSummary sum;
   for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
     walk_tardiness(sys, sched, k, [&](const SubtaskRef& ref, std::int64_t t) {
-      ++sum.total_subtasks;
-      if (t < 0) {
-        ++sum.unscheduled;
-      } else if (t > 0) {
-        ++sum.late_subtasks;
-        sum.total_ticks += t;
-        if (t > sum.max_ticks) {
-          sum.max_ticks = t;
-          sum.worst = ref;
-        }
-      }
+      tally(sum, ref, t);
     });
   }
   return sum;
+}
+
+/// measure() on a compressed schedule that repeats exactly: synthesized
+/// cycle 1 is walked, and cycles 2..m — whose tardiness values repeat
+/// cycle 1's, placements and deadlines both shifted C — add its counts
+/// and sums m - 1 more times.  max_ticks and worst stay cycle 1's: a
+/// later cycle only ties, and ties never move `worst`.
+template <class Sched>
+TardinessSummary measure_once(const TaskSystem& sys, const Sched& sched) {
+  const std::int64_t repeats = sched.stats().cycles_skipped - 1;
+  TardinessSummary sum;
+  for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
+    SubtaskCursor subs(sys.task(k));
+    TardinessSummary first;  // synthesized cycle 1 alone
+    sched.walk_task_once(
+        k,
+        [&](std::int32_t s, const auto& p, SpliceRegion r) {
+          if (r == SpliceRegion::kLast) return;
+          const Subtask sub = subs.next();
+          const std::int64_t t = placed(p) ? tardiness_ticks(sub, p) : -1;
+          tally(sum, SubtaskRef{k, s}, t);
+          if (r == SpliceRegion::kFirst) tally(first, SubtaskRef{k, s}, t);
+        },
+        [&](std::int64_t count, const auto&) {
+          subs.skip(count);
+          sum.total_subtasks += repeats * first.total_subtasks;
+          sum.late_subtasks += repeats * first.late_subtasks;
+          sum.total_ticks += repeats * first.total_ticks;
+        });
+  }
+  return sum;
+}
+
+template <class Sched>
+TardinessSummary measure_compressed(const TaskSystem& sys,
+                                    const Sched& sched) {
+  return sched.repeats_exactly(sys) ? measure_once(sys, sched)
+                                    : measure(sys, sched);
 }
 
 template <class Sched>
@@ -139,11 +184,11 @@ TardinessSummary measure_tardiness(const TaskSystem& sys,
 }
 TardinessSummary measure_tardiness(const TaskSystem& sys,
                                    const CycleSchedule& sched) {
-  return measure(sys, sched);
+  return measure_compressed(sys, sched);
 }
 TardinessSummary measure_tardiness(const TaskSystem& sys,
                                    const DvqCycleSchedule& sched) {
-  return measure(sys, sched);
+  return measure_compressed(sys, sched);
 }
 
 std::vector<std::int64_t> tardiness_values_ticks(const TaskSystem& sys,

@@ -79,7 +79,10 @@ void record_tardiness_metrics(const TaskSystem& sys,
 
 /// Cycle-compressed schedules run through the identical measurements —
 /// synthesized placements are walked per task (each skipped cycle a
-/// shifted run over the stored base cycle), never materialized.
+/// shifted run over the stored base cycle), never materialized.  When
+/// the schedule `repeats_exactly`, measure_tardiness walks one
+/// synthesized cycle and adds its counts for the others: O(prefix +
+/// cycle + tail + tasks), the same summary, `worst` included.
 [[nodiscard]] std::int64_t subtask_tardiness(const TaskSystem& sys,
                                              const CycleSchedule& sched,
                                              const SubtaskRef& ref);

@@ -59,9 +59,12 @@ struct ValidityReport {
     const TaskSystem& sys, const DvqSchedule& sched,
     Time tardiness_allowance = Time());
 
-/// Cycle-compressed schedules run through the identical checks —
-/// synthesized placements are walked per task (each skipped cycle a
-/// shifted run over the stored base cycle), never materialized.
+/// Cycle-compressed schedules run through the identical checks, never
+/// materialized.  A schedule that `repeats_exactly` and is clean is
+/// certified by walking one synthesized cycle: O(prefix + cycle + tail +
+/// tasks).  Otherwise the synthesized placements are walked per task
+/// (each skipped cycle a shifted run over the stored base cycle), which
+/// builds the identical report.
 [[nodiscard]] ValidityReport check_slot_schedule(
     const TaskSystem& sys, const CycleSchedule& sched,
     std::int64_t tardiness_allowance = 0);

@@ -59,7 +59,8 @@ void radix_sort_by_key(std::type_identity_t<std::span<T>> v,
   std::size_t passes = 0;
   while (passes < 8 && (range >> (8 * passes)) != 0) ++passes;
 
-  std::array<std::array<std::size_t, 256>, 8> counts{};
+  std::array<std::array<std::size_t, 256>, 8> counts;  // `passes` used
+  for (std::size_t p = 0; p < passes; ++p) counts[p].fill(0);
   for (const T& x : v) {
     const std::uint64_t k = digits(x);
     for (std::size_t p = 0; p < passes; ++p) ++counts[p][(k >> (8 * p)) & 0xff];

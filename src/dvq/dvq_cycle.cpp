@@ -143,12 +143,10 @@ DvqPlacement DvqCycleSchedule::placement(const SubtaskRef& ref) const {
   const std::int64_t off = ref.seq - sp.skip_begin;
   const std::int64_t j = off / sp.per_cycle;
   const std::int64_t rem = off % sp.per_cycle;
-  DvqPlacement base = inner_.placement(
-      SubtaskRef{ref.task, static_cast<std::int32_t>(sp.cycle_begin + rem)});
-  PFAIR_REQUIRE(base.placed, "base cycle placement missing");
-  base.start =
-      base.start + Time::ticks((j + 1) * stats_.cycle_slots * kTicksPerSlot);
-  return base;
+  return shifted(
+      inner_.placement(SubtaskRef{
+          ref.task, static_cast<std::int32_t>(sp.cycle_begin + rem)}),
+      (j + 1) * stats_.cycle_slots * kTicksPerSlot);
 }
 
 DvqSchedule DvqCycleSchedule::materialize(std::int64_t horizon) const {

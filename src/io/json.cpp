@@ -61,6 +61,12 @@ namespace {
 
 class Parser {
  public:
+  /// Deepest array/object nesting accepted.  The parser recurses once
+  /// per level (and so does JsonValue's destructor), so a hostile
+  /// document of unbounded depth would overflow the stack; none of the
+  /// documents this project writes nests more than a handful of levels.
+  static constexpr int kMaxDepth = 256;
+
   explicit Parser(std::string_view text) : s_(text) {}
 
   JsonValue document() {
@@ -101,8 +107,15 @@ class Parser {
   JsonValue value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
+    if (c == '{' || c == '[') {
+      PFAIR_REQUIRE(depth_ < kMaxDepth, "JSON nesting deeper than "
+                                            << kMaxDepth << " levels at offset "
+                                            << pos_);
+      ++depth_;
+      JsonValue v = c == '{' ? object() : array();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       JsonValue v;
       v.kind = JsonValue::Kind::kString;
@@ -268,6 +281,7 @@ class Parser {
 
   std::string_view s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // arrays/objects open around the current value
 };
 
 void indent_to(std::ostream& os, int level) {

@@ -76,6 +76,7 @@ ParsedSystem parse_task_file(std::istream& in) {
                     "line " << lineno << ": horizon must be >= 1");
     } else if (kw == "task") {
       ParsedTask t;
+      t.line = lineno;
       std::string wtok;
       toks >> t.name >> wtok;
       PFAIR_REQUIRE(!t.name.empty() && !wtok.empty(),
@@ -119,14 +120,25 @@ ParsedSystem parse_task_string(const std::string& text) {
 std::int64_t ParsedSystem::effective_horizon() const {
   if (horizon > 0) return horizon;
   // Two hyperperiods past the latest phase, capped to keep runs sane.
+  constexpr std::int64_t kCap = 4096;
   std::int64_t h = 1;
+  for (const ParsedTask& t : tasks) {
+    // h <= kCap on entry, so the product overflows only past the cap.
+    if (__builtin_mul_overflow(h / std::gcd(h, t.weight.p), t.weight.p, &h) ||
+        h > kCap) {
+      h = kCap + 1;
+      break;
+    }
+  }
   std::int64_t max_phase = 0;
   for (const ParsedTask& t : tasks) {
-    h = std::lcm(h, t.weight.p);
+    std::int64_t end = 0;
+    PFAIR_REQUIRE(!__builtin_add_overflow(t.phase, 2 * h, &end),
+                  "line " << t.line << ": phase " << t.phase
+                          << " plus two hyperperiods overflows the horizon");
     max_phase = std::max(max_phase, t.phase);
-    if (h > 4096) break;
   }
-  return std::min<std::int64_t>(max_phase + 2 * h, 4096);
+  return std::min(max_phase + 2 * h, kCap);
 }
 
 TaskSystem ParsedSystem::build() const {
@@ -135,8 +147,15 @@ TaskSystem ParsedSystem::build() const {
   out.reserve(tasks.size());
   for (const ParsedTask& t : tasks) {
     if (t.jobs > 0) {
+      // n subtasks; the last one's deadline is phase + jobs * p.
+      std::int64_t n = 0, span = 0, end = 0;
+      PFAIR_REQUIRE(!__builtin_mul_overflow(t.jobs, t.weight.e, &n) &&
+                        !__builtin_mul_overflow(t.jobs, t.weight.p, &span) &&
+                        !__builtin_add_overflow(t.phase, span, &end),
+                    "line " << t.line << ": jobs=" << t.jobs << " of weight "
+                            << t.weight.str() << " at phase " << t.phase
+                            << " overflows the subtask count or deadlines");
       std::vector<Task::SubtaskSpec> subs;
-      const std::int64_t n = t.jobs * t.weight.e;
       for (std::int64_t i = 1; i <= n; ++i) {
         subs.push_back(Task::SubtaskSpec{i, t.phase, -1});
       }

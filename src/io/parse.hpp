@@ -27,6 +27,7 @@ struct ParsedTask {
   Weight weight;
   std::int64_t phase = 0;
   std::int64_t jobs = -1;  ///< -1: recur through the horizon
+  int line = 0;            ///< source line, for errors found by build()
 };
 
 struct ParsedSystem {

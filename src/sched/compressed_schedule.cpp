@@ -54,10 +54,10 @@ SlotPlacement CycleSchedule::placement(const SubtaskRef& ref) const {
   const std::int64_t off = ref.seq - sp.skip_begin;
   const std::int64_t j = off / sp.per_cycle;
   const std::int64_t rem = off % sp.per_cycle;
-  const SlotPlacement base = inner_.placement(
-      SubtaskRef{ref.task, static_cast<std::int32_t>(sp.cycle_begin + rem)});
-  PFAIR_REQUIRE(base.scheduled(), "base cycle placement missing");
-  return SlotPlacement{base.slot + (j + 1) * stats_.cycle_slots, base.proc};
+  return shifted(
+      inner_.placement(SubtaskRef{
+          ref.task, static_cast<std::int32_t>(sp.cycle_begin + rem)}),
+      (j + 1) * stats_.cycle_slots);
 }
 
 std::int64_t CycleSchedule::completion_slot(const SubtaskRef& ref) const {

@@ -212,6 +212,29 @@ class SubtaskCursor {
     return s;
   }
 
+  /// Jumps over the next `count` subtasks, leaving the cursor where
+  /// `count` calls of next() would: one division per skip, not a walk
+  /// (how the compressed-schedule passes step over skipped cycles).
+  void skip(std::int64_t count) {
+    PFAIR_REQUIRE(count >= 0 && count <= left_,
+                  "subtask cursor skip of " << count << " past the end of "
+                                            << left_ << " left");
+    left_ -= count;
+    if (table_ == nullptr) {
+      stored_ += count;
+      return;
+    }
+    index_ += count;
+    const std::int64_t at = rem_ + count;
+    shift_ += at / table_->e() * table_->p();
+    rem_ = at % table_->e();
+    if (job_len_ > 0) {
+      const std::int64_t pos = job_pos_ + count;
+      job_release_ += pos / job_len_ * job_period_;
+      job_pos_ = pos % job_len_;
+    }
+  }
+
  private:
   std::int64_t left_;         // subtasks not yet returned
   const Subtask* stored_;     // materialized path: the next subtask

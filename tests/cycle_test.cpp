@@ -52,11 +52,14 @@ constexpr std::int64_t kPool = 24;
 // of `coverage_cycles` pool periods.  Roughly one third of seeds leave
 // utilization slack (idle slots join the repeating pattern); the rest
 // fill up to exactly M.
-TaskSystem make_cyclic_system(int seed, std::int64_t coverage_cycles) {
+// `extra_slots` extends the coverage past whole pool periods, so a
+// complete run simulates a tail after the skipped cycles.
+TaskSystem make_cyclic_system(int seed, std::int64_t coverage_cycles,
+                              std::int64_t extra_slots = 0) {
   Rng rng(static_cast<std::uint64_t>(9000 + seed));
   const int m = 1 + seed % 3;
   const bool leave_slack = seed % 3 == 0;
-  const std::int64_t horizon = coverage_cycles * kPool;
+  const std::int64_t horizon = coverage_cycles * kPool + extra_slots;
   std::vector<Task> tasks;
   Rational util;
   const Rational cap =
@@ -522,6 +525,353 @@ TEST(CycleFastForward, MissingBasePlacementViolatesSpliceContract) {
                ContractViolation);
   EXPECT_THROW((void)measure_tardiness(sys, dcyc), ContractViolation);
   EXPECT_THROW((void)tardiness_values_ticks(sys, dcyc), ContractViolation);
+}
+
+/// Counts the violations of a report by where their subtask lies in an
+/// engaged compressed schedule, by start time: synthesized cycle 1,
+/// synthesized cycle m, the join into the tail (the last slot of cycle
+/// m or the first of the tail) and the tail.
+struct RegionHits {
+  int first = 0, last = 0, join = 0, tail = 0;
+
+  template <class Cyc>
+  void add(const Cyc& cyc, const ValidityReport& rep) {
+    const CycleStats& st = cyc.stats();
+    const std::int64_t q = kTicksPerSlot;
+    const std::int64_t t1 = st.detect_slot * q;
+    const std::int64_t c = st.cycle_slots * q;
+    const std::int64_t end = t1 + st.slots_skipped * q;
+    for (const Violation& v : rep.violations) {
+      if (!v.ref.valid()) continue;
+      const auto p = cyc.placement(v.ref);
+      std::int64_t at = 0;
+      if constexpr (std::is_same_v<decltype(p), const SlotPlacement>) {
+        if (!p.scheduled()) continue;
+        at = p.slot * q;
+      } else {
+        if (!p.placed) continue;
+        at = p.start.raw_ticks();
+      }
+      first += at >= t1 && at < t1 + c;
+      last += at >= end - c && at < end;
+      join += at >= end - q && at < end + q;
+      tail += at >= end;
+    }
+  }
+  void expect_all(const std::string& what) const {
+    EXPECT_GT(first, 0) << what;
+    EXPECT_GT(last, 0) << what;
+    EXPECT_GT(join, 0) << what;
+    EXPECT_GT(tail, 0) << what;
+  }
+};
+
+/// Geometry of the engaged cases a sweep compared: how many skipped one,
+/// two and at least three cycles, how many simulated a tail after the
+/// skipped window, and how many the once-per-cycle pass certified clean.
+struct GeometryHits {
+  int m1 = 0, m2 = 0, m3 = 0, tail = 0, certified = 0;
+
+  void add(const CycleStats& st, bool has_tail) {
+    m1 += st.cycles_skipped == 1;
+    m2 += st.cycles_skipped == 2;
+    m3 += st.cycles_skipped >= 3;
+    tail += has_tail;
+  }
+  void expect_all(const std::string& what) const {
+    EXPECT_GT(m1, 0) << what;
+    EXPECT_GT(m2, 0) << what;
+    EXPECT_GT(m3, 0) << what;
+    EXPECT_GT(tail, 0) << what;
+    EXPECT_GT(certified, 0) << what;
+  }
+};
+
+/// One sweep case: a system covering `coverage` pool periods plus
+/// `extra` slots, run to `horizon` (0: to completion).
+struct SweepCase {
+  std::int64_t coverage, extra, horizon;
+};
+// Complete runs whose coverage stops mid-cycle (a simulated tail after
+// the skipped cycles; clean schedules the pass certifies), and runs cut
+// at 2, 3 and 6.5 pool periods plus a few slots (with H | 24 these skip
+// one, two and several cycles; unscheduled subtasks in the tail).
+constexpr SweepCase kSweep[] = {{3, 5, 0},          {4, 7, 0},
+                                {9, 13, 0},         {8, 0, 2 * kPool + 5},
+                                {8, 0, 3 * kPool + 7}, {8, 0, 6 * kPool + 13}};
+
+std::string sweep_name(const char* model, int seed, const SweepCase& c) {
+  return std::string(model) + " seed " + std::to_string(seed) +
+         " coverage " + std::to_string(c.coverage) + "+" +
+         std::to_string(c.extra) + " horizon " + std::to_string(c.horizon);
+}
+
+// The once-per-cycle analyses of a compressed schedule — one synthesized
+// cycle walked, cycles 2..m accounted in closed form — report exactly
+// what the plain checkers report on the materialized schedule: the full
+// validity text and every tardiness field, `worst` included.  Seeded SFQ
+// and DVQ sweeps (all four policies; fixed yields of 1/4, 3/4 and a full
+// quantum) over geometries skipping one, two and several cycles with a
+// simulated tail; allowances of -1 and 0 (and a quantum for DVQ) put
+// violations in cycle 1, in cycle m, at the join into the tail and in
+// the tail, and leave clean schedules the pass certifies.
+TEST(CycleFastForward, CompressedAnalysisMatchesMaterializedAcrossGeometries) {
+  RegionHits sfq_regions;
+  GeometryHits sfq_geometry;
+  for (int seed = 0; seed < 24; ++seed) {
+    for (const SweepCase& c : kSweep) {
+      const TaskSystem sys = make_cyclic_system(seed, c.coverage, c.extra);
+      SfqOptions opts;
+      opts.policy = kAllPolicies[seed % 4];
+      opts.horizon_limit = c.horizon;
+      const CycleSchedule cyc = schedule_sfq_cyclic(sys, opts);
+      if (!cyc.stats().engaged) continue;
+      const std::string what = sweep_name("sfq", seed, c);
+      EXPECT_TRUE(cyc.repeats_exactly(sys)) << what;
+      const SlotSchedule flat = cyc.materialize(cyc.horizon());
+      sfq_geometry.add(cyc.stats(),
+                       cyc.stats().sim_slots > cyc.stats().detect_slot);
+      for (const std::int64_t allowance : {std::int64_t{-1}, std::int64_t{0}}) {
+        const ValidityReport rep = check_slot_schedule(sys, cyc, allowance);
+        EXPECT_EQ(rep.str(SIZE_MAX),
+                  check_slot_schedule(sys, flat, allowance).str(SIZE_MAX))
+            << what << " allowance " << allowance;
+        sfq_regions.add(cyc, rep);
+        sfq_geometry.certified += rep.valid();
+      }
+      expect_same_summary(measure_tardiness(sys, cyc),
+                          measure_tardiness(sys, flat), what);
+    }
+  }
+  sfq_regions.expect_all("sfq");
+  sfq_geometry.expect_all("sfq");
+
+  const FixedYield quarter(Time::slots_frac(0, 3, 4));
+  const FixedYield three_quarters(Time::slots_frac(0, 1, 4));
+  const FullQuantumYield full;
+  RegionHits dvq_regions;
+  GeometryHits dvq_geometry;
+  for (const YieldModel* y : std::initializer_list<const YieldModel*>{
+           &quarter, &three_quarters, &full}) {
+    for (int seed = 0; seed < 16; ++seed) {
+      for (const SweepCase& c : kSweep) {
+        const TaskSystem sys = make_cyclic_system(seed, c.coverage, c.extra);
+        DvqOptions opts;
+        opts.policy = kAllPolicies[seed % 4];
+        opts.horizon_limit = c.horizon;
+        const DvqCycleSchedule cyc = schedule_dvq_cyclic(sys, *y, opts);
+        if (!cyc.stats().engaged) continue;
+        const std::string what = sweep_name("dvq", seed, c) +
+                                 (y == &quarter          ? " cost 1/4"
+                                  : y == &three_quarters ? " cost 3/4"
+                                                         : " full");
+        EXPECT_TRUE(cyc.repeats_exactly(sys)) << what;
+        const DvqSchedule flat = cyc.materialize(
+            c.horizon > 0 ? c.horizon : default_horizon(sys));
+        dvq_geometry.add(cyc.stats(), cyc.stats().sim_slots >
+                                          cyc.stats().detect_slot);
+        for (const Time allowance : {Time() - kQuantum, Time(), kQuantum}) {
+          const ValidityReport rep = check_dvq_schedule(sys, cyc, allowance);
+          EXPECT_EQ(rep.str(SIZE_MAX),
+                    check_dvq_schedule(sys, flat, allowance).str(SIZE_MAX))
+              << what << " allowance " << allowance;
+          dvq_regions.add(cyc, rep);
+          dvq_geometry.certified += rep.valid();
+        }
+        expect_same_summary(measure_tardiness(sys, cyc),
+                            measure_tardiness(sys, flat), what);
+      }
+    }
+  }
+  dvq_regions.expect_all("dvq");
+  dvq_geometry.expect_all("dvq");
+}
+
+/// Splice geometry of a hand-built compressed schedule.
+CycleStats splice_stats(std::int64_t t0, std::int64_t cycle,
+                        std::int64_t cycles) {
+  CycleStats stats;
+  stats.engaged = true;
+  stats.prefix_slots = t0;
+  stats.cycle_slots = cycle;
+  stats.detect_slot = t0 + cycle;
+  stats.cycles_skipped = cycles;
+  stats.slots_skipped = cycles * cycle;
+  return stats;
+}
+
+/// One task on one processor, spliced by `splice` with its stored seqs
+/// at the listed slots (whole-quantum DVQ allocations at the same
+/// slots): the side check must reject it, and validity (at `allowance`
+/// slots) and tardiness must still equal the materialized schedule's,
+/// the validity report not being clean.
+void expect_side_check_rejects(
+    const Task& task, const CycleStats& stats, const TaskSplice& splice,
+    const std::vector<std::pair<std::int32_t, std::int64_t>>& placed,
+    std::int64_t allowance, const std::string& what) {
+  std::vector<Task> tasks{task};
+  const TaskSystem sys(std::move(tasks), 1);
+  SlotSchedule slots(sys);
+  DvqSchedule dvq(sys);
+  for (const auto& [seq, slot] : placed) {
+    slots.place(SubtaskRef{0, seq}, slot, 0);
+    dvq.place(SubtaskRef{0, seq}, Time::slots(slot), kQuantum, 0);
+  }
+  const CycleSchedule cyc(std::move(slots), stats, {splice}, true);
+  const DvqCycleSchedule dcyc(std::move(dvq), stats, {splice}, true);
+  EXPECT_FALSE(cyc.repeats_exactly(sys)) << what;
+  EXPECT_FALSE(dcyc.repeats_exactly(sys)) << what;
+  const SlotSchedule flat = cyc.materialize(cyc.horizon());
+  const DvqSchedule dflat = dcyc.materialize(cyc.horizon());
+  const ValidityReport rep = check_slot_schedule(sys, cyc, allowance);
+  EXPECT_FALSE(rep.valid()) << what;
+  EXPECT_EQ(rep.str(SIZE_MAX),
+            check_slot_schedule(sys, flat, allowance).str(SIZE_MAX))
+      << what;
+  EXPECT_EQ(check_dvq_schedule(sys, dcyc, Time::slots(allowance)).str(SIZE_MAX),
+            check_dvq_schedule(sys, dflat, Time::slots(allowance)).str(SIZE_MAX))
+      << what;
+  expect_same_summary(measure_tardiness(sys, cyc),
+                      measure_tardiness(sys, flat), what);
+  expect_same_summary(measure_tardiness(sys, dcyc),
+                      measure_tardiness(sys, dflat), what);
+}
+
+// A splice whose synthesized cycles do not repeat exactly fails the side
+// check and gets the full walk.  In every case the stored part and cycle
+// 1 are clean (at the given allowance), so only the side check keeps the
+// once-per-cycle pass from certifying the schedule.  Weight 1/4, one
+// subtask per cycle: with C = 3 the windows outrun the placements (seqs
+// 3 and 4 run before they are eligible); with C = 5 the placements
+// outrun the windows (seq 4 completes late, which only the tardiness sums
+// show).  Weight 1/2 with p | C but two subtasks per 2-slot cycle
+// (per_cycle·p != e·C): late base placements drift early until seq 6
+// runs before it is eligible.  Early-release raw weight 3/6, one subtask
+// per 2-slot cycle (per_cycle·p == e·C, but p does not divide C): the
+// windows repeat, the raw jobs of three subtasks do not, and seq 3 runs
+// before its job is released.
+TEST(CycleFastForward, SideCheckRejectsSplicesThatDoNotRepeat) {
+  const Task quarter = Task::periodic("T", Weight(1, 4), 32);
+  expect_side_check_rejects(quarter, splice_stats(0, 3, 4), {0, 1, 1, 4},
+                            {{0, 2}, {5, 20}, {6, 24}, {7, 28}}, 0, "C = 3");
+  expect_side_check_rejects(quarter, splice_stats(0, 5, 4), {0, 1, 1, 4},
+                            {{0, 0}, {5, 25}, {6, 26}, {7, 27}}, 0, "C = 5");
+  expect_side_check_rejects(
+      Task::periodic("T", Weight(1, 2), 20), splice_stats(6, 2, 2),
+      {1, 3, 2, 4}, {{0, 0}, {1, 6}, {2, 7}, {7, 14}, {8, 16}, {9, 18}}, 3,
+      "two subtasks per cycle");
+  expect_side_check_rejects(
+      Task::periodic("T", Weight(3, 6), 16).with_early_release(),
+      splice_stats(1, 2, 3), {1, 2, 1, 3},
+      {{0, 0}, {1, 1}, {5, 9}, {6, 12}, {7, 14}}, 0, "raw jobs drift");
+}
+
+/// A DVQ splice with a 2-slot cycle skipped three times (m = 3): tasks
+/// of weight 1/2 over 12 slots, each with base seq 0, synthesized seqs
+/// 1..3 and tail seqs 4 and 5, given as {start in quarter slots, proc}.
+DvqCycleSchedule hand_built_dvq_splice(
+    const TaskSystem& sys,
+    const std::vector<std::vector<std::pair<std::int64_t, int>>>& placed) {
+  CycleStats stats;
+  stats.engaged = true;
+  stats.prefix_slots = 0;
+  stats.cycle_slots = 2;
+  stats.detect_slot = 2;
+  stats.cycles_skipped = 3;
+  stats.slots_skipped = 6;
+  DvqSchedule dvq(sys);
+  std::vector<TaskSplice> splices;
+  for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
+    splices.push_back(TaskSplice{0, 1, 1, 3});
+    const auto& seqs = placed[static_cast<std::size_t>(k)];
+    const std::int32_t at[] = {0, 4, 5};
+    for (std::size_t i = 0; i < seqs.size(); ++i) {
+      dvq.place(SubtaskRef{k, at[i]},
+                Time::ticks(seqs[i].first * kTicksPerSlot / 4), kQuantum,
+                seqs[i].second);
+    }
+  }
+  return DvqCycleSchedule(std::move(dvq), stats, std::move(splices), true);
+}
+
+TaskSystem half_weight_tasks(int count, int procs) {
+  std::vector<Task> tasks;
+  for (int k = 0; k < count; ++k) {
+    tasks.push_back(Task::periodic("T" + std::to_string(k), Weight(1, 2), 12));
+  }
+  return TaskSystem(std::move(tasks), procs);
+}
+
+// The joins out of synthesized cycle m into the stored tail.  The only
+// violation of each hand-built splice sits there, so the once-per-cycle
+// pass finds it only through cycle m's last placements: task A's base
+// allocation [1.5, 2.5) straddles the detect boundary, so its cycle-m
+// copy [7.5, 8.5) straddles the tail boundary at slot 8.
+TEST(CycleFastForward, JoinIntoTheTailIsChecked) {
+  // One processor: B's tail allocation [8.25, 9.25) overlaps A's cycle-m
+  // copy — a lane overlap across the join.
+  const TaskSystem two = half_weight_tasks(2, 1);
+  const DvqCycleSchedule lane = hand_built_dvq_splice(
+      two, {{{6, 0}, {38, 0}, {46, 0}}, {{2, 0}, {33, 0}, {42, 0}}});
+  ASSERT_TRUE(lane.repeats_exactly(two));
+  const ValidityReport lane_rep = check_dvq_schedule(two, lane, kQuantum);
+  EXPECT_EQ(lane_rep.violations.size(), 1u) << lane_rep.str(SIZE_MAX);
+  EXPECT_EQ(lane_rep.str(SIZE_MAX),
+            check_dvq_schedule(two, lane.materialize(12), kQuantum)
+                .str(SIZE_MAX));
+
+  // Two processors: A's own tail seq 4 starts at 8.25, on the other
+  // processor, before its cycle-m predecessor completes at 8.5.
+  const TaskSystem one = half_weight_tasks(1, 2);
+  const DvqCycleSchedule self =
+      hand_built_dvq_splice(one, {{{6, 0}, {33, 1}, {42, 1}}});
+  ASSERT_TRUE(self.repeats_exactly(one));
+  const ValidityReport self_rep = check_dvq_schedule(one, self, kQuantum);
+  EXPECT_EQ(self_rep.violations.size(), 1u) << self_rep.str(SIZE_MAX);
+  EXPECT_EQ(self_rep.str(SIZE_MAX),
+            check_dvq_schedule(one, self.materialize(12), kQuantum)
+                .str(SIZE_MAX));
+}
+
+// A hand-built splice whose base cycle is rotated out of [t0, t1): base
+// seq 0 of a weight-1/2 task sits at slot 2 = t1, so each synthesized
+// cycle reaches one slot into the next and cycle m into the tail.  Every
+// subtask is within an allowance of one slot and nothing overlaps, but
+// the once-per-cycle pass cannot stand for this layout (synthesized slots
+// fall outside the slots it counts); it must hand over to the full walk
+// and report the same — not throw, not miscount.
+TEST(CycleFastForward, BaseCycleOutsideItsWindowGetsTheFullWalk) {
+  const TaskSystem sys = half_weight_tasks(1, 1);
+  CycleStats stats;
+  stats.engaged = true;
+  stats.cycle_slots = 2;
+  stats.detect_slot = 2;
+  stats.cycles_skipped = 3;
+  stats.slots_skipped = 6;
+  const std::vector<TaskSplice> splices = {TaskSplice{0, 1, 1, 3}};
+  SlotSchedule slots(sys);
+  DvqSchedule dvq(sys);
+  for (const auto& [seq, slot] : {std::pair<std::int32_t, std::int64_t>{0, 2},
+                                  {4, 9},
+                                  {5, 11}}) {
+    slots.place(SubtaskRef{0, seq}, slot, 0);
+    dvq.place(SubtaskRef{0, seq}, Time::slots(slot), kQuantum, 0);
+  }
+  const CycleSchedule cyc(std::move(slots), stats, splices, true);
+  const DvqCycleSchedule dcyc(std::move(dvq), stats, splices, true);
+  ASSERT_TRUE(cyc.repeats_exactly(sys));
+  ASSERT_TRUE(dcyc.repeats_exactly(sys));
+  for (const std::int64_t allowance : {std::int64_t{0}, std::int64_t{1}}) {
+    EXPECT_EQ(check_slot_schedule(sys, cyc, allowance).str(SIZE_MAX),
+              check_slot_schedule(sys, cyc.materialize(12), allowance)
+                  .str(SIZE_MAX));
+    const Time dallow = Time::slots(allowance);
+    EXPECT_EQ(check_dvq_schedule(sys, dcyc, dallow).str(SIZE_MAX),
+              check_dvq_schedule(sys, dcyc.materialize(12), dallow)
+                  .str(SIZE_MAX));
+  }
+  EXPECT_TRUE(check_slot_schedule(sys, cyc, 1).valid());
+  EXPECT_TRUE(check_dvq_schedule(sys, dcyc, kQuantum).valid());
 }
 
 // The generalized periodicity check and the online detector agree: a

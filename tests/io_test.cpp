@@ -6,6 +6,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/tardiness.hpp"
@@ -81,6 +82,41 @@ TEST(Table, CellFormatting) {
   EXPECT_EQ(cell(1.5, 2), "1.50");
   EXPECT_EQ(cell_ratio(1, 2, 3), "0.500");
   EXPECT_THROW((void)cell_ratio(1, 0), ContractViolation);
+}
+
+// Hostile nesting is a structured parse error, not a stack overflow: a
+// 200k-deep array or object throws ContractViolation naming the limit,
+// while nesting at the limit still parses.
+TEST(Json, DeepNestingIsAStructuredError) {
+  constexpr std::size_t kHostile = 200000;
+  for (const auto& [open, close] :
+       {std::pair<std::string, std::string>{"[", "]"},
+        std::pair<std::string, std::string>{"{\"a\":", "}"}}) {
+    std::string deep;
+    for (std::size_t i = 0; i < kHostile; ++i) deep += open;
+    deep += "0";
+    for (std::size_t i = 0; i < kHostile; ++i) deep += close;
+    try {
+      (void)parse_json(deep);
+      FAIL() << "expected a nesting error for " << open;
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  std::string at_limit(256, '[');
+  at_limit += std::string(256, ']');
+  const JsonValue v = parse_json(at_limit);
+  int depth = 0;
+  for (const JsonValue* p = &v; p != nullptr;
+       p = p->array.empty() ? nullptr : &p->array.front()) {
+    ASSERT_TRUE(p->is(JsonValue::Kind::kArray));
+    ++depth;
+  }
+  EXPECT_EQ(depth, 256);
+  EXPECT_THROW((void)parse_json(std::string(257, '[') + std::string(257, ']')),
+               ContractViolation);
 }
 
 TEST(Csv, EscapingRules) {

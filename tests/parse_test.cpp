@@ -1,6 +1,9 @@
 // Tests for the task-file parser behind the pfairsim CLI.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "analysis/tardiness.hpp"
 #include "io/parse.hpp"
 #include "sched/sfq_scheduler.hpp"
@@ -61,6 +64,63 @@ TEST(Parse, ErrorsCarryLineNumbers) {
   expect_error("processors 0\ntask a 1/2\n", "processor count");
   expect_error("task a 1/2\n", "missing 'processors'");
   expect_error("processors 2\n", "no tasks");
+}
+
+/// Parses `text` (which must parse) and expects build() to throw a
+/// ContractViolation whose message contains every needle.
+void expect_build_error(const std::string& text,
+                        const std::vector<std::string>& needles) {
+  const ParsedSystem p = parse_task_string(text);
+  try {
+    (void)p.build();
+    FAIL() << "expected build failure for: " << text;
+  } catch (const ContractViolation& e) {
+    for (const std::string& needle : needles) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// A phase near 2^63 used to overflow max_phase + 2 * hyperperiod in the
+// default horizon (signed overflow, then a "valid" run over no subtasks).
+TEST(Parse, HugePhaseOverflowingTheHorizonIsRejected) {
+  const std::string text =
+      "processors 1\n"
+      "task a 1/2\n"
+      "task b 1/3 phase=9223372036854775807\n";
+  expect_build_error(text, {"line 3", "phase 9223372036854775807"});
+  EXPECT_THROW((void)parse_task_string(text).effective_horizon(),
+               ContractViolation);
+  // A huge period no longer overflows the hyperperiod either: the
+  // default horizon is capped.
+  const ParsedSystem wide = parse_task_string(
+      "processors 1\ntask a 1/3\ntask b 1/9223372036854775807\n");
+  EXPECT_EQ(wide.effective_horizon(), 4096);
+  // With an explicit horizon the phase only delays the task.
+  const ParsedSystem late = parse_task_string(
+      "processors 1\nhorizon 8\ntask a 1/2\n"
+      "task b 1/3 phase=9223372036854775807\n");
+  EXPECT_EQ(late.build().task(1).num_subtasks(), 0);
+}
+
+// jobs * e (the subtask count) and phase + jobs * p (the last deadline)
+// are checked before the finite task is built.
+TEST(Parse, JobCountOverflowIsRejected) {
+  expect_build_error(
+      "processors 1\n"
+      "task a 1/2\n"
+      "\n"
+      "task b 3/4 jobs=4611686018427387904\n",
+      {"line 4", "jobs=4611686018427387904", "overflows"});
+  expect_build_error(
+      "processors 1\n"
+      "task b 1/4 jobs=3 phase=9223372036854775800\n",
+      {"line 2", "overflows"});
+  // In range, the same options still build.
+  const TaskSystem ok =
+      parse_task_string("processors 1\ntask b 3/4 jobs=2 phase=7\n").build();
+  EXPECT_EQ(ok.task(0).num_subtasks(), 6);
 }
 
 TEST(Parse, EffectiveHorizonIsTwoHyperperiods) {

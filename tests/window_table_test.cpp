@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -186,6 +187,66 @@ TEST(SubtaskCursor, MatchesSubtaskAtForEveryTaskKind) {
     SubtaskCursor cur(*t);
     for (std::int64_t s = 0; s < t->num_subtasks(); ++s) (void)cur.next();
     EXPECT_THROW((void)cur.next(), ContractViolation) << t->name();
+  }
+}
+
+/// A cursor that alternates skip(n) over a cycling list of lengths with
+/// one next() reads, after each skip, exactly the subtask_at of the seq
+/// that many next() calls would have reached.
+void expect_skip_matches_repeated_next(const Task& task) {
+  constexpr std::int64_t kSkips[] = {0, 1, 3, 7, 2, 13, 5};
+  SubtaskCursor cur(task);
+  std::int64_t seq = 0;
+  for (std::size_t i = 0;; ++i) {
+    const std::int64_t n = kSkips[i % std::size(kSkips)];
+    if (seq + n >= task.num_subtasks()) break;
+    cur.skip(n);
+    seq += n;
+    const Subtask a = cur.next();
+    const Subtask b = task.subtask_at(seq++);
+    const std::string at = task.name() + " " + task.weight().str() +
+                           (task.early_release() ? " ER" : "") + " seq " +
+                           std::to_string(seq - 1);
+    ASSERT_EQ(a.index, b.index) << at;
+    ASSERT_EQ(a.theta, b.theta) << at;
+    ASSERT_EQ(a.release, b.release) << at;
+    ASSERT_EQ(a.deadline, b.deadline) << at;
+    ASSERT_EQ(a.eligible, b.eligible) << at;
+    ASSERT_EQ(a.bbit, b.bbit) << at;
+    ASSERT_EQ(a.group_deadline, b.group_deadline) << at;
+  }
+  // Skipping to the end leaves nothing to read; past it is a violation.
+  SubtaskCursor end(task);
+  EXPECT_THROW(end.skip(task.num_subtasks() + 1), ContractViolation);
+  end.skip(task.num_subtasks());
+  EXPECT_THROW((void)end.next(), ContractViolation);
+}
+
+// skip() is pinned to repeated next() over the same task kinds: skips of
+// 0..13 subtasks cross job and window-table period boundaries (raw and
+// reducible pairs, early release keyed on the raw e), flyweight and
+// materialized, plus IS and GIS tasks.
+TEST(SubtaskCursor, SkipMatchesRepeatedNext) {
+  WindowTableCache cache;
+  for (const Weight& w : weight_universe(16)) {
+    for (const std::int64_t phase : {std::int64_t{0}, std::int64_t{5}}) {
+      const std::int64_t horizon = phase + 9 * w.p + w.p / 2 + 1;
+      const Task fly = Task::periodic_phased("f", w, phase, horizon, &cache);
+      const Task eager = Task::periodic_phased_eager("e", w, phase, horizon);
+      for (const Task* t : {&fly, &eager}) {
+        expect_skip_matches_repeated_next(*t);
+        expect_skip_matches_repeated_next(t->with_early_release());
+      }
+    }
+  }
+  const Task is = Task::intra_sporadic("is", Weight(5, 7), {0, 0, 2, 2, 3, 7},
+                                       41);
+  const Task gis = Task::gis("gis", Weight(8, 11),
+                             {{1, 0, -1}, {2, 0, 0}, {4, 1, -1}, {5, 1, 5},
+                              {9, 3, -1}, {10, 3, -1}, {14, 4, 18}});
+  for (const Task* t : {&is, &gis}) {
+    expect_skip_matches_repeated_next(*t);
+    expect_skip_matches_repeated_next(t->with_early_release());
   }
 }
 
