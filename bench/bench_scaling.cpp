@@ -698,7 +698,7 @@ int run_bench(pfair::bench::BenchContext& ctx) {
         best_ms(reps, [&] { cyc.emplace(schedule_sfq_cyclic(sys, copts)); });
     cycle_engaged &= cyc->stats().engaged;
     cycle_identical &=
-        same_sfq(full, cyc->materialize(fopts.horizon_limit), sys);
+        same_sfq(full, cyc->materialize(), sys);
     cycle_sfq_speedup = full_ms / std::max(ff_ms, 1e-9);
 
     const FullQuantumYield yields;
@@ -715,7 +715,7 @@ int run_bench(pfair::bench::BenchContext& ctx) {
         reps, [&] { dcyc.emplace(schedule_dvq_cyclic(sys, yields, dcopts)); });
     cycle_engaged &= dcyc->stats().engaged;
     cycle_identical &=
-        same_dvq(dfull, dcyc->materialize(dfopts.horizon_limit), sys);
+        same_dvq(dfull, dcyc->materialize(), sys);
     cycle_dvq_speedup = dfull_ms / std::max(dff_ms, 1e-9);
 
     ctx.value("cycle.sfq_full_ms", full_ms);

@@ -17,7 +17,9 @@
 
 namespace pfair {
 
-class CycleSchedule;  // sched/compressed_schedule.hpp
+template <class Stored>
+class SplicedSchedule;  // sched/compressed_schedule.hpp
+using CycleSchedule = SplicedSchedule<SlotSchedule>;
 
 /// lag(T, t) for one task at a slot boundary, using the task's fluid rate
 /// wt(T) from time 0 (meaningful for synchronous periodic tasks).

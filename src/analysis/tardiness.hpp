@@ -14,8 +14,10 @@
 
 namespace pfair {
 
-class CycleSchedule;     // sched/compressed_schedule.hpp
-class DvqCycleSchedule;  // dvq/dvq_cycle.hpp
+template <class Stored>
+class SplicedSchedule;  // sched/compressed_schedule.hpp
+using CycleSchedule = SplicedSchedule<SlotSchedule>;
+using DvqCycleSchedule = SplicedSchedule<DvqSchedule>;  // dvq/dvq_cycle.hpp
 
 /// Tardiness summary of one run.  Slot schedules report in whole slots;
 /// DVQ schedules in ticks (one quantum = kTicksPerSlot ticks).

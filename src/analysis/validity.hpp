@@ -19,8 +19,10 @@
 
 namespace pfair {
 
-class CycleSchedule;     // sched/compressed_schedule.hpp
-class DvqCycleSchedule;  // dvq/dvq_cycle.hpp
+template <class Stored>
+class SplicedSchedule;  // sched/compressed_schedule.hpp
+using CycleSchedule = SplicedSchedule<SlotSchedule>;
+using DvqCycleSchedule = SplicedSchedule<DvqSchedule>;  // dvq/dvq_cycle.hpp
 
 /// One violation, with a human-readable description.
 struct Violation {

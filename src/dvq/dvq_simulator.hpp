@@ -98,9 +98,10 @@ class DvqSimulator {
   /// events < boundary processed, none at or after), in which task k
   /// starts exactly `cycle_allocs[k]` subtasks.  Counters and event
   /// times jump by the cycle length; the pending/ready partition is
-  /// rebuilt relative to the shifted boundary.  Callers
-  /// (dvq/dvq_cycle.cpp) must have proved the recurrence via
-  /// fingerprints.  Requires an uninstrumented simulator.
+  /// rebuilt relative to the shifted boundary.  The caller, the shared
+  /// fast-forward driver (detail::fast_forward, sched/fast_forward.hpp),
+  /// has proved the recurrence via fingerprints.  Requires an
+  /// uninstrumented simulator.
   void warp(std::int64_t cycles, std::int64_t cycle_slots,
             const std::vector<std::int64_t>& cycle_allocs,
             std::int64_t boundary_slot);

@@ -1,9 +1,11 @@
-// Cycle-compressed SFQ schedules — the representation half of
-// steady-state fast-forward (detection lives in sched/state_hash.hpp).
+// Cycle-compressed schedules — the representation half of steady-state
+// fast-forward, one type for both models (detection: sched/state_hash.hpp
+// for SFQ, dvq/dvq_cycle.hpp for DVQ; the one probe-and-warp driver:
+// sched/fast_forward.hpp).
 //
 // Once the simulator state at boundary t1 is proven equal to the state
-// at t0 (< t1), the slots [t0, t1) repeat verbatim forever: instead of
-// simulating m further cycles, `schedule_sfq_cyclic` *warps* the live
+// at t0 (< t1), the schedule over [t0, t1) repeats verbatim forever:
+// instead of simulating m further cycles, the driver *warps* the live
 // simulator m cycles ahead and resumes real simulation for the tail.
 // The warp cap — no task may exhaust its finite subtask sequence inside
 // the skipped region — is what makes the splice exact: a finite run
@@ -11,17 +13,18 @@
 // runs dry and frees contention, and every slot from that point on is
 // simulated for real.
 //
-// The result is a `CycleSchedule`: the inner SlotSchedule holds the real
-// prefix [0, t1) and the real tail [t1 + m*C, ...); placements inside
-// the skipped window are synthesized on demand by shifting their
-// base-cycle counterparts j*C slots (same processor — the decision
-// sequence is identical, so the processor assignment is too).  The
-// class satisfies the SlotSchedule accessor surface, so the validity /
-// lag / tardiness analyses and the InvariantAuditor consume it
-// unchanged.  Building and storing a CycleSchedule is
-// O(prefix + cycle + tail + tasks) regardless of the horizon, and so
-// are validity and tardiness: when an O(tasks) side check shows every
-// task's windows shift by exactly one cycle per cycle
+// The result is a `SplicedSchedule<Stored>` — `CycleSchedule` over a
+// SlotSchedule, `DvqCycleSchedule` over a DvqSchedule.  The stored
+// schedule holds the real prefix [0, t1) and the real tail
+// [t1 + m*C, ...); placements inside the skipped window are synthesized
+// on demand by shifting their base-cycle counterparts j*C slots (same
+// processor and cost — the decision sequence is identical, so the
+// processor assignment is too).  The class mirrors the stored type's
+// read surface, so the validity / lag / tardiness analyses and the
+// InvariantAuditor consume it unchanged.  Building and storing a
+// spliced schedule is O(prefix + cycle + tail + tasks) regardless of
+// the horizon, and so are validity and tardiness: when an O(tasks) side
+// check shows every task's windows shift by exactly one cycle per cycle
 // (`repeats_exactly`), they walk each task once per cycle
 // (`walk_task_once`: stored prefix and base cycle, synthesized cycle 1,
 // the stored tail) and account for cycles 2..m in closed form.
@@ -30,12 +33,14 @@
 // `walk_task` (each skipped cycle one shifted run over the stored base
 // cycle, O(subtasks)), which builds the report — the same bytes either
 // way.  Random access (lag, the auditor replay, `slot_contents`)
-// resolves `placement()` on demand; `materialize(h)` expands to a plain
-// SlotSchedule for the reference oracles.
+// resolves `placement()` on demand; `materialize()` expands to a plain
+// stored schedule for the reference oracles.
 #pragma once
 
 #include <algorithm>
+#include <concepts>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/assert.hpp"
@@ -69,7 +74,7 @@ struct CycleStats {
   std::int64_t sim_slots = 0;
 };
 
-/// Where a placement visited by `walk_splice_once` lies in its task's
+/// Where a placement visited by `walk_task_once` lies in its task's
 /// spliced sequence.
 enum class SpliceRegion {
   kPrefix,  ///< stored, before the base cycle
@@ -79,57 +84,284 @@ enum class SpliceRegion {
   kTail,    ///< stored, after the last synthesized cycle
 };
 
-namespace detail {
+/// What a stored schedule type supplies to SplicedSchedule: its
+/// placement type, the unit a shift of one slot is counted in, the
+/// synthesized copy of a base placement, whether a base placement
+/// reaches past its cycle's end (`straddles`, for walk_task_once), the
+/// schedule's end (SFQ horizon(), DVQ makespan()) and a placement's.
+/// Specialized here for SlotSchedule and in dvq/dvq_cycle.hpp for
+/// DvqSchedule.
+template <class Stored>
+struct SpliceTraits;
 
-/// The seq-order walk of one spliced task, shared by both compressed
-/// schedule types: the stored prefix, then the base cycle once per
-/// synthesized cycle j = 1, 2, ... as `shifted(base, j * cycle_slots)`,
-/// then the stored tail.  No division per subtask: the cycle index and
-/// its shift advance once per cycle.
-template <class Stored, class Shift, class F>
-void walk_splice(const Stored& stored, std::int64_t task,
-                 const TaskSplice& sp, std::int64_t cycle_slots,
-                 Shift shifted, F& f) {
-  stored.walk_seqs(task, 0, sp.skip_begin, f);
-  auto seq = static_cast<std::int32_t>(sp.skip_begin);
-  std::int64_t shift = cycle_slots;
-  for (std::int64_t off = 0; off < sp.skip_count; off += sp.per_cycle) {
-    const std::int64_t len = std::min(sp.per_cycle, sp.skip_count - off);
-    stored.walk_seqs(task, sp.cycle_begin, sp.cycle_begin + len,
-                     [&](std::int32_t, const auto& base) {
-                       f(seq++, shifted(base, shift));
-                     });
-    shift += cycle_slots;
+template <>
+struct SpliceTraits<SlotSchedule> {
+  using Placement = SlotPlacement;
+  static constexpr std::int64_t kUnit = 1;  ///< one slot, in slots
+
+  static SlotPlacement shifted(const SlotPlacement& base, std::int64_t shift) {
+    PFAIR_REQUIRE(base.scheduled(), "base cycle placement missing");
+    return SlotPlacement{base.slot + shift, base.proc};
   }
-  stored.walk_seqs(task, sp.skip_begin + sp.skip_count,
-                   stored.num_subtasks(task), f);
+  /// A slot never reaches past its cycle's end.
+  static bool straddles(const SlotPlacement&, std::int64_t /*cycle_end*/) {
+    return false;
+  }
+  static std::int64_t end(const SlotSchedule& s) { return s.horizon(); }
+  static std::int64_t end(const SlotPlacement& p) { return p.slot + 1; }
+  static void place(SlotSchedule& out, const SubtaskRef& ref,
+                    const SlotPlacement& p) {
+    out.place(ref, p.slot, p.proc);
+  }
+};
+
+template <class Stored>
+class SplicedSchedule;
+
+namespace detail {
+template <class Model, class Opts, class... SimArgs>
+SplicedSchedule<typename Model::Stored> fast_forward(
+    const TaskSystem& sys, const Opts& opts, bool probe,
+    const SimArgs&... sim_args);
+}  // namespace detail
+
+/// A schedule stored as real prefix + one stored cycle + repeat count +
+/// real tail.  Mirrors the `Stored` read surface (placement by value —
+/// synthesized placements have no storage to reference); SFQ-only
+/// members are constrained to SlotSchedule.
+template <class Stored>
+class SplicedSchedule {
+  using Traits = SpliceTraits<Stored>;
+
+ public:
+  using Placement = typename Traits::Placement;
+  /// The type of the schedule's end: slots (SFQ) or a Time (DVQ).
+  using End = decltype(Traits::end(std::declval<const Stored&>()));
+
+  /// A plain (non-engaged) wrapping of a fully stored schedule.
+  explicit SplicedSchedule(Stored inner)
+      : inner_(std::move(inner)),
+        end_(Traits::end(inner_)),
+        complete_(inner_.complete()) {}
+  /// A splice (unengaged when !stats.engaged, `splices` then unread).
+  /// `complete` is the simulator's own completion verdict (every subtask
+  /// placed), which the constructor cannot recount without O(horizon)
+  /// work.
+  SplicedSchedule(Stored inner, CycleStats stats,
+                  std::vector<TaskSplice> splices, bool complete);
+
+  [[nodiscard]] Placement placement(const SubtaskRef& ref) const {
+    if (!stats_.engaged) return inner_.placement(ref);
+    const TaskSplice& sp = splices_[static_cast<std::size_t>(ref.task)];
+    if (ref.seq < sp.skip_begin || ref.seq >= sp.skip_begin + sp.skip_count) {
+      return inner_.placement(ref);
+    }
+    return synthesized(inner_, ref.task, sp, ref.seq - sp.skip_begin);
+  }
+  /// Visits every placement of `task` in seq order, f(seq, placement):
+  /// the stored prefix, the base cycle once per skipped cycle shifted
+  /// whole cycles later, then the stored tail.  No division per subtask:
+  /// the cycle's shift advances once per cycle.  Every synthesized read
+  /// keeps placement()'s "base cycle placement missing" contract.
+  template <class F>
+  void walk_task(std::int64_t task, F&& f) const {
+    if (!stats_.engaged) return inner_.walk_task(task, f);
+    PFAIR_REQUIRE(task >= 0 && task < num_tasks(), "bad task " << task);
+    const TaskSplice& sp = splices_[static_cast<std::size_t>(task)];
+    inner_.walk_seqs(task, 0, sp.skip_begin, f);
+    auto seq = static_cast<std::int32_t>(sp.skip_begin);
+    std::int64_t shift = cycle_shift();
+    for (std::int64_t off = 0; off < sp.skip_count; off += sp.per_cycle) {
+      const std::int64_t len = std::min(sp.per_cycle, sp.skip_count - off);
+      inner_.walk_seqs(task, sp.cycle_begin, sp.cycle_begin + len,
+                       [&](std::int32_t, const auto& base) {
+                         f(seq++, Traits::shifted(base, shift));
+                       });
+      shift += cycle_shift();
+    }
+    inner_.walk_seqs(task, sp.skip_begin + sp.skip_count,
+                     inner_.num_subtasks(task), f);
+  }
+  /// True iff `walk_task_once` stands exactly for `walk_task` on `sys`:
+  /// the stored schedule is shaped like `sys`, every task is periodic,
+  /// and each task's splice advances exactly one cycle of windows per
+  /// cycle — per_cycle·p == e·C with p | C, so synthesized cycle j + 1
+  /// repeats cycle j shifted C slots, subtask windows included.  O(tasks).
+  [[nodiscard]] bool repeats_exactly(const TaskSystem& sys) const;
+  /// The once-per-cycle walk of `task`, for splices that pass
+  /// `repeats_exactly`: the stored prefix and base cycle, synthesized
+  /// cycle 1, then `elide(count, last)` standing for cycles 2..m
+  /// (`count` seqs, `last` the placement of the final synthesized seq),
+  /// then the stored tail — f(seq, placement, region) in seq order.
+  /// Cycle m's copies of base placements that complete after the detect
+  /// boundary (they reach into the tail; never a slot, only a DVQ
+  /// allocation) are visited too, as kLast, interleaved with cycle 1 and
+  /// out of seq order.  O(prefix + cycle + tail) per task, whatever m.
+  template <class F, class Elide>
+  void walk_task_once(std::int64_t task, F&& f, Elide&& elide) const {
+    PFAIR_REQUIRE(task >= 0 && task < num_tasks(), "bad task " << task);
+    const TaskSplice& sp = splices_[static_cast<std::size_t>(task)];
+    const auto region = [&f](SpliceRegion r) {
+      return [&f, r](std::int32_t s, const auto& p) { f(s, p, r); };
+    };
+    inner_.walk_seqs(task, 0, sp.cycle_begin, region(SpliceRegion::kPrefix));
+    inner_.walk_seqs(task, sp.cycle_begin, sp.skip_begin,
+                     region(SpliceRegion::kBase));
+    const std::int64_t cycles = stats_.cycles_skipped, shift = cycle_shift();
+    const std::int64_t cycle_end = stats_.detect_slot * Traits::kUnit;
+    const std::int64_t last_offset = sp.skip_count - sp.per_cycle;
+    auto seq = static_cast<std::int32_t>(sp.skip_begin);
+    inner_.walk_seqs(
+        task, sp.cycle_begin, sp.skip_begin,
+        [&](std::int32_t, const auto& base) {
+          f(seq, Traits::shifted(base, shift), SpliceRegion::kFirst);
+          if (cycles > 1 && Traits::straddles(base, cycle_end)) {
+            f(static_cast<std::int32_t>(seq + last_offset),
+              Traits::shifted(base, cycles * shift), SpliceRegion::kLast);
+          }
+          ++seq;
+        });
+    const auto last_base = inner_.placement(
+        SubtaskRef{static_cast<std::int32_t>(task),
+                   static_cast<std::int32_t>(sp.skip_begin - 1)});
+    elide(last_offset, Traits::shifted(last_base, cycles * shift));
+    inner_.walk_seqs(task, sp.skip_begin + sp.skip_count,
+                     inner_.num_subtasks(task), region(SpliceRegion::kTail));
+  }
+  [[nodiscard]] bool complete() const { return complete_; }
+  /// One past the latest occupied slot, synthesized slots included.
+  [[nodiscard]] std::int64_t horizon() const
+    requires std::same_as<Stored, SlotSchedule>
+  {
+    return end_;
+  }
+  /// The latest completion, synthesized allocations included.
+  [[nodiscard]] End makespan() const
+    requires(!std::same_as<Stored, SlotSchedule>)
+  {
+    return end_;
+  }
+  [[nodiscard]] std::int64_t completion_slot(const SubtaskRef& ref) const
+    requires std::same_as<Stored, SlotSchedule>
+  {
+    const SlotPlacement pl = placement(ref);
+    PFAIR_REQUIRE(pl.scheduled(), "completion_slot of unscheduled subtask");
+    return pl.slot + 1;
+  }
+  /// All subtasks placed in `slot`, ordered by processor.
+  [[nodiscard]] std::vector<SubtaskRef> slot_contents(std::int64_t slot) const
+    requires std::same_as<Stored, SlotSchedule>;
+  [[nodiscard]] std::int64_t num_tasks() const { return inner_.num_tasks(); }
+  [[nodiscard]] std::int64_t num_subtasks(std::int64_t task) const {
+    return inner_.num_subtasks(task);
+  }
+
+  [[nodiscard]] const CycleStats& stats() const { return stats_; }
+  /// The physically stored placements (prefix + base cycle + tail).
+  [[nodiscard]] const Stored& stored() const { return inner_; }
+
+  /// Expands into a plain schedule holding every placement, stored and
+  /// synthesized.  O(subtasks); the rvalue form reuses the stored one.
+  [[nodiscard]] Stored materialize() const& {
+    Stored out = inner_;
+    synthesize_into(out);
+    return out;
+  }
+  [[nodiscard]] Stored materialize() && {
+    Stored out = std::move(inner_);
+    synthesize_into(out);
+    return out;
+  }
+
+ private:
+  template <class Model, class Opts, class... SimArgs>
+  friend SplicedSchedule<typename Model::Stored> detail::fast_forward(
+      const TaskSystem&, const Opts&, bool, const SimArgs&...);
+
+  [[nodiscard]] std::int64_t cycle_shift() const {
+    return stats_.cycle_slots * Traits::kUnit;
+  }
+  /// Synthesized seq skip_begin + `off` of `task`: its base copy in
+  /// `from`, shifted the whole cycles in between.
+  [[nodiscard]] Placement synthesized(const Stored& from, std::int32_t task,
+                                      const TaskSplice& sp,
+                                      std::int64_t off) const {
+    const auto base = static_cast<std::int32_t>(sp.cycle_begin +
+                                                off % sp.per_cycle);
+    return Traits::shifted(from.placement(SubtaskRef{task, base}),
+                           (off / sp.per_cycle + 1) * cycle_shift());
+  }
+  /// Places every synthesized seq into `out`, which holds the stored
+  /// placements (the base copies it reads).
+  void synthesize_into(Stored& out) const {
+    if (!stats_.engaged) return;
+    for (std::size_t k = 0; k < splices_.size(); ++k) {
+      const TaskSplice& sp = splices_[k];
+      const auto task = static_cast<std::int32_t>(k);
+      for (std::int64_t off = 0; off < sp.skip_count; ++off) {
+        const SubtaskRef ref{task,
+                             static_cast<std::int32_t>(sp.skip_begin + off)};
+        Traits::place(out, ref, synthesized(out, task, sp, off));
+      }
+    }
+  }
+
+  Stored inner_;
+  CycleStats stats_;
+  std::vector<TaskSplice> splices_;  // one per task; empty if !engaged
+  End end_;
+  bool complete_ = false;
+};
+
+template <class Stored>
+SplicedSchedule<Stored>::SplicedSchedule(Stored inner, CycleStats stats,
+                                         std::vector<TaskSplice> splices,
+                                         bool complete)
+    : inner_(std::move(inner)),
+      stats_(stats),
+      splices_(std::move(splices)),
+      end_(Traits::end(inner_)),
+      complete_(complete) {
+  if (!stats_.engaged) return;
+  PFAIR_REQUIRE(static_cast<std::int64_t>(splices_.size()) ==
+                    inner_.num_tasks(),
+                "one splice per task required");
+  // The stored end misses the synthesized placements whenever the run
+  // ended exactly at (or inside) the skipped window; fold in each task's
+  // last synthesized placement.
+  for (std::size_t k = 0; k < splices_.size(); ++k) {
+    const TaskSplice& sp = splices_[k];
+    const auto task = static_cast<std::int32_t>(k);
+    PFAIR_REQUIRE(sp.skip_begin >= 0 && sp.skip_count >= 0 &&
+                      sp.skip_begin + sp.skip_count <=
+                          inner_.num_subtasks(task) &&
+                      (sp.skip_count == 0 || sp.per_cycle > 0),
+                  "splice of task " << k << " out of range");
+    if (sp.skip_count == 0) continue;
+    end_ = std::max(end_, Traits::end(synthesized(inner_, task, sp,
+                                                  sp.skip_count - 1)));
+  }
 }
 
-/// The side check that makes `walk_splice_once` exact: the stored
-/// schedule is shaped like `sys`, every task is periodic, and each
-/// task's splice advances exactly one cycle of windows per cycle —
-/// per_cycle·p == e·C with p | C, so synthesized cycle j + 1 repeats
-/// cycle j shifted C slots, subtask windows included.  O(tasks).
 template <class Stored>
-bool splices_repeat(const TaskSystem& sys, const Stored& stored,
-                    const CycleStats& st,
-                    const std::vector<TaskSplice>& splices) {
-  const std::int64_t m = st.cycles_skipped, c = st.cycle_slots;
+bool SplicedSchedule<Stored>::repeats_exactly(const TaskSystem& sys) const {
+  const std::int64_t m = stats_.cycles_skipped, c = stats_.cycle_slots;
   std::int64_t skipped = 0;
-  if (!st.engaged || m < 1 || c < 1 ||
-      st.detect_slot - st.prefix_slots != c ||
-      __builtin_mul_overflow(m, c, &skipped) || skipped != st.slots_skipped ||
-      sys.num_tasks() != stored.num_tasks()) {
+  if (!stats_.engaged || m < 1 || c < 1 ||
+      stats_.detect_slot - stats_.prefix_slots != c ||
+      __builtin_mul_overflow(m, c, &skipped) ||
+      skipped != stats_.slots_skipped ||
+      sys.num_tasks() != inner_.num_tasks()) {
     return false;
   }
   for (std::int64_t k = 0; k < sys.num_tasks(); ++k) {
     const Task& task = sys.task(k);
     const Weight& w = task.weight();
-    const TaskSplice& sp = splices[static_cast<std::size_t>(k)];
+    const TaskSplice& sp = splices_[static_cast<std::size_t>(k)];
     std::int64_t windows = 0, quanta = 0, count = 0;
     if ((task.kind() != TaskKind::kPeriodic &&
          task.kind() != TaskKind::kSporadic) ||
-        task.num_subtasks() != stored.num_subtasks(k) || sp.per_cycle < 1 ||
+        task.num_subtasks() != inner_.num_subtasks(k) || sp.per_cycle < 1 ||
         sp.skip_begin - sp.cycle_begin != sp.per_cycle || c % w.p != 0 ||
         __builtin_mul_overflow(sp.per_cycle, w.p, &windows) ||
         __builtin_mul_overflow(w.e, c, &quanta) || windows != quanta ||
@@ -141,125 +373,32 @@ bool splices_repeat(const TaskSystem& sys, const Stored& stored,
   return true;
 }
 
-/// The once-per-cycle walk of one spliced task, for splices that pass
-/// `splices_repeat`: the stored prefix and base cycle, synthesized cycle
-/// 1, then `elide(count, last)` standing for cycles 2..m (`count` seqs,
-/// `last` the placement of the final synthesized seq), then the stored
-/// tail — f(seq, placement, region) in seq order.  Cycle m's placements
-/// for which `straddles(base)` holds (they reach past the cycle's end
-/// into the tail) are visited too, as kLast, interleaved with cycle 1
-/// and out of seq order.  O(prefix + cycle + tail) per task, whatever m.
-template <class Stored, class Shift, class Straddles, class F, class Elide>
-void walk_splice_once(const Stored& stored, std::int64_t task,
-                      const TaskSplice& sp, std::int64_t cycles,
-                      std::int64_t cycle_shift, Shift shifted,
-                      Straddles straddles, F& f, Elide& elide) {
-  const auto region = [&](SpliceRegion r) {
-    return [&f, r](std::int32_t s, const auto& p) { f(s, p, r); };
-  };
-  stored.walk_seqs(task, 0, sp.cycle_begin, region(SpliceRegion::kPrefix));
-  stored.walk_seqs(task, sp.cycle_begin, sp.skip_begin,
-                   region(SpliceRegion::kBase));
-  const std::int64_t last_offset = sp.skip_count - sp.per_cycle;
-  auto seq = static_cast<std::int32_t>(sp.skip_begin);
-  stored.walk_seqs(task, sp.cycle_begin, sp.skip_begin,
-                   [&](std::int32_t, const auto& base) {
-                     f(seq, shifted(base, cycle_shift), SpliceRegion::kFirst);
-                     if (cycles > 1 && straddles(base)) {
-                       f(static_cast<std::int32_t>(seq + last_offset),
-                         shifted(base, cycles * cycle_shift),
-                         SpliceRegion::kLast);
-                     }
-                     ++seq;
-                   });
-  const auto last_base = stored.placement(
-      SubtaskRef{static_cast<std::int32_t>(task),
-                 static_cast<std::int32_t>(sp.skip_begin - 1)});
-  elide(last_offset, shifted(last_base, cycles * cycle_shift));
-  stored.walk_seqs(task, sp.skip_begin + sp.skip_count,
-                   stored.num_subtasks(task), region(SpliceRegion::kTail));
+template <class Stored>
+std::vector<SubtaskRef> SplicedSchedule<Stored>::slot_contents(
+    std::int64_t slot) const
+  requires std::same_as<Stored, SlotSchedule>
+{
+  const std::int64_t skip_lo = stats_.detect_slot;
+  const std::int64_t skip_hi = stats_.detect_slot + stats_.slots_skipped;
+  if (!stats_.engaged || slot < skip_lo || slot >= skip_hi) {
+    return inner_.slot_contents(slot);
+  }
+  // A synthesized slot: its contents are the base cycle slot's, with
+  // every seq advanced by the number of whole cycles in between.
+  const std::int64_t j = (slot - skip_lo) / stats_.cycle_slots;
+  const std::int64_t base_slot =
+      stats_.prefix_slots + (slot - skip_lo) % stats_.cycle_slots;
+  std::vector<SubtaskRef> refs = inner_.slot_contents(base_slot);
+  for (SubtaskRef& ref : refs) {
+    const TaskSplice& sp = splices_[static_cast<std::size_t>(ref.task)];
+    ref.seq = static_cast<std::int32_t>(sp.skip_begin + j * sp.per_cycle +
+                                        (ref.seq - sp.cycle_begin));
+  }
+  return refs;
 }
 
-}  // namespace detail
-
-/// A schedule stored as real prefix + one stored cycle + repeat count +
-/// real tail.  Mirrors the SlotSchedule read surface (placement by
-/// value — synthesized placements have no storage to reference).
-class CycleSchedule {
- public:
-  /// A plain (non-engaged) wrapping of a fully stored schedule.
-  explicit CycleSchedule(SlotSchedule inner);
-  /// An engaged splice.  `complete` is the simulator's own completion
-  /// verdict (every subtask placed), which the constructor cannot
-  /// recount without O(horizon) work.
-  CycleSchedule(SlotSchedule inner, CycleStats stats,
-                std::vector<TaskSplice> splices, bool complete);
-
-  [[nodiscard]] SlotPlacement placement(const SubtaskRef& ref) const;
-  /// Visits every placement of `task` in seq order, f(seq, placement):
-  /// the stored prefix, the base cycle once per skipped cycle shifted
-  /// whole cycles later, then the stored tail.  Every synthesized read
-  /// keeps placement()'s "base cycle placement missing" contract.
-  template <class F>
-  void walk_task(std::int64_t task, F&& f) const {
-    if (!stats_.engaged) return inner_.walk_task(task, f);
-    PFAIR_REQUIRE(task >= 0 && task < num_tasks(), "bad task " << task);
-    detail::walk_splice(inner_, task,
-                        splices_[static_cast<std::size_t>(task)],
-                        stats_.cycle_slots, shifted, f);
-  }
-  /// True iff `walk_task_once` stands exactly for `walk_task` on `sys`
-  /// (see detail::splices_repeat).  O(tasks).
-  [[nodiscard]] bool repeats_exactly(const TaskSystem& sys) const {
-    return detail::splices_repeat(sys, inner_, stats_, splices_);
-  }
-  /// The once-per-cycle walk of `task`, f(seq, placement, region) plus
-  /// elide(count, last) — see detail::walk_splice_once.  Requires
-  /// repeats_exactly().  A slot never reaches past its cycle's end, so
-  /// no placement is visited as kLast.
-  template <class F, class Elide>
-  void walk_task_once(std::int64_t task, F&& f, Elide&& elide) const {
-    PFAIR_REQUIRE(task >= 0 && task < num_tasks(), "bad task " << task);
-    detail::walk_splice_once(
-        inner_, task, splices_[static_cast<std::size_t>(task)],
-        stats_.cycles_skipped, stats_.cycle_slots, shifted,
-        [](const SlotPlacement&) { return false; }, f, elide);
-  }
-  [[nodiscard]] bool complete() const { return complete_; }
-  [[nodiscard]] std::int64_t horizon() const { return horizon_; }
-  [[nodiscard]] std::int64_t completion_slot(const SubtaskRef& ref) const;
-  [[nodiscard]] std::vector<SubtaskRef> slot_contents(std::int64_t slot) const;
-  [[nodiscard]] std::int64_t num_tasks() const { return inner_.num_tasks(); }
-  [[nodiscard]] std::int64_t num_subtasks(std::int64_t task) const {
-    return inner_.num_subtasks(task);
-  }
-
-  [[nodiscard]] const CycleStats& stats() const { return stats_; }
-  /// The physically stored placements (prefix + base cycle + tail).
-  [[nodiscard]] const SlotSchedule& stored() const { return inner_; }
-  [[nodiscard]] SlotSchedule take_stored() && { return std::move(inner_); }
-
-  /// Expands into a plain SlotSchedule containing every placement whose
-  /// slot is < `horizon` plus everything already stored.  O(subtasks).
-  [[nodiscard]] SlotSchedule materialize(std::int64_t horizon) const;
-
- private:
-  [[nodiscard]] bool in_skip(const TaskSplice& sp, std::int64_t seq) const {
-    return stats_.engaged && seq >= sp.skip_begin &&
-           seq < sp.skip_begin + sp.skip_count;
-  }
-  /// A synthesized placement: its base-cycle copy `shift` slots later.
-  static SlotPlacement shifted(const SlotPlacement& base, std::int64_t shift) {
-    PFAIR_REQUIRE(base.scheduled(), "base cycle placement missing");
-    return SlotPlacement{base.slot + shift, base.proc};
-  }
-
-  SlotSchedule inner_;
-  CycleStats stats_;
-  std::vector<TaskSplice> splices_;  // one per task; empty if !engaged
-  std::int64_t horizon_ = 0;
-  bool complete_ = false;
-};
+/// The cycle-compressed SFQ schedule.
+using CycleSchedule = SplicedSchedule<SlotSchedule>;
 
 /// Runs the SFQ scheduler with steady-state cycle detection: simulates
 /// normally while probing the state fingerprint at every hyperperiod

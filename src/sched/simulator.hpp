@@ -121,8 +121,8 @@ class SfqSimulator {
   /// `cycle_allocs[k]` subtasks: counters jump, the availability calendar
   /// and ready heap are rebuilt (head keys recomputed in one SIMD batch),
   /// and simulation resumes at now() + cycles * cycle_slots as if every
-  /// skipped slot had been stepped.  Callers
-  /// (sched/compressed_schedule.cpp) are responsible for having *proved*
+  /// skipped slot had been stepped.  The caller, the shared fast-forward
+  /// driver (detail::fast_forward, sched/fast_forward.hpp), has *proved*
   /// the recurrence via fingerprints; the skipped placements are never
   /// materialized here.  Requires an uninstrumented simulator at a slot
   /// boundary.

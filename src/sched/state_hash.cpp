@@ -15,13 +15,6 @@ namespace {
 // simulate reaches two of them) and risk overflow in slot arithmetic.
 constexpr std::int64_t kPeriodBound = std::int64_t{1} << 40;
 
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 }  // namespace
 
 namespace detail {

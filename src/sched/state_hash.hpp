@@ -116,6 +116,15 @@ namespace detail {
                                                 std::int64_t last_slot,
                                                 std::int64_t allocated,
                                                 std::int64_t t);
+/// The splitmix64 finalizer: the one 64-bit mixer behind both models'
+/// state hashes (stateless; core/rng.hpp's splitmix64 is the generator
+/// step).
+[[nodiscard]] inline std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
 /// Hash over the record vector (splitmix64 mixing).
 [[nodiscard]] std::uint64_t hash_records(
     const std::vector<TaskStateRecord>& records);

@@ -162,7 +162,7 @@ TEST(CycleFastForward, SfqMatchesReferenceAcrossHorizons) {
       const SlotSchedule ref = schedule_sfq_reference(sys, opts);
       const CycleSchedule cyc = schedule_sfq_cyclic(sys, opts);
       std::string why;
-      if (!same_sfq(ref, cyc.materialize(h), sys, &why)) {
+      if (!same_sfq(ref, cyc.materialize(), sys, &why)) {
         failures.record(tag + " materialized: " + why);
       }
       // The public entry point routes through the same machinery.
@@ -209,7 +209,7 @@ TEST(CycleFastForward, DvqMatchesReferenceAcrossHorizons) {
       const DvqSchedule ref = schedule_dvq_reference(sys, y, opts);
       const DvqCycleSchedule cyc = schedule_dvq_cyclic(sys, y, opts);
       std::string why;
-      if (!same_dvq(ref, cyc.materialize(h), sys, &why)) {
+      if (!same_dvq(ref, cyc.materialize(), sys, &why)) {
         failures.record(tag + " materialized: " + why);
       }
       if (!same_dvq(ref, schedule_dvq(sys, y, opts), sys, &why)) {
@@ -383,7 +383,7 @@ TEST(CycleFastForward, AnalysesAndAuditorConsumeCycleSchedule) {
     opts.horizon_limit = 6 * kPool;
     const CycleSchedule cyc = schedule_sfq_cyclic(sys, opts);
     ASSERT_TRUE(cyc.stats().engaged) << "seed " << seed;
-    const SlotSchedule flat = cyc.materialize(cyc.horizon());
+    const SlotSchedule flat = cyc.materialize();
 
     // Validity: the same report, violation for violation — also with an
     // allowance of -1, which fails every subtask completing at its
@@ -452,7 +452,7 @@ TEST(CycleFastForward, DvqAnalysesConsumeCycleSchedule) {
       const DvqCycleSchedule cyc = schedule_dvq_cyclic(sys, *y, opts);
       if (!cyc.stats().engaged) continue;
       ++engaged;
-      const DvqSchedule flat = cyc.materialize(opts.horizon_limit);
+      const DvqSchedule flat = cyc.materialize();
       const std::string what = "seed " + std::to_string(seed) +
                                (y == &full ? " full" : " 3/4");
 
@@ -628,7 +628,7 @@ TEST(CycleFastForward, CompressedAnalysisMatchesMaterializedAcrossGeometries) {
       if (!cyc.stats().engaged) continue;
       const std::string what = sweep_name("sfq", seed, c);
       EXPECT_TRUE(cyc.repeats_exactly(sys)) << what;
-      const SlotSchedule flat = cyc.materialize(cyc.horizon());
+      const SlotSchedule flat = cyc.materialize();
       sfq_geometry.add(cyc.stats(),
                        cyc.stats().sim_slots > cyc.stats().detect_slot);
       for (const std::int64_t allowance : {std::int64_t{-1}, std::int64_t{0}}) {
@@ -666,8 +666,7 @@ TEST(CycleFastForward, CompressedAnalysisMatchesMaterializedAcrossGeometries) {
                                   : y == &three_quarters ? " cost 3/4"
                                                          : " full");
         EXPECT_TRUE(cyc.repeats_exactly(sys)) << what;
-        const DvqSchedule flat = cyc.materialize(
-            c.horizon > 0 ? c.horizon : default_horizon(sys));
+        const DvqSchedule flat = cyc.materialize();
         dvq_geometry.add(cyc.stats(), cyc.stats().sim_slots >
                                           cyc.stats().detect_slot);
         for (const Time allowance : {Time() - kQuantum, Time(), kQuantum}) {
@@ -721,8 +720,8 @@ void expect_side_check_rejects(
   const DvqCycleSchedule dcyc(std::move(dvq), stats, {splice}, true);
   EXPECT_FALSE(cyc.repeats_exactly(sys)) << what;
   EXPECT_FALSE(dcyc.repeats_exactly(sys)) << what;
-  const SlotSchedule flat = cyc.materialize(cyc.horizon());
-  const DvqSchedule dflat = dcyc.materialize(cyc.horizon());
+  const SlotSchedule flat = cyc.materialize();
+  const DvqSchedule dflat = dcyc.materialize();
   const ValidityReport rep = check_slot_schedule(sys, cyc, allowance);
   EXPECT_FALSE(rep.valid()) << what;
   EXPECT_EQ(rep.str(SIZE_MAX),
@@ -802,6 +801,64 @@ TaskSystem half_weight_tasks(int count, int procs) {
   return TaskSystem(std::move(tasks), procs);
 }
 
+/// The ContractViolation message `f` throws, or a marker if it throws
+/// none.
+template <class F>
+std::string contract_message(F&& f) {
+  try {
+    f();
+  } catch (const ContractViolation& e) {
+    return e.what();
+  }
+  return "<no ContractViolation>";
+}
+
+/// Drives the engaged splice constructor over `stored` (two tasks of six
+/// subtasks, base seqs 0 and 1 placed) through each of its contracts.
+template <class Stored>
+void expect_splice_contracts(const Stored& stored, const std::string& what) {
+  const CycleStats stats = splice_stats(0, 4, 1);
+  const TaskSplice ok{0, 2, 2, 2};
+  const auto build = [&](std::vector<TaskSplice> splices) {
+    return [&stored, &stats, splices] {
+      (void)SplicedSchedule<Stored>(stored, stats, splices, false);
+    };
+  };
+  EXPECT_EQ(contract_message(build({ok, ok})), "<no ContractViolation>")
+      << what;
+  using Splices = std::vector<TaskSplice>;
+  for (const Splices& count : {Splices{ok}, Splices{ok, ok, ok}}) {
+    const std::string msg = contract_message(build(count));
+    EXPECT_NE(msg.find("one splice per task required"), std::string::npos)
+        << what << ": " << msg;
+  }
+  // skip_begin + skip_count past num_subtasks, then skip_count > 0 with
+  // per_cycle == 0.
+  for (const TaskSplice& bad : {TaskSplice{0, 2, 2, 6}, TaskSplice{0, 2, 0, 2}}) {
+    const std::string msg = contract_message(build({ok, bad}));
+    EXPECT_NE(msg.find("splice of task 1 out of range"), std::string::npos)
+        << what << ": " << msg;
+  }
+}
+
+// The engaged splice constructor rejects malformed splices with a
+// ContractViolation, never an out-of-range read: a splice count other
+// than one per task, a synthesized range past the task's subtasks, and
+// synthesized seqs with no per-cycle count — for both stored types.
+TEST(CycleFastForward, SpliceConstructorRejectsMalformedSplices) {
+  const TaskSystem sys = half_weight_tasks(2, 2);
+  SlotSchedule slots(sys);
+  DvqSchedule dvq(sys);
+  for (std::int32_t k = 0; k < 2; ++k) {
+    for (std::int32_t seq = 0; seq < 2; ++seq) {
+      slots.place(SubtaskRef{k, seq}, 2 * seq, k);
+      dvq.place(SubtaskRef{k, seq}, Time::slots(2 * seq), kQuantum, k);
+    }
+  }
+  expect_splice_contracts(slots, "sfq");
+  expect_splice_contracts(dvq, "dvq");
+}
+
 // The joins out of synthesized cycle m into the stored tail.  The only
 // violation of each hand-built splice sits there, so the once-per-cycle
 // pass finds it only through cycle m's last placements: task A's base
@@ -817,7 +874,7 @@ TEST(CycleFastForward, JoinIntoTheTailIsChecked) {
   const ValidityReport lane_rep = check_dvq_schedule(two, lane, kQuantum);
   EXPECT_EQ(lane_rep.violations.size(), 1u) << lane_rep.str(SIZE_MAX);
   EXPECT_EQ(lane_rep.str(SIZE_MAX),
-            check_dvq_schedule(two, lane.materialize(12), kQuantum)
+            check_dvq_schedule(two, lane.materialize(), kQuantum)
                 .str(SIZE_MAX));
 
   // Two processors: A's own tail seq 4 starts at 8.25, on the other
@@ -829,7 +886,7 @@ TEST(CycleFastForward, JoinIntoTheTailIsChecked) {
   const ValidityReport self_rep = check_dvq_schedule(one, self, kQuantum);
   EXPECT_EQ(self_rep.violations.size(), 1u) << self_rep.str(SIZE_MAX);
   EXPECT_EQ(self_rep.str(SIZE_MAX),
-            check_dvq_schedule(one, self.materialize(12), kQuantum)
+            check_dvq_schedule(one, self.materialize(), kQuantum)
                 .str(SIZE_MAX));
 }
 
@@ -863,11 +920,11 @@ TEST(CycleFastForward, BaseCycleOutsideItsWindowGetsTheFullWalk) {
   ASSERT_TRUE(dcyc.repeats_exactly(sys));
   for (const std::int64_t allowance : {std::int64_t{0}, std::int64_t{1}}) {
     EXPECT_EQ(check_slot_schedule(sys, cyc, allowance).str(SIZE_MAX),
-              check_slot_schedule(sys, cyc.materialize(12), allowance)
+              check_slot_schedule(sys, cyc.materialize(), allowance)
                   .str(SIZE_MAX));
     const Time dallow = Time::slots(allowance);
     EXPECT_EQ(check_dvq_schedule(sys, dcyc, dallow).str(SIZE_MAX),
-              check_dvq_schedule(sys, dcyc.materialize(12), dallow)
+              check_dvq_schedule(sys, dcyc.materialize(), dallow)
                   .str(SIZE_MAX));
   }
   EXPECT_TRUE(check_slot_schedule(sys, cyc, 1).valid());

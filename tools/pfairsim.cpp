@@ -455,7 +455,7 @@ int run(const CliOptions& o) {
       const CycleSchedule cyc = schedule_sfq_cyclic(*sys, so);
       print_cycle_stats(cyc.stats());
       if (sink != nullptr) replay_decisions(*sys, cyc, *sink);
-      return cyc.materialize(cyc.horizon());
+      return cyc.materialize();
     }();
     if (!o.quiet) {
       PFAIR_PROF_SPAN(kRender);
@@ -495,9 +495,7 @@ int run(const CliOptions& o) {
           const DvqCycleSchedule cyc =
               schedule_dvq_cyclic(*sys, *yields, dopts);
           print_cycle_stats(cyc.stats());
-          const std::int64_t slots =
-              cyc.makespan().raw_ticks() / kTicksPerSlot + 1;
-          return cyc.materialize(slots);
+          return cyc.materialize();
         }
         dopts.trace = sink;
         dopts.metrics = metrics;
