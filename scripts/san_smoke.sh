@@ -9,8 +9,11 @@
 # compressed schedules drive the per-task placement walks over skipped
 # cycles.  dvq_simulator_test and dvq_test cover the DVQ event loop and
 # schedule_dvq, which runs through the shared fast-forward driver
-# (sched/fast_forward.hpp) like every schedule_sfq call.  Any ASan/UBSan
-# report aborts the run (-fno-sanitize-recover=all).
+# (sched/fast_forward.hpp) like every schedule_sfq call; staggered_test
+# covers schedule_staggered, the third producer of DvqSchedule's cells and
+# order log; parse_test covers the task-file parser, whose finite tasks
+# are flyweights.  Any ASan/UBSan report aborts the run
+# (-fno-sanitize-recover=all).
 # Usage: scripts/san_smoke.sh [build-dir]   (default build-san)
 set -e
 cd "$(dirname "$0")/.."
@@ -21,11 +24,13 @@ cmake -B "$BUILD" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "$BUILD" -j --target \
   tasks_test window_table_test priority_test packed_key_test \
   sfq_test simulator_test ab_equivalence_test analysis_test prof_test \
-  io_test cycle_test dvq_simulator_test dvq_test >/dev/null
+  io_test cycle_test dvq_simulator_test dvq_test staggered_test \
+  parse_test >/dev/null
 
 for t in tasks_test window_table_test priority_test packed_key_test \
          sfq_test simulator_test ab_equivalence_test analysis_test prof_test \
-         io_test cycle_test dvq_simulator_test dvq_test; do
+         io_test cycle_test dvq_simulator_test dvq_test staggered_test \
+         parse_test; do
   echo "san_smoke: $t"
   "$BUILD/tests/$t" --gtest_brief=1
 done

@@ -10,7 +10,7 @@ namespace pfair {
 
 namespace detail {
 
-void count_switches(const std::vector<ProcCell>& by_time,
+void count_switches(std::span<const ProcCell> by_time,
                     QualityCounters& q) {
   const std::size_t procs = q.per_proc_switches.size();
   std::vector<std::int32_t> occupant(procs, -1);

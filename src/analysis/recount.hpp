@@ -20,7 +20,11 @@
 // times (one SubtaskCursor walk per task), never from simulator order or
 // state.  The sorts are a counting sort by slot
 // (SFQ) and a radix sort by tick time (DVQ, core/radix_sort.hpp); they
-// change only how fast the keys are ordered, not what is counted.
+// change only how fast the keys are ordered, not what is counted.  A
+// DVQ schedule whose order log (dvq/dvq_schedule.hpp) checks out — every
+// placement named once, starts nondecreasing, no processor double-booked
+// — skips the sorts: the log supplies the start order, the values still
+// come from the table.
 //
 // The recount is also the quality source of explain runs: the reference
 // schedulers fill SfqOptions/DvqOptions::quality and the sched.*
@@ -28,6 +32,7 @@
 // is compiled into pfair_sched and the DVQ one into pfair_dvq.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "dvq/dvq_schedule.hpp"
@@ -53,7 +58,7 @@ struct ProcCell {
 /// Counts context switches from cells sorted by time: one sweep that
 /// remembers each processor's last occupant (idle gaps do not reset
 /// it), so every change of occupant on a processor is one switch.
-void count_switches(const std::vector<ProcCell>& by_time, QualityCounters& q);
+void count_switches(std::span<const ProcCell> by_time, QualityCounters& q);
 }  // namespace detail
 
 /// Recounts quality for an SFQ (slot-synchronous) schedule:

@@ -1,8 +1,10 @@
 #include "analysis/validity.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <span>
 #include <sstream>
+#include <type_traits>
 
 #include "core/radix_sort.hpp"
 #include "dvq/dvq_cycle.hpp"
@@ -313,18 +315,63 @@ void report_overlaps(ValidityReport& rep, std::span<const Busy> lane) {
 
 std::int64_t start_key(const Busy& b) { return b.start.raw_ticks(); }
 
+/// The order-log pass of a plain DvqSchedule (dvq/dvq_schedule.hpp):
+/// true only if the log has one entry per placed cell (`placed` of
+/// them) and, taken in log order, every entry names a placed cell on
+/// one of the `procs` processors that starts no earlier than the
+/// previous entry on its processor ends.  Every start, cost and
+/// processor is read from the cell table.  Each processor's entries
+/// then are its lane in strictly increasing start order — what the
+/// sorted lanes below would hold — with no overlap, so the check has
+/// nothing to report.  A repeated entry cannot pass (its second visit
+/// starts before its own first visit ends), so with the count the log
+/// names every placed cell exactly once; nor can a tie or an overlap.
+/// Whether the whole log is in start order does not matter here: only
+/// each processor's order is read.  Anything that fails returns false,
+/// and the caller sorts the lanes to build the report.  O(placements),
+/// no lanes and no sorts.
+bool log_rules_out_overlaps(const DvqSchedule& sched, std::size_t procs,
+                            std::int64_t placed) {
+  const std::span<const std::int64_t> log = sched.order_log();
+  if (static_cast<std::int64_t>(log.size()) != placed) return false;
+  // Kept per thread across calls, like the lanes (see BusyLanes).
+  thread_local std::vector<std::int64_t> last_end;
+  last_end.assign(procs, std::numeric_limits<std::int64_t>::min());
+  const std::int64_t total = sched.total_cells();
+  for (const std::int64_t i : log) {
+    if (i < 0 || i >= total) return false;
+    const DvqPlacement p = sched.flat_placement(i);
+    if (!p.placed || p.proc < 0 || static_cast<std::size_t>(p.proc) >= procs) {
+      return false;
+    }
+    std::int64_t& end = last_end[static_cast<std::size_t>(p.proc)];
+    if (p.start.raw_ticks() < end) return false;
+    end = p.completion().raw_ticks();
+  }
+  return true;
+}
+
 template <class Sched>
 ValidityReport check_dvq_impl(const TaskSystem& sys, const Sched& sched,
                               Time tardiness_allowance) {
   ValidityReport rep;
-  const auto procs = static_cast<std::size_t>(sys.processors());
-  // Per-processor occupancy for overlap checking: this pass counts each
-  // lane's allocations, the next one fills the lanes in subtask order.
-  ProcLanes lanes(procs);
+  std::int64_t placed = 0;
   for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
     DvqTaskCheck check(sys, k, tardiness_allowance);
     sched.walk_task(k, [&](std::int32_t s, const DvqPlacement& p) {
       check.visit(rep, s, p);
+      placed += p.placed ? 1 : 0;
+    });
+  }
+  const auto procs = static_cast<std::size_t>(sys.processors());
+  if constexpr (std::is_same_v<Sched, DvqSchedule>) {
+    if (log_rules_out_overlaps(sched, procs, placed)) return rep;
+  }
+  // Per-processor occupancy for overlap checking: one pass counts each
+  // lane's allocations, the next one fills the lanes in subtask order.
+  ProcLanes lanes(procs);
+  for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
+    sched.walk_task(k, [&](std::int32_t, const DvqPlacement& p) {
       lanes.count(p);
     });
   }

@@ -1,8 +1,11 @@
 #include "dvq/dvq_simulator.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 
 #include "core/assert.hpp"
+#include "core/simd.hpp"
 #include "obs/prof.hpp"
 #include "obs/quality.hpp"
 
@@ -10,17 +13,7 @@ namespace pfair {
 
 namespace {
 
-// Min-heap orderings for std::push_heap/pop_heap (which build max-heaps,
-// so "lower priority" means "later time" / "larger id").
-constexpr auto kLaterCompletion = [](const auto& a, const auto& b) {
-  return b.at < a.at;
-};
-constexpr auto kLaterPending = [](const auto& a, const auto& b) {
-  return b.at < a.at;
-};
-constexpr auto kLargerProc = [](std::int32_t a, std::int32_t b) {
-  return b < a;
-};
+constexpr std::int64_t kNoSlot = std::numeric_limits<std::int64_t>::max();
 
 }  // namespace
 
@@ -32,69 +25,202 @@ DvqSimulator::DvqSimulator(const TaskSystem& sys, const YieldModel& yields,
       keys_(sys, policy, arena),
       ready_q_(order_, keys_, arena),
       sched_(sys),
+      packed_(keys_.packable()),
+      hot_(arena),
+      pos_(arena),
       procs_(arena),
-      head_(arena),
-      ready_at_(arena),
       completions_(arena),
-      pending_(arena),
-      free_procs_(arena),
+      free_bits_(arena),
+      bucket_head_(arena),
+      cal_next_(kNoSlot),
       remaining_(sys.total_subtasks()) {
-  procs_.resize(static_cast<std::size_t>(sys.processors()));
-  head_.resize(static_cast<std::size_t>(sys.num_tasks()));
-  ready_at_.resize(static_cast<std::size_t>(sys.num_tasks()));
-  for (std::size_t pi = 0; pi < procs_.size(); ++pi) procs_[pi] = Proc{};
-  for (std::size_t k = 0; k < head_.size(); ++k) {
-    head_[k] = 0;
-    ready_at_[k] = Time();
+  const auto m = static_cast<std::size_t>(sys.processors());
+  procs_.resize(m);
+  for (std::size_t pi = 0; pi < m; ++pi) procs_[pi] = Proc{};
+  completions_.reserve(2 * m + 1);
+  free_bits_.resize((m + 63) / 64);
+  for (std::size_t w = 0; w < free_bits_.size(); ++w) free_bits_[w] = 0;
+  for (std::size_t pi = 0; pi < m; ++pi) {
+    free_proc(static_cast<std::int32_t>(pi));
   }
-  ready_q_.reserve(head_.size());
-  pending_.reserve(head_.size());
-  completions_.reserve(procs_.size());
-  free_procs_.reserve(procs_.size());
-  for (std::size_t pi = 0; pi < procs_.size(); ++pi) {
-    free_procs_.push_back(static_cast<std::int32_t>(pi));
-  }
-  std::make_heap(free_procs_.begin(), free_procs_.end(), kLargerProc);
-  for (std::size_t k = 0; k < head_.size(); ++k) {
-    const Task& task = sys.task(static_cast<std::int64_t>(k));
-    if (task.num_subtasks() > 0) {
-      ready_at_[k] = Time::slots(task.eligible_at(0));
-      pending_.push_back(Pending{
-          ready_at_[k], SubtaskRef{static_cast<std::int32_t>(k), 0}});
+
+  const auto n = static_cast<std::size_t>(sys.num_tasks());
+  hot_.resize(n);
+  ready_q_.reserve(n);
+  build_positions(sys, keys_, pos_, [&](std::int64_t k, std::int64_t cnt,
+                                        std::int32_t pos_off, std::int32_t e,
+                                        std::int64_t elig_p) {
+    HotTask& h = hot_[static_cast<std::size_t>(k)];
+    h.next_key = 0;
+    h.ready_at = 0;
+    h.elig_p = elig_p;
+    h.cell_base = sys.subtask_offset(k);
+    h.head = 0;
+    h.count = static_cast<std::int32_t>(cnt);
+    h.rem = 0;
+    h.job = 0;
+    h.e = e;
+    h.pos_off = pos_off;
+    h.cal_next = -1;
+    h.wait = kReady;
+    if (cnt == 0) return;
+    const PosRec& first = pos_[static_cast<std::size_t>(pos_off)];
+    h.next_key = first.key_base;  // head = 0: job 0, rem 0
+    h.ready_at = Time::slots(first.elig_base).raw_ticks();
+    cal_base_ = std::min(cal_base_, first.elig_base);
+  });
+  // The calendar starts at the earliest first eligibility (0 unless a
+  // hand-built task is eligible before time 0).
+  for (std::size_t k = 0; k < n; ++k) {
+    if (hot_[k].count > 0) {
+      calendar_add(static_cast<std::int32_t>(k),
+                   hot_[k].ready_at / kTicksPerSlot);
     }
   }
-  std::make_heap(pending_.begin(), pending_.end(), kLaterPending);
+}
+
+void DvqSimulator::free_proc(std::int32_t proc) {
+  free_bits_[static_cast<std::size_t>(proc) / 64] |=
+      std::uint64_t{1} << (proc % 64);
+  ++free_count_;
+}
+
+int DvqSimulator::pop_free_proc() {
+  PFAIR_ASSERT(free_count_ > 0);
+  std::size_t w = 0;
+  while (free_bits_[w] == 0) ++w;
+  const int bit = std::countr_zero(free_bits_[w]);
+  free_bits_[w] &= free_bits_[w] - 1;
+  --free_count_;
+  return static_cast<int>(w * 64) + bit;
+}
+
+void DvqSimulator::calendar_add(std::int32_t k, std::int64_t slot) {
+  PFAIR_ASSERT(slot >= cal_base_);
+  const auto s = static_cast<std::size_t>(slot - cal_base_);
+  if (s >= bucket_head_.size()) {
+    const std::size_t old = bucket_head_.size();
+    const std::size_t grown = std::max(s + 1, old * 2);
+    bucket_head_.resize(grown);
+    for (std::size_t i = old; i < grown; ++i) bucket_head_[i] = -1;
+  }
+  HotTask& h = hot_[static_cast<std::size_t>(k)];
+  h.cal_next = bucket_head_[s];
+  h.wait = kCalendar;
+  bucket_head_[s] = k;
+  ++cal_waiting_;
+  cal_next_ = std::min(cal_next_, slot);
+}
+
+void DvqSimulator::make_ready(std::int32_t k) {
+  HotTask& h = hot_[static_cast<std::size_t>(k)];
+  h.wait = kReady;
+  if (packed_) {
+    ready_q_.push_key(h.next_key, k, h.head);
+  } else {
+    ready_q_.push(SubtaskRef{k, h.head});
+  }
+}
+
+void DvqSimulator::drain_calendar() {
+  auto s = static_cast<std::size_t>(cal_next_ - cal_base_);
+  // A bucket entry always names its task's *current* head: the entry was
+  // made when the predecessor was placed (or at construction), and the
+  // head cannot be scheduled before this drain.
+  std::int32_t k = bucket_head_[s];
+  bucket_head_[s] = -1;
+  while (k >= 0) {
+    const std::int32_t next = hot_[static_cast<std::size_t>(k)].cal_next;
+    if (next >= 0) simd::prefetch(&hot_[static_cast<std::size_t>(next)]);
+    make_ready(k);
+    --cal_waiting_;
+    k = next;
+  }
+  if (cal_waiting_ == 0) {
+    cal_next_ = kNoSlot;
+    return;
+  }
+  while (bucket_head_[++s] < 0) {
+  }
+  cal_next_ = cal_base_ + static_cast<std::int64_t>(s);
+}
+
+void DvqSimulator::add_completion(Completion c) {
+  // Keep the block from creeping: once half of it is retired entries,
+  // move the live ones to the front.
+  if (comp_head_ > 0 && 2 * comp_head_ >= completions_.size()) {
+    std::copy(completions_.begin() + static_cast<std::ptrdiff_t>(comp_head_),
+              completions_.end(), completions_.begin());
+    completions_.resize(completions_.size() - comp_head_);
+    comp_head_ = 0;
+  }
+  completions_.push_back(c);
+  std::size_t j = completions_.size() - 1;
+  for (; j > comp_head_ && c.at < completions_[j - 1].at; --j) {
+    completions_[j] = completions_[j - 1];
+  }
+  completions_[j] = c;
 }
 
 Time DvqSimulator::next_event_time() const {
   PFAIR_ASSERT(has_events());
-  if (completions_.empty()) return pending_.front().at;
-  if (pending_.empty()) return completions_.front().at;
-  return std::min(completions_.front().at, pending_.front().at);
+  Time t = Time::ticks(std::numeric_limits<std::int64_t>::max());
+  if (comp_head_ < completions_.size()) t = completions_[comp_head_].at;
+  if (cal_waiting_ > 0) t = std::min(t, Time::slots(cal_next_));
+  return t;
 }
 
 Time DvqSimulator::commit_placement(const SubtaskRef& ref, Time t,
                                     int proc) {
   const Time c = yields_->checked_cost(*sys_, ref);
-  sched_.place(ref, t, c, proc);
+  HotTask& h = hot_[static_cast<std::size_t>(ref.task)];
+  const Time end = t + c;
+  // The unchecked counterpart of DvqSchedule::place: the head cursor
+  // guarantees a valid, never-placed ref and the dispatch a valid
+  // processor.
+  {
+    const auto i = h.cell_base + ref.seq;
+    DvqSchedule::Cell& cell = sched_.cells_[static_cast<std::size_t>(i)];
+    PFAIR_ASSERT(cell.proc_p1 == 0);
+    cell = DvqSchedule::Cell{t.raw_ticks(),
+                             static_cast<std::int32_t>(c.raw_ticks()),
+                             proc + 1};
+    sched_.log_.push_back(i);
+    ++sched_.placed_;
+    sched_.busy_ticks_[static_cast<std::size_t>(proc)] += c.raw_ticks();
+    sched_.makespan_ = std::max(sched_.makespan_, end);
+  }
   Proc& pr = procs_[static_cast<std::size_t>(proc)];
   pr.busy = true;
-  pr.busy_until = t + c;
-  completions_.push_back(
-      Completion{pr.busy_until, static_cast<std::int32_t>(proc)});
-  std::push_heap(completions_.begin(), completions_.end(), kLaterCompletion);
-  const auto k = static_cast<std::size_t>(ref.task);
-  ++head_[k];
+  pr.busy_until = end;
+  pr.hand_off = -1;
+  add_completion(Completion{end, static_cast<std::int32_t>(proc)});
   --remaining_;
+  const std::int32_t head = ++h.head;
+  if (head >= h.count) return c;
+  std::int32_t rem = h.rem + 1;
+  std::int32_t job = h.job;
+  if (rem == h.e) {
+    rem = 0;
+    ++job;
+  }
+  h.rem = rem;
+  h.job = job;
+  const PosRec& pos =
+      pos_[static_cast<std::size_t>(h.pos_off) + static_cast<std::size_t>(rem)];
+  h.next_key = pos.key_base + static_cast<std::uint64_t>(job) * pos.key_step;
   // The successor's readiness instant is known now: the later of its
   // eligibility time and this quantum's completion.
-  const Task& task = sys_->task(ref.task);
-  if (head_[k] < task.num_subtasks()) {
-    ready_at_[k] = std::max(
-        Time::slots(task.eligible_at(head_[k])), pr.busy_until);
-    pending_.push_back(Pending{
-        ready_at_[k], SubtaskRef{ref.task, ref.seq + 1}});
-    std::push_heap(pending_.begin(), pending_.end(), kLaterPending);
+  const std::int64_t elig =
+      pos.elig_base + static_cast<std::int64_t>(job) * h.elig_p;
+  const std::int64_t elig_ticks = Time::slots(elig).raw_ticks();
+  if (elig_ticks > end.raw_ticks()) {
+    h.ready_at = elig_ticks;
+    calendar_add(ref.task, elig);
+  } else {
+    h.ready_at = end.raw_ticks();
+    h.wait = kHandOff;
+    pr.hand_off = ref.task;
   }
   return c;
 }
@@ -102,35 +228,30 @@ Time DvqSimulator::commit_placement(const SubtaskRef& ref, Time t,
 std::vector<SubtaskRef> DvqSimulator::step() {
   std::vector<SubtaskRef> started;
   if (!has_events()) return started;
-  step_into(started);
+  step_into(started, next_event_time());
   return started;
 }
 
-void DvqSimulator::step_into(std::vector<SubtaskRef>& started) {
-  const Time t = next_event_time();
+void DvqSimulator::step_into(std::vector<SubtaskRef>& started, Time t) {
   now_ = t;
-
-  {
-    // 1. Retire completions at t; successors whose readiness instant has
-    // arrived join the ready heap for this very batch.
-    while (!completions_.empty() && completions_.front().at <= t) {
-      PFAIR_ASSERT(completions_.front().at == t);
-      const std::int32_t proc = completions_.front().proc;
-      std::pop_heap(completions_.begin(), completions_.end(),
-                    kLaterCompletion);
-      completions_.pop_back();
-      procs_[static_cast<std::size_t>(proc)].busy = false;
-      free_procs_.push_back(proc);
-      std::push_heap(free_procs_.begin(), free_procs_.end(), kLargerProc);
-    }
-    while (!pending_.empty() && pending_.front().at <= t) {
-      ready_q_.push(pending_.front().ref);
-      std::pop_heap(pending_.begin(), pending_.end(), kLaterPending);
-      pending_.pop_back();
+  // 1. Retire completions at t, handing each processor's waiting
+  // successor to the ready heap, then drain the calendar slot at t: all
+  // of them join the ready heap for this very batch.
+  while (comp_head_ < completions_.size() &&
+         completions_[comp_head_].at <= t) {
+    PFAIR_ASSERT(completions_[comp_head_].at == t);
+    const std::int32_t proc = completions_[comp_head_++].proc;
+    Proc& pr = procs_[static_cast<std::size_t>(proc)];
+    pr.busy = false;
+    free_proc(proc);
+    if (pr.hand_off >= 0) {
+      make_ready(pr.hand_off);
+      pr.hand_off = -1;
     }
   }
+  if (cal_waiting_ > 0 && Time::slots(cal_next_) == t) drain_calendar();
 
-  const std::size_t free0 = free_procs_.size();
+  const std::size_t free0 = free_count_;
   const std::size_t base = started.size();
   // 2.+3. Dispatch.  No spans at this granularity: an event costs a few
   // hundred nanoseconds, so even one clock-read pair per event would be
@@ -240,7 +361,7 @@ void DvqSimulator::step_fast(std::vector<SubtaskRef>& started, Time t) {
   if constexpr (kProbed) {
     probe_.begin_decision(TraceEventKind::kEventBegin, t);
     // The ready set is only consulted when a processor is free.
-    if (!free_procs_.empty()) {
+    if (free_count_ > 0) {
       probe_.ready_size(static_cast<std::int64_t>(ready_q_.size()));
     }
   }
@@ -248,11 +369,12 @@ void DvqSimulator::step_fast(std::vector<SubtaskRef>& started, Time t) {
   // ready subtask, immediately (work-conserving).  Every queued entry
   // names its task's current head: entries leave the queue only by
   // being popped here (warp rebuilds it outright).
-  while (!free_procs_.empty() && !ready_q_.empty()) {
+  while (free_count_ > 0 && !ready_q_.empty()) {
+    if (packed_) {
+      simd::prefetch(&hot_[static_cast<std::size_t>(ready_q_.peek_task())]);
+    }
     const SubtaskRef ref = ready_q_.pop_best();
-    const std::int32_t proc = free_procs_.front();
-    std::pop_heap(free_procs_.begin(), free_procs_.end(), kLargerProc);
-    free_procs_.pop_back();
+    const int proc = pop_free_proc();
     [[maybe_unused]] const Time c = commit_placement(ref, t, proc);
     if constexpr (kProbed) note_placement(t, ref, proc, c);
     started.push_back(ref);
@@ -283,10 +405,11 @@ void DvqSimulator::note_placement(Time t, SubtaskRef ref, int proc,
 void DvqSimulator::run_until(Time time_limit) {
   PFAIR_PROF_SPAN(kDvqEvents);
   const SchedProbe::Batch batch(probe_);
-  while (remaining_ > 0 && has_events() &&
-         next_event_time() < time_limit) {
+  while (remaining_ > 0 && has_events()) {
+    const Time t = next_event_time();
+    if (t >= time_limit) break;
     scratch_started_.clear();
-    step_into(scratch_started_);
+    step_into(scratch_started_, t);
   }
 }
 
@@ -297,46 +420,61 @@ void DvqSimulator::warp(std::int64_t cycles, std::int64_t cycle_slots,
   PFAIR_REQUIRE(quality_ == nullptr, "warp would skip quality accounting");
   PFAIR_REQUIRE(cycles >= 0 && cycle_slots > 0, "bad warp parameters");
   if (cycles == 0) return;
-  const Time shift = Time::ticks(cycles * cycle_slots * kTicksPerSlot);
+  const std::int64_t shift_slots = cycles * cycle_slots;
+  const Time shift = Time::slots(shift_slots);
   const auto n = static_cast<std::size_t>(sys_->num_tasks());
   for (std::size_t k = 0; k < n; ++k) {
+    HotTask& h = hot_[k];
     const std::int64_t adv = cycles * cycle_allocs[k];
-    const Task& task = sys_->task(static_cast<std::int64_t>(k));
-    PFAIR_REQUIRE(head_[k] + adv <= task.num_subtasks(),
-                  "warp overruns task " << task.name());
-    head_[k] += adv;
+    PFAIR_REQUIRE(h.head + adv <= h.count,
+                  "warp overruns task "
+                      << sys_->task(static_cast<std::int64_t>(k)).name());
+    h.head = static_cast<std::int32_t>(h.head + adv);
     remaining_ -= adv;
-    if (head_[k] < task.num_subtasks()) {
-      ready_at_[k] = ready_at_[k] + shift;
-    }
+    if (h.head >= h.count) continue;
+    h.ready_at += shift.raw_ticks();
+    // Re-derive the cursor (the one place a division is paid).
+    h.job = h.head / h.e;
+    h.rem = h.head % h.e;
+    const PosRec& pos = pos_[static_cast<std::size_t>(h.pos_off) +
+                             static_cast<std::size_t>(h.rem)];
+    h.next_key =
+        pos.key_base + static_cast<std::uint64_t>(h.job) * pos.key_step;
   }
-  // Uniform time shifts preserve heap order, so busy processors and
-  // their completion events move in place.
+  // Uniform time shifts preserve completion order, so busy processors
+  // and their completion events move in place; a hand-off whose task the
+  // warp exhausted is void.
   for (Proc& pr : procs_) {
-    if (pr.busy) pr.busy_until = pr.busy_until + shift;
-  }
-  for (Completion& c : completions_) c.at = c.at + shift;
-  now_ = now_ + shift;
-  // Pending entries and queued ready entries name pre-warp seqs —
-  // rebuild both from the shifted readiness instants.  At the (shifted)
-  // boundary every readiness instant strictly before it has already
-  // been drained; at or after it is still a pending event.
-  const Time boundary =
-      Time::slots(boundary_slot + cycles * cycle_slots);
-  ready_q_.clear();
-  pending_.clear();
-  for (std::size_t k = 0; k < n; ++k) {
-    const Task& task = sys_->task(static_cast<std::int64_t>(k));
-    if (head_[k] >= task.num_subtasks()) continue;
-    const SubtaskRef ref{static_cast<std::int32_t>(k),
-                         static_cast<std::int32_t>(head_[k])};
-    if (ready_at_[k] < boundary) {
-      ready_q_.push(ref);
-    } else {
-      pending_.push_back(Pending{ready_at_[k], ref});
+    if (!pr.busy) continue;
+    pr.busy_until = pr.busy_until + shift;
+    if (pr.hand_off >= 0 &&
+        hot_[static_cast<std::size_t>(pr.hand_off)].head >=
+            hot_[static_cast<std::size_t>(pr.hand_off)].count) {
+      pr.hand_off = -1;
     }
   }
-  std::make_heap(pending_.begin(), pending_.end(), kLaterPending);
+  for (std::size_t i = comp_head_; i < completions_.size(); ++i) {
+    completions_[i].at = completions_[i].at + shift;
+  }
+  now_ = now_ + shift;
+  // Queued entries and calendar lists name pre-warp seqs — rebuild both.
+  // Each head rejoins where it waited at the boundary (every calendar
+  // instant lies at or after it, so the calendar restarts there).
+  ready_q_.clear();
+  bucket_head_.clear();
+  cal_base_ = boundary_slot + shift_slots;
+  cal_next_ = kNoSlot;
+  cal_waiting_ = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const HotTask& h = hot_[k];
+    if (h.head >= h.count || h.wait == kHandOff) continue;
+    const auto task = static_cast<std::int32_t>(k);
+    if (h.wait == kCalendar) {
+      calendar_add(task, h.ready_at / kTicksPerSlot);
+    } else {
+      make_ready(task);
+    }
+  }
 }
 
 std::vector<int> DvqSimulator::idle_processors() const {

@@ -5,16 +5,29 @@
 // Sec. 3).  `schedule_dvq` is implemented on top of this class, keeping
 // the batch and incremental paths behaviourally identical.
 //
-// Per-event cost is O(changes), not O(tasks): the old bag of bare
-// timestamps (one duplicate push per processor completion and per
-// readiness advance) is replaced by two exact queues — completions
-// keyed (time, processor) and pending readiness keyed (time, subtask),
-// each unique by construction — plus a free-processor min-heap and a
-// ready heap ordered by packed 64-bit priority keys (see
-// sched/packed_key.hpp).  A decision touches only the processors that
-// completed, the subtasks that became ready, and the winners it places.
-// Schedules are bit-identical to the retained naive reference
-// (`schedule_dvq_reference`).
+// Per-event cost is O(changes), not O(tasks).  A task's next subtask
+// becomes ready at the later of its slot-aligned eligibility and its
+// predecessor's completion, both known the moment the predecessor is
+// placed, so no readiness instant ever needs a priority queue:
+//   * eligibility strictly after the completion: the task joins the
+//     slot calendar's bucket for that slot (an intrusive per-task list,
+//     drained when the event loop reaches the slot boundary);
+//   * otherwise: the completing processor holds the task and hands its
+//     head to the ready heap when that completion retires.
+// The next event is the earlier of the first pending completion (one
+// per busy processor, kept in time order: a new one lies within a
+// quantum of the current instant, so it is inserted from the back, and
+// under fixed yields it always appends) and the first non-empty calendar
+// slot.  Idle processors sit in a bitmap popped lowest id first; the
+// ready set is the packed-key heap of sched/ready_queue.hpp.
+//
+// As in SfqSimulator, everything a placement touches per task lives in
+// one 64-byte hot record — head, subtask count, readiness instant, the
+// head's packed key and the division-free eligibility cursor of
+// sched/positions.hpp — and placements are written straight into the
+// DvqSchedule's cells and order log (the schedule befriends the
+// simulator).  Schedules are bit-identical to the retained naive
+// reference (`schedule_dvq_reference`).
 //
 // A probe (decision-mask trace sink and/or metrics) rides on the same
 // fast path: decision events are reported as placements commit,
@@ -35,6 +48,7 @@
 #include "obs/probe.hpp"
 #include "obs/quality.hpp"
 #include "sched/packed_key.hpp"
+#include "sched/positions.hpp"
 #include "sched/priority.hpp"
 #include "sched/ready_queue.hpp"
 
@@ -46,9 +60,9 @@ struct DvqOptions;       // dvq/dvq_scheduler.hpp
 /// model must outlive the simulator.
 class DvqSimulator {
  public:
-  /// With `arena`, the working state (key tables, ready heap, event
-  /// queues, per-task/per-processor records) is bump-allocated there
-  /// (the arena must be fresh or reset and outlive the simulator).
+  /// With `arena`, the working state (key tables, ready heap, calendar,
+  /// completions, per-task/per-processor records) is bump-allocated
+  /// there (the arena must be fresh or reset and outlive the simulator).
   DvqSimulator(const TaskSystem& sys, const YieldModel& yields,
                Policy policy = Policy::kPd2, Arena* arena = nullptr);
 
@@ -60,7 +74,7 @@ class DvqSimulator {
   /// Whether any event is pending (false also implies nothing more can
   /// be scheduled — on a complete run, after done()).
   [[nodiscard]] bool has_events() const {
-    return !completions_.empty() || !pending_.empty();
+    return comp_head_ < completions_.size() || cal_waiting_ > 0;
   }
 
   /// Processes the next event instant; returns the subtasks started
@@ -81,10 +95,10 @@ class DvqSimulator {
   /// Raw per-task / per-processor state, for cycle fingerprints
   /// (dvq/dvq_cycle.hpp).
   [[nodiscard]] std::int64_t head_of(std::int64_t task) const {
-    return head_[static_cast<std::size_t>(task)];
+    return hot_[static_cast<std::size_t>(task)].head;
   }
   [[nodiscard]] Time ready_time_of(std::int64_t task) const {
-    return ready_at_[static_cast<std::size_t>(task)];
+    return Time::ticks(hot_[static_cast<std::size_t>(task)].ready_at);
   }
   [[nodiscard]] bool proc_busy(std::int64_t proc) const {
     return procs_[static_cast<std::size_t>(proc)].busy;
@@ -97,9 +111,11 @@ class DvqSimulator {
   /// `cycle_slots` slots detected at slot boundary `boundary_slot` (all
   /// events < boundary processed, none at or after), in which task k
   /// starts exactly `cycle_allocs[k]` subtasks.  Counters and event
-  /// times jump by the cycle length; the pending/ready partition is
-  /// rebuilt relative to the shifted boundary.  The caller, the shared
-  /// fast-forward driver (detail::fast_forward, sched/fast_forward.hpp),
+  /// times jump by the cycle length; the calendar and the ready heap are
+  /// rebuilt, each head rejoining where it waited at the boundary (the
+  /// calendar, a processor's hand-off, or the ready heap).  The caller,
+  /// the shared fast-forward driver (detail::fast_forward,
+  /// sched/fast_forward.hpp),
   /// has proved the recurrence via fingerprints.  Requires an
   /// uninstrumented simulator.
   void warp(std::int64_t cycles, std::int64_t cycle_slots,
@@ -128,12 +144,48 @@ class DvqSimulator {
   void set_quality(QualityCounters* q);
 
  private:
+  /// Where a task's head waits until it joins the ready heap.
+  enum Wait : std::int32_t {
+    kReady = 0,     // in the ready heap (or placed: the task is done)
+    kCalendar = 1,  // in the calendar bucket of its eligibility slot
+    kHandOff = 2,   // on the processor running its predecessor
+  };
+
+  /// All mutable per-task scheduling state, one cache line per task; the
+  /// cursor (rem, job) advances the head's key and eligibility with no
+  /// division (sched/positions.hpp).
+  struct alignas(64) HotTask {
+    std::uint64_t next_key;   // order key of subtask `head` (packed mode)
+    std::int64_t ready_at;    // head's readiness instant, ticks
+    std::int64_t elig_p;      // eligibility shift per job (0: job fixed 0)
+    std::int64_t cell_base;   // flat schedule-cell index of subtask 0
+    std::int32_t head;        // next unscheduled seq
+    std::int32_t count;       // total subtasks
+    std::int32_t rem;         // head % e
+    std::int32_t job;         // head / e
+    std::int32_t e;           // position period
+    std::int32_t pos_off;     // first PosRec of this task
+    std::int32_t cal_next;    // next task in the same calendar bucket
+    std::int32_t wait;        // Wait
+  };
+  static_assert(sizeof(HotTask) == 64);
+
+  struct Proc {
+    Time busy_until;
+    bool busy = false;
+    std::int32_t hand_off = -1;  // task whose head readies at busy_until
+  };
+  struct Completion {
+    Time at;
+    std::int32_t proc;
+  };
+
   /// The earliest unprocessed event instant; requires has_events().
   [[nodiscard]] Time next_event_time() const;
 
-  // One event instant's decisions appended into `started` (not cleared;
-  // reused as a scratch buffer by run_until).
-  void step_into(std::vector<SubtaskRef>& started);
+  // One event instant `t`'s decisions appended into `started` (not
+  // cleared; reused as a scratch buffer by run_until).
+  void step_into(std::vector<SubtaskRef>& started, Time t);
   // The O(changes) decision body.  kProbed additionally reports the
   // decision events and the ready-set size to the probe.
   template <bool kProbed>
@@ -150,10 +202,21 @@ class DvqSimulator {
   // occupancy.
   void start_quality(QualityCounters* q);
 
-  // Bookkeeping for one placement at instant `t`:
-  // records the placement, books the completion event, and enqueues the
-  // successor's readiness.  Returns the charged cost.
+  // Bookkeeping for one placement at instant `t`: writes the schedule
+  // cell and log entry, books the completion, and routes the
+  // successor's readiness to the calendar or the processor's hand-off.
+  // Returns the charged cost.
   Time commit_placement(const SubtaskRef& ref, Time t, int proc);
+  // Puts task k's head in the calendar bucket of `slot`.
+  void calendar_add(std::int32_t k, std::int64_t slot);
+  // Moves the bucket of the calendar's first slot into the ready heap
+  // and finds the next non-empty slot.
+  void drain_calendar();
+  // Pushes task k's head into the ready heap.
+  void make_ready(std::int32_t k);
+  [[nodiscard]] int pop_free_proc();
+  void add_completion(Completion c);
+  void free_proc(std::int32_t proc);
 
   const TaskSystem* sys_;
   const YieldModel* yields_;
@@ -162,29 +225,28 @@ class DvqSimulator {
   ReadyQueue ready_q_;
   SchedProbe probe_;
   DvqSchedule sched_;
+  bool packed_;
 
-  struct Proc {
-    bool busy = false;
-    Time busy_until;
-  };
+  ArenaVector<HotTask> hot_;
+  ArenaVector<PosRec> pos_;
   ArenaVector<Proc> procs_;
-  ArenaVector<std::int64_t> head_;
-  ArenaVector<Time> ready_at_;
-
-  // Exact event queues (min-heaps via std::push_heap/pop_heap): one
-  // completion per busy processor, one pending entry per task awaiting
-  // its head's readiness instant — no duplicate timestamps anywhere.
-  struct Completion {
-    Time at;
-    std::int32_t proc;
-  };
-  struct Pending {
-    Time at;
-    SubtaskRef ref;
-  };
+  // Busy processors' completions in ascending time order, the live ones
+  // at [comp_head_, size): one entry per busy processor (see the header
+  // note for why insertion from the back is cheap).
   ArenaVector<Completion> completions_;
-  ArenaVector<Pending> pending_;
-  ArenaVector<std::int32_t> free_procs_;  // min-heap of idle processors
+  std::size_t comp_head_ = 0;
+  // Idle processors, bit p of word p / 64; free_count_ bits set.
+  ArenaVector<std::uint64_t> free_bits_;
+  std::size_t free_count_ = 0;
+
+  // Calendar of slot-aligned readiness instants: bucket_head_[slot -
+  // cal_base_] is the first task of the slot's intrusive list (-1:
+  // empty).  cal_next_ is the first non-empty slot while cal_waiting_
+  // tasks wait in it.  warp() rebases it.
+  ArenaVector<std::int32_t> bucket_head_;
+  std::int64_t cal_base_ = 0;
+  std::int64_t cal_next_ = 0;
+  std::int64_t cal_waiting_ = 0;
 
   std::vector<SubtaskRef> scratch_started_;
   Time now_;

@@ -147,7 +147,9 @@ TaskSystem ParsedSystem::build() const {
   out.reserve(tasks.size());
   for (const ParsedTask& t : tasks) {
     if (t.jobs > 0) {
-      // n subtasks; the last one's deadline is phase + jobs * p.
+      // jobs * e subtasks — exactly those released before phase + jobs * p,
+      // the last one's deadline — as a flyweight, so memory is O(1) in
+      // jobs.
       std::int64_t n = 0, span = 0, end = 0;
       PFAIR_REQUIRE(!__builtin_mul_overflow(t.jobs, t.weight.e, &n) &&
                         !__builtin_mul_overflow(t.jobs, t.weight.p, &span) &&
@@ -155,11 +157,7 @@ TaskSystem ParsedSystem::build() const {
                     "line " << t.line << ": jobs=" << t.jobs << " of weight "
                             << t.weight.str() << " at phase " << t.phase
                             << " overflows the subtask count or deadlines");
-      std::vector<Task::SubtaskSpec> subs;
-      for (std::int64_t i = 1; i <= n; ++i) {
-        subs.push_back(Task::SubtaskSpec{i, t.phase, -1});
-      }
-      out.push_back(Task::gis(t.name, t.weight, subs));
+      out.push_back(Task::periodic_phased(t.name, t.weight, t.phase, end));
     } else {
       out.push_back(Task::periodic_phased(t.name, t.weight, t.phase,
                                           std::max(h, t.phase)));

@@ -5,7 +5,6 @@
 #include "core/simd.hpp"
 #include "obs/prof.hpp"
 #include "obs/quality.hpp"
-#include "tasks/window_table.hpp"
 
 namespace pfair {
 
@@ -42,78 +41,26 @@ SfqSimulator::SfqSimulator(const TaskSystem& sys, Policy policy, Arena* arena,
   const std::int64_t n = sys.num_tasks();
   hot_.resize(static_cast<std::size_t>(n));
   ready_q_.reserve(static_cast<std::size_t>(n));
-
-  // Size the position table (one pass), then fill it (second pass).
-  std::size_t positions = 0;
-  for (std::int64_t k = 0; k < n; ++k) {
-    const Task& task = sys.task(k);
-    const std::int64_t cnt = task.num_subtasks();
-    if (cnt == 0) continue;
-    std::int64_t period = cnt;
-    if (const WindowTable* wt = task.window_table()) {
-      period = task.early_release() ? task.weight().e : wt->e();
-    }
-    positions += static_cast<std::size_t>(std::min(period, cnt));
-  }
-  pos_.resize(positions);
-
-  positions = 0;
-  for (std::int64_t k = 0; k < n; ++k) {
-    const Task& task = sys.task(k);
-    const std::int64_t cnt = task.num_subtasks();
+  build_positions(sys, keys_, pos_, [&](std::int64_t k, std::int64_t cnt,
+                                        std::int32_t pos_off, std::int32_t e,
+                                        std::int64_t elig_p) {
     HotTask& h = hot_[static_cast<std::size_t>(k)];
     h.next_key = 0;
     h.last_slot = -1;
-    h.elig_p = 0;
+    h.elig_p = elig_p;
     h.cell_base = sys.subtask_offset(k);
     h.head = 0;
     h.count = static_cast<std::int32_t>(cnt);
     h.rem = 0;
     h.job = 0;
-    h.e = 1;
-    h.pos_off = static_cast<std::int32_t>(positions);
-    if (cnt == 0) continue;
-
-    // The position period: the smallest stride that makes both the key
-    // and the eligibility affine in the job index (see PosRec).  When
-    // it is not smaller than the subtask count, job stays 0 for every
-    // seq and the table is truncated to one record per subtask.
-    const WindowTable* wt = task.window_table();
-    std::int64_t e_red = 0;
-    std::int64_t e_pos = cnt;
-    if (wt != nullptr) {
-      e_red = wt->e();
-      const std::int64_t period =
-          task.early_release() ? task.weight().e : e_red;
-      e_pos = std::min(period, cnt);
-      if (e_pos < cnt) h.elig_p = (e_pos / e_red) * wt->p();
-    }
-    h.e = static_cast<std::int32_t>(e_pos);
-
-    const std::size_t pk_off = packed_ ? keys_.task_offset(k) : 0;
-    const std::uint64_t* pk_step = packed_ ? keys_.step_data() : nullptr;
-    for (std::int64_t r = 0; r < e_pos; ++r) {
-      PosRec& pr = pos_[positions + static_cast<std::size_t>(r)];
-      pr.elig_base = task.eligible_at(r);
-      pr.key_base = 0;
-      pr.key_step = 0;
-      if (packed_) {
-        pr.key_base = keys_.order_key(SubtaskRef{
-            static_cast<std::int32_t>(k), static_cast<std::int32_t>(r)});
-        if (e_pos < cnt && wt != nullptr) {
-          // key(seq = j * e_pos + r) steps by (e_pos / e_red) times the
-          // reduced-period step each job (e_pos is a multiple of e_red).
-          pr.key_step =
-              static_cast<std::uint64_t>(e_pos / e_red) *
-              pk_step[pk_off + static_cast<std::size_t>(r % e_red)];
-        }
-      }
-    }
-    h.next_key = pos_[positions].key_base;  // head = 0: job 0, rem 0
+    h.e = e;
+    h.pos_off = pos_off;
+    if (cnt == 0) return;
+    const PosRec& first = pos_[static_cast<std::size_t>(pos_off)];
+    h.next_key = first.key_base;  // head = 0: job 0, rem 0
     mark_available(static_cast<std::int32_t>(k),
-                   std::max<std::int64_t>(pos_[positions].elig_base, 0));
-    positions += static_cast<std::size_t>(e_pos);
-  }
+                   std::max<std::int64_t>(first.elig_base, 0));
+  });
 }
 
 SlotSchedule SfqSimulator::take_schedule() && {

@@ -51,6 +51,7 @@
 #include "obs/probe.hpp"
 #include "obs/quality.hpp"
 #include "sched/packed_key.hpp"
+#include "sched/positions.hpp"
 #include "sched/priority.hpp"
 #include "sched/ready_queue.hpp"
 #include "sched/schedule.hpp"
@@ -148,10 +149,9 @@ class SfqSimulator {
 
  private:
   /// All mutable per-task scheduling state, one cache line per task.
-  /// The flyweight cursor (rem, job) tracks head = job * e + rem so a
-  /// placement advances to the successor's key and eligibility with no
-  /// division: next_key = pos[pos_off + rem].key_base + job * key_step,
-  /// eligibility = pos[...].elig_base + job * elig_p.
+  /// The cursor (rem, job) over the position table advances the head to
+  /// its successor's key and eligibility with no division (see
+  /// sched/positions.hpp).
   struct alignas(64) HotTask {
     std::uint64_t next_key;   // order key of subtask `head` (packed mode)
     std::int64_t last_slot;   // most recent placement slot; -1 if none
@@ -161,22 +161,10 @@ class SfqSimulator {
     std::int32_t count;       // total subtasks
     std::int32_t rem;         // head % e
     std::int32_t job;         // head / e
-    std::int32_t e;           // position period (see PosRec)
+    std::int32_t e;           // position period (sched/positions.hpp)
     std::int32_t pos_off;     // first PosRec of this task
   };
   static_assert(sizeof(HotTask) == 64);
-
-  /// Immutable per-position constants.  A task owns min(e, count)
-  /// consecutive records; e is the smallest period that makes *both*
-  /// the packed key and the eligibility time affine in the job index
-  /// (the reduced window period normally; the raw weight numerator for
-  /// early-release tasks, whose job boundaries follow the raw (e, p);
-  /// the subtask count for materialized tasks, pinning job = 0).
-  struct PosRec {
-    std::uint64_t key_base;
-    std::uint64_t key_step;
-    std::int64_t elig_base;
-  };
 
   /// One calendar bucket fragment: up to 14 task ids in one cache line,
   /// chained by chunk index, recycled through a freelist.

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -13,10 +14,17 @@
 #include "analysis/validity.hpp"
 #include "core/radix_sort.hpp"
 #include "core/rng.hpp"
+#include "dvq/dvq_scheduler.hpp"
 #include "sched/sfq_scheduler.hpp"
 #include "workload/generator.hpp"
 
 namespace pfair {
+
+/// Write access to a DvqSchedule's order log (see dvq/dvq_schedule.hpp).
+struct DvqScheduleTestPeer {
+  static std::vector<std::int64_t>& log(DvqSchedule& s) { return s.log_; }
+};
+
 namespace {
 
 TaskSystem one_task(Weight w, std::int64_t horizon, int m = 1) {
@@ -353,6 +361,142 @@ TEST(Validity, DvqChecksOnOneThreadCarryNothingOver) {
   EXPECT_TRUE(check_dvq_schedule(single_sys, single, kQuantum).valid());
 
   EXPECT_EQ(overlaps(check_dvq_schedule(broken_sys, broken, kQuantum)), first);
+}
+
+// Three two-subtask tasks on two processors, placed out of start order
+// with one overlap on processor 0 and one deadline miss without an
+// allowance.  The order log is unsorted, so the check sorts the lanes;
+// the report text is pinned to what the lane sort produced before the
+// order log existed, and placing the same allocations in start order
+// (the log pass then finds the overlap and hands over) reads the same.
+TEST(Validity, DvqOrderLogFallsBackWhenUnsorted) {
+  std::vector<Task> tasks;
+  for (int k = 0; k < 3; ++k) {
+    tasks.push_back(Task::periodic("T" + std::to_string(k), Weight(1, 2), 4));
+  }
+  const TaskSystem sys(std::move(tasks), 2);
+  const Time half = Time::ticks(kTicksPerSlot / 2);
+  struct Alloc {
+    SubtaskRef ref;
+    Time start, cost;
+    int proc;
+  };
+  const std::vector<Alloc> allocs = {
+      {{0, 1}, Time::slots_frac(3, 1, 4), kQuantum, 0},
+      {{2, 1}, Time::slots(3), half, 1},
+      {{0, 0}, Time::slots(0), kQuantum, 0},
+      {{1, 1}, Time::slots(2), kQuantum, 1},
+      {{2, 0}, Time::slots(0), kQuantum, 1},
+      {{1, 0}, half, kQuantum, 0},
+  };
+  DvqSchedule unsorted(sys);
+  for (const Alloc& a : allocs) unsorted.place(a.ref, a.start, a.cost, a.proc);
+  std::vector<Alloc> by_start = allocs;
+  std::stable_sort(by_start.begin(), by_start.end(),
+                   [](const Alloc& a, const Alloc& b) {
+                     return a.start < b.start;
+                   });
+  DvqSchedule sorted(sys);
+  for (const Alloc& a : by_start) sorted.place(a.ref, a.start, a.cost, a.proc);
+
+  const std::string overlap =
+      "\n  [overloaded-slot] (task 1, seq 0): overlaps (task 0, seq 0) on "
+      "processor (starts 0+524288/2^20 before 1)";
+  for (const DvqSchedule* sched : {&unsorted, &sorted}) {
+    EXPECT_EQ(check_dvq_schedule(sys, *sched, Time()).str(SIZE_MAX),
+              "2 violation(s):\n  [deadline-miss] (task 0, seq 1): completes "
+              "at 4+262144/2^20 > d = 4 + allowance 0" +
+                  overlap);
+    EXPECT_EQ(check_dvq_schedule(sys, *sched, kQuantum).str(SIZE_MAX),
+              "1 violation(s):" + overlap);
+  }
+}
+
+// The log pass certifies a schedule only if its log names every placed
+// cell exactly once: a log that misses the overlapping allocation, or
+// names another one twice in its place, must not hide the overlap.
+TEST(Validity, DvqOrderLogMustNameEveryPlacementOnce) {
+  std::vector<Task> tasks;
+  for (int k = 0; k < 3; ++k) {
+    tasks.push_back(Task::periodic("T" + std::to_string(k), Weight(1, 2), 2));
+  }
+  const TaskSystem sys(std::move(tasks), 2);
+  DvqSchedule sched(sys);
+  sched.place(SubtaskRef{0, 0}, Time::slots(0), kQuantum, 0);
+  sched.place(SubtaskRef{2, 0}, Time::slots(0), kQuantum, 1);
+  sched.place(SubtaskRef{1, 0}, Time::ticks(kTicksPerSlot / 2), kQuantum, 0);
+  const std::string want = check_dvq_schedule(sys, sched, kQuantum).str();
+  ASSERT_NE(want, "valid");
+
+  DvqSchedule missing = sched;
+  DvqScheduleTestPeer::log(missing).pop_back();
+  DvqScheduleTestPeer::log(missing).shrink_to_fit();  // no stale entry
+  EXPECT_EQ(check_dvq_schedule(sys, missing, kQuantum).str(), want);
+  DvqSchedule repeated = sched;
+  DvqScheduleTestPeer::log(repeated).back() =
+      DvqScheduleTestPeer::log(repeated).front();
+  EXPECT_EQ(check_dvq_schedule(sys, repeated, kQuantum).str(), want);
+}
+
+// The DVQ recount reads start order off a verified order log and sorts
+// otherwise; both must count alike.  Copies of simulator schedules
+// logged task by task (unsorted on every processor) and processor by
+// processor (each processor in order, the whole log not), and ones whose
+// log names a placement twice or misses one, all take the sorted path.
+TEST(Recount, DvqLogOrderAndSortedPathsAgree) {
+  int compared = 0;
+  for (int seed = 0; seed < 24; ++seed) {
+    GeneratorConfig cfg;
+    cfg.processors = 2 + seed % 3;
+    cfg.target_util = Rational(cfg.processors);
+    cfg.horizon = 24;
+    cfg.seed = static_cast<std::uint64_t>(700 + seed);
+    const TaskSystem sys = generate_periodic(cfg);
+    const BernoulliYield yields(static_cast<std::uint64_t>(seed), 1, 2,
+                                kTick, kQuantum - kTick);
+    DvqOptions opts;
+    opts.policy = seed % 2 == 0 ? Policy::kPd2 : Policy::kEpdf;
+    const DvqSchedule sched = schedule_dvq(sys, yields, opts);
+    if (!sched.complete()) continue;
+    const QualityCounters want = recount_quality(sys, sched);
+
+    struct Placed {
+      SubtaskRef ref;
+      DvqPlacement pl;
+    };
+    std::vector<Placed> all;
+    for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
+      sched.walk_task(k, [&](std::int32_t s, const DvqPlacement& pl) {
+        all.push_back(Placed{SubtaskRef{k, s}, pl});
+      });
+    }
+    const auto place_all = [&](const std::vector<Placed>& order) {
+      DvqSchedule out(sys);
+      for (const Placed& p : order) {
+        out.place(p.ref, p.pl.start, p.pl.cost, p.pl.proc);
+      }
+      return out;
+    };
+    const std::string tag = "seed " + std::to_string(seed);
+    EXPECT_EQ(recount_quality(sys, place_all(all)), want) << tag;
+    std::vector<Placed> by_proc = all;
+    std::stable_sort(by_proc.begin(), by_proc.end(),
+                     [](const Placed& a, const Placed& b) {
+                       return a.pl.proc != b.pl.proc ? a.pl.proc < b.pl.proc
+                                                     : a.pl.start < b.pl.start;
+                     });
+    EXPECT_EQ(recount_quality(sys, place_all(by_proc)), want) << tag;
+    DvqSchedule repeated = sched;
+    std::vector<std::int64_t>& log = DvqScheduleTestPeer::log(repeated);
+    log[log.size() / 2] = log[log.size() / 2 - 1];
+    EXPECT_EQ(recount_quality(sys, repeated), want) << tag;
+    DvqSchedule missing = sched;
+    DvqScheduleTestPeer::log(missing).pop_back();
+    DvqScheduleTestPeer::log(missing).shrink_to_fit();  // no stale entry
+    EXPECT_EQ(recount_quality(sys, missing), want) << tag;
+    ++compared;
+  }
+  EXPECT_GE(compared, 20);
 }
 
 TEST(Validity, ReportStringMentionsKind) {

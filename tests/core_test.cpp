@@ -1,8 +1,10 @@
 // Unit tests for src/core: contracts, rationals, time, RNG, stats, pool.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <thread>
+#include <utility>
 
 #include "core/assert.hpp"
 #include "core/rational.hpp"
@@ -166,6 +168,30 @@ TEST(Rng, UniformDegenerate) {
   Rng rng(9);
   EXPECT_EQ(rng.uniform(5, 5), 5);
   EXPECT_THROW(rng.uniform(6, 5), ContractViolation);
+}
+
+// uniform() takes a division-free path for power-of-two spans; every
+// span must draw exactly what the plain modulo-rejection rule draws from
+// the same generator state.
+TEST(Rng, UniformMatchesTheModuloRejectionRule) {
+  const std::pair<std::int64_t, std::int64_t> ranges[] = {
+      {0, 0},           {1, 2},           {-4, 3},        {5, 9},
+      {1, 6},           {524288, 1048575}, {0, (std::int64_t{1} << 40) - 1},
+      {0, INT64_MAX},   {-7, 1000003}};
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    for (const auto& [lo, hi] : ranges) {
+      Rng rng(seed), twin(seed);
+      const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
+      for (int i = 0; i < 200; ++i) {
+        std::uint64_t x;
+        do {
+          x = twin.next_u64();
+        } while (x >= UINT64_MAX - UINT64_MAX % span);
+        ASSERT_EQ(rng.uniform(lo, hi), lo + static_cast<std::int64_t>(x % span))
+            << "seed " << seed << " [" << lo << ", " << hi << "] draw " << i;
+      }
+    }
+  }
 }
 
 TEST(Rng, ChanceEdges) {

@@ -27,6 +27,7 @@
 #include "core/thread_pool.hpp"
 #include "dvq/dvq_cycle.hpp"
 #include "dvq/dvq_scheduler.hpp"
+#include "dvq/dvq_simulator.hpp"
 #include "dvq/reference_scheduler.hpp"
 #include "dvq/yield.hpp"
 #include "obs/audit.hpp"
@@ -222,6 +223,87 @@ TEST(CycleFastForward, DvqMatchesReferenceAcrossHorizons) {
   });
   EXPECT_EQ(failures.count.load(), 0) << failures.first;
   EXPECT_GE(engaged_runs.load(), 60);
+}
+
+// The DVQ warp rebuilds the slot calendar: heads whose readiness instant
+// is a slot boundary at or after the detect boundary, strictly after
+// their predecessor's completion, wait in a calendar bucket there (not
+// on a processor's completion hand-off, not in the ready heap) and must
+// rejoin the shifted calendar.  Every engaged run here has such heads.
+TEST(CycleFastForward, DvqWarpRebuildsCalendarHeads) {
+  int checked = 0;
+  for (int seed = 0; seed < 30; ++seed) {
+    const TaskSystem sys = make_cyclic_system(seed, 10);
+    const FixedYield yields(Time::slots_frac(0, 1, 4));
+    DvqOptions opts;
+    opts.policy = kAllPolicies[seed % 4];
+    opts.horizon_limit = 15 * kPool / 2;
+    const DvqCycleSchedule cyc = schedule_dvq_cyclic(sys, yields, opts);
+    if (!cyc.stats().engaged) continue;
+    const std::int64_t boundary = cyc.stats().detect_slot;
+    DvqSimulator sim(sys, yields, opts.policy);
+    sim.run_until(Time::slots(boundary));
+    int in_calendar = 0;
+    for (std::int64_t k = 0; k < sys.num_tasks(); ++k) {
+      const Time ready = sim.ready_time_of(k);
+      if (sim.head_of(k) >= sys.task(k).num_subtasks() ||
+          ready < Time::slots(boundary) || !ready.is_slot_boundary()) {
+        continue;
+      }
+      bool hand_off = false;
+      for (std::int64_t p = 0; p < sys.processors(); ++p) {
+        hand_off |= sim.proc_busy(p) && sim.proc_busy_until(p) == ready;
+      }
+      in_calendar += hand_off ? 0 : 1;
+    }
+    const std::string tag = "seed " + std::to_string(seed);
+    EXPECT_GT(in_calendar, 0) << tag;
+    std::string why;
+    EXPECT_TRUE(same_dvq(schedule_dvq_reference(sys, yields, opts),
+                         cyc.materialize(), sys, &why))
+        << tag << ": " << why;
+    ++checked;
+  }
+  EXPECT_GE(checked, 15);
+}
+
+// An engaged splice materializes with its synthesized placements logged
+// after the stored tail, so the plain schedule's order log is unsorted
+// and the check sorts the lanes: it must report exactly what the
+// reference schedule (logged in start order) and the compressed check
+// report, with and without a tardiness allowance.
+TEST(CycleFastForward, DvqMaterializedSpliceReportsLikeTheReference) {
+  int engaged = 0;
+  for (int seed = 0; seed < 24; ++seed) {
+    const TaskSystem sys = make_cyclic_system(seed, 10);
+    const FixedYield yields(Time::slots_frac(0, 1, 4));
+    DvqOptions opts;
+    opts.policy = kAllPolicies[seed % 4];
+    opts.horizon_limit = 15 * kPool / 2;
+    const DvqCycleSchedule cyc = schedule_dvq_cyclic(sys, yields, opts);
+    if (!cyc.stats().engaged) continue;
+    const DvqSchedule mat = cyc.materialize();
+    const DvqSchedule ref = schedule_dvq_reference(sys, yields, opts);
+    bool in_start_order = true;
+    Time prev;
+    for (const std::int64_t i : mat.order_log()) {
+      const Time start = mat.flat_placement(i).start;
+      in_start_order = in_start_order && start >= prev;
+      prev = start;
+    }
+    const std::string tag = "seed " + std::to_string(seed);
+    EXPECT_FALSE(in_start_order) << tag;
+    for (const Time allowance : {Time(), kQuantum}) {
+      const std::string want =
+          check_dvq_schedule(sys, ref, allowance).str(SIZE_MAX);
+      EXPECT_EQ(check_dvq_schedule(sys, mat, allowance).str(SIZE_MAX), want)
+          << tag;
+      EXPECT_EQ(check_dvq_schedule(sys, cyc, allowance).str(SIZE_MAX), want)
+          << tag;
+    }
+    ++engaged;
+  }
+  EXPECT_GE(engaged, 15);
 }
 
 // A hand-built fully utilized system must deterministically engage in

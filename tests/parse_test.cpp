@@ -123,6 +123,51 @@ TEST(Parse, JobCountOverflowIsRejected) {
   EXPECT_EQ(ok.task(0).num_subtasks(), 6);
 }
 
+// A finite task is a flyweight periodic task: building one costs O(1) in
+// its job count (the subtasks are never materialized, or scheduled here).
+TEST(Parse, HugeJobCountBuildsFlyweight) {
+  const TaskSystem sys =
+      parse_task_string("processors 1\ntask a 1/2 jobs=100000000\n").build();
+  EXPECT_EQ(sys.task(0).num_subtasks(), 100000000);
+  EXPECT_EQ(sys.task(0).subtask_at(99999999).deadline, 200000000);
+}
+
+// The flyweight has the subtask sequence the GIS construction of the
+// same jobs (every index 1..jobs*e, offset = phase, eligible at release)
+// had.
+TEST(Parse, JobsMatchTheGisConstruction) {
+  for (const Weight w : {Weight(1, 2), Weight(2, 5), Weight(3, 4),
+                         Weight(5, 7), Weight(4, 6)}) {
+    for (const std::int64_t phase : {0, 1, 5}) {
+      for (const std::int64_t jobs : {1, 2, 5}) {
+        const std::string line = "task a " + w.str() +
+                                 " jobs=" + std::to_string(jobs) +
+                                 " phase=" + std::to_string(phase);
+        const TaskSystem sys =
+            parse_task_string("processors 1\n" + line + "\n").build();
+        std::vector<Task::SubtaskSpec> specs;
+        for (std::int64_t i = 1; i <= jobs * w.e; ++i) {
+          specs.push_back(Task::SubtaskSpec{i, phase, -1});
+        }
+        const Task gis = Task::gis("a", w, specs);
+        const Task& fly = sys.task(0);
+        ASSERT_EQ(fly.num_subtasks(), gis.num_subtasks()) << line;
+        for (std::int64_t s = 0; s < gis.num_subtasks(); ++s) {
+          const Subtask a = fly.subtask_at(s);
+          const Subtask b = gis.subtask_at(s);
+          EXPECT_EQ(a.index, b.index) << line << " seq " << s;
+          EXPECT_EQ(a.release, b.release) << line << " seq " << s;
+          EXPECT_EQ(a.deadline, b.deadline) << line << " seq " << s;
+          EXPECT_EQ(a.eligible, b.eligible) << line << " seq " << s;
+          EXPECT_EQ(a.bbit, b.bbit) << line << " seq " << s;
+          EXPECT_EQ(a.group_deadline, b.group_deadline)
+              << line << " seq " << s;
+        }
+      }
+    }
+  }
+}
+
 TEST(Parse, EffectiveHorizonIsTwoHyperperiods) {
   const ParsedSystem p = parse_task_string(
       "processors 1\n"
