@@ -1,16 +1,12 @@
 // Portable SIMD shim for the scheduler's data-oriented hot paths.
 //
-// Exactly the kernels the hot paths need — batch affine key recompute
-// (key = base + job * step over structure-of-arrays spans) and min /
-// argmin selection for the 8-ary ready heap — with three backends:
+// Exactly the kernels the hot paths need — min / argmin selection for
+// the 8-ary ready heap — with three backends:
 //
 //   * AVX2   (x86-64): 4 x u64 lanes; unsigned 64-bit compares are
 //             synthesized by flipping the sign bit before a signed
-//             compare, and the 64 x 32 -> 64 multiply from two
-//             _mm256_mul_epu32 partial products.
-//   * NEON   (aarch64): 2 x u64 lanes for the selection kernels; the
-//             multiply kernel stays scalar (no 64-bit lane multiply,
-//             and two lanes do not amortize the decomposition).
+//             compare.
+//   * NEON   (aarch64): 2 x u64 lanes.
 //   * scalar: plain loops, always compiled, on every platform.
 //
 // Backend selection is a compile-time decision (`-DPFAIR_NO_SIMD`
@@ -19,9 +15,9 @@
 // scalar implementation, so A/B suites can cross-check both shims in
 // one binary regardless of how the build was configured.
 //
-// Semantics are exact and backend-independent: all arithmetic is
-// modulo 2^64, and the argmin kernels return the lowest index holding
-// the minimum **provided keys are pairwise distinct** (the packed-key
+// Semantics are exact and backend-independent: the argmin kernels
+// return the lowest index holding the minimum **provided keys are
+// pairwise distinct** (the packed-key
 // construction guarantees distinctness; with duplicated minima the
 // accelerated backends may prefer a different duplicate).  The
 // SIMD-vs-scalar property suite (tests/simd_test.cpp) pins the
@@ -83,15 +79,6 @@ inline void set_force_scalar(bool v) {
 // Scalar reference kernels — always compiled, the semantic ground truth.
 // ---------------------------------------------------------------------------
 
-/// out[i] = base[i] + job[i] * step[i] (mod 2^64).  Requires
-/// job[i] < 2^32 (job indices are subtask counts; they fit easily).
-inline void affine_keys_scalar(const std::uint64_t* base,
-                               const std::uint64_t* step,
-                               const std::uint64_t* job, std::uint64_t* out,
-                               std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = base[i] + job[i] * step[i];
-}
-
 /// Index of the minimum of keys[0..n); lowest index wins ties.
 /// Requires n >= 1.
 inline std::size_t argmin_scalar(const std::uint64_t* keys, std::size_t n) {
@@ -131,28 +118,6 @@ inline MinIdx min_keep_first(__m256i a, __m256i ai, __m256i b, __m256i bi) {
 }
 
 }  // namespace detail
-
-inline void affine_keys_avx2(const std::uint64_t* base,
-                             const std::uint64_t* step,
-                             const std::uint64_t* job, std::uint64_t* out,
-                             std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i b = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(base + i));
-    const __m256i s = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(step + i));
-    const __m256i j = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(job + i));
-    // j < 2^32, so s * j mod 2^64 = s_lo * j + ((s_hi * j) << 32).
-    const __m256i lo = _mm256_mul_epu32(s, j);
-    const __m256i hi = _mm256_mul_epu32(_mm256_srli_epi64(s, 32), j);
-    const __m256i prod = _mm256_add_epi64(lo, _mm256_slli_epi64(hi, 32));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_add_epi64(b, prod));
-  }
-  affine_keys_scalar(base + i, step + i, job + i, out + i, n - i);
-}
 
 inline std::size_t argmin8_avx2(const std::uint64_t* keys) {
   using detail::min_keep_first;
@@ -271,31 +236,11 @@ inline std::size_t argmin_neon(const std::uint64_t* keys, std::size_t n) {
   return best;
 }
 
-/// No 64-bit lane multiply on NEON, and two lanes do not amortize the
-/// 32-bit decomposition — the batch recompute stays scalar there.
-inline void affine_keys_neon(const std::uint64_t* base,
-                             const std::uint64_t* step,
-                             const std::uint64_t* job, std::uint64_t* out,
-                             std::size_t n) {
-  affine_keys_scalar(base, step, job, out, n);
-}
-
 #endif  // PFAIR_SIMD_NEON
 
 // ---------------------------------------------------------------------------
 // Dispatching entry points — the names the hot paths call.
 // ---------------------------------------------------------------------------
-
-inline void affine_keys(const std::uint64_t* base, const std::uint64_t* step,
-                        const std::uint64_t* job, std::uint64_t* out,
-                        std::size_t n) {
-#if defined(PFAIR_SIMD_AVX2)
-  if (!force_scalar()) return affine_keys_avx2(base, step, job, out, n);
-#elif defined(PFAIR_SIMD_NEON)
-  if (!force_scalar()) return affine_keys_neon(base, step, job, out, n);
-#endif
-  affine_keys_scalar(base, step, job, out, n);
-}
 
 inline std::size_t argmin8(const std::uint64_t* keys) {
 #if defined(PFAIR_SIMD_AVX2)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <span>
 
 #include "core/assert.hpp"
 #include "core/simd.hpp"
@@ -10,12 +11,6 @@
 #include "obs/quality.hpp"
 
 namespace pfair {
-
-namespace {
-
-constexpr std::int64_t kNoSlot = std::numeric_limits<std::int64_t>::max();
-
-}  // namespace
 
 DvqSimulator::DvqSimulator(const TaskSystem& sys, const YieldModel& yields,
                            Policy policy, Arena* arena)
@@ -31,8 +26,7 @@ DvqSimulator::DvqSimulator(const TaskSystem& sys, const YieldModel& yields,
       procs_(arena),
       completions_(arena),
       free_bits_(arena),
-      bucket_head_(arena),
-      cal_next_(kNoSlot),
+      calendar_(arena),
       remaining_(sys.total_subtasks()) {
   const auto m = static_cast<std::size_t>(sys.processors());
   procs_.resize(m);
@@ -47,34 +41,24 @@ DvqSimulator::DvqSimulator(const TaskSystem& sys, const YieldModel& yields,
   const auto n = static_cast<std::size_t>(sys.num_tasks());
   hot_.resize(n);
   ready_q_.reserve(n);
-  build_positions(sys, keys_, pos_, [&](std::int64_t k, std::int64_t cnt,
-                                        std::int32_t pos_off, std::int32_t e,
-                                        std::int64_t elig_p) {
-    HotTask& h = hot_[static_cast<std::size_t>(k)];
-    h.next_key = 0;
-    h.ready_at = 0;
-    h.elig_p = elig_p;
-    h.cell_base = sys.subtask_offset(k);
-    h.head = 0;
-    h.count = static_cast<std::int32_t>(cnt);
-    h.rem = 0;
-    h.job = 0;
-    h.e = e;
-    h.pos_off = pos_off;
-    h.cal_next = -1;
-    h.wait = kReady;
-    if (cnt == 0) return;
-    const PosRec& first = pos_[static_cast<std::size_t>(pos_off)];
-    h.next_key = first.key_base;  // head = 0: job 0, rem 0
-    h.ready_at = Time::slots(first.elig_base).raw_ticks();
-    cal_base_ = std::min(cal_base_, first.elig_base);
-  });
   // The calendar starts at the earliest first eligibility (0 unless a
   // hand-built task is eligible before time 0).
+  std::int64_t base = 0;
+  build_positions(sys, keys_, pos_, [&](std::int64_t k, const HeadCursor& c) {
+    HotTask& h = hot_[static_cast<std::size_t>(k)];
+    static_cast<HeadCursor&>(h) = c;
+    h.ready_at = 0;
+    h.wait = kReady;
+    if (h.done()) return;
+    const std::int64_t elig = h.eligible(pos_.data());
+    h.ready_at = Time::slots(elig).raw_ticks();
+    base = std::min(base, elig);
+  });
+  calendar_.reset(base);
   for (std::size_t k = 0; k < n; ++k) {
-    if (hot_[k].count > 0) {
-      calendar_add(static_cast<std::int32_t>(k),
-                   hot_[k].ready_at / kTicksPerSlot);
+    if (!hot_[k].done()) {
+      wait_in_calendar(static_cast<std::int32_t>(k),
+                       hot_[k].ready_at / kTicksPerSlot);
     }
   }
 }
@@ -95,21 +79,9 @@ int DvqSimulator::pop_free_proc() {
   return static_cast<int>(w * 64) + bit;
 }
 
-void DvqSimulator::calendar_add(std::int32_t k, std::int64_t slot) {
-  PFAIR_ASSERT(slot >= cal_base_);
-  const auto s = static_cast<std::size_t>(slot - cal_base_);
-  if (s >= bucket_head_.size()) {
-    const std::size_t old = bucket_head_.size();
-    const std::size_t grown = std::max(s + 1, old * 2);
-    bucket_head_.resize(grown);
-    for (std::size_t i = old; i < grown; ++i) bucket_head_[i] = -1;
-  }
-  HotTask& h = hot_[static_cast<std::size_t>(k)];
-  h.cal_next = bucket_head_[s];
-  h.wait = kCalendar;
-  bucket_head_[s] = k;
-  ++cal_waiting_;
-  cal_next_ = std::min(cal_next_, slot);
+void DvqSimulator::wait_in_calendar(std::int32_t k, std::int64_t slot) {
+  hot_[static_cast<std::size_t>(k)].wait = kCalendar;
+  calendar_.push(slot, k);
 }
 
 void DvqSimulator::make_ready(std::int32_t k) {
@@ -120,29 +92,6 @@ void DvqSimulator::make_ready(std::int32_t k) {
   } else {
     ready_q_.push(SubtaskRef{k, h.head});
   }
-}
-
-void DvqSimulator::drain_calendar() {
-  auto s = static_cast<std::size_t>(cal_next_ - cal_base_);
-  // A bucket entry always names its task's *current* head: the entry was
-  // made when the predecessor was placed (or at construction), and the
-  // head cannot be scheduled before this drain.
-  std::int32_t k = bucket_head_[s];
-  bucket_head_[s] = -1;
-  while (k >= 0) {
-    const std::int32_t next = hot_[static_cast<std::size_t>(k)].cal_next;
-    if (next >= 0) simd::prefetch(&hot_[static_cast<std::size_t>(next)]);
-    make_ready(k);
-    --cal_waiting_;
-    k = next;
-  }
-  if (cal_waiting_ == 0) {
-    cal_next_ = kNoSlot;
-    return;
-  }
-  while (bucket_head_[++s] < 0) {
-  }
-  cal_next_ = cal_base_ + static_cast<std::int64_t>(s);
 }
 
 void DvqSimulator::add_completion(Completion c) {
@@ -166,7 +115,7 @@ Time DvqSimulator::next_event_time() const {
   PFAIR_ASSERT(has_events());
   Time t = Time::ticks(std::numeric_limits<std::int64_t>::max());
   if (comp_head_ < completions_.size()) t = completions_[comp_head_].at;
-  if (cal_waiting_ > 0) t = std::min(t, Time::slots(cal_next_));
+  if (!calendar_.empty()) t = std::min(t, Time::slots(calendar_.min_slot()));
   return t;
 }
 
@@ -196,27 +145,14 @@ Time DvqSimulator::commit_placement(const SubtaskRef& ref, Time t,
   pr.hand_off = -1;
   add_completion(Completion{end, static_cast<std::int32_t>(proc)});
   --remaining_;
-  const std::int32_t head = ++h.head;
-  if (head >= h.count) return c;
-  std::int32_t rem = h.rem + 1;
-  std::int32_t job = h.job;
-  if (rem == h.e) {
-    rem = 0;
-    ++job;
-  }
-  h.rem = rem;
-  h.job = job;
-  const PosRec& pos =
-      pos_[static_cast<std::size_t>(h.pos_off) + static_cast<std::size_t>(rem)];
-  h.next_key = pos.key_base + static_cast<std::uint64_t>(job) * pos.key_step;
+  if (!h.advance(pos_.data())) return c;
   // The successor's readiness instant is known now: the later of its
   // eligibility time and this quantum's completion.
-  const std::int64_t elig =
-      pos.elig_base + static_cast<std::int64_t>(job) * h.elig_p;
+  const std::int64_t elig = h.eligible(pos_.data());
   const std::int64_t elig_ticks = Time::slots(elig).raw_ticks();
   if (elig_ticks > end.raw_ticks()) {
     h.ready_at = elig_ticks;
-    calendar_add(ref.task, elig);
+    wait_in_calendar(ref.task, elig);
   } else {
     h.ready_at = end.raw_ticks();
     h.wait = kHandOff;
@@ -249,7 +185,17 @@ void DvqSimulator::step_into(std::vector<SubtaskRef>& started, Time t) {
       pr.hand_off = -1;
     }
   }
-  if (cal_waiting_ > 0 && Time::slots(cal_next_) == t) drain_calendar();
+  if (!calendar_.empty() && Time::slots(calendar_.min_slot()) == t) {
+    // A calendar entry always names its task's *current* head: it was
+    // made when the predecessor was placed (or at construction), and the
+    // head cannot be scheduled before this drain.
+    calendar_.drain_min([this](std::span<const std::int32_t> tasks) {
+      for (const std::int32_t k : tasks) {
+        simd::prefetch(&hot_[static_cast<std::size_t>(k)]);
+      }
+      for (const std::int32_t k : tasks) make_ready(k);
+    });
+  }
 
   const std::size_t free0 = free_count_;
   const std::size_t base = started.size();
@@ -429,17 +375,9 @@ void DvqSimulator::warp(std::int64_t cycles, std::int64_t cycle_slots,
     PFAIR_REQUIRE(h.head + adv <= h.count,
                   "warp overruns task "
                       << sys_->task(static_cast<std::int64_t>(k)).name());
-    h.head = static_cast<std::int32_t>(h.head + adv);
+    h.seek(static_cast<std::int32_t>(h.head + adv), pos_.data());
     remaining_ -= adv;
-    if (h.head >= h.count) continue;
-    h.ready_at += shift.raw_ticks();
-    // Re-derive the cursor (the one place a division is paid).
-    h.job = h.head / h.e;
-    h.rem = h.head % h.e;
-    const PosRec& pos = pos_[static_cast<std::size_t>(h.pos_off) +
-                             static_cast<std::size_t>(h.rem)];
-    h.next_key =
-        pos.key_base + static_cast<std::uint64_t>(h.job) * pos.key_step;
+    if (!h.done()) h.ready_at += shift.raw_ticks();
   }
   // Uniform time shifts preserve completion order, so busy processors
   // and their completion events move in place; a hand-off whose task the
@@ -448,8 +386,7 @@ void DvqSimulator::warp(std::int64_t cycles, std::int64_t cycle_slots,
     if (!pr.busy) continue;
     pr.busy_until = pr.busy_until + shift;
     if (pr.hand_off >= 0 &&
-        hot_[static_cast<std::size_t>(pr.hand_off)].head >=
-            hot_[static_cast<std::size_t>(pr.hand_off)].count) {
+        hot_[static_cast<std::size_t>(pr.hand_off)].done()) {
       pr.hand_off = -1;
     }
   }
@@ -460,17 +397,14 @@ void DvqSimulator::warp(std::int64_t cycles, std::int64_t cycle_slots,
   // Queued entries and calendar lists name pre-warp seqs — rebuild both.
   // Each head rejoins where it waited at the boundary (every calendar
   // instant lies at or after it, so the calendar restarts there).
-  ready_q_.clear();
-  bucket_head_.clear();
-  cal_base_ = boundary_slot + shift_slots;
-  cal_next_ = kNoSlot;
-  cal_waiting_ = 0;
+  ready_q_.clear(boundary_slot + shift_slots);
+  calendar_.reset(boundary_slot + shift_slots);
   for (std::size_t k = 0; k < n; ++k) {
     const HotTask& h = hot_[k];
-    if (h.head >= h.count || h.wait == kHandOff) continue;
+    if (h.done() || h.wait == kHandOff) continue;
     const auto task = static_cast<std::int32_t>(k);
     if (h.wait == kCalendar) {
-      calendar_add(task, h.ready_at / kTicksPerSlot);
+      calendar_.push(h.ready_at / kTicksPerSlot, task);
     } else {
       make_ready(task);
     }

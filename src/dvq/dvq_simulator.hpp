@@ -10,8 +10,9 @@
 // predecessor's completion, both known the moment the predecessor is
 // placed, so no readiness instant ever needs a priority queue:
 //   * eligibility strictly after the completion: the task joins the
-//     slot calendar's bucket for that slot (an intrusive per-task list,
-//     drained when the event loop reaches the slot boundary);
+//     slot calendar's bucket for that slot (a SlotBuckets queue,
+//     sched/slot_buckets.hpp, as SfqSimulator's calendar; drained when
+//     the event loop reaches the slot boundary);
 //   * otherwise: the completing processor holds the task and hands its
 //     head to the ready heap when that completion retires.
 // The next event is the earlier of the first pending completion (one
@@ -22,9 +23,10 @@
 // ready set is the packed-key heap of sched/ready_queue.hpp.
 //
 // As in SfqSimulator, everything a placement touches per task lives in
-// one 64-byte hot record — head, subtask count, readiness instant, the
-// head's packed key and the division-free eligibility cursor of
-// sched/positions.hpp — and placements are written straight into the
+// one 64-byte hot record — the division-free head cursor of
+// sched/positions.hpp (head, subtask count, the head's packed key and
+// eligibility position), the readiness instant and where the head
+// waits — and placements are written straight into the
 // DvqSchedule's cells and order log (the schedule befriends the
 // simulator).  Schedules are bit-identical to the retained naive
 // reference (`schedule_dvq_reference`).
@@ -51,6 +53,7 @@
 #include "sched/positions.hpp"
 #include "sched/priority.hpp"
 #include "sched/ready_queue.hpp"
+#include "sched/slot_buckets.hpp"
 
 namespace pfair {
 
@@ -74,7 +77,7 @@ class DvqSimulator {
   /// Whether any event is pending (false also implies nothing more can
   /// be scheduled — on a complete run, after done()).
   [[nodiscard]] bool has_events() const {
-    return comp_head_ < completions_.size() || cal_waiting_ > 0;
+    return comp_head_ < completions_.size() || !calendar_.empty();
   }
 
   /// Processes the next event instant; returns the subtasks started
@@ -151,21 +154,11 @@ class DvqSimulator {
     kHandOff = 2,   // on the processor running its predecessor
   };
 
-  /// All mutable per-task scheduling state, one cache line per task; the
-  /// cursor (rem, job) advances the head's key and eligibility with no
-  /// division (sched/positions.hpp).
-  struct alignas(64) HotTask {
-    std::uint64_t next_key;   // order key of subtask `head` (packed mode)
+  /// All mutable per-task scheduling state, one cache line per task:
+  /// the head cursor (sched/positions.hpp), the head's readiness instant
+  /// and where it waits.
+  struct alignas(64) HotTask : HeadCursor {
     std::int64_t ready_at;    // head's readiness instant, ticks
-    std::int64_t elig_p;      // eligibility shift per job (0: job fixed 0)
-    std::int64_t cell_base;   // flat schedule-cell index of subtask 0
-    std::int32_t head;        // next unscheduled seq
-    std::int32_t count;       // total subtasks
-    std::int32_t rem;         // head % e
-    std::int32_t job;         // head / e
-    std::int32_t e;           // position period
-    std::int32_t pos_off;     // first PosRec of this task
-    std::int32_t cal_next;    // next task in the same calendar bucket
     std::int32_t wait;        // Wait
   };
   static_assert(sizeof(HotTask) == 64);
@@ -208,10 +201,7 @@ class DvqSimulator {
   // Returns the charged cost.
   Time commit_placement(const SubtaskRef& ref, Time t, int proc);
   // Puts task k's head in the calendar bucket of `slot`.
-  void calendar_add(std::int32_t k, std::int64_t slot);
-  // Moves the bucket of the calendar's first slot into the ready heap
-  // and finds the next non-empty slot.
-  void drain_calendar();
+  void wait_in_calendar(std::int32_t k, std::int64_t slot);
   // Pushes task k's head into the ready heap.
   void make_ready(std::int32_t k);
   [[nodiscard]] int pop_free_proc();
@@ -239,14 +229,9 @@ class DvqSimulator {
   ArenaVector<std::uint64_t> free_bits_;
   std::size_t free_count_ = 0;
 
-  // Calendar of slot-aligned readiness instants: bucket_head_[slot -
-  // cal_base_] is the first task of the slot's intrusive list (-1:
-  // empty).  cal_next_ is the first non-empty slot while cal_waiting_
-  // tasks wait in it.  warp() rebases it.
-  ArenaVector<std::int32_t> bucket_head_;
-  std::int64_t cal_base_ = 0;
-  std::int64_t cal_next_ = 0;
-  std::int64_t cal_waiting_ = 0;
+  // Calendar of slot-aligned readiness instants: task ids by the slot
+  // their head becomes ready.  warp() rebases it.
+  SlotBuckets<std::int32_t> calendar_;
 
   std::vector<SubtaskRef> scratch_started_;
   Time now_;

@@ -5,8 +5,9 @@
 // scan for the ready set at every event instant, and a fresh
 // partial_sort with the branchy PriorityOrder comparator.  The
 // production scheduler (`schedule_dvq` / DvqSimulator) replaced that
-// with per-processor completion events, a pending-readiness heap and
-// packed priority keys; the A/B equivalence suite asserts both produce
+// with a time-ordered list of completions, a slot calendar of readiness
+// instants plus completion hand-offs, and packed priority keys; the A/B
+// equivalence suite asserts both produce
 // bit-identical schedules, and `bench_scaling` measures the gap.
 // Deliberately simple — do not optimize this function.
 //

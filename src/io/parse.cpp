@@ -163,6 +163,12 @@ TaskSystem ParsedSystem::build() const {
                                           std::max(h, t.phase)));
     }
   }
+  std::int64_t max_deadline = 0;
+  std::string why;
+  const std::int64_t bad = detail::horizon_overflow(out, max_deadline, why);
+  PFAIR_REQUIRE(bad < 0,
+                "line " << tasks[static_cast<std::size_t>(bad)].line << ": "
+                        << why);
   return TaskSystem(std::move(out), processors);
 }
 

@@ -12,6 +12,11 @@
 // the raw (e, p)), and the subtask count for materialized tasks, pinning
 // job = 0.  A task owns min(e, count) consecutive records, so flyweight
 // tasks with millions of subtasks cost a few records each.
+//
+// HeadCursor is that cursor, the 48 bytes both simulators' 64-byte hot
+// records start with: advance() is the per-placement step, eligible()
+// the head's eligibility slot, and seek() — the one division — jumps
+// it after a warp.
 #pragma once
 
 #include <algorithm>
@@ -31,12 +36,62 @@ struct PosRec {
   std::int64_t elig_base;
 };
 
+/// One task's division-free cursor over its position records (see the
+/// header note); `pos` arguments are the whole table.
+struct HeadCursor {
+  std::uint64_t next_key;   // order key of subtask `head` (packed mode)
+  std::int64_t elig_p;      // eligibility shift per job (0: job fixed 0)
+  std::int64_t cell_base;   // flat schedule-cell index of subtask 0
+  std::int32_t head;        // next unscheduled seq
+  std::int32_t count;       // total subtasks
+  std::int32_t rem;         // head % e
+  std::int32_t job;         // head / e
+  std::int32_t e;           // position period
+  std::int32_t pos_off;     // first PosRec of this task
+
+  /// True once every subtask has been placed.
+  [[nodiscard]] bool done() const { return head >= count; }
+
+  /// The eligibility slot of subtask `head`; requires !done().
+  [[nodiscard]] std::int64_t eligible(const PosRec* pos) const {
+    return at(pos).elig_base + static_cast<std::int64_t>(job) * elig_p;
+  }
+
+  /// Moves past the head just placed; false when none is left.
+  bool advance(const PosRec* pos) {
+    if (++head >= count) return false;
+    if (++rem == e) {
+      rem = 0;
+      ++job;
+    }
+    set_key(pos);
+    return true;
+  }
+
+  /// Jumps the head to seq `to` (<= count).
+  void seek(std::int32_t to, const PosRec* pos) {
+    head = to;
+    if (done()) return;
+    job = head / e;
+    rem = head % e;
+    set_key(pos);
+  }
+
+ private:
+  [[nodiscard]] const PosRec& at(const PosRec* pos) const {
+    return pos[static_cast<std::size_t>(pos_off) +
+               static_cast<std::size_t>(rem)];
+  }
+  void set_key(const PosRec* pos) {
+    const PosRec& pr = at(pos);
+    next_key = pr.key_base + static_cast<std::uint64_t>(job) * pr.key_step;
+  }
+};
+static_assert(sizeof(HeadCursor) == 48);
+
 /// Fills `pos` with every task's position records, in task order, and
-/// calls per_task(k, count, pos_off, e, elig_p) once per task: the task
-/// has `count` subtasks, its records start at `pos_off`, its position
-/// period is `e` and `elig_p` is its eligibility shift per job (0 while
-/// job stays 0; e = 1 for an empty task).  Keys are zero unless
-/// keys.packable().
+/// calls per_task(k, cursor) once per task with the task's cursor at
+/// head 0.  Keys are zero unless keys.packable().
 template <class F>
 void build_positions(const TaskSystem& sys, const PackedKeys& keys,
                      ArenaVector<PosRec>& pos, F&& per_task) {
@@ -60,9 +115,13 @@ void build_positions(const TaskSystem& sys, const PackedKeys& keys,
   for (std::int64_t k = 0; k < n; ++k) {
     const Task& task = sys.task(k);
     const std::int64_t cnt = task.num_subtasks();
-    const auto pos_off = static_cast<std::int32_t>(positions);
+    HeadCursor cur{};
+    cur.cell_base = sys.subtask_offset(k);
+    cur.count = static_cast<std::int32_t>(cnt);
+    cur.e = 1;
+    cur.pos_off = static_cast<std::int32_t>(positions);
     if (cnt == 0) {
-      per_task(k, cnt, pos_off, std::int32_t{1}, std::int64_t{0});
+      per_task(k, cur);
       continue;
     }
     // When the period is not smaller than the subtask count, job stays
@@ -98,7 +157,10 @@ void build_positions(const TaskSystem& sys, const PackedKeys& keys,
         }
       }
     }
-    per_task(k, cnt, pos_off, static_cast<std::int32_t>(e_pos), elig_p);
+    cur.e = static_cast<std::int32_t>(e_pos);
+    cur.elig_p = elig_p;
+    cur.next_key = pos[positions].key_base;  // head 0: job 0, rem 0
+    per_task(k, cur);
     positions += static_cast<std::size_t>(e_pos);
   }
 }

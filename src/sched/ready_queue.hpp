@@ -25,15 +25,17 @@
 //   2. Deadline staging.  The pseudo-deadline is the most significant
 //      key field (PackedKeys::deadline_shift), so an entry whose
 //      deadline slot is beyond the current heap top's cannot be popped
-//      yet no matter its low bits.  Such entries are appended O(1) to a
-//      per-deadline-slot bucket (chunked freelists, like the
-//      simulator's availability calendar) instead of the heap, and a
-//      bucket is drained into the heap only once the heap top reaches
-//      its deadline slot.  The live heap then holds just the imminent-
-//      deadline backlog — a few hundred entries that fit L1 — instead
-//      of every ready subtask, which is what made large systems pay
-//      DRAM latency per sift level.  Pop order is unchanged: a drain
-//      happens strictly before any pop it could influence.
+//      yet no matter its low bits.  Such entries are parked O(1) in a
+//      slot bucket queue keyed by deadline slot (sched/slot_buckets.hpp,
+//      the structure behind both simulators' calendars) instead of the
+//      heap.  Pushes below the queue's floor — the slot after the last
+//      drained one — go to the heap, so every heap entry outranks every
+//      staged one, and the earliest staged slot is drained into the
+//      heap only when the heap runs dry.  The live heap then holds just
+//      the imminent-deadline backlog — a few hundred entries that fit
+//      L1 — instead of every ready subtask, which is what made large
+//      systems pay DRAM latency per sift level.  Pop order is unchanged:
+//      a drain happens strictly before any pop it could influence.
 //
 // Pop order is the sorted key order in every variant (strict total
 // order, keys pairwise distinct by construction), so schedules stay
@@ -47,18 +49,19 @@
 // it becomes available and leaves only by being popped and placed, so
 // every entry names its task's next unscheduled subtask — the
 // simulators have no second decision body that could schedule behind
-// the queue's back (clear() is how warp starts over).
+// the queue's back (clear(base) is how warp starts over).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
+#include <span>
 #include <vector>
 
 #include "core/arena.hpp"
 #include "core/simd.hpp"
 #include "sched/packed_key.hpp"
 #include "sched/priority.hpp"
+#include "sched/slot_buckets.hpp"
 
 namespace pfair {
 
@@ -70,8 +73,7 @@ class ReadyQueue {
              Arena* arena = nullptr)
       : keys_(arena),
         payload_(arena),
-        stage_head_(arena),
-        stage_chunks_(arena),
+        stage_(arena),
         order_(&order),
         pkeys_(&keys),
         packed_(keys.packable()) {
@@ -90,25 +92,24 @@ class ReadyQueue {
     }
   }
   [[nodiscard]] bool empty() const {
-    return packed_ ? (n_ == 0 && staged_ == 0) : fb_.empty();
+    return packed_ ? (n_ == 0 && stage_.empty()) : fb_.empty();
   }
   [[nodiscard]] std::size_t size() const {
-    return packed_ ? n_ + staged_ : fb_.size();
+    return packed_ ? n_ + stage_.size() : fb_.size();
   }
   /// Drops every entry (cycle fast-forward rebuilds the ready set from
-  /// scratch after a warp — stale refs would otherwise linger forever).
-  void clear() {
+  /// scratch after a warp — stale refs would otherwise linger forever)
+  /// and restarts deadline staging at pseudo-deadline `base`: entries
+  /// due earlier go straight to the heap.
+  void clear(std::int64_t base) {
     if (!packed_) {
       fb_.clear();
       return;
     }
     reset_packed();
-    for (std::size_t i = 0; i < stage_head_.size(); ++i) stage_head_[i] = -1;
-    stage_chunks_.clear();
-    stage_free_ = -1;
-    staged_ = 0;
-    frontier_ = 0;
-    stage_min_ = kNoStage;
+    // Staging is indexed by the key's deadline field, the deadline less
+    // the system's earliest one (PackedKeys::deadline_of(0)).
+    stage_.reset(base - pkeys_->deadline_of(0));
   }
 
   /// Packed-mode push with the key already in hand (the simulators keep
@@ -116,8 +117,8 @@ class ReadyQueue {
   /// never re-derives it).  Requires packed mode.
   void push_key(std::uint64_t key, std::int32_t task, std::int32_t seq) {
     const auto ds = static_cast<std::int64_t>(key >> shift_);
-    if (ds >= frontier_) {
-      stage_push(ds, key, pack_ref(task, seq));
+    if (ds >= stage_.floor()) {
+      stage_.push(ds, Staged{key, pack_ref(task, seq)});
       return;
     }
     heap_push(key, pack_ref(task, seq));
@@ -158,7 +159,7 @@ class ReadyQueue {
 
   /// The task owning the current best entry (packed mode; !empty()).
   /// Lets the pop loop prefetch that task's hot record before popping.
-  /// Drains any due deadline bucket, hence non-const.
+  /// Refills an empty heap from the staging, hence non-const.
   [[nodiscard]] std::int32_t peek_task() {
     maybe_drain();
     return static_cast<std::int32_t>(payload_.data()[kBase] >> 32);
@@ -170,17 +171,11 @@ class ReadyQueue {
   // unused.  kPad UINT64_MAX sentinels follow the last live slot.
   static constexpr std::size_t kBase = 7;
   static constexpr std::size_t kPad = 8;
-  static constexpr std::int64_t kNoStage =
-      std::numeric_limits<std::int64_t>::max();
 
-  /// One fragment of a deadline bucket's entry list: 7 key/payload
-  /// pairs plus the header is 120 bytes — two cache lines.
-  struct StageChunk {
-    static constexpr std::int32_t kCap = 7;
-    std::int32_t count;
-    std::int32_t next;  // next chunk in this bucket (or the freelist)
-    std::uint64_t key[kCap];
-    std::uint64_t pay[kCap];
+  /// A deadline-staged entry.
+  struct Staged {
+    std::uint64_t key;
+    std::uint64_t pay;
   };
 
   static std::uint64_t pack_ref(std::int32_t task, std::int32_t seq) {
@@ -252,79 +247,17 @@ class ReadyQueue {
     p[i] = pay;
   }
 
-  // -- Deadline staging ------------------------------------------------
-
-  void stage_push(std::int64_t ds, std::uint64_t key, std::uint64_t pay) {
-    const auto s = static_cast<std::size_t>(ds);
-    if (s >= stage_head_.size()) {
-      const std::size_t old = stage_head_.size();
-      const std::size_t grown = std::max(s + 1, old * 2);
-      stage_head_.resize(grown);
-      for (std::size_t i = old; i < grown; ++i) stage_head_[i] = -1;
-    }
-    std::int32_t c = stage_head_[s];
-    if (c < 0 ||
-        stage_chunks_[static_cast<std::size_t>(c)].count == StageChunk::kCap) {
-      std::int32_t fresh;
-      if (stage_free_ >= 0) {
-        fresh = stage_free_;
-        stage_free_ = stage_chunks_[static_cast<std::size_t>(fresh)].next;
-      } else {
-        fresh = static_cast<std::int32_t>(stage_chunks_.size());
-        stage_chunks_.push_back(StageChunk{});
-      }
-      StageChunk& ch = stage_chunks_[static_cast<std::size_t>(fresh)];
-      ch.count = 0;
-      ch.next = c;
-      stage_head_[s] = fresh;
-      c = fresh;
-    }
-    StageChunk& ch = stage_chunks_[static_cast<std::size_t>(c)];
-    ch.key[ch.count] = key;
-    ch.pay[ch.count] = pay;
-    ++ch.count;
-    ++staged_;
-    if (ds < stage_min_) stage_min_ = ds;
-  }
-
-  /// Drains staged buckets while the earliest staged deadline slot is
-  /// at or before the heap top's (or the heap is empty).  A bucket with
-  /// a strictly later deadline slot cannot contain the next pop — the
-  /// deadline is the key's most significant field — so leaving it
-  /// staged never changes pop order.
+  /// Refills an empty heap from the earliest staged deadline slot.  A
+  /// push is staged when its deadline slot is at or above
+  /// stage_.floor() and goes to the heap otherwise, and draining a slot
+  /// raises the floor past it, so every heap entry's deadline — the
+  /// key's most significant field — lies below every staged one: the
+  /// heap top outranks everything staged until the heap runs dry.
   void maybe_drain() {
-    while (staged_ != 0 &&
-           (n_ == 0 || static_cast<std::int64_t>(
-                           keys_.data()[kBase] >> shift_) >= stage_min_)) {
-      drain_min_bucket();
-    }
-  }
-
-  void drain_min_bucket() {
-    const auto s = static_cast<std::size_t>(stage_min_);
-    std::int32_t c = stage_head_[s];
-    stage_head_[s] = -1;
-    while (c >= 0) {
-      StageChunk& ch = stage_chunks_[static_cast<std::size_t>(c)];
-      for (std::int32_t i = 0; i < ch.count; ++i) {
-        heap_push(ch.key[i], ch.pay[i]);
-      }
-      staged_ -= static_cast<std::size_t>(ch.count);
-      const std::int32_t next = ch.next;
-      ch.next = stage_free_;
-      stage_free_ = c;
-      c = next;
-    }
-    frontier_ = stage_min_ + 1;
-    // Later pushes at already-drained slots go straight to the heap, so
-    // the scan for the next nonempty bucket never revisits this range.
-    if (staged_ == 0) {
-      stage_min_ = kNoStage;
-    } else {
-      std::int64_t d = frontier_;
-      while (stage_head_[static_cast<std::size_t>(d)] < 0) ++d;
-      stage_min_ = d;
-    }
+    if (n_ != 0 || stage_.empty()) return;
+    stage_.drain_min([this](std::span<const Staged> entries) {
+      for (const Staged& e : entries) heap_push(e.key, e.pay);
+    });
   }
 
   struct Lower {
@@ -339,13 +272,9 @@ class ReadyQueue {
   ArenaVector<std::uint64_t, 64> keys_;
   ArenaVector<std::uint64_t, 64> payload_;
   std::size_t n_ = 0;  // live heap entries
-  // Deadline staging: [deadline slot] -> chunk list, plus a freelist.
-  ArenaVector<std::int32_t> stage_head_;
-  ArenaVector<StageChunk> stage_chunks_;
-  std::int32_t stage_free_ = -1;
-  std::size_t staged_ = 0;          // entries across all buckets
-  std::int64_t frontier_ = 0;       // buckets below this are drained
-  std::int64_t stage_min_ = kNoStage;  // earliest nonempty bucket
+  // Deadline staging: entries by deadline slot, all at or after
+  // stage_.floor() (every slot below it has been drained).
+  SlotBuckets<Staged> stage_;
   int shift_ = 0;                   // PackedKeys::deadline_shift()
   // Fallback mode (PF / fit overflow): comparator binary heap.
   std::vector<SubtaskRef> fb_;

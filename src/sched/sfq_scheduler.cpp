@@ -12,15 +12,6 @@
 
 namespace pfair {
 
-std::int64_t default_horizon(const TaskSystem& sys) {
-  // An optimal policy finishes every feasible system by its max deadline.
-  // Suboptimal policies (EPDF) and overutilized systems run longer; known
-  // EPDF tardiness bounds are a small number of quanta, so a linear
-  // allowance in the subtask count is a safe hard stop rather than a bound
-  // we expect to reach.
-  return sys.max_deadline() + sys.total_subtasks() + 16;
-}
-
 namespace {
 
 /// The SFQ model's fast-forward hooks (sched/fast_forward.hpp).

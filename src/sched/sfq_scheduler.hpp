@@ -76,7 +76,4 @@ struct SfqOptions {
 void schedule_sfq_into(const TaskSystem& sys, const SfqOptions& opts,
                        SlotSchedule& out);
 
-/// The automatic horizon used when `horizon_limit == 0`.
-[[nodiscard]] std::int64_t default_horizon(const TaskSystem& sys);
-
 }  // namespace pfair

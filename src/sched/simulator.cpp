@@ -1,6 +1,7 @@
 #include "sched/simulator.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "core/simd.hpp"
 #include "obs/prof.hpp"
@@ -16,14 +17,8 @@ SfqSimulator::SfqSimulator(const TaskSystem& sys, Policy policy, Arena* arena,
       ready_q_(order_, keys_, arena),
       hot_(arena),
       pos_(arena),
-      bucket_head_(arena),
-      chunks_(arena),
+      calendar_(arena),
       scratch_picks_(arena),
-      warp_base_(arena),
-      warp_step_(arena),
-      warp_job_(arena),
-      warp_key_(arena),
-      warp_task_(arena),
       remaining_(sys.total_subtasks()),
       packed_(keys_.packable()) {
   if (out != nullptr) {
@@ -41,25 +36,14 @@ SfqSimulator::SfqSimulator(const TaskSystem& sys, Policy policy, Arena* arena,
   const std::int64_t n = sys.num_tasks();
   hot_.resize(static_cast<std::size_t>(n));
   ready_q_.reserve(static_cast<std::size_t>(n));
-  build_positions(sys, keys_, pos_, [&](std::int64_t k, std::int64_t cnt,
-                                        std::int32_t pos_off, std::int32_t e,
-                                        std::int64_t elig_p) {
+  build_positions(sys, keys_, pos_, [&](std::int64_t k, const HeadCursor& c) {
     HotTask& h = hot_[static_cast<std::size_t>(k)];
-    h.next_key = 0;
+    static_cast<HeadCursor&>(h) = c;
     h.last_slot = -1;
-    h.elig_p = elig_p;
-    h.cell_base = sys.subtask_offset(k);
-    h.head = 0;
-    h.count = static_cast<std::int32_t>(cnt);
-    h.rem = 0;
-    h.job = 0;
-    h.e = e;
-    h.pos_off = pos_off;
-    if (cnt == 0) return;
-    const PosRec& first = pos_[static_cast<std::size_t>(pos_off)];
-    h.next_key = first.key_base;  // head = 0: job 0, rem 0
-    mark_available(static_cast<std::int32_t>(k),
-                   std::max<std::int64_t>(first.elig_base, 0));
+    if (!h.done()) {
+      calendar_.push(std::max<std::int64_t>(h.eligible(pos_.data()), 0),
+                     static_cast<std::int32_t>(k));
+    }
   });
 }
 
@@ -67,74 +51,6 @@ SlotSchedule SfqSimulator::take_schedule() && {
   PFAIR_REQUIRE(owned_sched_.has_value(),
                 "take_schedule with an externally owned schedule");
   return std::move(*owned_sched_);
-}
-
-void SfqSimulator::mark_available(std::int32_t task, std::int64_t slot) {
-  const auto s = static_cast<std::size_t>(slot - cal_base_);
-  if (s >= bucket_head_.size()) {
-    const std::size_t old = bucket_head_.size();
-    const std::size_t grown = std::max(s + 1, old * 2);
-    bucket_head_.resize(grown);
-    for (std::size_t i = old; i < grown; ++i) bucket_head_[i] = -1;
-  }
-  std::int32_t c = bucket_head_[s];
-  if (c < 0 || chunks_[static_cast<std::size_t>(c)].count == BucketChunk::kCap) {
-    std::int32_t fresh;
-    if (free_chunk_ >= 0) {
-      fresh = free_chunk_;
-      free_chunk_ = chunks_[static_cast<std::size_t>(fresh)].next;
-    } else {
-      fresh = static_cast<std::int32_t>(chunks_.size());
-      chunks_.push_back(BucketChunk{});  // geometric growth
-    }
-    BucketChunk& ch = chunks_[static_cast<std::size_t>(fresh)];
-    ch.count = 0;
-    ch.next = c;
-    bucket_head_[s] = fresh;
-    c = fresh;
-  }
-  BucketChunk& ch = chunks_[static_cast<std::size_t>(c)];
-  ch.tasks[ch.count++] = task;
-}
-
-void SfqSimulator::drain_calendar() {
-  const HotTask* hot = hot_.data();
-  while (drained_upto_ < now_) {
-    ++drained_upto_;
-    const auto s = static_cast<std::size_t>(drained_upto_ - cal_base_);
-    if (s >= bucket_head_.size()) continue;
-    std::int32_t c = bucket_head_[s];
-    if (c < 0) continue;
-    bucket_head_[s] = -1;
-    // A bucket entry always names its task's *current* head: the entry
-    // was created when the predecessor was placed (or at construction),
-    // and the head cannot be scheduled again before this drain.
-    while (c >= 0) {
-      BucketChunk& ch = chunks_[static_cast<std::size_t>(c)];
-      if (ch.next >= 0) {
-        simd::prefetch(&chunks_[static_cast<std::size_t>(ch.next)]);
-      }
-      for (std::int32_t i = 0; i < ch.count; ++i) {
-        simd::prefetch(&hot[ch.tasks[i]]);
-      }
-      if (packed_) {
-        for (std::int32_t i = 0; i < ch.count; ++i) {
-          const std::int32_t k = ch.tasks[i];
-          const HotTask& h = hot[static_cast<std::size_t>(k)];
-          ready_q_.push_key(h.next_key, k, h.head);
-        }
-      } else {
-        for (std::int32_t i = 0; i < ch.count; ++i) {
-          const std::int32_t k = ch.tasks[i];
-          ready_q_.push(SubtaskRef{k, hot[static_cast<std::size_t>(k)].head});
-        }
-      }
-      const std::int32_t next = ch.next;
-      ch.next = free_chunk_;
-      free_chunk_ = c;
-      c = next;
-    }
-  }
 }
 
 void SfqSimulator::place_fast(const HotTask& h, std::int32_t seq, int proc) {
@@ -151,24 +67,11 @@ void SfqSimulator::commit_placement(const SubtaskRef& ref) {
   HotTask& h = hot_[static_cast<std::size_t>(ref.task)];
   h.last_slot = now_;
   --remaining_;
-  const std::int32_t head = ++h.head;
-  if (head >= h.count) return;
-  std::int32_t rem = h.rem + 1;
-  std::int32_t job = h.job;
-  if (rem == h.e) {
-    rem = 0;
-    ++job;
-  }
-  h.rem = rem;
-  h.job = job;
-  const PosRec& pr =
-      pos_[static_cast<std::size_t>(h.pos_off) + static_cast<std::size_t>(rem)];
-  h.next_key = pr.key_base + static_cast<std::uint64_t>(job) * pr.key_step;
+  if (!h.advance(pos_.data())) return;
   // The successor becomes available at the later of its eligibility
   // time and the slot after its predecessor's quantum.
-  const std::int64_t elig =
-      pr.elig_base + static_cast<std::int64_t>(job) * h.elig_p;
-  mark_available(ref.task, std::max<std::int64_t>(elig, now_ + 1));
+  calendar_.push(std::max<std::int64_t>(h.eligible(pos_.data()), now_ + 1),
+                 ref.task);
 }
 
 std::vector<SubtaskRef> SfqSimulator::ready() const {
@@ -176,13 +79,9 @@ std::vector<SubtaskRef> SfqSimulator::ready() const {
   const auto n = static_cast<std::size_t>(sys_->num_tasks());
   for (std::size_t k = 0; k < n; ++k) {
     const HotTask& h = hot_[k];
-    if (h.head >= h.count) continue;
+    if (h.done()) continue;
     // Ready at now(): eligible, predecessor (if any) completed by now().
-    const PosRec& pr = pos_[static_cast<std::size_t>(h.pos_off) +
-                            static_cast<std::size_t>(h.rem)];
-    if (pr.elig_base + static_cast<std::int64_t>(h.job) * h.elig_p > now_) {
-      continue;
-    }
+    if (h.eligible(pos_.data()) > now_) continue;
     if (h.head > 0 && h.last_slot >= now_) continue;
     out.push_back(SubtaskRef{static_cast<std::int32_t>(k), h.head});
   }
@@ -198,7 +97,28 @@ std::vector<SubtaskRef> SfqSimulator::step() {
 void SfqSimulator::step_into(ArenaVector<SubtaskRef>& picks) {
   {
     PFAIR_PROF_SPAN(kCalendarWalk);
-    drain_calendar();
+    // Move every head that became available by now() into the ready
+    // heap.  A calendar entry always names its task's *current* head: it
+    // was made when the predecessor was placed (or at construction), and
+    // the head cannot be scheduled again before this drain.
+    const HotTask* hot = hot_.data();
+    while (!calendar_.empty() && calendar_.min_slot() <= now_) {
+      calendar_.drain_min([&](std::span<const std::int32_t> tasks) {
+        for (const std::int32_t k : tasks) {
+          simd::prefetch(&hot[static_cast<std::size_t>(k)]);
+        }
+        if (packed_) {
+          for (const std::int32_t k : tasks) {
+            const HotTask& h = hot[static_cast<std::size_t>(k)];
+            ready_q_.push_key(h.next_key, k, h.head);
+          }
+        } else {
+          for (const std::int32_t k : tasks) {
+            ready_q_.push(SubtaskRef{k, hot[static_cast<std::size_t>(k)].head});
+          }
+        }
+      });
+    }
   }
   {
     PFAIR_PROF_SPAN(kReadyHeap);
@@ -294,13 +214,8 @@ void SfqSimulator::note_quality(const SubtaskRef* picks, std::size_t count) {
   // advanced last_slot to t.
   for (const std::int32_t k : prev_tasks_) {
     const HotTask& h = hot_[static_cast<std::size_t>(k)];
-    if (h.last_slot != t - 1) continue;
-    if (h.head >= h.count) continue;
-    const PosRec& pr = pos_[static_cast<std::size_t>(h.pos_off) +
-                            static_cast<std::size_t>(h.rem)];
-    if (pr.elig_base + static_cast<std::int64_t>(h.job) * h.elig_p > t) {
-      continue;
-    }
+    if (h.last_slot != t - 1 || h.done()) continue;
+    if (h.eligible(pos_.data()) > t) continue;
     ++preemptions;
   }
   prev_tasks_.clear();
@@ -374,68 +289,37 @@ void SfqSimulator::warp(std::int64_t cycles, std::int64_t cycle_slots,
   if (cycles == 0) return;
   const std::int64_t shift = cycles * cycle_slots;
   const auto n = static_cast<std::size_t>(sys_->num_tasks());
-  warp_task_.clear();
-  warp_base_.clear();
-  warp_step_.clear();
-  warp_job_.clear();
+  const PosRec* pos = pos_.data();
   for (std::size_t k = 0; k < n; ++k) {
     HotTask& h = hot_[k];
     const std::int64_t adv = cycles * cycle_allocs[k];
     PFAIR_REQUIRE(h.head + adv <= h.count,
                   "warp overruns task "
                       << sys_->task(static_cast<std::int64_t>(k)).name());
-    h.head = static_cast<std::int32_t>(h.head + adv);
+    h.seek(static_cast<std::int32_t>(h.head + adv), pos);
     remaining_ -= adv;
     // The task's most recent quantum moved forward with the cycle; a
     // task idle through the whole cycle keeps its (pre-t0) last slot.
     if (adv > 0) h.last_slot += shift;
-    if (h.head >= h.count) continue;
-    // Re-derive the in-period cursor (the one place a division is paid)
-    // and queue the head key for the SIMD batch recompute below.
-    h.job = h.head / h.e;
-    h.rem = h.head % h.e;
-    if (packed_) {
-      const PosRec& pr = pos_[static_cast<std::size_t>(h.pos_off) +
-                              static_cast<std::size_t>(h.rem)];
-      warp_task_.push_back(static_cast<std::int32_t>(k));
-      warp_base_.push_back(pr.key_base);
-      warp_step_.push_back(pr.key_step);
-      warp_job_.push_back(static_cast<std::uint64_t>(h.job));
-    }
   }
   now_ += shift;
-  if (!warp_task_.empty()) {
-    warp_key_.resize(warp_task_.size());
-    simd::affine_keys(warp_base_.data(), warp_step_.data(), warp_job_.data(),
-                      warp_key_.data(), warp_task_.size());
-    for (std::size_t i = 0; i < warp_task_.size(); ++i) {
-      hot_[static_cast<std::size_t>(warp_task_[i])].next_key = warp_key_[i];
-    }
-  }
   // Rebuild the availability structures: every queued or bucketed entry
   // names a pre-warp head seq, so drop them all and re-derive each
   // task's availability from the counters (exactly as the constructor
-  // and commit_placement would have).
-  // The calendar restarts at the new now_: indexing it by absolute slot
-  // would make the first post-warp entry grow it over every skipped slot.
-  ready_q_.clear();
-  bucket_head_.clear();
-  cal_base_ = now_;
-  chunks_.clear();
-  free_chunk_ = -1;
-  drained_upto_ = now_ - 1;
+  // and commit_placement would have).  Both restart at the new now_:
+  // indexing them from an earlier slot would make the first post-warp
+  // entry grow them over every skipped slot.
+  ready_q_.clear(now_);
+  calendar_.reset(now_);
   for (std::size_t k = 0; k < n; ++k) {
     const HotTask& h = hot_[k];
-    if (h.head >= h.count) continue;
-    const PosRec& pr = pos_[static_cast<std::size_t>(h.pos_off) +
-                            static_cast<std::size_t>(h.rem)];
-    const std::int64_t elig =
-        pr.elig_base + static_cast<std::int64_t>(h.job) * h.elig_p;
+    if (h.done()) continue;
+    const std::int64_t elig = h.eligible(pos);
     const std::int64_t avail =
         h.head == 0 ? std::max<std::int64_t>(elig, 0)
                     : std::max<std::int64_t>(elig, h.last_slot + 1);
-    mark_available(static_cast<std::int32_t>(k),
-                   std::max<std::int64_t>(avail, now_));
+    calendar_.push(std::max<std::int64_t>(avail, now_),
+                   static_cast<std::int32_t>(k));
   }
 }
 

@@ -12,19 +12,20 @@
 // predecessor ran) — a slot known the moment the predecessor is placed),
 // and available heads wait in a priority heap ordered by packed 64-bit
 // keys (see sched/packed_key.hpp and sched/ready_queue.hpp).  A slot
-// decision drains one bucket and pops at most M winners.  The schedule
-// is bit-identical to the retained naive reference
+// decision drains the due buckets and pops at most M winners.  The
+// schedule is bit-identical to the retained naive reference
 // (`schedule_sfq_reference`), which re-scans and re-sorts everything —
 // the A/B equivalence suite asserts this across policies and workloads.
 //
-// The hot path is data-oriented.  All per-task mutable
-// state a placement touches lives in one 64-byte HotTask record (head,
-// last slot, the head's precomputed priority key, and the in-period
-// cursor that advances it without division); the per-position
-// constants (key base/step, eligibility base) sit in a flat PosRec
-// table shared by flyweight jobs; the ready set is the SoA 8-ary SIMD
-// heap of ready_queue.hpp; calendar buckets are contiguous 64-byte
-// chunks recycled through a freelist, walked with explicit prefetch of
+// The hot path is data-oriented.  All per-task mutable state a
+// placement touches lives in one 64-byte HotTask record: the
+// division-free head cursor of sched/positions.hpp (head, the head's
+// precomputed priority key, the in-period position) plus the last slot;
+// the per-position constants (key base/step, eligibility base) sit in a
+// flat PosRec table shared by flyweight jobs; the ready set is the SoA
+// 8-ary SIMD heap of ready_queue.hpp; the calendar is a SlotBuckets
+// queue (sched/slot_buckets.hpp: chunked buckets recycled through a
+// freelist), whose drained chunks are walked with explicit prefetch of
 // the hot records they name; and schedule cells are written through a
 // raw pointer (SlotSchedule befriends the simulator) instead of the
 // checked `place`.  With an Arena supplied, every piece of working
@@ -55,6 +56,7 @@
 #include "sched/priority.hpp"
 #include "sched/ready_queue.hpp"
 #include "sched/schedule.hpp"
+#include "sched/slot_buckets.hpp"
 
 namespace pfair {
 
@@ -111,16 +113,11 @@ class SfqSimulator {
   [[nodiscard]] std::int64_t last_slot_of(std::int64_t task) const {
     return hot_[static_cast<std::size_t>(task)].last_slot;
   }
-  [[nodiscard]] std::int64_t allocated_of(std::int64_t task) const {
-    // Every head advance is an allocation (and vice versa), so the two
-    // counters are one.
-    return hot_[static_cast<std::size_t>(task)].head;
-  }
 
   /// Fast-forwards `cycles` repetitions of a detected steady-state cycle
   /// of `cycle_slots` slots in which task k places exactly
   /// `cycle_allocs[k]` subtasks: counters jump, the availability calendar
-  /// and ready heap are rebuilt (head keys recomputed in one SIMD batch),
+  /// and ready heap are rebuilt (each head cursor seeks its new seq),
   /// and simulation resumes at now() + cycles * cycle_slots as if every
   /// skipped slot had been stepped.  The caller, the shared fast-forward
   /// driver (detail::fast_forward, sched/fast_forward.hpp), has *proved*
@@ -148,33 +145,12 @@ class SfqSimulator {
   void set_quality(QualityCounters* q);
 
  private:
-  /// All mutable per-task scheduling state, one cache line per task.
-  /// The cursor (rem, job) over the position table advances the head to
-  /// its successor's key and eligibility with no division (see
-  /// sched/positions.hpp).
-  struct alignas(64) HotTask {
-    std::uint64_t next_key;   // order key of subtask `head` (packed mode)
+  /// All mutable per-task scheduling state, one cache line per task:
+  /// the head cursor (sched/positions.hpp) plus the last slot.
+  struct alignas(64) HotTask : HeadCursor {
     std::int64_t last_slot;   // most recent placement slot; -1 if none
-    std::int64_t elig_p;      // eligibility shift per job (0: job fixed 0)
-    std::int64_t cell_base;   // flat schedule-cell index of subtask 0
-    std::int32_t head;        // next unscheduled seq
-    std::int32_t count;       // total subtasks
-    std::int32_t rem;         // head % e
-    std::int32_t job;         // head / e
-    std::int32_t e;           // position period (sched/positions.hpp)
-    std::int32_t pos_off;     // first PosRec of this task
   };
   static_assert(sizeof(HotTask) == 64);
-
-  /// One calendar bucket fragment: up to 14 task ids in one cache line,
-  /// chained by chunk index, recycled through a freelist.
-  struct BucketChunk {
-    static constexpr std::int32_t kCap = 14;
-    std::int32_t count;
-    std::int32_t next;  // next chunk index or -1
-    std::int32_t tasks[kCap];
-  };
-  static_assert(sizeof(BucketChunk) == 64);
 
   // One slot's decisions appended into `picks` (not cleared; reused as a
   // scratch buffer by run_until so the hot loop never reallocates).
@@ -195,10 +171,6 @@ class SfqSimulator {
   // Bookkeeping for one placement in slot now():
   // head/lag/progress counters plus the successor's calendar entry.
   void commit_placement(const SubtaskRef& ref);
-  // Marks task `task`'s current head available from `slot` on.
-  void mark_available(std::int32_t task, std::int64_t slot);
-  // Moves every head that became available by now() into the ready heap.
-  void drain_calendar();
   // Writes one placement cell directly (the unchecked fast-path
   // counterpart of SlotSchedule::place; same invariants by design).
   void place_fast(const HotTask& h, std::int32_t seq, int proc);
@@ -215,22 +187,12 @@ class SfqSimulator {
   ArenaVector<HotTask> hot_;
   ArenaVector<PosRec> pos_;
 
-  // Calendar of availability transitions: bucket_head_[slot - cal_base_]
-  // chains BucketChunks (at most one pending transition per task, so the
-  // pool high-water is bounded by the task count).  warp() rebases it.
-  ArenaVector<std::int32_t> bucket_head_;
-  std::int64_t cal_base_ = 0;
-  ArenaVector<BucketChunk> chunks_;
-  std::int32_t free_chunk_ = -1;
-  std::int64_t drained_upto_ = -1;
+  // Calendar of availability transitions: task ids by the slot their
+  // head becomes available (at most one pending transition per task, so
+  // the chunk pool is bounded by the task count).  warp() rebases it.
+  SlotBuckets<std::int32_t> calendar_;
 
   ArenaVector<SubtaskRef> scratch_picks_;
-  // Warp batch-recompute scratch (SIMD affine_keys operands).
-  ArenaVector<std::uint64_t> warp_base_;
-  ArenaVector<std::uint64_t> warp_step_;
-  ArenaVector<std::uint64_t> warp_job_;
-  ArenaVector<std::uint64_t> warp_key_;
-  ArenaVector<std::int32_t> warp_task_;
 
   std::int64_t now_ = 0;
   std::int64_t remaining_;

@@ -20,11 +20,11 @@ constexpr std::int64_t kPeriodBound = std::int64_t{1} << 40;
 namespace detail {
 
 TaskStateRecord task_state_record(const Task& task, std::int64_t head,
-                                  std::int64_t last_slot,
-                                  std::int64_t allocated, std::int64_t t) {
+                                  std::int64_t last_slot, std::int64_t t) {
   TaskStateRecord rec;
   const Weight& w = task.weight();
-  rec.lag_num = w.e * t - allocated * w.p;
+  // Every placement advances the head, so head is the allocation count.
+  rec.lag_num = w.e * t - head * w.p;
   if (head >= task.num_subtasks()) {
     rec.rem = TaskStateRecord::kFinished;
     return rec;
@@ -83,8 +83,7 @@ StateFingerprint sfq_state_fingerprint(const SfqSimulator& sim) {
   fp.records.reserve(static_cast<std::size_t>(sys.num_tasks()));
   for (std::int64_t k = 0; k < sys.num_tasks(); ++k) {
     fp.records.push_back(detail::task_state_record(
-        sys.task(k), sim.head_of(k), sim.last_slot_of(k), sim.allocated_of(k),
-        fp.at));
+        sys.task(k), sim.head_of(k), sim.last_slot_of(k), fp.at));
   }
   fp.hash = detail::hash_records(fp.records);
   return fp;
@@ -140,7 +139,7 @@ StateFingerprint ScheduleStateScanner::at(std::int64_t t) {
     const std::int64_t last =
         head > 0 ? slots[static_cast<std::size_t>(head - 1)] : -1;
     fp.records.push_back(detail::task_state_record(
-        sys_->task(static_cast<std::int64_t>(k)), head, last, head, t));
+        sys_->task(static_cast<std::int64_t>(k)), head, last, t));
   }
   fp.hash = detail::hash_records(fp.records);
   return fp;

@@ -114,7 +114,6 @@ namespace detail {
 [[nodiscard]] TaskStateRecord task_state_record(const Task& task,
                                                 std::int64_t head,
                                                 std::int64_t last_slot,
-                                                std::int64_t allocated,
                                                 std::int64_t t);
 /// The splitmix64 finalizer: the one 64-bit mixer behind both models'
 /// state hashes (stateless; core/rng.hpp's splitmix64 is the generator

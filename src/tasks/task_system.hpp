@@ -14,6 +14,9 @@ namespace pfair {
 /// identical processors.
 class TaskSystem {
  public:
+  /// Rejects (ContractViolation naming the task) a system whose default
+  /// horizon would leave the range of tick arithmetic (see
+  /// detail::horizon_overflow).
   TaskSystem(std::vector<Task> tasks, int processors);
 
   [[nodiscard]] int processors() const { return processors_; }
@@ -41,7 +44,7 @@ class TaskSystem {
   [[nodiscard]] bool feasible() const;
 
   /// Latest subtask deadline across all tasks.
-  [[nodiscard]] std::int64_t max_deadline() const;
+  [[nodiscard]] std::int64_t max_deadline() const { return max_deadline_; }
 
   /// Total number of materialized subtasks (precomputed; O(1)).
   [[nodiscard]] std::int64_t total_subtasks() const {
@@ -77,7 +80,22 @@ class TaskSystem {
  private:
   std::vector<Task> tasks_;
   std::vector<std::int64_t> subtask_offsets_;  // size num_tasks() + 1
+  std::int64_t max_deadline_ = 0;
   int processors_;
 };
+
+/// The automatic schedule horizon, used when no limit is given.
+[[nodiscard]] std::int64_t default_horizon(const TaskSystem& sys);
+
+namespace detail {
+/// The index of the task blamed when `tasks`' default horizon, plus a
+/// few slots of slack, does not fit Time::slots (or the subtask count
+/// overflows), with the reason in `why`; -1 when it fits.  The task
+/// with the latest deadline is blamed for the horizon.  Sets
+/// `max_deadline` to the latest deadline (0 for no subtasks).
+[[nodiscard]] std::int64_t horizon_overflow(const std::vector<Task>& tasks,
+                                            std::int64_t& max_deadline,
+                                            std::string& why);
+}  // namespace detail
 
 }  // namespace pfair

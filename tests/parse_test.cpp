@@ -204,5 +204,16 @@ TEST(Parse, HorizonOverrideRespected) {
   EXPECT_EQ(sys.task(0).num_subtasks(), 4);  // releases 0,2,4,6 < 8
 }
 
+// A period past 2^43 slots used to overflow Time::slots inside the
+// simulators (DVQ reported the subtask unscheduled, staggered PD2 a
+// deadline miss); the build now reports the task's line instead.
+TEST(Parse, HorizonPastTheTickRangeIsRejected) {
+  expect_build_error("processors 1\ntask x 1/2\ntask a 1/9000000000000\n",
+                     {"line 3", "task 'a'", "9000000000000"});
+  const TaskSystem ok =
+      parse_task_string("processors 1\ntask a 1/8796093022000\n").build();
+  EXPECT_EQ(ok.max_deadline(), 8796093022000);
+}
+
 }  // namespace
 }  // namespace pfair

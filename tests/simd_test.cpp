@@ -39,43 +39,6 @@ std::vector<std::uint64_t> random_keys(Rng& rng, std::size_t n,
   return keys;
 }
 
-TEST(Simd, AffineKeysMatchesScalarAtBoundarySizes) {
-  Rng rng(42);
-  for (const std::size_t n : kBoundarySizes) {
-    for (int rep = 0; rep < 32; ++rep) {
-      std::vector<std::uint64_t> base(n), step(n), job(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        base[i] = static_cast<std::uint64_t>(rng.uniform(0, 1 << 30)) << 20;
-        step[i] = static_cast<std::uint64_t>(rng.uniform(0, 1 << 30)) << 10;
-        // The contract requires job < 2^32; cover the top of that range.
-        job[i] = rep == 0 ? 0xffffffffULL
-                          : static_cast<std::uint64_t>(
-                                rng.uniform(0, std::int64_t{0xffffffff}));
-      }
-      std::vector<std::uint64_t> want(n), got(n);
-      simd::affine_keys_scalar(base.data(), step.data(), job.data(),
-                               want.data(), n);
-      simd::affine_keys(base.data(), step.data(), job.data(), got.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(got[i], want[i]) << "n=" << n << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(Simd, AffineKeysWrapsModulo64Bits) {
-  // base + job * step overflowing 2^64 must wrap identically in every
-  // backend (the packed-key construction never overflows, but the shim
-  // promises mod-2^64 semantics regardless).
-  const std::uint64_t base[] = {~0ULL, 1ULL << 63, 0, ~0ULL};
-  const std::uint64_t step[] = {~0ULL >> 32, 1ULL << 32, ~0ULL >> 32, 1};
-  const std::uint64_t job[] = {0xffffffffULL, 2, 0xfffffffeULL, 1};
-  std::uint64_t want[4], got[4];
-  simd::affine_keys_scalar(base, step, job, want, 4);
-  simd::affine_keys(base, step, job, got, 4);
-  for (int i = 0; i < 4; ++i) ASSERT_EQ(got[i], want[i]) << i;
-}
-
 TEST(Simd, Argmin8MatchesScalarForEveryMinPosition) {
   Rng rng(7);
   for (int rep = 0; rep < 64; ++rep) {

@@ -2,6 +2,10 @@
 // b-bits, group deadlines, task builders, task systems.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "tasks/group_deadline.hpp"
 #include "tasks/task.hpp"
 #include "tasks/task_system.hpp"
@@ -362,6 +366,33 @@ TEST(TaskSystem, EarlyReleaseTransform) {
   EXPECT_EQ(er.task(0).subtask(1).eligible, 0);
   EXPECT_EQ(sys.task(0).subtask(1).eligible,
             sys.task(0).subtask(1).release);
+}
+
+// Time::slots(s) multiplies by 2^20, so a default horizon (latest
+// deadline + subtask count + 16) past 2^43 slots cannot be simulated; the
+// system is rejected when it is built, naming the task with the latest
+// deadline.  Just below the limit it builds, and an empty task
+// contributes no deadline however late its phase.
+TEST(TaskSystem, HorizonPastTheTickRangeIsRejected) {
+  std::vector<Task> tasks;
+  tasks.push_back(Task::periodic("small", Weight(1, 2), 8));
+  tasks.push_back(Task::periodic("a", Weight(1, 9000000000000), 1));
+  try {
+    const TaskSystem sys(tasks, 1);
+    FAIL() << "expected a ContractViolation";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("task 'a'"), std::string::npos)
+        << e.what();
+  }
+
+  std::vector<Task> fits;
+  fits.push_back(Task::periodic("a", Weight(1, 8796093022000), 1));
+  fits.push_back(Task::periodic_phased("late", Weight(1, 3), INT64_MAX,
+                                       INT64_MAX));
+  const TaskSystem sys(std::move(fits), 1);
+  EXPECT_EQ(sys.task(1).num_subtasks(), 0);
+  EXPECT_EQ(sys.max_deadline(), 8796093022000);
+  EXPECT_EQ(default_horizon(sys), 8796093022000 + 1 + 16);
 }
 
 }  // namespace
