@@ -8,7 +8,10 @@
 // n; the shape check requires >= 5x at n = 16384 and bit-identical
 // schedules at every point.  The post-simulation section also requires
 // DVQ validity and recount within 2x of SFQ's per placement (the DVQ
-// checks read time order off the schedule's order log).
+// checks read time order off the schedule's order log).  The staggered
+// scheduler (DVQ's event loop on a per-processor boundary grid) is timed
+// on the same systems and must stay within 2x of DVQ at n = 4096;
+// staggered_test pins its schedules against a boundary-walk oracle.
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -130,12 +133,13 @@ int run_bench(pfair::bench::BenchContext& ctx) {
   TextTable t;
   t.header({"n", "procs", "subtasks", "sfq ref (ms)", "sfq fast (ms)",
             "arena (ms)", "scalar (ms)", "sfq x", "dvq ref (ms)",
-            "dvq fast (ms)", "dvq x", "identical"});
+            "dvq fast (ms)", "dvq x", "stag fast (ms)", "identical"});
 
   bool all_identical = true;
   double sfq_speedup_max_n = 0.0, dvq_speedup_max_n = 0.0;
   double arena_vs_fast_max_n = 0.0;
   double dvq_vs_sfq_4096 = 0.0;
+  double stag_vs_dvq_4096 = 0.0;
 
   for (const std::int64_t n : {64L, 256L, 1024L, 4096L, 16384L}) {
     const TaskSystem sys = make_scaling_system(n);
@@ -182,6 +186,13 @@ int run_bench(pfair::bench::BenchContext& ctx) {
         reps, [&] { dvq_ref = schedule_dvq_reference(sys, yields, dopts); });
     const double dvq_fast_ms =
         best_ms(reps, [&] { dvq_fast = schedule_dvq(sys, yields, dopts); });
+    // Staggered, interleaved with a second DVQ timing so a load burst
+    // cannot skew the ratio the shape check reads.
+    StaggeredOptions sopts;
+    sopts.horizon_limit = kHorizon + 8;
+    const auto [dvq_paired_ms, stag_fast_ms] = best_pair(
+        reps, [&] { (void)schedule_dvq(sys, yields, dopts); },
+        [&] { (void)schedule_staggered(sys, yields, sopts); });
 
     const bool identical =
         same_sfq(sfq_ref, sfq_fast, sys) && same_sfq(sfq_ref, sfq_arena, sys) &&
@@ -195,7 +206,10 @@ int run_bench(pfair::bench::BenchContext& ctx) {
       dvq_speedup_max_n = dvq_x;
       arena_vs_fast_max_n = sfq_arena_ms / std::max(sfq_fast_ms, 1e-9);
     }
-    if (n == 4096) dvq_vs_sfq_4096 = dvq_fast_ms / std::max(sfq_fast_ms, 1e-9);
+    if (n == 4096) {
+      dvq_vs_sfq_4096 = dvq_fast_ms / std::max(sfq_fast_ms, 1e-9);
+      stag_vs_dvq_4096 = stag_fast_ms / std::max(dvq_paired_ms, 1e-9);
+    }
 
     const std::string tag = std::to_string(n);
     ctx.value("sfq.ref_ms." + tag, sfq_ref_ms);
@@ -206,13 +220,15 @@ int run_bench(pfair::bench::BenchContext& ctx) {
     ctx.value("dvq.ref_ms." + tag, dvq_ref_ms);
     ctx.value("dvq.fast_ms." + tag, dvq_fast_ms);
     ctx.value("dvq.speedup." + tag, dvq_x);
+    ctx.value("stag.fast_ms." + tag, stag_fast_ms);
     for (const auto& [name, ms] :
          {std::pair<const char*, double>{"sfq_fast/", sfq_fast_ms},
           {"sfq_ref/", sfq_ref_ms},
           {"sfq_arena/", sfq_arena_ms},
           {"sfq_scalar/", sfq_scalar_ms},
           {"dvq_fast/", dvq_fast_ms},
-          {"dvq_ref/", dvq_ref_ms}}) {
+          {"dvq_ref/", dvq_ref_ms},
+          {"stag_fast/", stag_fast_ms}}) {
       pfair::bench::BenchCase c;
       c.name = std::string(name) + tag;
       c.ns_per_op = ms * 1e6;
@@ -224,14 +240,17 @@ int run_bench(pfair::bench::BenchContext& ctx) {
            cell(sys.total_subtasks()), cell(sfq_ref_ms, 2),
            cell(sfq_fast_ms, 2), cell(sfq_arena_ms, 2), cell(sfq_scalar_ms, 2),
            cell(sfq_x, 1), cell(dvq_ref_ms, 2), cell(dvq_fast_ms, 2),
-           cell(dvq_x, 1), identical ? "yes" : "NO"});
+           cell(dvq_x, 1), cell(stag_fast_ms, 2), identical ? "yes" : "NO"});
   }
 
   std::cout << t.str() << "\n";
   std::cout << "horizon " << kHorizon << " slots; fast = incremental "
             << "(slot calendars + packed keys), ref = naive rescan\n"
-            << "dvq_fast / sfq_fast at n = 4096: " << dvq_vs_sfq_4096 << "x\n";
+            << "dvq_fast / sfq_fast at n = 4096: " << dvq_vs_sfq_4096 << "x\n"
+            << "stag_fast / dvq_fast at n = 4096: " << stag_vs_dvq_4096
+            << "x\n";
   ctx.value("dvq_vs_sfq_fast.4096", dvq_vs_sfq_4096);
+  ctx.value("stag_vs_dvq_fast.4096", stag_vs_dvq_4096);
 
   // --- Auditor overhead: invariant checking on the production path ---
   // The auditor's event mask fits in kDecisionTraceEvents, so an
@@ -801,7 +820,7 @@ int run_bench(pfair::bench::BenchContext& ctx) {
   const bool ok = all_identical && construction_identical &&
                   cycle_identical && cycle_engaged && post_cyclic_engaged &&
                   cyclic_64_vs_16 < 2.0 && validity_dvq_vs_sfq <= 2.0 &&
-                  recount_dvq_vs_sfq <= 2.0 &&
+                  recount_dvq_vs_sfq <= 2.0 && stag_vs_dvq_4096 <= 2.0 &&
                   cycle_sfq_speedup >= 5.0 && cycle_dvq_speedup >= 5.0 &&
                   (sfq_speedup_max_n >= 5.0 || dvq_speedup_max_n >= 5.0) &&
                   arena_vs_fast_max_n < 1.15 &&
@@ -817,6 +836,7 @@ int run_bench(pfair::bench::BenchContext& ctx) {
             << ">=10x memory at n=16384, cyclic post-simulation schedules "
             << "engaged, cyclic analysis at 64 hp < 2x at 16 hp, "
             << "DVQ validity and recount <= 2x SFQ per placement, "
+            << "staggered <= 2x DVQ at n=4096, "
             << "audit clean and < 2.5x at n=4096, "
             << "metrics < 1.5x at n=4096, quality counters match recount, "
             << "profiler < 1.05x): "

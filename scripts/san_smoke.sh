@@ -10,12 +10,13 @@
 # cycles.  dvq_simulator_test and dvq_test cover the DVQ event loop and
 # schedule_dvq, which runs through the shared fast-forward driver
 # (sched/fast_forward.hpp) like every schedule_sfq call; staggered_test
-# covers schedule_staggered, the third producer of DvqSchedule's cells and
-# order log; parse_test covers the task-file parser, whose finite tasks
-# are flyweights; slot_buckets_test drives the bucket queue behind both
-# calendars and the ready queue's deadline staging, whose base-relative
-# indexing and chunk freelist are what ASan should see, and the ready
-# queue under random pushes, pops and rebasing clears.  Any ASan/UBSan
+# covers schedule_staggered, the DVQ event loop on a per-processor
+# boundary grid, against its boundary-walk oracle; parse_test covers the
+# task-file parser, whose finite tasks are flyweights and whose window
+# tables are size-checked; slot_buckets_test drives the bucket queue
+# behind both calendars and the ready queue's deadline staging, whose
+# base-relative indexing and chunk freelist are what ASan should see,
+# and the ready queue under random pushes, pops and rebasing clears.  Any ASan/UBSan
 # report aborts the run
 # (-fno-sanitize-recover=all).
 # Usage: scripts/san_smoke.sh [build-dir]   (default build-san)

@@ -9,8 +9,8 @@
 // meaning "unplaced", so construction is O(tasks) and only written cells
 // fault memory in.  Every place() also appends the cell's flat index to
 // an order log (8 bytes), so a cell plus its log entry take 24 bytes.
-// The simulator, the reference scheduler and the staggered scheduler
-// place in nondecreasing start order, which lets the offline checks
+// The simulator (which also runs the staggered model) and the reference
+// scheduler place in nondecreasing start order, which lets the offline checks
 // (analysis/validity.cpp, analysis/recount_dvq.cpp) read each
 // processor's time order off the log instead of sorting for it.
 //

@@ -13,7 +13,7 @@
 namespace pfair {
 
 DvqSimulator::DvqSimulator(const TaskSystem& sys, const YieldModel& yields,
-                           Policy policy, Arena* arena)
+                           Policy policy, Arena* arena, bool staggered_grid)
     : sys_(&sys),
       yields_(&yields),
       order_(sys, policy),
@@ -21,6 +21,7 @@ DvqSimulator::DvqSimulator(const TaskSystem& sys, const YieldModel& yields,
       ready_q_(order_, keys_, arena),
       sched_(sys),
       packed_(keys_.packable()),
+      grid_(staggered_grid),
       hot_(arena),
       pos_(arena),
       procs_(arena),
@@ -34,8 +35,12 @@ DvqSimulator::DvqSimulator(const TaskSystem& sys, const YieldModel& yields,
   completions_.reserve(2 * m + 1);
   free_bits_.resize((m + 63) / 64);
   for (std::size_t w = 0; w < free_bits_.size(); ++w) free_bits_[w] = 0;
-  for (std::size_t pi = 0; pi < m; ++pi) {
-    free_proc(static_cast<std::int32_t>(pi));
+  for (std::int32_t k = 0; k < sys.processors(); ++k) {
+    if (grid_) {
+      book_until(k, Time::ticks(k * kTicksPerSlot / sys.processors()));
+    } else {
+      free_proc(k);
+    }
   }
 
   const auto n = static_cast<std::size_t>(sys.num_tasks());
@@ -67,6 +72,13 @@ void DvqSimulator::free_proc(std::int32_t proc) {
   free_bits_[static_cast<std::size_t>(proc) / 64] |=
       std::uint64_t{1} << (proc % 64);
   ++free_count_;
+}
+
+void DvqSimulator::book_until(std::int32_t proc, Time at) {
+  Proc& pr = procs_[static_cast<std::size_t>(proc)];
+  pr.busy_until = at;
+  pr.hand_off = -1;
+  add_completion(Completion{at, proc});
 }
 
 int DvqSimulator::pop_free_proc() {
@@ -119,6 +131,7 @@ Time DvqSimulator::next_event_time() const {
   return t;
 }
 
+template <bool kGrid>
 Time DvqSimulator::commit_placement(const SubtaskRef& ref, Time t,
                                     int proc) {
   const Time c = yields_->checked_cost(*sys_, ref);
@@ -139,11 +152,9 @@ Time DvqSimulator::commit_placement(const SubtaskRef& ref, Time t,
     sched_.busy_ticks_[static_cast<std::size_t>(proc)] += c.raw_ticks();
     sched_.makespan_ = std::max(sched_.makespan_, end);
   }
+  book_until(proc, end);
   Proc& pr = procs_[static_cast<std::size_t>(proc)];
-  pr.busy = true;
-  pr.busy_until = end;
-  pr.hand_off = -1;
-  add_completion(Completion{end, static_cast<std::int32_t>(proc)});
+  if (kGrid) pr.busy_until = t + kQuantum;  // staggered: next boundary
   --remaining_;
   if (!h.advance(pos_.data())) return c;
   // The successor's readiness instant is known now: the later of its
@@ -164,10 +175,12 @@ Time DvqSimulator::commit_placement(const SubtaskRef& ref, Time t,
 std::vector<SubtaskRef> DvqSimulator::step() {
   std::vector<SubtaskRef> started;
   if (!has_events()) return started;
-  step_into(started, next_event_time());
+  grid_ ? step_into<true>(started, next_event_time())
+        : step_into<false>(started, next_event_time());
   return started;
 }
 
+template <bool kGrid>
 void DvqSimulator::step_into(std::vector<SubtaskRef>& started, Time t) {
   now_ = t;
   // 1. Retire completions at t, handing each processor's waiting
@@ -178,11 +191,14 @@ void DvqSimulator::step_into(std::vector<SubtaskRef>& started, Time t) {
     PFAIR_ASSERT(completions_[comp_head_].at == t);
     const std::int32_t proc = completions_[comp_head_++].proc;
     Proc& pr = procs_[static_cast<std::size_t>(proc)];
-    pr.busy = false;
-    free_proc(proc);
     if (pr.hand_off >= 0) {
       make_ready(pr.hand_off);
       pr.hand_off = -1;
+    }
+    if (kGrid && pr.busy_until > t) {
+      book_until(proc, pr.busy_until);  // staggered: idle until its boundary
+    } else {
+      free_proc(proc);
     }
   }
   if (!calendar_.empty() && Time::slots(calendar_.min_slot()) == t) {
@@ -203,16 +219,19 @@ void DvqSimulator::step_into(std::vector<SubtaskRef>& started, Time t) {
   // hundred nanoseconds, so even one clock-read pair per event would be
   // double-digit overhead — run_until() scopes the whole loop instead.
   if (probe_.enabled()) [[unlikely]] {
-    step_fast<true>(started, t);
+    step_fast<true, kGrid>(started, t);
   } else {
-    step_fast<false>(started, t);
+    step_fast<false, kGrid>(started, t);
   }
+  // Staggered: a processor nothing was ready for waits a slot.
+  while (kGrid && free_count_ > 0) book_until(pop_free_proc(), t + kQuantum);
   if (quality_ != nullptr) [[unlikely]] {
     note_quality_event(free0, started, base);
   }
 }
 
 void DvqSimulator::set_trace_sink(TraceSink* sink) {
+  PFAIR_REQUIRE(!grid_ || sink == nullptr, "staggered runs are unobserved");
   PFAIR_REQUIRE(!wants_explain(sink),
                 "the simulator emits decision events only; explain events "
                 "come from schedule_dvq_reference (or schedule_dvq, which "
@@ -221,6 +240,7 @@ void DvqSimulator::set_trace_sink(TraceSink* sink) {
 }
 
 void DvqSimulator::attach_metrics(MetricsRegistry& reg) {
+  PFAIR_REQUIRE(!grid_, "staggered runs are unobserved");
   probe_.attach_metrics(reg);
   if (quality_ == nullptr) {
     metric_quality_ = QualityCounters{};
@@ -234,6 +254,7 @@ void DvqSimulator::detach_metrics() {
 }
 
 void DvqSimulator::set_quality(QualityCounters* q) {
+  PFAIR_REQUIRE(!grid_ || q == nullptr, "staggered runs are unobserved");
   PFAIR_REQUIRE(q == nullptr || remaining_ == sys_->total_subtasks(),
                 "attach quality counters before the first step");
   if (q == nullptr && probe_.metering()) {
@@ -302,7 +323,7 @@ void DvqSimulator::note_quality_event(std::size_t free0,
   probe_.count_quality(preemptions, migrations, idle);
 }
 
-template <bool kProbed>
+template <bool kProbed, bool kGrid>
 void DvqSimulator::step_fast(std::vector<SubtaskRef>& started, Time t) {
   if constexpr (kProbed) {
     probe_.begin_decision(TraceEventKind::kEventBegin, t);
@@ -321,7 +342,7 @@ void DvqSimulator::step_fast(std::vector<SubtaskRef>& started, Time t) {
     }
     const SubtaskRef ref = ready_q_.pop_best();
     const int proc = pop_free_proc();
-    [[maybe_unused]] const Time c = commit_placement(ref, t, proc);
+    [[maybe_unused]] const Time c = commit_placement<kGrid>(ref, t, proc);
     if constexpr (kProbed) note_placement(t, ref, proc, c);
     started.push_back(ref);
   }
@@ -355,13 +376,15 @@ void DvqSimulator::run_until(Time time_limit) {
     const Time t = next_event_time();
     if (t >= time_limit) break;
     scratch_started_.clear();
-    step_into(scratch_started_, t);
+    grid_ ? step_into<true>(scratch_started_, t)
+          : step_into<false>(scratch_started_, t);
   }
 }
 
 void DvqSimulator::warp(std::int64_t cycles, std::int64_t cycle_slots,
                         const std::vector<std::int64_t>& cycle_allocs,
                         std::int64_t boundary_slot) {
+  PFAIR_REQUIRE(!grid_, "staggered runs do not warp");
   PFAIR_REQUIRE(!probe_.enabled(), "warp would skip trace events and metrics");
   PFAIR_REQUIRE(quality_ == nullptr, "warp would skip quality accounting");
   PFAIR_REQUIRE(cycles >= 0 && cycle_slots > 0, "bad warp parameters");
@@ -379,11 +402,10 @@ void DvqSimulator::warp(std::int64_t cycles, std::int64_t cycle_slots,
     remaining_ -= adv;
     if (!h.done()) h.ready_at += shift.raw_ticks();
   }
-  // Uniform time shifts preserve completion order, so busy processors
-  // and their completion events move in place; a hand-off whose task the
-  // warp exhausted is void.
+  // Uniform time shifts preserve completion order, so release times
+  // (unread while idle) and completion events move in place; a hand-off
+  // whose task the warp exhausted is void.
   for (Proc& pr : procs_) {
-    if (!pr.busy) continue;
     pr.busy_until = pr.busy_until + shift;
     if (pr.hand_off >= 0 &&
         hot_[static_cast<std::size_t>(pr.hand_off)].done()) {
@@ -413,8 +435,8 @@ void DvqSimulator::warp(std::int64_t cycles, std::int64_t cycle_slots,
 
 std::vector<int> DvqSimulator::idle_processors() const {
   std::vector<int> out;
-  for (std::size_t pi = 0; pi < procs_.size(); ++pi) {
-    if (!procs_[pi].busy) out.push_back(static_cast<int>(pi));
+  for (int p = 0; p < sys_->processors(); ++p) {
+    if (!proc_busy(p)) out.push_back(p);
   }
   return out;
 }

@@ -22,6 +22,12 @@
 // slot.  Idle processors sit in a bitmap popped lowest id first; the
 // ready set is the packed-key heap of sched/ready_queue.hpp.
 //
+// Holman & Anderson's staggered model (dvq/staggered.hpp) adds one
+// release rule (`staggered_grid`): processor k takes work only at its
+// boundaries n + floor(k * 2^20 / M) ticks.  An earlier completion still
+// hands its successor to the ready heap, but the processor stays booked
+// until its next boundary; one nothing was ready for waits a slot.
+//
 // As in SfqSimulator, everything a placement touches per task lives in
 // one 64-byte hot record — the division-free head cursor of
 // sched/positions.hpp (head, subtask count, the head's packed key and
@@ -57,8 +63,6 @@
 
 namespace pfair {
 
-struct DvqOptions;       // dvq/dvq_scheduler.hpp
-
 /// Incremental event-driven DVQ scheduler.  The task system and yield
 /// model must outlive the simulator.
 class DvqSimulator {
@@ -66,8 +70,11 @@ class DvqSimulator {
   /// With `arena`, the working state (key tables, ready heap, calendar,
   /// completions, per-task/per-processor records) is bump-allocated
   /// there (the arena must be fresh or reset and outlive the simulator).
+  /// With `staggered_grid`, processors take work only at their staggered
+  /// boundaries (header note); such a simulator refuses observers and warp.
   DvqSimulator(const TaskSystem& sys, const YieldModel& yields,
-               Policy policy = Policy::kPd2, Arena* arena = nullptr);
+               Policy policy = Policy::kPd2, Arena* arena = nullptr,
+               bool staggered_grid = false);
 
   /// True once every subtask has been placed (no events can remain that
   /// would place more work).
@@ -104,7 +111,8 @@ class DvqSimulator {
     return Time::ticks(hot_[static_cast<std::size_t>(task)].ready_at);
   }
   [[nodiscard]] bool proc_busy(std::int64_t proc) const {
-    return procs_[static_cast<std::size_t>(proc)].busy;
+    const auto p = static_cast<std::size_t>(proc);
+    return (free_bits_[p / 64] >> (p % 64) & 1) == 0;
   }
   [[nodiscard]] Time proc_busy_until(std::int64_t proc) const {
     return procs_[static_cast<std::size_t>(proc)].busy_until;
@@ -164,9 +172,8 @@ class DvqSimulator {
   static_assert(sizeof(HotTask) == 64);
 
   struct Proc {
-    Time busy_until;
-    bool busy = false;
-    std::int32_t hand_off = -1;  // task whose head readies at busy_until
+    Time busy_until;  // when it next takes work (staggered: a boundary)
+    std::int32_t hand_off = -1;  // task whose head readies at completion
   };
   struct Completion {
     Time at;
@@ -178,10 +185,12 @@ class DvqSimulator {
 
   // One event instant `t`'s decisions appended into `started` (not
   // cleared; reused as a scratch buffer by run_until).
+  // kGrid is grid_, a template parameter so DVQ events never test it.
+  template <bool kGrid>
   void step_into(std::vector<SubtaskRef>& started, Time t);
   // The O(changes) decision body.  kProbed additionally reports the
   // decision events and the ready-set size to the probe.
-  template <bool kProbed>
+  template <bool kProbed, bool kGrid>
   void step_fast(std::vector<SubtaskRef>& started, Time t);
   void note_placement(Time t, SubtaskRef ref, int proc, Time c);
   // Folds one event instant's decisions into quality_ and the probe's
@@ -199,6 +208,7 @@ class DvqSimulator {
   // cell and log entry, books the completion, and routes the
   // successor's readiness to the calendar or the processor's hand-off.
   // Returns the charged cost.
+  template <bool kGrid>
   Time commit_placement(const SubtaskRef& ref, Time t, int proc);
   // Puts task k's head in the calendar bucket of `slot`.
   void wait_in_calendar(std::int32_t k, std::int64_t slot);
@@ -207,6 +217,7 @@ class DvqSimulator {
   [[nodiscard]] int pop_free_proc();
   void add_completion(Completion c);
   void free_proc(std::int32_t proc);
+  void book_until(std::int32_t proc, Time at);
 
   const TaskSystem* sys_;
   const YieldModel* yields_;
@@ -216,6 +227,7 @@ class DvqSimulator {
   SchedProbe probe_;
   DvqSchedule sched_;
   bool packed_;
+  bool grid_;  // staggered_grid
 
   ArenaVector<HotTask> hot_;
   ArenaVector<PosRec> pos_;

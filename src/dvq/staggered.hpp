@@ -10,7 +10,8 @@
 // Staggered scheduling is a special case of the DVQ model (desynchronized,
 // quanta of size exactly 1), so Theorem 3 applies: tardiness under PD2 is
 // at most one quantum.  `bench_staggered` confirms this and measures the
-// decision-concurrency reduction.
+// decision-concurrency reduction.  It runs on DvqSimulator's event loop
+// under a per-processor boundary grid (dvq/dvq_simulator.hpp).
 #pragma once
 
 #include "dvq/dvq_schedule.hpp"

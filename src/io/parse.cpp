@@ -146,6 +146,12 @@ TaskSystem ParsedSystem::build() const {
   std::vector<Task> out;
   out.reserve(tasks.size());
   for (const ParsedTask& t : tasks) {
+    // The reduced numerator is at most e: only a large e pays the gcd.
+    const Weight& w = t.weight;
+    PFAIR_REQUIRE(w.e <= kMaxWindowTableEntries ||
+                      w.e / std::gcd(w.e, w.p) <= kMaxWindowTableEntries,
+                  "line " << t.line << ": weight " << w.str()
+                          << " needs a window table over 2^20");
     if (t.jobs > 0) {
       // jobs * e subtasks — exactly those released before phase + jobs * p,
       // the last one's deadline — as a flyweight, so memory is O(1) in

@@ -10,6 +10,8 @@ std::shared_ptr<const WindowTable> WindowTable::build(const Weight& w) {
   const std::int64_t g = std::gcd(w.e, w.p);
   const std::int64_t e = w.e / g;
   const std::int64_t p = w.p / g;
+  PFAIR_REQUIRE(e <= kMaxWindowTableEntries,
+                "weight " << w.str() << " needs a window table over 2^20");
 
   auto t = std::shared_ptr<WindowTable>(new WindowTable());
   t->e_ = e;

@@ -69,6 +69,10 @@ namespace winarith {
 
 }  // namespace winarith
 
+/// The most entries (reduced numerator e) a WindowTable is built with:
+/// 2^20, about 25 MiB.  A larger table is refused, never allocated.
+inline constexpr std::int64_t kMaxWindowTableEntries = std::int64_t{1} << 20;
+
 /// One period of window parameters for a reduced weight.  Immutable after
 /// construction; shared across tasks via `shared_ptr<const WindowTable>`.
 /// Entry slot `rem` in [0, e) holds the parameters of subtask index

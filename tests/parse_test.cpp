@@ -104,6 +104,18 @@ TEST(Parse, HugePhaseOverflowingTheHorizonIsRejected) {
   EXPECT_EQ(late.build().task(1).num_subtasks(), 0);
 }
 
+// A weight's reduced numerator sizes its window table; 2^62 - 1 used to
+// abort the build with an uncaught std::length_error, and a mid-range one
+// allocated gigabytes.  The refusal names the line and the weight.
+TEST(Parse, HugeWeightNumeratorIsRejected) {
+  expect_build_error(
+      "processors 2\n"
+      "task a 4611686018427387903/4611686018427387904\n"
+      "task b 1/2\n",
+      {"line 2", "weight 4611686018427387903/4611686018427387904",
+       "window table"});
+}
+
 // jobs * e (the subtask count) and phase + jobs * p (the last deadline)
 // are checked before the finite task is built.
 TEST(Parse, JobCountOverflowIsRejected) {

@@ -82,6 +82,24 @@ TEST(WindowTable, BackwardPassMatchesForwardScanDeepIntoPeriod) {
   }
 }
 
+// A table holds one entry per reduced-numerator step, so a hostile weight
+// must be refused before anything is allocated.  Only refused sizes are
+// built here: a table at the limit would really take ~25 MiB.
+TEST(Tasks, WindowTableSizeIsBounded) {
+  const Weight over(kMaxWindowTableEntries + 1, kMaxWindowTableEntries + 2);
+  const Weight huge((std::int64_t{1} << 62) - 1, std::int64_t{1} << 62);
+  WindowTableCache cache;
+  for (const Weight& w : {over, huge}) {
+    EXPECT_THROW((void)WindowTable::build(w), ContractViolation);
+    EXPECT_THROW((void)cache.get(w), ContractViolation);
+    EXPECT_THROW((void)Task::periodic("T", w, 4, &cache), ContractViolation);
+  }
+  EXPECT_EQ(cache.size(), 0u);
+  // The bound applies to the reduced weight: 2^40/2^41 is 1/2.
+  const Weight half(std::int64_t{1} << 40, std::int64_t{1} << 41);
+  EXPECT_EQ(WindowTable::build(half)->e(), 1);
+}
+
 TEST(WindowTable, EquivalentRatesShareOneTable) {
   WindowTableCache cache;
   const auto a = cache.get(Weight(1, 2));

@@ -41,7 +41,8 @@
 //   --quiet                    suppress the rendered schedule
 //
 // --trace/--metrics/--prom/--chrome-trace/--audit cover sfq and dvq;
-// the staggered model keeps its own loop and is not observable.
+// the staggered model (the DVQ event loop on a boundary grid) is not
+// observable.
 // --metrics and an --audit-only sink ride the simulators' fast path;
 // --trace and --chrome-trace ask for every event kind, which makes the
 // run an explain run on the reference scheduler (obs/trace.hpp).
@@ -306,7 +307,7 @@ int run(const CliOptions& o) {
   // a bounded ring of events for the decision instants, --metrics fills
   // a registry, --audit runs the invariant auditor inline (and --capture
   // additionally records a replayable counterexample bundle).  The
-  // staggered model runs its own loop and supports none of them.
+  // staggered model's grid-mode simulator refuses all of them.
   const bool stag = o.model == CliOptions::Model::kStaggered;
   const bool dvq_ff = o.fast_forward && o.model == CliOptions::Model::kDvq;
   const bool wants_obs = !o.trace_path.empty() || !o.chrome_path.empty() ||
