@@ -64,8 +64,7 @@ std::string compiler_name() {
 
 /// The machine a report was measured on, as a JSON object: core count,
 /// SIMD backend, compiler and CMake build type.  scripts/perf_guard.py
-/// copies it into the baseline bundle and skips the comparison when a
-/// check runs on a different box.
+/// prints it once per gate run, so every timing names its box.
 std::string box_fingerprint_json() {
   std::ostringstream os;
   os << R"({"cores": )" << std::thread::hardware_concurrency()

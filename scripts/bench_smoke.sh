@@ -71,9 +71,9 @@ else
   echo "bench_smoke: python3 not found, skipping schema validation" >&2
 fi
 
-# Opt-in perf regression guard: compares the scheduler hot-path medians
-# against the committed baseline (BENCH_PR13.json); >15% fails.  Off by
-# default because wall-clock numbers are machine-specific.
+# Opt-in perf gate: the working tree against HEAD in interleaved pairs;
+# a guarded hot-path case consistently >15% slower fails.  Off by
+# default because it also builds HEAD and runs ~8 minutes.
 if [ "${PERF_GUARD:-0}" = "1" ]; then
   python3 scripts/perf_guard.py --build-dir "$BUILD"
 fi

@@ -1,81 +1,80 @@
 #!/usr/bin/env python3
-"""Performance regression guard for the scheduler hot paths.
+"""Paired performance gate for the scheduler hot paths.
 
-Compares fresh pfair-bench-v1 reports against the committed baseline
-bundle (BENCH_PR13.json at the repo root) and fails if any guarded case
-regresses by more than the tolerance on its median ns/op.
+Builds a parent revision (default HEAD, the parent of the change in the
+working tree) from `git archive` into a Release tree, then runs the
+parent's benches and the working tree's benches in PAIRS interleaved
+pairs, alternating which side runs first.  A guarded case fails only
+when the change is consistently slower: slower in at least
+MIN_SLOWER_PAIRS of the pairs, with a median per-pair ratio above
+1 + TOLERANCE.
 
 Usage:
-  scripts/perf_guard.py --build-dir build-rel            # check
-  scripts/perf_guard.py --build-dir build-rel --write-baseline
-  scripts/perf_guard.py --reports DIR                    # check pre-made
-                                                         # reports
+  scripts/perf_guard.py [--build-dir build-rel] [--against REV]
 
-The guard runs (or reads) four reports:
-  micro_sched  google-benchmark micro costs (BM_SfqSchedule,
-               BM_DvqSchedule, ... with repetitions for medians)
-  scaling      fast-vs-naive sweep over task counts plus the cycle
-               fast-forward cases (bench_scaling)
-  epdf_dvq     one DVQ experiment, wall-clock only (rides along in the
-               bundle for reference; not guarded)
-  throughput   sustained decisions/sec with arena-backed repeated
-               scheduling (bench_throughput); guarded per-call costs
-  soak         scale soak with the S1-large tier (PFAIR_SOAK_LARGE=1):
-               its own shape check enforces the >= 100x fast-forward
-               speedup and the bundle records it in large.ff_speedup
+The parent's tree is cached under <build-dir>/perf_guard/<sha>/, so a
+repeat run against the same revision does not rebuild it.
+
+Benches marked unpaired in BENCHES hold no guarded case and run once,
+on the change side only, for their shape checks.  A bench's own shape
+check ("ok": false in its report) fails the gate when it fails in any
+change run.  A parent run that lost a guarded case is an error of the
+parent or the box, reported apart from the change's failures (exit 2).
 
 Only cases matching GUARDED_PATTERNS are compared: the optimized
 schedulers' costs.  The naive reference timings (sfq_ref/*, dvq_ref/*)
 ride along in the reports but are deliberately unguarded — the oracle is
 allowed to be slow.
 
-Baselines are machine-specific.  Every report carries the fingerprint
-of the box it ran on ("box": cores, SIMD backend, compiler, build type);
---write-baseline copies it into the bundle, and a check whose fresh
-reports come from a different box prints both fingerprints and skips
-the comparison.  Regenerate the baseline with --write-baseline on the
-box that will check against it.
+The parent is a revision rather than a committed file of timings
+because the box drifts by tens of percent from hour to hour: two builds
+timed alternately on one box compare the code, while an absolute number
+from another hour compares the box.
 """
 
 import argparse
+import io
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE = os.path.join(REPO, "BENCH_PR13.json")
 TOLERANCE = 0.15
+PAIRS = 5
+MIN_SLOWER_PAIRS = 4
 
-# (bench target, report name, extra argv, extra env)
+# (bench target, report name, extra argv, extra env, paired)
 BENCHES = [
+    # google-benchmark micro costs, with repetitions for medians.
     (
         "bench_micro_sched",
         "micro_sched",
-        [
-            "--benchmark_filter="
-            "BM_SfqSchedule|BM_DvqSchedule",
-            "--benchmark_repetitions=3",
-        ],
+        ["--benchmark_filter=BM_SfqSchedule|BM_DvqSchedule",
+         "--benchmark_repetitions=3"],
         {},
+        True,
     ),
     # --profile records the per-phase self-time breakdown in the
     # report's "profile" section (and arms the bench's own < 1.05x
-    # span-overhead shape check); on a regression the guard names the
+    # span-overhead shape check); on a regression the gate names the
     # phase that moved most.
-    ("bench_scaling", "scaling", ["--profile"], {}),
-    ("bench_epdf_dvq", "epdf_dvq", ["--repeat=5"], {}),
+    ("bench_scaling", "scaling", ["--profile"], {}, True),
+    # One DVQ experiment, wall-clock only.
+    ("bench_epdf_dvq", "epdf_dvq", ["--repeat=5"], {}, False),
     # Sustained throughput over the arena-backed steady-state path; its
     # own shape check enforces bit-identicality and zero steady-state
     # arena growth.
-    ("bench_throughput", "throughput", [], {}),
+    ("bench_throughput", "throughput", [], {}, True),
     # The S1-large tier's own shape check enforces the >= 100x
-    # fast-forward speedup and records it in the bundle's values; it has
-    # no guarded ns/op cases (single-shot wall clock).
-    ("bench_soak", "soak", [], {"PFAIR_SOAK_LARGE": "1"}),
+    # fast-forward speedup; it has no guarded ns/op cases (single-shot
+    # wall clock).
+    ("bench_soak", "soak", [], {"PFAIR_SOAK_LARGE": "1"}, False),
 ]
 
 GUARDED_PATTERNS = [
@@ -101,124 +100,78 @@ GUARDED_PATTERNS = [
     r"^post/",
 ]
 
-# Cases whose baseline median sits below this ride along in the reports
-# but are not guarded: on a busy box, scheduling jitter alone moves
-# sub-100us single-shot timings past any sane tolerance.
+# Cases whose parent median sits below this ride along in the
+# reports but are not guarded: on a busy box, scheduling jitter alone
+# moves sub-100us single-shot timings past any sane tolerance.
 MIN_GUARDED_NS = 80_000
 
 
-def run_benches(build_dir, out_dir):
-    targets = [b[0] for b in BENCHES]
-    subprocess.run(
-        ["cmake", "--build", build_dir, "-j", "--target"] + targets,
-        check=True,
-        cwd=REPO,
-        stdout=subprocess.DEVNULL,
-    )
-    reports = {}
-    for target, name, extra, env in BENCHES:
-        path = os.path.join(out_dir, f"BENCH_{name}.json")
-        exe = os.path.join(build_dir, "bench", target)
-        print(f"perf_guard: running {target} ...", file=sys.stderr)
-        subprocess.run(
-            [exe, f"--json={path}"] + extra,
-            check=True,
-            cwd=REPO,
-            env={**os.environ, **env},
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
-        with open(path) as f:
-            reports[name] = json.load(f)
-    return reports
+def decide(parent_ns, change_ns):
+    """The gate's verdict on one guarded case from its ns/op in each
+    pair, both lists in pair order, None where a run lacks the case.
+    Returns (status, per-pair change/parent ratios); status is "ok",
+    "slower" (consistently, past the tolerance), "missing" (absent from
+    a change run) or "unguarded" (parent median under MIN_GUARDED_NS).
+    Pairs whose parent run lacks the case are left out."""
+    pairs = [(p, c) for p, c in zip(parent_ns, change_ns) if p is not None]
+    if statistics.median(p for p, _ in pairs) < MIN_GUARDED_NS:
+        return "unguarded", []
+    if any(c is None for _, c in pairs):
+        return "missing", []
+    ratios = [c / p for p, c in pairs]
+    slower = sum(r > 1.0 for r in ratios) >= MIN_SLOWER_PAIRS
+    if slower and statistics.median(ratios) > 1.0 + TOLERANCE:
+        return "slower", ratios
+    return "ok", ratios
 
 
-def load_reports(reports_dir):
-    reports = {}
-    for _, name, _, _ in BENCHES:
-        path = os.path.join(reports_dir, f"BENCH_{name}.json")
-        if not os.path.exists(path):
-            sys.exit(f"perf_guard: missing report {path}")
-        with open(path) as f:
-            reports[name] = json.load(f)
-    return reports
+def medians(items):
+    """key -> median of the values listed under it in (key, value) items."""
+    groups = {}
+    for key, value in items:
+        groups.setdefault(key, []).append(value)
+    return {key: statistics.median(v) for key, v in groups.items()}
 
 
 def case_medians(report):
     """name -> median ns/op over same-name case entries (repetitions)."""
-    runs = {}
-    for case in report.get("cases", []):
-        runs.setdefault(case["name"], []).append(case["ns_per_op"])
-    return {name: statistics.median(v) for name, v in runs.items()}
+    cases = report.get("cases", [])
+    return medians((c["name"], c["ns_per_op"]) for c in cases)
 
 
 def guarded(name):
     return any(re.search(p, name) for p in GUARDED_PATTERNS)
 
 
-def report_box(reports):
-    """The box fingerprint shared by a set of reports (None if absent);
-    exits if the reports disagree — they must come from one run."""
-    boxes = {json.dumps(r.get("box"), sort_keys=True) for r in reports.values()}
-    if len(boxes) != 1:
-        sys.exit(f"perf_guard: reports disagree on the box: {sorted(boxes)}")
-    return json.loads(boxes.pop())
-
-
-def describe_box(box):
-    if not isinstance(box, dict):
-        return "unknown box (no fingerprint)"
-    return (
-        f"{box.get('cores', '?')} cores, {box.get('simd', '?')}, "
-        f"{box.get('compiler', '?')}, {box.get('build_type', '?')}"
+def median_phases(reports):
+    """phase -> median self_ns over the reports' profile sections; empty
+    for a bench run without --profile."""
+    profiles = (report.get("profile") or {} for report in reports)
+    return medians(
+        (name, entry.get("self_ns", 0.0))
+        for profile in profiles
+        for name, entry in (profile.get("phases") or {}).items()
     )
 
 
-def profile_phases(report):
-    """phase -> self_ns from a report's profile section, or None when
-    the report predates profiling (missing key, null, or no phases)."""
-    profile = report.get("profile")
-    if not isinstance(profile, dict):
-        return None
-    phases = profile.get("phases")
-    if not isinstance(phases, dict) or not phases:
-        return None
-    return {name: entry.get("self_ns", 0.0) for name, entry in phases.items()}
-
-
-def attribute_regression(bench_name, base_report, fresh_report):
-    """On a regression, say which profile phase moved most (per-phase
-    self time, baseline vs fresh).  Quietly degrades when either side
-    has no profile section — pre-PR6 baselines lack one."""
-    base_phases = profile_phases(base_report)
-    fresh_phases = profile_phases(fresh_report)
-    if base_phases is None or fresh_phases is None:
-        which = "baseline" if base_phases is None else "fresh report"
-        print(
-            f"  {bench_name}: no profile section in the {which}; "
-            "cannot attribute the regression to a phase"
-        )
+def attribute_regression(bench_name, parent_reports, change_reports):
+    """On a regression, say which profile phase's median self time grew
+    most from the parent to the change."""
+    parent = median_phases(parent_reports)
+    change = median_phases(change_reports)
+    if not change:
         return
-    movers = sorted(
-        (
-            (fresh_phases.get(name, 0.0) - base_ns, name, base_ns)
-            for name, base_ns in base_phases.items()
-        ),
-        reverse=True,
+    delta_ns, name = max(
+        (change.get(n, 0.0) - parent.get(n, 0.0), n)
+        for n in parent.keys() | change.keys()
     )
-    movers += [
-        (ns, name, 0.0)
-        for name, ns in fresh_phases.items()
-        if name not in base_phases
-    ]
-    movers.sort(reverse=True)
-    delta_ns, name, base_ns = movers[0]
     if delta_ns <= 0:
         print(
             f"  {bench_name}: no profile phase slowed down — the "
             "regression sits outside instrumented spans"
         )
         return
+    base_ns = parent.get(name, 0.0)
     rel = f"{delta_ns / base_ns * 100.0:+.1f}%" if base_ns > 0 else "new"
     print(
         f"  {bench_name}: phase '{name}' moved most: "
@@ -227,137 +180,199 @@ def attribute_regression(bench_name, base_report, fresh_report):
     )
 
 
-def check(baseline, fresh, tolerance):
-    failures = []
+def compare(parent, change):
+    """Applies decide() to every guarded case.  `parent` and `change` map
+    a report name to its reports in pair order (a change-only bench has
+    no parent entry).  Prints one line per compared case and returns
+    (failures, parent_errors): the change's faults, and cases a parent
+    run lost, which say nothing about the change."""
+    failures, parent_errors = [], []
     compared = 0
-    worst = None  # (ratio, "bench/name")
-    for bench_name, base_report in baseline["reports"].items():
-        fresh_report = fresh.get(bench_name)
-        if fresh_report is None:
-            failures.append(f"{bench_name}: no fresh report")
-            continue
-        if not fresh_report.get("ok", False):
-            failures.append(f"{bench_name}: fresh run reported failure")
-        base_cases = case_medians(base_report)
-        fresh_cases = case_medians(fresh_report)
-        bench_regressed = False
-        for name, base_ns in sorted(base_cases.items()):
-            if not guarded(name) or base_ns < MIN_GUARDED_NS:
-                continue
-            if name not in fresh_cases:
-                failures.append(f"{bench_name}/{name}: case disappeared")
-                continue
-            fresh_ns = fresh_cases[name]
-            ratio = fresh_ns / base_ns if base_ns > 0 else float("inf")
-            compared += 1
-            marker = "FAIL" if ratio > 1.0 + tolerance else "ok"
-            print(
-                f"  {marker:4} {bench_name}/{name}: "
-                f"{base_ns:12.0f} -> {fresh_ns:12.0f} ns/op "
-                f"({(ratio - 1.0) * 100:+.1f}%)"
+    worst = None  # (median ratio, "bench/name")
+    for bench_name, change_reports in change.items():
+        failed = sum(not r.get("ok", False) for r in change_reports)
+        if failed:
+            failures.append(
+                f"{bench_name}: shape check failed in {failed}/"
+                f"{len(change_reports)} change runs"
             )
-            if worst is None or ratio > worst[0]:
-                worst = (ratio, f"{bench_name}/{name}")
-            if ratio > 1.0 + tolerance:
+        if bench_name not in parent:
+            continue
+        failed = sum(not r.get("ok", False) for r in parent[bench_name])
+        if failed:
+            print(f"  note: {bench_name}: the parent's own shape check "
+                  f"failed in {failed}/{len(parent[bench_name])} runs")
+        parent_cases = [case_medians(r) for r in parent[bench_name]]
+        change_cases = [case_medians(r) for r in change_reports]
+        bench_regressed = False
+        for name in sorted(set().union(*parent_cases)):
+            if not guarded(name):
+                continue
+            case = f"{bench_name}/{name}"
+            parent_ns = [c.get(name) for c in parent_cases]
+            lost = [i + 1 for i, ns in enumerate(parent_ns) if ns is None]
+            if lost:
+                parent_errors.append(
+                    f"{case}: missing from parent run(s) {lost}"
+                )
+            status, ratios = decide(
+                parent_ns, [c.get(name) for c in change_cases]
+            )
+            if status == "unguarded":
+                continue
+            if status == "missing":
+                failures.append(f"{case}: case missing from a change run")
+                continue
+            compared += 1
+            median = statistics.median(ratios)
+            parent_median = statistics.median(
+                ns for ns in parent_ns if ns is not None
+            )
+            summary = (
+                f"median ratio {median:.3f} "
+                f"[{min(ratios):.3f}-{max(ratios):.3f}], slower in "
+                f"{sum(r > 1.0 for r in ratios)}/{len(ratios)} pairs"
+            )
+            print(
+                f"  {'FAIL' if status == 'slower' else 'ok':4} {case}: "
+                f"{parent_median:12.0f} ns/op parent, {summary}"
+            )
+            if worst is None or median > worst[0]:
+                worst = (median, case)
+            if status == "slower":
                 bench_regressed = True
                 failures.append(
-                    f"{bench_name}/{name}: {base_ns:.0f} -> {fresh_ns:.0f} "
-                    f"ns/op, {(ratio - 1.0) * 100:+.1f}% "
-                    f"(tolerance {tolerance * 100:.0f}%)"
+                    f"{case}: {summary} (tolerance {TOLERANCE * 100:.0f}%)"
                 )
         if bench_regressed:
-            attribute_regression(bench_name, base_report, fresh_report)
-    # Guarded cases the baseline has never seen (a bench or a case added
-    # since it was written) cannot be compared; list them so they are not
-    # mistaken for checked ones.
-    for bench_name, fresh_report in sorted(fresh.items()):
-        base_report = baseline["reports"].get(bench_name)
-        base_cases = case_medians(base_report) if base_report else {}
-        for name, fresh_ns in sorted(case_medians(fresh_report).items()):
-            if guarded(name) and name not in base_cases:
-                print(
-                    f"  new  {bench_name}/{name}: {fresh_ns:12.0f} ns/op "
-                    f"(unguarded until --write-baseline)"
-                )
+            attribute_regression(bench_name, parent[bench_name], change_reports)
     if compared == 0:
-        failures.append("no guarded cases compared — baseline empty?")
-    elif worst is not None:
+        failures.append("no guarded cases compared")
+    else:
         print(
-            f"perf_guard: {compared} guarded cases compared; worst delta "
-            f"{(worst[0] - 1.0) * 100:+.1f}% ({worst[1]})"
+            f"perf_guard: {compared} guarded cases compared; worst median "
+            f"ratio {worst[0]:.3f} ({worst[1]})"
         )
-    return failures
+    return failures, parent_errors
+
+
+def parent_tree(rev, build_dir):
+    """(sha, source dir, build dir) of REV, its `git archive` extracted
+    once per sha under <build_dir>/perf_guard/."""
+    sha = subprocess.run(
+        ["git", "rev-parse", "--verify", rev + "^{commit}"],
+        cwd=REPO, check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    root = os.path.join(build_dir, "perf_guard", sha)
+    src = os.path.join(root, "src")
+    if not os.path.isdir(src):
+        partial = src + ".partial"
+        shutil.rmtree(partial, ignore_errors=True)
+        archive = subprocess.run(
+            ["git", "archive", sha], cwd=REPO, check=True, capture_output=True
+        ).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(partial, filter="data")
+        os.rename(partial, src)
+    return sha, src, os.path.join(root, "build")
+
+
+def build(source_dir, build_dir):
+    subprocess.run(
+        ["cmake", "-S", source_dir, "-B", build_dir,
+         "-DCMAKE_BUILD_TYPE=Release"],
+        check=True,
+        stdout=subprocess.DEVNULL,
+    )
+    subprocess.run(
+        ["cmake", "--build", build_dir, f"-j{os.cpu_count() or 1}",
+         "--target"] + [b[0] for b in BENCHES],
+        check=True,
+        stdout=subprocess.DEVNULL,
+    )
+
+
+def run_bench(bench, source_dir, build_dir, path):
+    """Runs one bench and returns its report; a run that wrote none
+    (a crash) reads as a failed report with no cases."""
+    target, _, extra, env, _ = bench
+    subprocess.run(
+        [os.path.join(build_dir, "bench", target), f"--json={path}"] + extra,
+        cwd=source_dir,
+        env={**os.environ, **env},
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    if not os.path.exists(path):
+        return {"ok": False, "cases": []}
+    with open(path) as f:
+        return json.load(f)
+
+
+def run_pairs(parent_dirs, change_dirs, out_dir):
+    """Runs the paired benches PAIRS times on both sides, alternating
+    which side goes first, then the change-only benches once."""
+    runs = {"parent": {}, "change": {}}
+    sides = [("parent", *parent_dirs), ("change", *change_dirs)]
+    for i in range(PAIRS):
+        order = sides if i % 2 == 0 else sides[::-1]
+        print(
+            f"perf_guard: pair {i + 1}/{PAIRS} ({order[0][0]} first) ...",
+            file=sys.stderr,
+        )
+        for bench in (b for b in BENCHES if b[4]):
+            for side, src, bld in order:
+                path = os.path.join(out_dir, f"{side}_{bench[1]}_{i}.json")
+                report = run_bench(bench, src, bld, path)
+                runs[side].setdefault(bench[1], []).append(report)
+    for bench in (b for b in BENCHES if not b[4]):
+        path = os.path.join(out_dir, f"change_{bench[1]}.json")
+        runs["change"][bench[1]] = [run_bench(bench, *change_dirs, path)]
+    return runs["parent"], runs["change"]
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--build-dir", default="build-rel")
-    ap.add_argument("--baseline", default=BASELINE)
     ap.add_argument(
-        "--reports",
-        default=None,
-        help="directory of pre-made BENCH_*.json (skips running benches)",
+        "--build-dir",
+        default="build-rel",
+        help="Release tree for the working tree; the parent's tree is "
+        "cached inside it (default build-rel)",
     )
-    ap.add_argument("--tolerance", type=float, default=TOLERANCE)
     ap.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="run the benches and (re)write the baseline bundle",
+        "--against",
+        default="HEAD",
+        help="the parent revision to compare against (default HEAD)",
     )
     args = ap.parse_args()
 
-    if args.reports:
-        fresh = load_reports(args.reports)
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            fresh = run_benches(args.build_dir, tmp)
-
-    if args.write_baseline:
-        bundle = {
-            "schema": "pfair-perf-baseline-v1",
-            "tolerance": args.tolerance,
-            "box": report_box(fresh),
-            "reports": fresh,
-        }
-        with open(args.baseline, "w") as f:
-            json.dump(bundle, f, indent=1)
-            f.write("\n")
-        print(f"perf_guard: baseline written to {args.baseline}")
-        return 0
-
-    if not os.path.exists(args.baseline):
-        sys.exit(
-            f"perf_guard: no baseline at {args.baseline} "
-            "(generate with --write-baseline)"
+    build_dir = os.path.join(REPO, args.build_dir)
+    sha, parent_src, parent_build = parent_tree(args.against, build_dir)
+    print(f"perf_guard: building {args.against} ({sha[:12]}) and the "
+          "working tree ...", file=sys.stderr)
+    build(parent_src, parent_build)
+    build(REPO, build_dir)
+    with tempfile.TemporaryDirectory() as tmp:
+        parent, change = run_pairs(
+            (parent_src, parent_build), (REPO, build_dir), tmp
         )
-    with open(args.baseline) as f:
-        baseline = json.load(f)
-    if baseline.get("schema") != "pfair-perf-baseline-v1":
-        sys.exit("perf_guard: unrecognized baseline schema")
-
-    base_box = baseline.get("box")
-    fresh_box = report_box(fresh)
-    if base_box != fresh_box:
-        print(
-            "perf_guard: WARNING: baseline and fresh reports come from "
-            "different boxes\n"
-            f"  baseline: {describe_box(base_box)}\n"
-            f"  fresh:    {describe_box(fresh_box)}"
-        )
-        print(
-            "perf_guard: not compared (timings from different boxes "
-            "say nothing about the code); regenerate the baseline "
-            "here with --write-baseline"
-        )
-        return 0
-
-    print(f"perf_guard: comparing against {args.baseline}")
-    failures = check(baseline, fresh, args.tolerance)
+    box = next(iter(change.values()))[0].get("box")
+    print(
+        f"perf_guard: working tree vs {args.against} ({sha[:12]}), "
+        f"{PAIRS} interleaved pairs on box {json.dumps(box)}"
+    )
+    failures, parent_errors = compare(parent, change)
     if failures:
         print("perf_guard: FAIL")
         for f in failures:
             print(f"  {f}")
         return 1
+    if parent_errors:
+        print(f"perf_guard: ERROR in the parent's runs ({args.against}), "
+              "not the change")
+        for e in parent_errors:
+            print(f"  {e}")
+        return 2
     print("perf_guard: PASS")
     return 0
 

@@ -1,7 +1,7 @@
 // Portable SIMD shim for the scheduler's data-oriented hot paths.
 //
-// Exactly the kernels the hot paths need — min / argmin selection for
-// the 8-ary ready heap — with three backends:
+// Exactly the kernel the hot paths need — argmin over one 8-key child
+// group of the 8-ary ready heap — with three backends:
 //
 //   * AVX2   (x86-64): 4 x u64 lanes; unsigned 64-bit compares are
 //             synthesized by flipping the sign bit before a signed
@@ -15,13 +15,13 @@
 // scalar implementation, so A/B suites can cross-check both shims in
 // one binary regardless of how the build was configured.
 //
-// Semantics are exact and backend-independent: the argmin kernels
-// return the lowest index holding the minimum **provided keys are
+// Semantics are exact and backend-independent: the argmin kernel
+// returns the lowest index holding the minimum **provided keys are
 // pairwise distinct** (the packed-key
 // construction guarantees distinctness; with duplicated minima the
 // accelerated backends may prefer a different duplicate).  The
 // SIMD-vs-scalar property suite (tests/simd_test.cpp) pins the
-// equivalence at lane-count boundaries.
+// equivalence for every minimum position and on sign-bit extremes.
 #pragma once
 
 #include <atomic>
@@ -79,19 +79,14 @@ inline void set_force_scalar(bool v) {
 // Scalar reference kernels — always compiled, the semantic ground truth.
 // ---------------------------------------------------------------------------
 
-/// Index of the minimum of keys[0..n); lowest index wins ties.
-/// Requires n >= 1.
-inline std::size_t argmin_scalar(const std::uint64_t* keys, std::size_t n) {
+/// Index of the minimum of exactly 8 contiguous keys (callers pad with
+/// ~0ull); lowest index wins ties.
+inline std::size_t argmin8_scalar(const std::uint64_t* keys) {
   std::size_t best = 0;
-  for (std::size_t i = 1; i < n; ++i) {
+  for (std::size_t i = 1; i < 8; ++i) {
     if (keys[i] < keys[best]) best = i;
   }
   return best;
-}
-
-/// argmin over exactly 8 contiguous keys (callers pad with ~0ull).
-inline std::size_t argmin8_scalar(const std::uint64_t* keys) {
-  return argmin_scalar(keys, 8);
 }
 
 // ---------------------------------------------------------------------------
@@ -140,52 +135,10 @@ inline std::size_t argmin8_avx2(const std::uint64_t* keys) {
   return static_cast<std::size_t>(_mm256_extract_epi64(m.idx, 0));
 }
 
-inline std::size_t argmin_avx2(const std::uint64_t* keys, std::size_t n) {
-  if (n < 8) return argmin_scalar(keys, n);
-  using detail::min_keep_first;
-  const __m256i four = _mm256_set1_epi64x(4);
-  __m256i bestv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys));
-  __m256i besti = _mm256_set_epi64x(3, 2, 1, 0);
-  __m256i idx = besti;
-  std::size_t i = 4;
-  for (; i + 4 <= n; i += 4) {
-    idx = _mm256_add_epi64(idx, four);
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
-    const detail::MinIdx m = min_keep_first(bestv, besti, v, idx);
-    bestv = m.val;
-    besti = m.idx;
-  }
-  // Reduce the 4 running lanes; the lane holding the earliest index is
-  // the first operand at every step, so ties across lanes cannot occur
-  // for distinct keys and a lower-lane duplicate wins otherwise.
-  alignas(32) std::uint64_t vals[4];
-  alignas(32) std::uint64_t idxs[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(vals), bestv);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(idxs), besti);
-  std::size_t best = static_cast<std::size_t>(idxs[0]);
-  std::uint64_t bestk = vals[0];
-  for (int l = 1; l < 4; ++l) {
-    if (vals[l] < bestk ||
-        (vals[l] == bestk && idxs[l] < static_cast<std::uint64_t>(best))) {
-      bestk = vals[l];
-      best = static_cast<std::size_t>(idxs[l]);
-    }
-  }
-  // Scalar tail.
-  for (; i < n; ++i) {
-    if (keys[i] < bestk) {
-      bestk = keys[i];
-      best = i;
-    }
-  }
-  return best;
-}
-
 #endif  // PFAIR_SIMD_AVX2
 
 // ---------------------------------------------------------------------------
-// NEON backend (aarch64): 2 x u64 lanes for the selection kernels.
+// NEON backend (aarch64): 2 x u64 lanes.
 // ---------------------------------------------------------------------------
 #if defined(PFAIR_SIMD_NEON)
 
@@ -216,26 +169,6 @@ inline std::size_t argmin8_neon(const std::uint64_t* keys) {
   return static_cast<std::size_t>(vgetq_lane_u64(m.idx, 0));
 }
 
-inline std::size_t argmin_neon(const std::uint64_t* keys, std::size_t n) {
-  std::size_t best = 0;
-  std::uint64_t bestk = keys[0];
-  std::size_t i = (n % 8 == 0 && n >= 8) ? 0 : 0;
-  for (i = 0; i + 8 <= n; i += 8) {
-    const std::size_t l = argmin8_neon(keys + i);
-    if (keys[i + l] < bestk) {
-      bestk = keys[i + l];
-      best = i + l;
-    }
-  }
-  for (; i < n; ++i) {
-    if (keys[i] < bestk) {
-      bestk = keys[i];
-      best = i;
-    }
-  }
-  return best;
-}
-
 #endif  // PFAIR_SIMD_NEON
 
 // ---------------------------------------------------------------------------
@@ -249,15 +182,6 @@ inline std::size_t argmin8(const std::uint64_t* keys) {
   if (!force_scalar()) return argmin8_neon(keys);
 #endif
   return argmin8_scalar(keys);
-}
-
-inline std::size_t argmin(const std::uint64_t* keys, std::size_t n) {
-#if defined(PFAIR_SIMD_AVX2)
-  if (!force_scalar()) return argmin_avx2(keys, n);
-#elif defined(PFAIR_SIMD_NEON)
-  if (!force_scalar()) return argmin_neon(keys, n);
-#endif
-  return argmin_scalar(keys, n);
 }
 
 /// Best-effort cache-line prefetch (read intent); a no-op where the

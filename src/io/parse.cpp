@@ -5,6 +5,17 @@
 #include <numeric>
 #include <sstream>
 
+// PFAIR_REQUIRE's message without its expression and source location:
+// every failure here is a fault in the input, not in this program.
+#define REQUIRE_INPUT(cond, msg)   \
+  do {                             \
+    if (!(cond)) {                 \
+      std::ostringstream os_;      \
+      os_ << msg;                  \
+      throw InputError(os_.str()); \
+    }                              \
+  } while (0)
+
 namespace pfair {
 
 namespace {
@@ -28,19 +39,19 @@ std::int64_t parse_int(const std::string& tok, int lineno,
   } catch (...) {
     pos = 0;
   }
-  PFAIR_REQUIRE(pos == tok.size() && !tok.empty(),
+  REQUIRE_INPUT(pos == tok.size() && !tok.empty(),
                 "line " << lineno << ": bad " << what << " '" << tok << "'");
   return v;
 }
 
 Weight parse_weight(const std::string& tok, int lineno) {
   const auto slash = tok.find('/');
-  PFAIR_REQUIRE(slash != std::string::npos,
+  REQUIRE_INPUT(slash != std::string::npos,
                 "line " << lineno << ": weight must be e/p, got '" << tok
                         << "'");
   const std::int64_t e = parse_int(tok.substr(0, slash), lineno, "weight");
   const std::int64_t p = parse_int(tok.substr(slash + 1), lineno, "weight");
-  PFAIR_REQUIRE(e >= 1 && p >= e,
+  REQUIRE_INPUT(e >= 1 && p >= e,
                 "line " << lineno << ": weight " << tok
                         << " outside (0, 1]");
   return Weight(e, p);
@@ -64,7 +75,7 @@ ParsedSystem parse_task_file(std::istream& in) {
       std::string v;
       toks >> v;
       const std::int64_t m = parse_int(v, lineno, "processor count");
-      PFAIR_REQUIRE(m >= 1 && m <= 1024,
+      REQUIRE_INPUT(m >= 1 && m <= 1024,
                     "line " << lineno << ": processor count " << m);
       out.processors = static_cast<int>(m);
       saw_processors = true;
@@ -72,43 +83,43 @@ ParsedSystem parse_task_file(std::istream& in) {
       std::string v;
       toks >> v;
       out.horizon = parse_int(v, lineno, "horizon");
-      PFAIR_REQUIRE(out.horizon >= 1,
+      REQUIRE_INPUT(out.horizon >= 1,
                     "line " << lineno << ": horizon must be >= 1");
     } else if (kw == "task") {
       ParsedTask t;
       t.line = lineno;
       std::string wtok;
       toks >> t.name >> wtok;
-      PFAIR_REQUIRE(!t.name.empty() && !wtok.empty(),
+      REQUIRE_INPUT(!t.name.empty() && !wtok.empty(),
                     "line " << lineno << ": task needs a name and weight");
       t.weight = parse_weight(wtok, lineno);
       std::string opt;
       while (toks >> opt) {
         const auto eq = opt.find('=');
-        PFAIR_REQUIRE(eq != std::string::npos,
+        REQUIRE_INPUT(eq != std::string::npos,
                       "line " << lineno << ": bad option '" << opt << "'");
         const std::string key = opt.substr(0, eq);
-        PFAIR_REQUIRE(key == "phase" || key == "jobs",
+        REQUIRE_INPUT(key == "phase" || key == "jobs",
                       "line " << lineno << ": unknown option '" << key
                               << "'");
         const std::int64_t val =
             parse_int(opt.substr(eq + 1), lineno, key.c_str());
         if (key == "phase") {
-          PFAIR_REQUIRE(val >= 0, "line " << lineno << ": phase >= 0");
+          REQUIRE_INPUT(val >= 0, "line " << lineno << ": phase >= 0");
           t.phase = val;
         } else {
-          PFAIR_REQUIRE(val >= 1, "line " << lineno << ": jobs >= 1");
+          REQUIRE_INPUT(val >= 1, "line " << lineno << ": jobs >= 1");
           t.jobs = val;
         }
       }
       out.tasks.push_back(std::move(t));
     } else {
-      PFAIR_REQUIRE(false,
+      REQUIRE_INPUT(false,
                     "line " << lineno << ": unknown keyword '" << kw << "'");
     }
   }
-  PFAIR_REQUIRE(saw_processors, "missing 'processors' line");
-  PFAIR_REQUIRE(!out.tasks.empty(), "no tasks defined");
+  REQUIRE_INPUT(saw_processors, "missing 'processors' line");
+  REQUIRE_INPUT(!out.tasks.empty(), "no tasks defined");
   return out;
 }
 
@@ -132,8 +143,14 @@ std::int64_t ParsedSystem::effective_horizon() const {
   }
   std::int64_t max_phase = 0;
   for (const ParsedTask& t : tasks) {
+    // A jobs= task keeps its subtasks past any horizon; a recurring one
+    // joining at the cap would build none and be "valid" over nothing.
+    REQUIRE_INPUT(t.jobs > 0 || t.phase < kCap,
+                  "line " << t.line << ": phase " << t.phase
+                          << " is at or past the " << kCap
+                          << "-slot default horizon; add a 'horizon' line");
     std::int64_t end = 0;
-    PFAIR_REQUIRE(!__builtin_add_overflow(t.phase, 2 * h, &end),
+    REQUIRE_INPUT(!__builtin_add_overflow(t.phase, 2 * h, &end),
                   "line " << t.line << ": phase " << t.phase
                           << " plus two hyperperiods overflows the horizon");
     max_phase = std::max(max_phase, t.phase);
@@ -148,7 +165,7 @@ TaskSystem ParsedSystem::build() const {
   for (const ParsedTask& t : tasks) {
     // The reduced numerator is at most e: only a large e pays the gcd.
     const Weight& w = t.weight;
-    PFAIR_REQUIRE(w.e <= kMaxWindowTableEntries ||
+    REQUIRE_INPUT(w.e <= kMaxWindowTableEntries ||
                       w.e / std::gcd(w.e, w.p) <= kMaxWindowTableEntries,
                   "line " << t.line << ": weight " << w.str()
                           << " needs a window table over 2^20");
@@ -157,7 +174,7 @@ TaskSystem ParsedSystem::build() const {
       // the last one's deadline — as a flyweight, so memory is O(1) in
       // jobs.
       std::int64_t n = 0, span = 0, end = 0;
-      PFAIR_REQUIRE(!__builtin_mul_overflow(t.jobs, t.weight.e, &n) &&
+      REQUIRE_INPUT(!__builtin_mul_overflow(t.jobs, t.weight.e, &n) &&
                         !__builtin_mul_overflow(t.jobs, t.weight.p, &span) &&
                         !__builtin_add_overflow(t.phase, span, &end),
                     "line " << t.line << ": jobs=" << t.jobs << " of weight "
@@ -172,7 +189,7 @@ TaskSystem ParsedSystem::build() const {
   std::int64_t max_deadline = 0;
   std::string why;
   const std::int64_t bad = detail::horizon_overflow(out, max_deadline, why);
-  PFAIR_REQUIRE(bad < 0,
+  REQUIRE_INPUT(bad < 0,
                 "line " << tasks[static_cast<std::size_t>(bad)].line << ": "
                         << why);
   return TaskSystem(std::move(out), processors);

@@ -46,15 +46,24 @@ TEST(Parse, OptionsPhaseAndJobs) {
   EXPECT_EQ(p.tasks[1].phase, 1);
 }
 
+/// An input error's message is the line-numbered text alone: none of
+/// PFAIR_REQUIRE's expression or source location leaks into it.
+void expect_clean_message(const InputError& e) {
+  const std::string what = e.what();
+  EXPECT_EQ(what.find("failed: ("), std::string::npos) << what;
+  EXPECT_EQ(what.find(".cpp:"), std::string::npos) << what;
+}
+
 TEST(Parse, ErrorsCarryLineNumbers) {
   const auto expect_error = [](const std::string& text,
                                const std::string& needle) {
     try {
       (void)parse_task_string(text);
       FAIL() << "expected failure for: " << text;
-    } catch (const ContractViolation& e) {
+    } catch (const InputError& e) {
       EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
           << e.what();
+      expect_clean_message(e);
     }
   };
   expect_error("processors 2\nbogus line\n", "line 2");
@@ -66,19 +75,20 @@ TEST(Parse, ErrorsCarryLineNumbers) {
   expect_error("processors 2\n", "no tasks");
 }
 
-/// Parses `text` (which must parse) and expects build() to throw a
-/// ContractViolation whose message contains every needle.
+/// Parses `text` (which must parse) and expects build() to throw an
+/// InputError whose message contains every needle.
 void expect_build_error(const std::string& text,
                         const std::vector<std::string>& needles) {
   const ParsedSystem p = parse_task_string(text);
   try {
     (void)p.build();
     FAIL() << "expected build failure for: " << text;
-  } catch (const ContractViolation& e) {
+  } catch (const InputError& e) {
     for (const std::string& needle : needles) {
       EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
           << e.what();
     }
+    expect_clean_message(e);
   }
 }
 
@@ -91,7 +101,14 @@ TEST(Parse, HugePhaseOverflowingTheHorizonIsRejected) {
       "task b 1/3 phase=9223372036854775807\n";
   expect_build_error(text, {"line 3", "phase 9223372036854775807"});
   EXPECT_THROW((void)parse_task_string(text).effective_horizon(),
-               ContractViolation);
+               InputError);
+  // A jobs= task is exempt from the default-horizon phase cap, so its
+  // huge phase reaches the overflow check itself.
+  expect_build_error(
+      "processors 1\n"
+      "task a 1/2\n"
+      "task b 1/3 jobs=1 phase=9223372036854775807\n",
+      {"line 3", "plus two hyperperiods overflows"});
   // A huge period no longer overflows the hyperperiod either: the
   // default horizon is capped.
   const ParsedSystem wide = parse_task_string(
@@ -102,6 +119,31 @@ TEST(Parse, HugePhaseOverflowingTheHorizonIsRejected) {
       "processors 1\nhorizon 8\ntask a 1/2\n"
       "task b 1/3 phase=9223372036854775807\n");
   EXPECT_EQ(late.build().task(1).num_subtasks(), 0);
+}
+
+// A recurring task joining at or past the 4096-slot default-horizon cap
+// used to build no subtasks, and pfairsim printed "validity: valid" over
+// nothing.  Below the cap the horizon is unchanged; a horizon line or a
+// jobs= count (whose subtasks exist past any horizon) still builds.
+TEST(Parse, PhaseAtTheDefaultHorizonCapIsRejected) {
+  expect_build_error("processors 2\ntask a 1/2 phase=4096\n",
+                     {"line 2", "phase 4096", "'horizon' line"});
+  const ParsedSystem below =
+      parse_task_string("processors 2\ntask a 1/2 phase=4095\n");
+  EXPECT_EQ(below.effective_horizon(), 4096);
+  EXPECT_EQ(below.build().task(0).num_subtasks(), 1);
+  EXPECT_EQ(parse_task_string("processors 2\nhorizon 4100\n"
+                              "task a 1/2 phase=4096\n")
+                .build()
+                .task(0)
+                .num_subtasks(),
+            2);
+  EXPECT_EQ(parse_task_string("processors 2\ntask a 1/2\n"
+                              "task b 1/2 jobs=2 phase=5000\n")
+                .build()
+                .task(1)
+                .num_subtasks(),
+            2);
 }
 
 // A weight's reduced numerator sizes its window table; 2^62 - 1 used to

@@ -1,10 +1,9 @@
-// SIMD-vs-scalar property suite: the dispatching kernels in
-// core/simd.hpp must agree bit-for-bit with the scalar reference
-// implementations on every size class, in particular at the lane-count
-// boundaries (1, 7, 8, 9, 15, 16, 17 for 4-wide AVX2 / 2-wide NEON
-// kernels), on extreme values that straddle the signed/unsigned
-// boundary (the AVX2 backend synthesizes unsigned compares from signed
-// ones), and under the runtime force-scalar hook.
+// SIMD-vs-scalar property suite: the dispatching argmin8 kernel in
+// core/simd.hpp must agree bit-for-bit with the scalar reference for
+// every minimum position, on sentinel-padded child groups, on extreme
+// values that straddle the signed/unsigned boundary (the AVX2 backend
+// synthesizes unsigned compares from signed ones), and under the
+// runtime force-scalar hook.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,10 +14,6 @@
 
 namespace pfair {
 namespace {
-
-// The boundary sizes called out in the shim's contract: around one
-// 8-ary heap child group and around both SIMD widths.
-constexpr std::size_t kBoundarySizes[] = {1, 7, 8, 9, 15, 16, 17};
 
 // Restores the force-scalar hook even when an assertion fires.
 struct ScalarGuard {
@@ -66,25 +61,6 @@ TEST(Simd, Argmin8HandlesSentinelPadding) {
   }
 }
 
-TEST(Simd, ArgminMatchesScalarAtBoundarySizes) {
-  Rng rng(1234);
-  for (const std::size_t n : kBoundarySizes) {
-    for (int rep = 0; rep < 32; ++rep) {
-      std::vector<std::uint64_t> keys =
-          random_keys(rng, n, /*distinct=*/true);
-      ASSERT_EQ(simd::argmin(keys.data(), n),
-                simd::argmin_scalar(keys.data(), n))
-          << "n=" << n;
-      // Force the minimum into each slot in turn.
-      for (std::size_t pos = 0; pos < n; ++pos) {
-        std::vector<std::uint64_t> k = keys;
-        k[pos] = pos;  // strictly below every random key, distinct per pos
-        ASSERT_EQ(simd::argmin(k.data(), n), pos) << "n=" << n;
-      }
-    }
-  }
-}
-
 TEST(Simd, ArgminExtremeValuesStraddleSignBit) {
   // 2^63 - 1 vs 2^63: a signed compare would order these backwards.
   const std::uint64_t keys[] = {1ULL << 63,       (1ULL << 63) - 1,
@@ -92,13 +68,13 @@ TEST(Simd, ArgminExtremeValuesStraddleSignBit) {
                                 (1ULL << 62),     ~0ULL - 1,
                                 (1ULL << 63) - 2, 1ULL};
   ASSERT_EQ(simd::argmin8(keys), 7u);
-  ASSERT_EQ(simd::argmin(keys, 8), 7u);
+  ASSERT_EQ(simd::argmin8_scalar(keys), 7u);
   const std::uint64_t high_only[] = {1ULL << 63,       (1ULL << 63) + 5,
                                      (1ULL << 63) + 1, ~0ULL,
                                      (1ULL << 63) + 2, (1ULL << 63) + 9,
                                      (1ULL << 63) + 3, (1ULL << 63) + 4};
   ASSERT_EQ(simd::argmin8(high_only), 0u);
-  ASSERT_EQ(simd::argmin(high_only, 8), 0u);
+  ASSERT_EQ(simd::argmin8_scalar(high_only), 0u);
 }
 
 TEST(Simd, ForceScalarHookRoutesToScalarBackend) {
@@ -106,9 +82,7 @@ TEST(Simd, ForceScalarHookRoutesToScalarBackend) {
   EXPECT_FALSE(simd::accelerated());
   Rng rng(99);
   const std::vector<std::uint64_t> keys =
-      random_keys(rng, 17, /*distinct=*/true);
-  EXPECT_EQ(simd::argmin(keys.data(), 17),
-            simd::argmin_scalar(keys.data(), 17));
+      random_keys(rng, 8, /*distinct=*/true);
   EXPECT_EQ(simd::argmin8(keys.data()), simd::argmin8_scalar(keys.data()));
 }
 

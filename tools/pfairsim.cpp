@@ -634,6 +634,9 @@ int run(const CliOptions& o) {
 int main(int argc, char** argv) {
   try {
     return run(parse_cli(argc, argv));
+  } catch (const pfair::InputError& e) {
+    std::cerr << "pfairsim: " << e.what() << "\n";
+    return 2;
   } catch (const pfair::ContractViolation& e) {
     std::cerr << "pfairsim: " << e.what() << "\n";
     return 2;

@@ -1,10 +1,9 @@
 // pfairstat — compare two profile/metrics dumps and say what moved.
 //
-//   pfairstat show FILE [--bench=NAME]
+//   pfairstat show FILE
 //       Renders the per-phase profile and scalar values of one dump.
 //
-//   pfairstat diff BASE CURRENT [--bench=NAME] [--threshold=PCT]
-//                  [--fail-above=PCT]
+//   pfairstat diff BASE CURRENT [--threshold=PCT] [--fail-above=PCT]
 //       Per-phase self-time deltas between two dumps, the attributed
 //       total shift, and the phase that moved most — the first place to
 //       look when a perf guard trips.  Scalar values (bench `values`,
@@ -17,9 +16,6 @@
 // Accepted input shapes, auto-detected per file:
 //   * a pfair-bench-v1 report (bench_scaling --json …): profile from its
 //     "profile" section, scalars from "values" and "metrics";
-//   * a pfair-perf-baseline-v1 bundle (scripts/perf_guard.py baseline):
-//     one report selected with --bench=NAME (unneeded when the bundle
-//     holds exactly one);
 //   * a metrics snapshot (pfairsim --metrics …): profile reconstructed
 //     from the prof.<phase>.* counters published by publish_profile;
 //   * a bare profile object (the "profile" section on its own).
@@ -41,9 +37,9 @@ using namespace pfair;
 
 [[noreturn]] void usage(const std::string& err) {
   if (!err.empty()) std::cerr << "pfairstat: " << err << "\n";
-  std::cerr << "usage: pfairstat show FILE [--bench=NAME]\n"
-               "       pfairstat diff BASE CURRENT [--bench=NAME]\n"
-               "                 [--threshold=PCT] [--fail-above=PCT]\n";
+  std::cerr << "usage: pfairstat show FILE\n"
+               "       pfairstat diff BASE CURRENT [--threshold=PCT] "
+               "[--fail-above=PCT]\n";
   std::exit(2);
 }
 
@@ -159,7 +155,7 @@ void take_report(const JsonValue& report, Dump& out) {
   }
 }
 
-Dump load_dump(const std::string& path, const std::string& bench) {
+Dump load_dump(const std::string& path) {
   std::ifstream f(path);
   if (!f) {
     std::cerr << "pfairstat: cannot open " << path << "\n";
@@ -173,39 +169,6 @@ Dump load_dump(const std::string& path, const std::string& bench) {
   if (!doc.is(JsonValue::Kind::kObject)) {
     std::cerr << "pfairstat: " << path << ": not a JSON object\n";
     std::exit(2);
-  }
-  if (const JsonValue* reports = doc.find("reports")) {
-    // perf-baseline bundle: pick one report.
-    if (!reports->is(JsonValue::Kind::kObject) || reports->object.empty()) {
-      std::cerr << "pfairstat: " << path << ": empty baseline bundle\n";
-      std::exit(2);
-    }
-    const JsonValue* chosen = nullptr;
-    if (!bench.empty()) {
-      chosen = reports->find(bench);
-      if (chosen == nullptr) {
-        std::cerr << "pfairstat: " << path << ": no bench '" << bench
-                  << "' (have";
-        for (const auto& [name, r] : reports->object) {
-          std::cerr << " " << name;
-        }
-        std::cerr << ")\n";
-        std::exit(2);
-      }
-    } else if (reports->object.size() == 1) {
-      chosen = &reports->object.front().second;
-    } else {
-      std::cerr << "pfairstat: " << path
-                << " holds several reports; pick one with --bench=NAME "
-                   "(have";
-      for (const auto& [name, r] : reports->object) {
-        std::cerr << " " << name;
-      }
-      std::cerr << ")\n";
-      std::exit(2);
-    }
-    take_report(*chosen, out);
-    return out;
   }
   if (doc.find("phases") != nullptr) {
     take_profile(doc, out);  // bare profile section
@@ -365,15 +328,12 @@ int cmd_diff(const Dump& base, const Dump& cur, double threshold_pct,
 
 int main(int argc, char** argv) {
   std::vector<std::string> pos;
-  std::string bench;
   double threshold_pct = 5.0;
   double fail_above_pct = -1.0;
   std::string cmd;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a.rfind("--bench=", 0) == 0) {
-      bench = a.substr(8);
-    } else if (a.rfind("--threshold=", 0) == 0) {
+    if (a.rfind("--threshold=", 0) == 0) {
       threshold_pct = std::stod(a.substr(12));
     } else if (a.rfind("--fail-above=", 0) == 0) {
       fail_above_pct = std::stod(a.substr(13));
@@ -388,11 +348,11 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "show") {
       if (pos.size() != 1) usage("show takes exactly one file");
-      return cmd_show(load_dump(pos[0], bench));
+      return cmd_show(load_dump(pos[0]));
     }
     if (cmd == "diff") {
       if (pos.size() != 2) usage("diff takes exactly two files");
-      return cmd_diff(load_dump(pos[0], bench), load_dump(pos[1], bench),
+      return cmd_diff(load_dump(pos[0]), load_dump(pos[1]),
                       threshold_pct, fail_above_pct);
     }
   } catch (const std::exception& e) {

@@ -312,6 +312,9 @@ int run(int argc, char** argv) {
 int main(int argc, char** argv) {
   try {
     return run(argc, argv);
+  } catch (const pfair::InputError& e) {
+    std::cerr << "pfairtrace: " << e.what() << "\n";
+    return 2;
   } catch (const pfair::ContractViolation& e) {
     std::cerr << "pfairtrace: " << e.what() << "\n";
     return 2;
