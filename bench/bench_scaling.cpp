@@ -12,6 +12,8 @@
 // scheduler (DVQ's event loop on a per-processor boundary grid) is timed
 // on the same systems and must stay within 2x of DVQ at n = 4096;
 // staggered_test pins its schedules against a boundary-walk oracle.
+// Construction is timed from subtask specs and, as `construction/text/<n>`,
+// from task-file text through parse_task_string(text).build().
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -57,6 +59,20 @@ std::vector<Task> build_tasks(std::int64_t n, std::int64_t horizon,
               : Task::periodic_phased(std::move(name), w, 0, horizon, cache));
   }
   return tasks;
+}
+
+/// A wide_periodic-shaped task file: n light 1/p tasks over kDens, every
+/// 64th one heavy, horizon 96.
+std::string make_scaling_text(std::int64_t n) {
+  std::string text =
+      "processors " + std::to_string(n / 16) + "\nhorizon 96\n";
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::int64_t p = kDens[i % 5];
+    const std::int64_t e = i % 64 == 63 ? p / 2 + (i / 64) % (p / 2) : 1;
+    text += "task t" + std::to_string(i) + " " + std::to_string(e) + "/" +
+            std::to_string(p) + "\n";
+  }
+  return text;
 }
 
 TaskSystem make_scaling_system(std::int64_t n) {
@@ -712,6 +728,31 @@ int run_bench(pfair::bench::BenchContext& ctx) {
             cell(mem_x, 1), identical ? "yes" : "NO"});
   }
   std::cout << ct.str() << "\n";
+
+  // --- Construction from text: parse_task_string(text).build() ---
+  std::cout << "\n=== construction from task-file text ===\n\n";
+  TextTable tt;
+  tt.header({"n", "bytes", "parse+build (ms)", "MB/s"});
+  for (const std::int64_t n : {1024L, 4096L}) {
+    const std::string text = make_scaling_text(n);
+    const int reps = 21;
+    std::int64_t sink = 0;
+    const double ms = best_ms(reps, [&] {
+      sink += parse_task_string(text).build().num_tasks();
+    });
+    PFAIR_ASSERT(sink == reps * n);
+    const double mb_per_s = static_cast<double>(text.size()) / 1e3 / ms;
+    const std::string tag = std::to_string(n);
+    ctx.value("construction.text_mb_per_s." + tag, mb_per_s);
+    pfair::bench::BenchCase c;
+    c.name = "construction/text/" + tag;
+    c.ns_per_op = ms * 1e6;
+    c.iterations = reps;
+    ctx.add_case(std::move(c));
+    tt.row({cell(n), cell(static_cast<std::int64_t>(text.size())),
+            cell(ms, 3), cell(mb_per_s, 1)});
+  }
+  std::cout << tt.str() << "\n";
 
   // --- Steady-state cycle fast-forward (hyperperiod skip) ---
   // Over kCycleHorizon = 50 hyperperiods the cyclic drivers simulate a

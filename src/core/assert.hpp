@@ -5,7 +5,9 @@
 // malformed task system handed in by the caller), never a numerical
 // artifact.  Contracts therefore stay enabled in release builds, and they
 // throw `ContractViolation` rather than aborting so that the test suite can
-// assert on misuse of the public API.
+// assert on misuse of the public API.  Faults in external input (task
+// files, JSON documents, traces, capture bundles) are not bugs: they throw
+// `InputError`, whose text is the positioned message alone.
 #pragma once
 
 #include <sstream>
@@ -19,6 +21,13 @@ class ContractViolation : public std::logic_error {
  public:
   explicit ContractViolation(const std::string& what)
       : std::logic_error(what) {}
+};
+
+/// Malformed or out-of-range external input.  what() is the positioned
+/// message alone; ContractViolation stays for bugs.
+class InputError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
 };
 
 namespace detail {
@@ -62,5 +71,15 @@ namespace detail {
       pfair_require_os_ << msg;                                            \
       ::pfair::detail::contract_fail("precondition", #expr, __FILE__,      \
                                      __LINE__, pfair_require_os_.str());   \
+    }                                                                      \
+  } while (0)
+
+/// Check on external input: throws InputError carrying only `msg`.
+#define PFAIR_REQUIRE_INPUT(expr, msg)                                     \
+  do {                                                                     \
+    if (!(expr)) {                                                         \
+      std::ostringstream pfair_input_os_;                                  \
+      pfair_input_os_ << msg;                                              \
+      throw ::pfair::InputError(pfair_input_os_.str());                    \
     }                                                                      \
   } while (0)

@@ -53,7 +53,7 @@ const JsonValue* JsonValue::find(std::string_view key) const {
 
 const JsonValue& JsonValue::at(std::string_view key) const {
   const JsonValue* v = find(key);
-  PFAIR_REQUIRE(v != nullptr, "missing JSON key '" << key << "'");
+  PFAIR_REQUIRE_INPUT(v != nullptr, "missing JSON key '" << key << "'");
   return *v;
 }
 
@@ -72,9 +72,9 @@ class Parser {
   JsonValue document() {
     JsonValue v = value();
     skip_ws();
-    PFAIR_REQUIRE(pos_ == s_.size(),
-                  "trailing characters after JSON document at offset "
-                      << pos_);
+    PFAIR_REQUIRE_INPUT(pos_ == s_.size(),
+                        "trailing characters after JSON document at offset "
+                            << pos_);
     return v;
   }
 
@@ -88,13 +88,13 @@ class Parser {
   }
 
   char peek() {
-    PFAIR_REQUIRE(pos_ < s_.size(), "unexpected end of JSON input");
+    PFAIR_REQUIRE_INPUT(pos_ < s_.size(), "unexpected end of JSON input");
     return s_[pos_];
   }
 
   void expect(char c) {
-    PFAIR_REQUIRE(pos_ < s_.size() && s_[pos_] == c,
-                  "expected '" << c << "' at offset " << pos_);
+    PFAIR_REQUIRE_INPUT(pos_ < s_.size() && s_[pos_] == c,
+                        "expected '" << c << "' at offset " << pos_);
     ++pos_;
   }
 
@@ -108,9 +108,9 @@ class Parser {
     skip_ws();
     const char c = peek();
     if (c == '{' || c == '[') {
-      PFAIR_REQUIRE(depth_ < kMaxDepth, "JSON nesting deeper than "
-                                            << kMaxDepth << " levels at offset "
-                                            << pos_);
+      PFAIR_REQUIRE_INPUT(depth_ < kMaxDepth,
+                          "JSON nesting deeper than "
+                              << kMaxDepth << " levels at offset " << pos_);
       ++depth_;
       JsonValue v = c == '{' ? object() : array();
       --depth_;
@@ -218,13 +218,13 @@ class Parser {
           out += '\f';
           break;
         case 'u': {
-          PFAIR_REQUIRE(pos_ + 4 <= s_.size(),
-                        "truncated \\u escape at offset " << pos_);
+          PFAIR_REQUIRE_INPUT(pos_ + 4 <= s_.size(),
+                              "truncated \\u escape at offset " << pos_);
           unsigned code = 0;
           const auto res = std::from_chars(
               s_.data() + pos_, s_.data() + pos_ + 4, code, 16);
-          PFAIR_REQUIRE(res.ptr == s_.data() + pos_ + 4,
-                        "bad \\u escape at offset " << pos_);
+          PFAIR_REQUIRE_INPUT(res.ptr == s_.data() + pos_ + 4,
+                              "bad \\u escape at offset " << pos_);
           pos_ += 4;
           // BMP-only, encoded as UTF-8 (enough for our own documents).
           if (code < 0x80) {
@@ -240,8 +240,8 @@ class Parser {
           break;
         }
         default:
-          PFAIR_REQUIRE(false, "bad escape '\\" << e << "' at offset "
-                                                << pos_);
+          PFAIR_REQUIRE_INPUT(
+              false, "bad escape '\\" << e << "' at offset " << pos_);
       }
     }
   }
@@ -256,24 +256,24 @@ class Parser {
       ++pos_;
     }
     const std::string_view tok = s_.substr(start, pos_ - start);
-    PFAIR_REQUIRE(!tok.empty() && tok != "-",
-                  "expected a JSON value at offset " << start);
+    PFAIR_REQUIRE_INPUT(!tok.empty() && tok != "-",
+                        "expected a JSON value at offset " << start);
     JsonValue v;
     v.kind = JsonValue::Kind::kNumber;
     const bool integral = tok.find_first_of(".eE") == std::string_view::npos;
     if (integral) {
       const auto res = std::from_chars(tok.data(), tok.data() + tok.size(),
                                        v.integer);
-      PFAIR_REQUIRE(res.ec == std::errc() &&
-                        res.ptr == tok.data() + tok.size(),
-                    "bad integer literal '" << tok << "'");
+      PFAIR_REQUIRE_INPUT(res.ec == std::errc() &&
+                              res.ptr == tok.data() + tok.size(),
+                          "bad integer literal '" << tok << "'");
       v.is_integer = true;
       v.number = static_cast<double>(v.integer);
     } else {
       try {
         v.number = std::stod(std::string(tok));
       } catch (const std::exception&) {
-        PFAIR_REQUIRE(false, "bad number literal '" << tok << "'");
+        PFAIR_REQUIRE_INPUT(false, "bad number literal '" << tok << "'");
       }
     }
     return v;

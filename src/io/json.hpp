@@ -35,12 +35,12 @@ struct JsonValue {
   [[nodiscard]] bool is(Kind k) const { return kind == k; }
   /// First member named `key`, or nullptr (objects only).
   [[nodiscard]] const JsonValue* find(std::string_view key) const;
-  /// `find` that throws ContractViolation when the key is absent.
+  /// `find` that throws InputError when the key is absent.
   [[nodiscard]] const JsonValue& at(std::string_view key) const;
 };
 
-/// Parses one complete JSON document; throws ContractViolation on any
-/// syntax error or trailing garbage.
+/// Parses one complete JSON document; throws InputError, naming the
+/// offset, on any syntax error or trailing garbage.
 [[nodiscard]] JsonValue parse_json(std::string_view text);
 
 /// Serializes a metrics snapshot:

@@ -1,131 +1,137 @@
 #include "io/parse.hpp"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <istream>
+#include <iterator>
 #include <numeric>
-#include <sstream>
-
-// PFAIR_REQUIRE's message without its expression and source location:
-// every failure here is a fault in the input, not in this program.
-#define REQUIRE_INPUT(cond, msg)   \
-  do {                             \
-    if (!(cond)) {                 \
-      std::ostringstream os_;      \
-      os_ << msg;                  \
-      throw InputError(os_.str()); \
-    }                              \
-  } while (0)
 
 namespace pfair {
 
 namespace {
 
-/// Strips a trailing comment and surrounding whitespace.
-std::string clean(std::string line) {
-  const auto hash = line.find('#');
-  if (hash != std::string::npos) line.erase(hash);
-  const auto first = line.find_first_not_of(" \t\r");
-  if (first == std::string::npos) return "";
-  const auto last = line.find_last_not_of(" \t\r");
-  return line.substr(first, last - first + 1);
+/// operator>>'s separators in the C locale, less the '\n' ending a line.
+bool is_sep(char c) {
+  return c == ' ' || c == '\t' || c == '\v' || c == '\f' || c == '\r';
 }
 
-std::int64_t parse_int(const std::string& tok, int lineno,
-                       const char* what) {
-  std::size_t pos = 0;
-  std::int64_t v = 0;
-  try {
-    v = std::stoll(tok, &pos);
-  } catch (...) {
-    pos = 0;
+/// The next token of `rest`, consumed from it; empty once none is left.
+std::string_view next_token(std::string_view& rest) {
+  std::size_t i = 0;
+  while (i < rest.size() && is_sep(rest[i])) ++i;
+  std::size_t j = i;
+  while (j < rest.size() && !is_sep(rest[j])) ++j;
+  const std::string_view tok = rest.substr(i, j - i);
+  rest.remove_prefix(j);
+  return tok;
+}
+
+/// A whole token as a decimal int64 with stoll's optional sign.
+std::int64_t parse_int(std::string_view tok, int lineno,
+                       std::string_view what) {
+  std::string_view digits = tok;
+  // from_chars takes '-' but not '+'; "+-1" stays refused.
+  if (digits.size() > 1 && digits[0] == '+' && digits[1] != '-') {
+    digits.remove_prefix(1);
   }
-  REQUIRE_INPUT(pos == tok.size() && !tok.empty(),
-                "line " << lineno << ": bad " << what << " '" << tok << "'");
+  std::int64_t v = 0;
+  const char* end = digits.data() + digits.size();
+  const auto res = std::from_chars(digits.data(), end, v);
+  PFAIR_REQUIRE_INPUT(
+      res.ec == std::errc() && res.ptr == end,
+      "line " << lineno << ": bad " << what << " '" << tok << "'");
   return v;
 }
 
-Weight parse_weight(const std::string& tok, int lineno) {
+Weight parse_weight(std::string_view tok, int lineno) {
   const auto slash = tok.find('/');
-  REQUIRE_INPUT(slash != std::string::npos,
-                "line " << lineno << ": weight must be e/p, got '" << tok
-                        << "'");
+  PFAIR_REQUIRE_INPUT(slash != std::string_view::npos,
+                      "line " << lineno << ": weight must be e/p, got '" << tok
+                              << "'");
   const std::int64_t e = parse_int(tok.substr(0, slash), lineno, "weight");
   const std::int64_t p = parse_int(tok.substr(slash + 1), lineno, "weight");
-  REQUIRE_INPUT(e >= 1 && p >= e,
-                "line " << lineno << ": weight " << tok
-                        << " outside (0, 1]");
+  PFAIR_REQUIRE_INPUT(e >= 1 && p >= e,
+                      "line " << lineno << ": weight " << tok
+                              << " outside (0, 1]");
   return Weight(e, p);
 }
 
 }  // namespace
 
-ParsedSystem parse_task_file(std::istream& in) {
+ParsedSystem parse_task_string(std::string_view text) {
   ParsedSystem out;
+  // At most one task a line, and a task line takes >= 10 bytes: the bound
+  // keeps a file of blank lines from reserving more than its size.
+  const auto lines =
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
+  out.tasks.reserve(std::min(lines + 1, text.size() / 10 + 1));
   bool saw_processors = false;
-  std::string raw;
   int lineno = 0;
-  while (std::getline(in, raw)) {
+  while (!text.empty()) {
     ++lineno;
-    const std::string line = clean(raw);
-    if (line.empty()) continue;
-    std::istringstream toks(line);
-    std::string kw;
-    toks >> kw;
+    const std::size_t len = std::min(text.find('\n'), text.size());
+    std::string_view rest = text.substr(0, len);
+    rest = rest.substr(0, rest.find('#'));
+    text.remove_prefix(std::min(len + 1, text.size()));
+    // Blank means only ' ', '\t' and '\r' are left; a line holding '\v'
+    // or '\f' but no token is the unknown keyword ''.
+    if (rest.find_first_not_of(" \t\r") == std::string_view::npos) continue;
+    const std::string_view kw = next_token(rest);
     if (kw == "processors") {
-      std::string v;
-      toks >> v;
-      const std::int64_t m = parse_int(v, lineno, "processor count");
-      REQUIRE_INPUT(m >= 1 && m <= 1024,
-                    "line " << lineno << ": processor count " << m);
+      const std::int64_t m =
+          parse_int(next_token(rest), lineno, "processor count");
+      PFAIR_REQUIRE_INPUT(m >= 1 && m <= 1024,
+                          "line " << lineno << ": processor count " << m);
       out.processors = static_cast<int>(m);
       saw_processors = true;
     } else if (kw == "horizon") {
-      std::string v;
-      toks >> v;
-      out.horizon = parse_int(v, lineno, "horizon");
-      REQUIRE_INPUT(out.horizon >= 1,
-                    "line " << lineno << ": horizon must be >= 1");
+      out.horizon = parse_int(next_token(rest), lineno, "horizon");
+      PFAIR_REQUIRE_INPUT(out.horizon >= 1,
+                          "line " << lineno << ": horizon must be >= 1");
     } else if (kw == "task") {
-      ParsedTask t;
+      const std::string_view name = next_token(rest);
+      const std::string_view wtok = next_token(rest);
+      PFAIR_REQUIRE_INPUT(
+          !name.empty() && !wtok.empty(),
+          "line " << lineno << ": task needs a name and weight");
+      ParsedTask& t = out.tasks.emplace_back();
+      t.name = name;
       t.line = lineno;
-      std::string wtok;
-      toks >> t.name >> wtok;
-      REQUIRE_INPUT(!t.name.empty() && !wtok.empty(),
-                    "line " << lineno << ": task needs a name and weight");
       t.weight = parse_weight(wtok, lineno);
-      std::string opt;
-      while (toks >> opt) {
+      for (std::string_view opt = next_token(rest); !opt.empty();
+           opt = next_token(rest)) {
         const auto eq = opt.find('=');
-        REQUIRE_INPUT(eq != std::string::npos,
-                      "line " << lineno << ": bad option '" << opt << "'");
-        const std::string key = opt.substr(0, eq);
-        REQUIRE_INPUT(key == "phase" || key == "jobs",
-                      "line " << lineno << ": unknown option '" << key
-                              << "'");
-        const std::int64_t val =
-            parse_int(opt.substr(eq + 1), lineno, key.c_str());
+        PFAIR_REQUIRE_INPUT(
+            eq != std::string_view::npos,
+            "line " << lineno << ": bad option '" << opt << "'");
+        const std::string_view key = opt.substr(0, eq);
+        PFAIR_REQUIRE_INPUT(
+            key == "phase" || key == "jobs",
+            "line " << lineno << ": unknown option '" << key << "'");
+        const std::int64_t val = parse_int(opt.substr(eq + 1), lineno, key);
         if (key == "phase") {
-          REQUIRE_INPUT(val >= 0, "line " << lineno << ": phase >= 0");
+          PFAIR_REQUIRE_INPUT(val >= 0, "line " << lineno << ": phase >= 0");
           t.phase = val;
         } else {
-          REQUIRE_INPUT(val >= 1, "line " << lineno << ": jobs >= 1");
+          PFAIR_REQUIRE_INPUT(val >= 1, "line " << lineno << ": jobs >= 1");
           t.jobs = val;
         }
       }
-      out.tasks.push_back(std::move(t));
     } else {
-      REQUIRE_INPUT(false,
-                    "line " << lineno << ": unknown keyword '" << kw << "'");
+      PFAIR_REQUIRE_INPUT(
+          false, "line " << lineno << ": unknown keyword '" << kw << "'");
     }
   }
-  REQUIRE_INPUT(saw_processors, "missing 'processors' line");
-  REQUIRE_INPUT(!out.tasks.empty(), "no tasks defined");
+  PFAIR_REQUIRE_INPUT(saw_processors, "missing 'processors' line");
+  PFAIR_REQUIRE_INPUT(!out.tasks.empty(), "no tasks defined");
   return out;
 }
 
-ParsedSystem parse_task_string(const std::string& text) {
-  std::istringstream is(text);
-  return parse_task_file(is);
+ParsedSystem parse_task_file(std::istream& in) {
+  const std::string text{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
+  return parse_task_string(text);
 }
 
 std::int64_t ParsedSystem::effective_horizon() const {
@@ -145,14 +151,15 @@ std::int64_t ParsedSystem::effective_horizon() const {
   for (const ParsedTask& t : tasks) {
     // A jobs= task keeps its subtasks past any horizon; a recurring one
     // joining at the cap would build none and be "valid" over nothing.
-    REQUIRE_INPUT(t.jobs > 0 || t.phase < kCap,
-                  "line " << t.line << ": phase " << t.phase
-                          << " is at or past the " << kCap
-                          << "-slot default horizon; add a 'horizon' line");
+    PFAIR_REQUIRE_INPUT(
+        t.jobs > 0 || t.phase < kCap,
+        "line " << t.line << ": phase " << t.phase << " is at or past the "
+                << kCap << "-slot default horizon; add a 'horizon' line");
     std::int64_t end = 0;
-    REQUIRE_INPUT(!__builtin_add_overflow(t.phase, 2 * h, &end),
-                  "line " << t.line << ": phase " << t.phase
-                          << " plus two hyperperiods overflows the horizon");
+    PFAIR_REQUIRE_INPUT(
+        !__builtin_add_overflow(t.phase, 2 * h, &end),
+        "line " << t.line << ": phase " << t.phase
+                << " plus two hyperperiods overflows the horizon");
     max_phase = std::max(max_phase, t.phase);
   }
   return std::min(max_phase + 2 * h, kCap);
@@ -160,38 +167,50 @@ std::int64_t ParsedSystem::effective_horizon() const {
 
 TaskSystem ParsedSystem::build() const {
   const std::int64_t h = effective_horizon();
+  // A direct-mapped memo of window tables by raw (e, p): a task whose
+  // weight is in it skips the shared cache's gcd, lock and hash lookup.
+  struct Memo {
+    std::int64_t e = 0, p = 0;
+    std::shared_ptr<const WindowTable> table;
+  };
+  std::array<Memo, 256> memo;
   std::vector<Task> out;
   out.reserve(tasks.size());
   for (const ParsedTask& t : tasks) {
     // The reduced numerator is at most e: only a large e pays the gcd.
     const Weight& w = t.weight;
-    REQUIRE_INPUT(w.e <= kMaxWindowTableEntries ||
-                      w.e / std::gcd(w.e, w.p) <= kMaxWindowTableEntries,
-                  "line " << t.line << ": weight " << w.str()
-                          << " needs a window table over 2^20");
+    PFAIR_REQUIRE_INPUT(w.e <= kMaxWindowTableEntries ||
+                            w.e / std::gcd(w.e, w.p) <= kMaxWindowTableEntries,
+                        "line " << t.line << ": weight " << w.str()
+                                << " needs a window table over 2^20");
+    // jobs * e subtasks — exactly those released before phase + jobs * p,
+    // the last one's deadline — as a flyweight, so memory is O(1) in jobs.
+    std::int64_t end = std::max(h, t.phase);
     if (t.jobs > 0) {
-      // jobs * e subtasks — exactly those released before phase + jobs * p,
-      // the last one's deadline — as a flyweight, so memory is O(1) in
-      // jobs.
-      std::int64_t n = 0, span = 0, end = 0;
-      REQUIRE_INPUT(!__builtin_mul_overflow(t.jobs, t.weight.e, &n) &&
-                        !__builtin_mul_overflow(t.jobs, t.weight.p, &span) &&
-                        !__builtin_add_overflow(t.phase, span, &end),
-                    "line " << t.line << ": jobs=" << t.jobs << " of weight "
-                            << t.weight.str() << " at phase " << t.phase
-                            << " overflows the subtask count or deadlines");
-      out.push_back(Task::periodic_phased(t.name, t.weight, t.phase, end));
-    } else {
-      out.push_back(Task::periodic_phased(t.name, t.weight, t.phase,
-                                          std::max(h, t.phase)));
+      std::int64_t n = 0, span = 0;
+      PFAIR_REQUIRE_INPUT(
+          !__builtin_mul_overflow(t.jobs, w.e, &n) &&
+              !__builtin_mul_overflow(t.jobs, w.p, &span) &&
+              !__builtin_add_overflow(t.phase, span, &end),
+          "line " << t.line << ": jobs=" << t.jobs << " of weight " << w.str()
+                  << " at phase " << t.phase
+                  << " overflows the subtask count or deadlines");
     }
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(w.e) * 0x9e3779b97f4a7c15ULL) ^
+        static_cast<std::uint64_t>(w.p);
+    Memo& m = memo[(key * 0x9e3779b97f4a7c15ULL) >> 56];
+    if (m.e != w.e || m.p != w.p) {
+      m = Memo{w.e, w.p, WindowTableCache::global().get(w)};
+    }
+    out.push_back(Task::periodic_phased(t.name, w, t.phase, end, m.table));
   }
   std::int64_t max_deadline = 0;
   std::string why;
   const std::int64_t bad = detail::horizon_overflow(out, max_deadline, why);
-  REQUIRE_INPUT(bad < 0,
-                "line " << tasks[static_cast<std::size_t>(bad)].line << ": "
-                        << why);
+  PFAIR_REQUIRE_INPUT(
+      bad < 0,
+      "line " << tasks[static_cast<std::size_t>(bad)].line << ": " << why);
   return TaskSystem(std::move(out), processors);
 }
 

@@ -8,26 +8,36 @@
 //   task audio 1/3 phase=4    # joins at slot 4
 //   task ctrl  3/4 jobs=5     # leaves after 5 jobs (GIS, finite)
 //
-// `parse_task_file` and `ParsedSystem::build` report the first error in
-// the input as an InputError naming its line.
+// The grammar, exactly:
+//   * '\n' ends a line; a last line needs no newline.  Lines are numbered
+//     from 1 for errors.
+//   * '#' starts a comment anywhere, inside a token too ("1/2#c" is 1/2).
+//   * Tokens are separated by runs of ' ', '\t', '\v', '\f' and '\r' (so
+//     "\r\n" ends a line like "\n").  A line left empty by the comment,
+//     or holding only ' ', '\t' and '\r', is blank; one that holds '\v' or
+//     '\f' but no token is an unknown keyword ''.
+//   * Integers are decimal with one optional leading '+' or '-' and must
+//     fit in int64 ("bad <what> '<token>'" otherwise).
+//   * `processors N` (1..1024) and `horizon N` (>= 1) ignore any tokens
+//     after N; the last one of each wins.  `task NAME E/P [phase=N]
+//     [jobs=N]...` takes options in any order, the last one winning.
+//   * A file needs a `processors` line and at least one task.
+// Parsing is one pass over the text with no per-line or per-token
+// allocation: O(bytes), plus the tasks' names.  `parse_task_file` and
+// `ParsedSystem::build` report the first error in the input as an
+// InputError naming its line.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/assert.hpp"
 #include "tasks/task_system.hpp"
 
 namespace pfair {
-
-/// Malformed or out-of-range task-file input.  what() is the
-/// line-numbered message alone; ContractViolation stays for bugs.
-class InputError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 /// Parsed, not-yet-materialized task description.
 struct ParsedTask {
@@ -44,7 +54,8 @@ struct ParsedSystem {
   std::vector<ParsedTask> tasks;
 
   /// Materializes the description into a schedulable task system;
-  /// throws InputError on values the task model cannot represent.
+  /// throws InputError on values the task model cannot represent.  Each
+  /// distinct weight's window table is looked up once per call.
   [[nodiscard]] TaskSystem build() const;
   /// The horizon build() will use.  Without a `horizon` line, a
   /// recurring task must join before the default horizon's cap (an
@@ -53,7 +64,8 @@ struct ParsedSystem {
 };
 
 /// Parses the format above; throws InputError on malformed input.
+[[nodiscard]] ParsedSystem parse_task_string(std::string_view text);
+/// Reads the whole stream, then parses it as `parse_task_string` does.
 [[nodiscard]] ParsedSystem parse_task_file(std::istream& in);
-[[nodiscard]] ParsedSystem parse_task_string(const std::string& text);
 
 }  // namespace pfair

@@ -32,22 +32,22 @@ std::int64_t int_or(const JsonValue& v, std::string_view key,
                     std::int64_t fallback) {
   const JsonValue* f = v.find(key);
   if (f == nullptr) return fallback;
-  PFAIR_REQUIRE(f->is(JsonValue::Kind::kNumber) && f->is_integer,
-                "trace field \"" << key << "\" must be an integer");
+  PFAIR_REQUIRE_INPUT(f->is(JsonValue::Kind::kNumber) && f->is_integer,
+                      "trace field \"" << key << "\" must be an integer");
   return f->integer;
 }
 
 }  // namespace
 
 TraceEvent trace_event_from_json(const JsonValue& v) {
-  PFAIR_REQUIRE(v.is(JsonValue::Kind::kObject),
-                "trace event must be a JSON object");
+  PFAIR_REQUIRE_INPUT(v.is(JsonValue::Kind::kObject),
+                      "trace event must be a JSON object");
   const JsonValue& k = v.at("k");
-  PFAIR_REQUIRE(k.is(JsonValue::Kind::kString),
-                "trace field \"k\" must be a string");
+  PFAIR_REQUIRE_INPUT(k.is(JsonValue::Kind::kString),
+                      "trace field \"k\" must be a string");
   const auto kind = trace_event_kind_from_string(k.string);
-  PFAIR_REQUIRE(kind.has_value(), "unknown trace event kind \"" << k.string
-                                                                << "\"");
+  PFAIR_REQUIRE_INPUT(kind.has_value(),
+                      "unknown trace event kind \"" << k.string << "\"");
   TraceEvent e;
   e.kind = *kind;
   e.at = Time::ticks(int_or(v, "t", 0));
@@ -61,11 +61,11 @@ TraceEvent trace_event_from_json(const JsonValue& v) {
   if (e.kind == TraceEventKind::kCompare) {
     const JsonValue* rule = v.find("rule");
     if (rule != nullptr) {
-      PFAIR_REQUIRE(rule->is(JsonValue::Kind::kString),
-                    "trace field \"rule\" must be a string");
+      PFAIR_REQUIRE_INPUT(rule->is(JsonValue::Kind::kString),
+                          "trace field \"rule\" must be a string");
       const auto r = tie_rule_from_string(rule->string);
-      PFAIR_REQUIRE(r.has_value(),
-                    "unknown tie rule \"" << rule->string << "\"");
+      PFAIR_REQUIRE_INPUT(r.has_value(),
+                          "unknown tie rule \"" << rule->string << "\"");
       e.aux = static_cast<std::int32_t>(*r);
     }
   } else {
@@ -89,8 +89,8 @@ std::vector<TraceEvent> read_trace_jsonl(std::istream& is) {
     if (sv.empty()) continue;
     try {
       out.push_back(trace_event_from_json(parse_json(sv)));
-    } catch (const ContractViolation& e) {
-      PFAIR_REQUIRE(false, "trace line " << lineno << ": " << e.what());
+    } catch (const InputError& e) {
+      PFAIR_REQUIRE_INPUT(false, "trace line " << lineno << ": " << e.what());
     }
   }
   return out;

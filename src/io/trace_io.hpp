@@ -24,12 +24,12 @@ namespace pfair {
 /// Inverse of to_string(TieRule); nullopt for an unknown name.
 [[nodiscard]] std::optional<TieRule> tie_rule_from_string(std::string_view s);
 
-/// Parses one trace_event_json() object.  Throws ContractViolation on a
+/// Parses one trace_event_json() object.  Throws InputError on a
 /// missing/ill-typed required field ("k", "t") or an unknown kind.
 [[nodiscard]] TraceEvent trace_event_from_json(const JsonValue& v);
 
 /// Reads a JSONL trace stream: one event per non-blank line.  Throws
-/// ContractViolation on the first malformed line (message names the
+/// InputError on the first malformed line (message names the
 /// 1-based line number).
 [[nodiscard]] std::vector<TraceEvent> read_trace_jsonl(std::istream& is);
 

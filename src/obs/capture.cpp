@@ -27,8 +27,8 @@ std::optional<Violation::Kind> violation_kind_from_string(
 
 std::int64_t req_int(const JsonValue& v, std::string_view key) {
   const JsonValue& f = v.at(key);
-  PFAIR_REQUIRE(f.is(JsonValue::Kind::kNumber) && f.is_integer,
-                "capture field \"" << key << "\" must be an integer");
+  PFAIR_REQUIRE_INPUT(f.is(JsonValue::Kind::kNumber) && f.is_integer,
+                      "capture field \"" << key << "\" must be an integer");
   return f.integer;
 }
 
@@ -39,23 +39,23 @@ std::int64_t int_or(const JsonValue& v, std::string_view key,
 
 const std::string& req_str(const JsonValue& v, std::string_view key) {
   const JsonValue& f = v.at(key);
-  PFAIR_REQUIRE(f.is(JsonValue::Kind::kString),
-                "capture field \"" << key << "\" must be a string");
+  PFAIR_REQUIRE_INPUT(f.is(JsonValue::Kind::kString),
+                      "capture field \"" << key << "\" must be a string");
   return f.string;
 }
 
 const JsonValue& req_array(const JsonValue& v, std::string_view key) {
   const JsonValue& f = v.at(key);
-  PFAIR_REQUIRE(f.is(JsonValue::Kind::kArray),
-                "capture field \"" << key << "\" must be an array");
+  PFAIR_REQUIRE_INPUT(f.is(JsonValue::Kind::kArray),
+                      "capture field \"" << key << "\" must be an array");
   return f;
 }
 
 std::int64_t elem_int(const JsonValue& arr, std::size_t i) {
-  PFAIR_REQUIRE(i < arr.array.size() &&
-                    arr.array[i].is(JsonValue::Kind::kNumber) &&
-                    arr.array[i].is_integer,
-                "capture array element " << i << " must be an integer");
+  PFAIR_REQUIRE_INPUT(i < arr.array.size() &&
+                          arr.array[i].is(JsonValue::Kind::kNumber) &&
+                          arr.array[i].is_integer,
+                      "capture array element " << i << " must be an integer");
   return arr.array[i].integer;
 }
 
@@ -80,7 +80,7 @@ std::unique_ptr<YieldModel> CaptureBundle::YieldSpec::make() const {
     }
     return y;
   }
-  PFAIR_REQUIRE(false, "unknown yield kind \"" << kind << "\"");
+  PFAIR_REQUIRE_INPUT(false, "unknown yield kind \"" << kind << "\"");
   return nullptr;  // unreachable
 }
 
@@ -113,7 +113,7 @@ CaptureBundle CaptureBundle::prototype(const TaskSystem& sys,
 }
 
 TaskSystem CaptureBundle::build_system() const {
-  PFAIR_REQUIRE(!tasks.empty(), "capture bundle holds no tasks");
+  PFAIR_REQUIRE_INPUT(!tasks.empty(), "capture bundle holds no tasks");
   std::vector<Task> ts;
   ts.reserve(tasks.size());
   for (const TaskSpec& t : tasks) {
@@ -186,18 +186,18 @@ std::string capture_to_json(const CaptureBundle& b) {
 
 CaptureBundle capture_from_json(std::string_view text) {
   const JsonValue root = parse_json(text);
-  PFAIR_REQUIRE(root.is(JsonValue::Kind::kObject),
-                "capture bundle must be a JSON object");
-  PFAIR_REQUIRE(req_str(root, "schema") == kSchema,
-                "unsupported capture schema \"" << req_str(root, "schema")
-                                                << "\"");
+  PFAIR_REQUIRE_INPUT(root.is(JsonValue::Kind::kObject),
+                      "capture bundle must be a JSON object");
+  PFAIR_REQUIRE_INPUT(
+      req_str(root, "schema") == kSchema,
+      "unsupported capture schema \"" << req_str(root, "schema") << "\"");
   CaptureBundle b;
   b.model = req_str(root, "model");
-  PFAIR_REQUIRE(b.model == "sfq" || b.model == "dvq",
-                "capture model must be \"sfq\" or \"dvq\"");
+  PFAIR_REQUIRE_INPUT(b.model == "sfq" || b.model == "dvq",
+                      "capture model must be \"sfq\" or \"dvq\"");
   const auto policy = policy_from_string(req_str(root, "policy"));
-  PFAIR_REQUIRE(policy.has_value(),
-                "unknown policy \"" << req_str(root, "policy") << "\"");
+  PFAIR_REQUIRE_INPUT(policy.has_value(),
+                      "unknown policy \"" << req_str(root, "policy") << "\"");
   b.policy = *policy;
   b.processors = static_cast<int>(req_int(root, "processors"));
   b.horizon_limit = int_or(root, "horizon_limit", 0);
@@ -207,8 +207,8 @@ CaptureBundle capture_from_json(std::string_view text) {
   }
 
   if (const JsonValue* y = root.find("yields"); y != nullptr) {
-    PFAIR_REQUIRE(y->is(JsonValue::Kind::kObject),
-                  "capture field \"yields\" must be an object");
+    PFAIR_REQUIRE_INPUT(y->is(JsonValue::Kind::kObject),
+                        "capture field \"yields\" must be an object");
     b.yields.kind = req_str(*y, "kind");
     b.yields.delta_ticks = int_or(*y, "delta_ticks", 0);
     b.yields.seed = static_cast<std::uint64_t>(int_or(*y, "seed", 0));
@@ -217,11 +217,12 @@ CaptureBundle capture_from_json(std::string_view text) {
     b.yields.min_ticks = int_or(*y, "min_ticks", 0);
     b.yields.max_ticks = int_or(*y, "max_ticks", 0);
     if (const JsonValue* costs = y->find("costs"); costs != nullptr) {
-      PFAIR_REQUIRE(costs->is(JsonValue::Kind::kArray),
-                    "yield field \"costs\" must be an array");
+      PFAIR_REQUIRE_INPUT(costs->is(JsonValue::Kind::kArray),
+                          "yield field \"costs\" must be an array");
       for (const JsonValue& c : costs->array) {
-        PFAIR_REQUIRE(c.is(JsonValue::Kind::kArray) && c.array.size() == 3,
-                      "scripted yield cost must be [task, seq, ticks]");
+        PFAIR_REQUIRE_INPUT(
+            c.is(JsonValue::Kind::kArray) && c.array.size() == 3,
+            "scripted yield cost must be [task, seq, ticks]");
         b.yields.costs.push_back(
             {elem_int(c, 0), elem_int(c, 1), elem_int(c, 2)});
       }
@@ -229,17 +230,19 @@ CaptureBundle capture_from_json(std::string_view text) {
   }
 
   for (const JsonValue& t : req_array(root, "tasks").array) {
-    PFAIR_REQUIRE(t.is(JsonValue::Kind::kObject),
-                  "capture task must be a JSON object");
+    PFAIR_REQUIRE_INPUT(t.is(JsonValue::Kind::kObject),
+                        "capture task must be a JSON object");
     CaptureBundle::TaskSpec spec;
     spec.name = req_str(t, "name");
     const JsonValue& w = req_array(t, "w");
-    PFAIR_REQUIRE(w.array.size() == 2, "task weight must be [e, p]");
+    PFAIR_REQUIRE_INPUT(w.array.size() == 2, "task weight must be [e, p]");
     spec.we = elem_int(w, 0);
     spec.wp = elem_int(w, 1);
+    PFAIR_REQUIRE_INPUT(spec.we >= 1 && spec.we <= spec.wp,
+                        "task weight must satisfy 1 <= e <= p");
     for (const JsonValue& s : req_array(t, "subtasks").array) {
-      PFAIR_REQUIRE(s.is(JsonValue::Kind::kArray) && s.array.size() == 3,
-                    "subtask spec must be [index, theta, eligible]");
+      PFAIR_REQUIRE_INPUT(s.is(JsonValue::Kind::kArray) && s.array.size() == 3,
+                          "subtask spec must be [index, theta, eligible]");
       spec.subtasks.push_back(Task::SubtaskSpec{
           elem_int(s, 0), elem_int(s, 1), elem_int(s, 2)});
     }
@@ -247,24 +250,24 @@ CaptureBundle capture_from_json(std::string_view text) {
   }
 
   const JsonValue& f = root.at("finding");
-  PFAIR_REQUIRE(f.is(JsonValue::Kind::kObject),
-                "capture field \"finding\" must be an object");
+  PFAIR_REQUIRE_INPUT(f.is(JsonValue::Kind::kObject),
+                      "capture field \"finding\" must be an object");
   const auto kind = violation_kind_from_string(req_str(f, "kind"));
-  PFAIR_REQUIRE(kind.has_value(),
-                "unknown finding kind \"" << req_str(f, "kind") << "\"");
+  PFAIR_REQUIRE_INPUT(kind.has_value(),
+                      "unknown finding kind \"" << req_str(f, "kind") << "\"");
   b.finding.kind = *kind;
   b.finding.ref = SubtaskRef{static_cast<std::int32_t>(int_or(f, "task", -1)),
                              static_cast<std::int32_t>(int_or(f, "seq", -1))};
   b.finding.at = Time::ticks(int_or(f, "at_ticks", 0));
   if (const JsonValue* d = f.find("detail"); d != nullptr) {
-    PFAIR_REQUIRE(d->is(JsonValue::Kind::kString),
-                  "finding field \"detail\" must be a string");
+    PFAIR_REQUIRE_INPUT(d->is(JsonValue::Kind::kString),
+                        "finding field \"detail\" must be a string");
     b.finding.detail = d->string;
   }
 
   if (const JsonValue* p = root.find("trace_prefix"); p != nullptr) {
-    PFAIR_REQUIRE(p->is(JsonValue::Kind::kArray),
-                  "capture field \"trace_prefix\" must be an array");
+    PFAIR_REQUIRE_INPUT(p->is(JsonValue::Kind::kArray),
+                        "capture field \"trace_prefix\" must be an array");
     for (const JsonValue& e : p->array) {
       b.trace_prefix.push_back(trace_event_from_json(e));
     }

@@ -83,7 +83,7 @@ struct CaptureBundle {
 
 /// Serializes to the single-document pfair-capture-v1 JSON form.
 [[nodiscard]] std::string capture_to_json(const CaptureBundle& b);
-/// Parses a pfair-capture-v1 document; throws ContractViolation on a
+/// Parses a pfair-capture-v1 document; throws InputError on a
 /// wrong schema tag or malformed fields.
 [[nodiscard]] CaptureBundle capture_from_json(std::string_view text);
 

@@ -137,11 +137,21 @@ Task Task::periodic(std::string name, Weight w, std::int64_t horizon,
 
 Task Task::periodic_phased(std::string name, Weight w, std::int64_t phase,
                            std::int64_t horizon, WindowTableCache* cache) {
+  return periodic_phased(
+      std::move(name), w, phase, horizon,
+      (cache != nullptr ? *cache : WindowTableCache::global()).get(w));
+}
+
+Task Task::periodic_phased(std::string name, Weight w, std::int64_t phase,
+                           std::int64_t horizon,
+                           std::shared_ptr<const WindowTable> table) {
   PFAIR_REQUIRE(phase >= 0, "phase must be >= 0");
   PFAIR_REQUIRE(horizon >= phase, "horizon must cover the phase");
+  PFAIR_REQUIRE(table != nullptr &&
+                    static_cast<__int128>(table->e()) * w.p ==
+                        static_cast<__int128>(table->p()) * w.e,
+                "window table does not match weight " << w.str());
   const std::int64_t n = subtasks_before(w, horizon - phase);
-  auto table =
-      (cache != nullptr ? *cache : WindowTableCache::global()).get(w);
   return Task(std::move(name), w,
               phase == 0 ? TaskKind::kPeriodic : TaskKind::kSporadic, phase,
               n, std::move(table), /*early_release=*/false);

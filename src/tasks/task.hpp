@@ -60,6 +60,11 @@ class Task {
                                             std::int64_t phase,
                                             std::int64_t horizon,
                                             WindowTableCache* cache = nullptr);
+  /// `periodic_phased` on a table the caller already holds for `w`'s
+  /// reduced rate (as `WindowTableCache::get(w)` returns it).
+  [[nodiscard]] static Task periodic_phased(
+      std::string name, Weight w, std::int64_t phase, std::int64_t horizon,
+      std::shared_ptr<const WindowTable> table);
 
   /// The pre-flyweight construction path: identical subtask sequence to
   /// `periodic_phased`, but eagerly materialized and re-validated.

@@ -16,6 +16,8 @@
 #include "io/json.hpp"
 #include "io/render.hpp"
 #include "io/table.hpp"
+#include "io/trace_io.hpp"
+#include "obs/capture.hpp"
 #include "obs/trace.hpp"
 #include "sched/sfq_scheduler.hpp"
 #include "workload/generator.hpp"
@@ -85,7 +87,7 @@ TEST(Table, CellFormatting) {
 }
 
 // Hostile nesting is a structured parse error, not a stack overflow: a
-// 200k-deep array or object throws ContractViolation naming the limit,
+// 200k-deep array or object throws InputError naming the limit,
 // while nesting at the limit still parses.
 TEST(Json, DeepNestingIsAStructuredError) {
   constexpr std::size_t kHostile = 200000;
@@ -99,7 +101,7 @@ TEST(Json, DeepNestingIsAStructuredError) {
     try {
       (void)parse_json(deep);
       FAIL() << "expected a nesting error for " << open;
-    } catch (const ContractViolation& e) {
+    } catch (const InputError& e) {
       EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
                 std::string::npos)
           << e.what();
@@ -116,7 +118,50 @@ TEST(Json, DeepNestingIsAStructuredError) {
   }
   EXPECT_EQ(depth, 256);
   EXPECT_THROW((void)parse_json(std::string(257, '[') + std::string(257, ']')),
-               ContractViolation);
+               InputError);
+}
+
+/// Malformed JSON, JSONL traces and capture bundles are InputErrors whose
+/// text is the positioned message alone, never the C++ condition or the
+/// source path of the check.
+template <class F>
+void expect_input_error(F&& f, const std::string& expected) {
+  try {
+    f();
+    FAIL() << "expected an InputError: " << expected;
+  } catch (const InputError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what, expected);
+    EXPECT_EQ(what.find("precondition failed"), std::string::npos) << what;
+    EXPECT_EQ(what.find(".cpp:"), std::string::npos) << what;
+  }
+}
+
+TEST(Json, MalformedInputIsAPositionedInputError) {
+  expect_input_error([] { (void)parse_json(R"("a\qb")"); },
+                     "bad escape '\\q' at offset 4");
+  expect_input_error([] { (void)parse_json("[1, 2"); },
+                     "unexpected end of JSON input");
+  expect_input_error([] { (void)parse_json("{}").at("k"); },
+                     "missing JSON key 'k'");
+  // A truncated JSONL line names its line number.
+  std::istringstream trace(
+      "{\"k\": \"slot_begin\", \"t\": 0}\n\n{\"k\": \"place\", \"t\":");
+  expect_input_error([&] { (void)read_trace_jsonl(trace); },
+                     "trace line 3: unexpected end of JSON input");
+  // A bundle of another schema, and one with an impossible weight.
+  CaptureBundle b = CaptureBundle::prototype(fig6_system(), "sfq",
+                                             Policy::kPd2);
+  std::string json = capture_to_json(b);
+  const std::string tag = "pfair-capture-v1";
+  std::string other = json;
+  other.replace(other.find(tag), tag.size(), "pfair-capture-v0");
+  expect_input_error([&] { (void)capture_from_json(other); },
+                     "unsupported capture schema \"pfair-capture-v0\"");
+  b.tasks[0].we = b.tasks[0].wp + 1;
+  json = capture_to_json(b);
+  expect_input_error([&] { (void)capture_from_json(json); },
+                     "task weight must satisfy 1 <= e <= p");
 }
 
 TEST(Csv, EscapingRules) {

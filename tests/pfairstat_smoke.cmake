@@ -33,3 +33,17 @@ endif()
 if(NOT out MATCHES "largest mover: simulate")
   message(FATAL_ERROR "pfairstat did not blame the moved phase: ${out}")
 endif()
+
+# Malformed JSON is an input error: exit 2 with the positioned message
+# alone.
+set(bad "${CMAKE_CURRENT_BINARY_DIR}/pfairstat_smoke_bad.json")
+file(WRITE ${bad} "{\"phases\": {\"simulate\": \"\\q\"}}")
+execute_process(COMMAND ${PFAIRSTAT} show ${bad}
+                RESULT_VARIABLE rc ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "pfairstat exited ${rc} on malformed JSON")
+endif()
+if(NOT err MATCHES "bad escape" OR err MATCHES "precondition failed" OR
+   err MATCHES "\\.cpp:")
+  message(FATAL_ERROR "pfairstat's input error is not clean: ${err}")
+endif()

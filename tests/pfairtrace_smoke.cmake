@@ -26,3 +26,17 @@ execute_process(COMMAND ${PFAIRTRACE} diff ${trace} ${trace2}
 if(rc EQUAL 0)
   message(FATAL_ERROR "pfairtrace diff reported differing traces as equal")
 endif()
+
+# A truncated JSONL line is an input error: exit 2 with the line-numbered
+# message alone.
+set(bad "${CMAKE_CURRENT_BINARY_DIR}/pfairtrace_smoke_truncated.jsonl")
+file(WRITE ${bad} "{\"k\": \"place\", \"t\":")
+execute_process(COMMAND ${PFAIRTRACE} validate --demo=fig6 ${bad}
+                RESULT_VARIABLE rc ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "pfairtrace exited ${rc} on a truncated trace")
+endif()
+if(NOT err MATCHES "trace line 1: unexpected end of JSON input" OR
+   err MATCHES "precondition failed" OR err MATCHES "\\.cpp:")
+  message(FATAL_ERROR "pfairtrace's input error is not clean: ${err}")
+endif()
