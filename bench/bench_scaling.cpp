@@ -275,8 +275,7 @@ int run_bench(pfair::bench::BenchContext& ctx) {
   // uninstrumented runtime at n = 4096.  (The bound tracks the
   // denominator: every speedup of the plain path inflates the ratio
   // even when the audited run's absolute cost improves too, so the
-  // constant was relaxed from 2x when the SIMD+staging ready queue
-  // landed.)
+  // constant was relaxed from 2x when the SIMD ready queue landed.)
   std::cout << "\n=== auditor overhead (n = 4096) ===\n\n";
   double audit_sfq_ratio = 0.0, audit_dvq_ratio = 0.0;
   bool audit_clean = true;

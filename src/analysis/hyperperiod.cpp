@@ -1,20 +1,15 @@
 #include "analysis/hyperperiod.hpp"
 
-#include <numeric>
-
 #include "core/rational.hpp"
 #include "sched/state_hash.hpp"
 
 namespace pfair {
 
 std::int64_t hyperperiod(const TaskSystem& sys) {
-  PFAIR_REQUIRE(sys.num_tasks() > 0, "hyperperiod of an empty system");
-  std::int64_t h = 1;
-  constexpr std::int64_t kBound = std::int64_t{1} << 40;
-  for (const Task& t : sys.tasks()) {
-    h = std::lcm(h, t.weight().p);
-    PFAIR_REQUIRE(h <= kBound, "hyperperiod exceeds 2^40 slots");
-  }
+  const std::int64_t h = fingerprint_period(sys);
+  PFAIR_REQUIRE(h != 0,
+                "hyperperiod needs a non-empty zero-phase periodic system "
+                "whose periods' lcm is at most 2^40 slots");
   return h;
 }
 
@@ -75,7 +70,6 @@ bool window_repeats(const TaskSystem& sys, const SlotSchedule& sched,
 PeriodicityReport check_schedule_periodicity(const TaskSystem& sys,
                                              const SlotSchedule& sched) {
   PeriodicityReport rep;
-  rep.hyper = hyperperiod(sys);
   rep.fully_utilized =
       sys.total_utilization() == Rational(sys.processors());
 
@@ -83,7 +77,7 @@ PeriodicityReport check_schedule_periodicity(const TaskSystem& sys,
   // periodic tasks) and the schedule must cover at least two
   // hyperperiods so one candidate recurrence can be confirmed.
   if (!fingerprintable(sys)) return rep;
-  if (fingerprint_period(sys) != rep.hyper) return rep;  // overflow guard
+  rep.hyper = hyperperiod(sys);
   if (sched.horizon() < 2 * rep.hyper) return rep;
   ScheduleStateScanner scan(sys, sched);
   if (!scan.ok()) return rep;

@@ -21,8 +21,10 @@
 
 namespace pfair {
 
-/// lcm of the task periods.  Requires at least one task; throws if the
-/// lcm overflows a practical bound (2^40 slots).
+/// lcm of the task periods: fingerprint_period (sched/state_hash.hpp),
+/// which divides before it multiplies, so no intermediate overflows.
+/// Requires a non-empty system of zero-phase periodic tasks; throws if
+/// the lcm exceeds a practical bound (2^40 slots).
 [[nodiscard]] std::int64_t hyperperiod(const TaskSystem& sys);
 
 /// Result of the periodicity check.
@@ -30,7 +32,7 @@ struct PeriodicityReport {
   bool applicable = false;     ///< zero-phase periodic, horizon covers 2H
   bool periodic = false;       ///< slot pattern of period H confirmed
   bool fully_utilized = false; ///< util == M (recurrence forced at t = 0)
-  std::int64_t hyper = 0;
+  std::int64_t hyper = 0;      ///< 0 unless fingerprintable
   std::int64_t prefix_slots = 0;  ///< first boundary t0 where state recurs
   std::int64_t periods_compared = 0;
 };

@@ -120,7 +120,6 @@ std::vector<std::int64_t> values(const TaskSystem& sys, const Sched& sched) {
 template <class Sched>
 void record_metrics(const TaskSystem& sys, const Sched& sched,
                     MetricsRegistry& reg) {
-  Histogram& overall = reg.histogram("sched.tardiness_ticks");
   std::int64_t max_ticks = 0, unscheduled = 0;
   for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
     Histogram& per_task =
@@ -130,7 +129,6 @@ void record_metrics(const TaskSystem& sys, const Sched& sched,
         ++unscheduled;
         return;
       }
-      overall.add(t);
       per_task.add(t);
       max_ticks = std::max(max_ticks, t);
     });

@@ -66,12 +66,13 @@ struct TardinessSummary {
 [[nodiscard]] std::vector<std::int64_t> tardiness_values_ticks(
     const TaskSystem& sys, const DvqSchedule& sched);
 
-/// Records the schedule's tardiness distribution into `reg`: the overall
-/// "sched.tardiness_ticks" histogram plus one
+/// Records the schedule's per-task tardiness into `reg`: one
 /// "task.<name>.tardiness_ticks" histogram per task, and gauges
-/// "sched.tardiness_max_ticks" / "sched.unscheduled_subtasks" — the
-/// snapshot the per-run metrics JSON reports.  Unscheduled subtasks are
-/// counted, not histogrammed.
+/// "sched.tardiness_max_ticks" / "sched.unscheduled_subtasks".
+/// Unscheduled subtasks are counted, not histogrammed.  The overall
+/// "sched.tardiness_ticks" histogram is not touched: the scheduler's
+/// metrics probe (obs/probe.hpp) fills it during a metered run, once
+/// per placed subtask.
 void record_tardiness_metrics(const TaskSystem& sys,
                               const SlotSchedule& sched,
                               MetricsRegistry& reg);

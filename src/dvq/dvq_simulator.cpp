@@ -419,7 +419,7 @@ void DvqSimulator::warp(std::int64_t cycles, std::int64_t cycle_slots,
   // Queued entries and calendar lists name pre-warp seqs — rebuild both.
   // Each head rejoins where it waited at the boundary (every calendar
   // instant lies at or after it, so the calendar restarts there).
-  ready_q_.clear(boundary_slot + shift_slots);
+  ready_q_.clear();
   calendar_.reset(boundary_slot + shift_slots);
   for (std::size_t k = 0; k < n; ++k) {
     const HotTask& h = hot_[k];

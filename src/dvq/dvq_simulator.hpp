@@ -243,7 +243,7 @@ class DvqSimulator {
 
   // Calendar of slot-aligned readiness instants: task ids by the slot
   // their head becomes ready.  warp() rebases it.
-  SlotBuckets<std::int32_t> calendar_;
+  SlotBuckets calendar_;
 
   std::vector<SubtaskRef> scratch_started_;
   Time now_;

@@ -13,12 +13,11 @@
 //
 // A model plugs in through a hooks type M:
 //   M::Sim, M::Stored      the simulator and the schedule it stores;
-//   M::Snapshot            decision-relevant state at a slot boundary,
-//                          with `at` (the boundary) and `same_state`;
 //   M::run_to(sim, t)      runs to slot boundary t; true iff work is left
 //                          and the simulator is quiescent there (the only
 //                          states a snapshot describes exactly);
-//   M::snapshot(sim, t)    the state at boundary t;
+//   M::snapshot(sim, t)    the decision-relevant state at boundary t, a
+//                          StateFingerprint (sched/state_hash.hpp);
 //   M::warp(sim, m, C, allocs, t)  skips m cycles of C slots proven at t;
 //   M::ran_to(sim, out)    the slot the simulation reached (the simulator
 //                          after take_schedule, and the spliced result).
@@ -71,7 +70,7 @@ SplicedSchedule<typename Model::Stored> fast_forward(
       probe && !observed ? fingerprint_period(sys) : 0;
   if (hyper > 0) {
     struct Snap {
-      typename Model::Snapshot state;
+      StateFingerprint state;
       std::vector<std::int64_t> heads;
     };
     // Bounds the snapshot table (and the quadratic confirm scans) on
@@ -93,7 +92,7 @@ SplicedSchedule<typename Model::Stored> fast_forward(
       // (its lag drifts monotonically) — stop paying for snapshots.
       if (exhausted) break;
       PFAIR_PROF_SPAN(kFingerprint);
-      typename Model::Snapshot state = Model::snapshot(sim, t);
+      StateFingerprint state = Model::snapshot(sim, t);
       const auto match =
           std::find_if(snaps.begin(), snaps.end(),
                        [&](const Snap& s) { return s.state.same_state(state); });

@@ -32,12 +32,12 @@
 // Materialized (IS/GIS-perturbed) tasks keep the per-subtask table.
 //
 // Storage is structure-of-arrays: all bases in one flat array, all
-// steps in another, one (offset, e) pair per task.  Data-oriented
-// consumers (the simulators' position tables, the SIMD batch
-// recompute in warp) read the flat spans directly; `order_key` stays
-// the scalar accessor.  When an Arena is supplied the arrays live
-// there, so repeated constructions are allocation-free in steady
-// state.
+// steps in another, one (offset, e) pair per task.  The simulators'
+// position tables (sched/positions.hpp) read the flat spans directly;
+// `order_key` stays the scalar accessor.  The pseudo-deadline is the
+// most significant field, so `deadline_of` reads it back from a key
+// alone.  When an Arena is supplied the arrays live there, so repeated
+// constructions are allocation-free in steady state.
 //
 // PF's tie-break walks the successor b-bit string lexicographically and
 // is not a fixed-width tuple; it keeps `compare_pf_bits`.  `packable()`
@@ -100,16 +100,10 @@ class PackedKeys {
   [[nodiscard]] const std::uint64_t* base_data() const { return base_.data(); }
   [[nodiscard]] const std::uint64_t* step_data() const { return step_.data(); }
 
-  /// Bit position of the pseudo-deadline field inside the packed key
-  /// (valid only while packable()).  `key >> deadline_shift()` is the
-  /// biased deadline d - min_d; the deadline is the most significant
-  /// field, so every key with a larger shifted value compares greater
-  /// than every key with a smaller one regardless of the low bits.
-  /// The ready queue's deadline staging relies on exactly this.
-  [[nodiscard]] int deadline_shift() const { return deadline_shift_; }
   /// The pseudo-deadline encoded in `key` (an order_key of this system),
   /// read back without touching the task: what the simulators' probed
-  /// placement hooks use for tardiness.
+  /// placement hooks use for tardiness.  The deadline is the key's most
+  /// significant field, stored biased by the system's earliest one.
   [[nodiscard]] std::int64_t deadline_of(std::uint64_t key) const {
     return static_cast<std::int64_t>(key >> deadline_shift_) + min_deadline_;
   }

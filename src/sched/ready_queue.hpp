@@ -11,36 +11,21 @@
 // Both realize the identical strict total order, so pop order — and
 // therefore the schedule — is bit-identical across modes.
 //
-// The packed mode is data-oriented, in two tiers:
-//
-//   1. An 8-ary heap over two parallel flat arrays (keys / payloads).
-//      The physical layout is cache-aligned: the root lives at index 7
-//      and the children of node i occupy [8i-48, 8i-41], so every child
-//      group starts at a multiple of 8 — with the arrays 64-byte
-//      aligned (ArenaVector<.., 64>), one simd::argmin8 per level reads
-//      exactly one cache line.  Indices 0..6 are never used, and the
-//      key array keeps 8 UINT64_MAX padding slots past the live end so
-//      lane loads never read garbage.
-//
-//   2. Deadline staging.  The pseudo-deadline is the most significant
-//      key field (PackedKeys::deadline_shift), so an entry whose
-//      deadline slot is beyond the current heap top's cannot be popped
-//      yet no matter its low bits.  Such entries are parked O(1) in a
-//      slot bucket queue keyed by deadline slot (sched/slot_buckets.hpp,
-//      the structure behind both simulators' calendars) instead of the
-//      heap.  Pushes below the queue's floor — the slot after the last
-//      drained one — go to the heap, so every heap entry outranks every
-//      staged one, and the earliest staged slot is drained into the
-//      heap only when the heap runs dry.  The live heap then holds just
-//      the imminent-deadline backlog — a few hundred entries that fit
-//      L1 — instead of every ready subtask, which is what made large
-//      systems pay DRAM latency per sift level.  Pop order is unchanged:
-//      a drain happens strictly before any pop it could influence.
+// The packed mode is an 8-ary heap over two parallel flat arrays (keys
+// / payloads).  The physical layout is cache-aligned: the root lives at
+// index 7 and the children of node i occupy [8i-48, 8i-41], so every
+// child group starts at a multiple of 8 — with the arrays 64-byte
+// aligned (ArenaVector<.., 64>), one simd::argmin8 per level reads
+// exactly one cache line.  Indices 0..6 are never used, and the key
+// array keeps 8 UINT64_MAX padding slots past the live end so lane
+// loads never read garbage.  Memory is O(ready entries): nothing is
+// indexed by deadline or slot, so a 2^40 pseudo-deadline costs what a
+// small one does.
 //
 // Pop order is the sorted key order in every variant (strict total
 // order, keys pairwise distinct by construction), so schedules stay
-// bit-identical across heap arity, staging, and SIMD backend — the A/B
-// suite asserts this.
+// bit-identical across heap arity and SIMD backend — the A/B suite
+// asserts this.
 //
 // Storage comes from an Arena when one is supplied (zero steady-state
 // allocations across repeated schedule calls); otherwise the heap.
@@ -49,19 +34,17 @@
 // it becomes available and leaves only by being popped and placed, so
 // every entry names its task's next unscheduled subtask — the
 // simulators have no second decision body that could schedule behind
-// the queue's back (clear(base) is how warp starts over).
+// the queue's back (clear() is how warp starts over).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/arena.hpp"
 #include "core/simd.hpp"
 #include "sched/packed_key.hpp"
 #include "sched/priority.hpp"
-#include "sched/slot_buckets.hpp"
 
 namespace pfair {
 
@@ -73,14 +56,10 @@ class ReadyQueue {
              Arena* arena = nullptr)
       : keys_(arena),
         payload_(arena),
-        stage_(arena),
         order_(&order),
         pkeys_(&keys),
         packed_(keys.packable()) {
-    if (packed_) {
-      shift_ = keys.deadline_shift();
-      reset_packed();
-    }
+    if (packed_) reset_packed();
   }
 
   void reserve(std::size_t n) {
@@ -91,37 +70,33 @@ class ReadyQueue {
       fb_.reserve(n);
     }
   }
-  [[nodiscard]] bool empty() const {
-    return packed_ ? (n_ == 0 && stage_.empty()) : fb_.empty();
-  }
-  [[nodiscard]] std::size_t size() const {
-    return packed_ ? n_ + stage_.size() : fb_.size();
-  }
+  [[nodiscard]] bool empty() const { return packed_ ? n_ == 0 : fb_.empty(); }
+  [[nodiscard]] std::size_t size() const { return packed_ ? n_ : fb_.size(); }
   /// Drops every entry (cycle fast-forward rebuilds the ready set from
-  /// scratch after a warp — stale refs would otherwise linger forever)
-  /// and restarts deadline staging at pseudo-deadline `base`: entries
-  /// due earlier go straight to the heap.
-  void clear(std::int64_t base) {
-    if (!packed_) {
+  /// scratch after a warp — stale refs would otherwise linger forever).
+  void clear() {
+    if (packed_) {
+      reset_packed();
+    } else {
       fb_.clear();
-      return;
     }
-    reset_packed();
-    // Staging is indexed by the key's deadline field, the deadline less
-    // the system's earliest one (PackedKeys::deadline_of(0)).
-    stage_.reset(base - pkeys_->deadline_of(0));
   }
 
   /// Packed-mode push with the key already in hand (the simulators keep
   /// each task's next key in their hot per-task record, so the queue
   /// never re-derives it).  Requires packed mode.
   void push_key(std::uint64_t key, std::int32_t task, std::int32_t seq) {
-    const auto ds = static_cast<std::int64_t>(key >> shift_);
-    if (ds >= stage_.floor()) {
-      stage_.push(ds, Staged{key, pack_ref(task, seq)});
-      return;
+    const std::size_t ext = n_ + 1 + kBase + kPad;
+    if (ext > keys_.capacity()) {
+      const std::size_t want = std::max<std::size_t>(2 * ext, 64);
+      keys_.reserve(want);
+      payload_.reserve(want);
     }
-    heap_push(key, pack_ref(task, seq));
+    keys_.resize(ext);
+    payload_.resize(ext);
+    keys_.data()[ext - 1] = ~std::uint64_t{0};  // keep the pad window full
+    ++n_;
+    sift_up(n_ + kBase - 1, key, pack_ref(task, seq));
   }
 
   void push(const SubtaskRef& ref) {
@@ -142,7 +117,6 @@ class ReadyQueue {
       fb_.pop_back();
       return ref;
     }
-    maybe_drain();
     std::uint64_t* k = keys_.data();
     std::uint64_t* p = payload_.data();
     const std::uint64_t top = p[kBase];
@@ -159,9 +133,7 @@ class ReadyQueue {
 
   /// The task owning the current best entry (packed mode; !empty()).
   /// Lets the pop loop prefetch that task's hot record before popping.
-  /// Refills an empty heap from the staging, hence non-const.
-  [[nodiscard]] std::int32_t peek_task() {
-    maybe_drain();
+  [[nodiscard]] std::int32_t peek_task() const {
     return static_cast<std::int32_t>(payload_.data()[kBase] >> 32);
   }
 
@@ -171,12 +143,6 @@ class ReadyQueue {
   // unused.  kPad UINT64_MAX sentinels follow the last live slot.
   static constexpr std::size_t kBase = 7;
   static constexpr std::size_t kPad = 8;
-
-  /// A deadline-staged entry.
-  struct Staged {
-    std::uint64_t key;
-    std::uint64_t pay;
-  };
 
   static std::uint64_t pack_ref(std::int32_t task, std::int32_t seq) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(task))
@@ -196,20 +162,6 @@ class ReadyQueue {
     payload_.resize(kBase + kPad);
     std::uint64_t* k = keys_.data();
     for (std::size_t i = kBase; i < kBase + kPad; ++i) k[i] = ~std::uint64_t{0};
-  }
-
-  void heap_push(std::uint64_t key, std::uint64_t pay) {
-    const std::size_t ext = n_ + 1 + kBase + kPad;
-    if (ext > keys_.capacity()) {
-      const std::size_t want = std::max<std::size_t>(2 * ext, 64);
-      keys_.reserve(want);
-      payload_.reserve(want);
-    }
-    keys_.resize(ext);
-    payload_.resize(ext);
-    keys_.data()[ext - 1] = ~std::uint64_t{0};  // keep the pad window full
-    ++n_;
-    sift_up(n_ + kBase - 1, key, pay);
   }
 
   void sift_up(std::size_t i, std::uint64_t key, std::uint64_t pay) {
@@ -247,19 +199,6 @@ class ReadyQueue {
     p[i] = pay;
   }
 
-  /// Refills an empty heap from the earliest staged deadline slot.  A
-  /// push is staged when its deadline slot is at or above
-  /// stage_.floor() and goes to the heap otherwise, and draining a slot
-  /// raises the floor past it, so every heap entry's deadline — the
-  /// key's most significant field — lies below every staged one: the
-  /// heap top outranks everything staged until the heap runs dry.
-  void maybe_drain() {
-    if (n_ != 0 || stage_.empty()) return;
-    stage_.drain_min([this](std::span<const Staged> entries) {
-      for (const Staged& e : entries) heap_push(e.key, e.pay);
-    });
-  }
-
   struct Lower {
     const ReadyQueue* q;
     bool operator()(const SubtaskRef& a, const SubtaskRef& b) const {
@@ -272,10 +211,6 @@ class ReadyQueue {
   ArenaVector<std::uint64_t, 64> keys_;
   ArenaVector<std::uint64_t, 64> payload_;
   std::size_t n_ = 0;  // live heap entries
-  // Deadline staging: entries by deadline slot, all at or after
-  // stage_.floor() (every slot below it has been drained).
-  SlotBuckets<Staged> stage_;
-  int shift_ = 0;                   // PackedKeys::deadline_shift()
   // Fallback mode (PF / fit overflow): comparator binary heap.
   std::vector<SubtaskRef> fb_;
   const PriorityOrder* order_;

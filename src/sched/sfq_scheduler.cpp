@@ -18,13 +18,12 @@ namespace {
 struct SfqModel {
   using Sim = SfqSimulator;
   using Stored = SlotSchedule;
-  using Snapshot = StateFingerprint;
 
   static bool run_to(Sim& sim, std::int64_t t) {
     sim.run_until(t);
     return !sim.done() && sim.now() == t;
   }
-  static Snapshot snapshot(const Sim& sim, std::int64_t) {
+  static StateFingerprint snapshot(const Sim& sim, std::int64_t) {
     return sfq_state_fingerprint(sim);
   }
   static void warp(Sim& sim, std::int64_t cycles, std::int64_t cycle_slots,

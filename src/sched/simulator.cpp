@@ -306,10 +306,10 @@ void SfqSimulator::warp(std::int64_t cycles, std::int64_t cycle_slots,
   // Rebuild the availability structures: every queued or bucketed entry
   // names a pre-warp head seq, so drop them all and re-derive each
   // task's availability from the counters (exactly as the constructor
-  // and commit_placement would have).  Both restart at the new now_:
-  // indexing them from an earlier slot would make the first post-warp
-  // entry grow them over every skipped slot.
-  ready_q_.clear(now_);
+  // and commit_placement would have).  The calendar restarts at the new
+  // now_: indexing it from an earlier slot would make the first
+  // post-warp entry grow it over every skipped slot.
+  ready_q_.clear();
   calendar_.reset(now_);
   for (std::size_t k = 0; k < n; ++k) {
     const HotTask& h = hot_[k];

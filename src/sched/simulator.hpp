@@ -35,12 +35,12 @@
 //
 // A probe (decision-mask trace sink and/or metrics) rides on the same
 // fast path: the decision events are reported as placements commit,
-// sched.ready_set_size is the ready heap's size (staged entries
-// included) at each decision, and the quality metrics come from the
-// incremental QualityCounters accounting (note_quality).  There is no
-// second decision body.  The explain events (kExplainTraceEvents) come
-// only from `schedule_sfq_reference`; set_trace_sink rejects a sink
-// asking for them, and `schedule_sfq` routes such a sink there.
+// sched.ready_set_size is the ready heap's size at each decision, and
+// the quality metrics come from the incremental QualityCounters
+// accounting (note_quality).  There is no second decision body.  The
+// explain events (kExplainTraceEvents) come only from
+// `schedule_sfq_reference`; set_trace_sink rejects a sink asking for
+// them, and `schedule_sfq` routes such a sink there.
 #pragma once
 
 #include <cstdint>
@@ -190,7 +190,7 @@ class SfqSimulator {
   // Calendar of availability transitions: task ids by the slot their
   // head becomes available (at most one pending transition per task, so
   // the chunk pool is bounded by the task count).  warp() rebases it.
-  SlotBuckets<std::int32_t> calendar_;
+  SlotBuckets calendar_;
 
   ArenaVector<SubtaskRef> scratch_picks_;
 

@@ -1,9 +1,8 @@
-// A monotone bucket queue over integer slots: park an entry under the
-// slot at which it becomes due, drain the earliest non-empty slot.  The
-// scheduler uses it three times — SfqSimulator's availability calendar
-// and DvqSimulator's readiness calendar (task ids under the slot at
-// which a head becomes available) and ReadyQueue's deadline staging
-// (key/payload pairs under their pseudo-deadline slot).
+// A monotone bucket queue of task ids over integer slots: park a task
+// under the slot at which it becomes due, drain the earliest non-empty
+// slot.  Both simulators keep their calendar in one — SfqSimulator's
+// availability calendar and DvqSimulator's readiness calendar (task ids
+// under the slot at which a head becomes available).
 //
 // Monotone: a push may not go below floor(), the slot after the last
 // drained one, so the earliest non-empty slot only moves forward and
@@ -12,10 +11,11 @@
 // Layout: a head array indexed by slot - base (grown geometrically,
 // -1 = empty) whose entries chain fixed-size chunks, recycled through a
 // freelist — at most one chunk per slot is partially filled, and a
-// drained chunk is reused by the next push.  A chunk is one cache line
-// for task ids (14 x 4 B) and two for key/payload pairs (7 x 16 B),
-// after its 8-byte header; draining walks whole chunks, which measured
-// faster than a per-entry intrusive list.  With an Arena supplied all
+// drained chunk is reused by the next push.  A chunk is one cache line:
+// an 8-byte header and 14 task ids; draining walks whole chunks, which
+// measured faster than a per-entry intrusive list.  The head array spans
+// base .. the largest pushed slot, so memory grows with the slot range
+// in use, not only with the entry count.  With an Arena supplied all
 // storage is bump-allocated there.
 #pragma once
 
@@ -30,11 +30,10 @@
 
 namespace pfair {
 
-template <class Entry>
 class SlotBuckets {
  public:
-  static constexpr std::size_t kCap =
-      ((sizeof(Entry) <= 4 ? 64 : 128) - 8) / sizeof(Entry);
+  /// Task ids per chunk.
+  static constexpr std::size_t kCap = (64 - 8) / sizeof(std::int32_t);
 
   /// An empty queue with floor() == 0.
   explicit SlotBuckets(Arena* arena = nullptr) : head_(arena), chunks_(arena) {}
@@ -51,8 +50,8 @@ class SlotBuckets {
     min_ = kNone;
   }
 
-  /// Parks `e` under `slot`; requires slot >= floor().
-  void push(std::int64_t slot, const Entry& e) {
+  /// Parks task `task` under `slot`; requires slot >= floor().
+  void push(std::int64_t slot, std::int32_t task) {
     PFAIR_ASSERT(slot >= floor_);
     const auto s = static_cast<std::size_t>(slot - base_);
     if (s >= head_.size()) {
@@ -78,13 +77,13 @@ class SlotBuckets {
       c = fresh;
     }
     Chunk& ch = chunks_[static_cast<std::size_t>(c)];
-    ch.entries[ch.count++] = e;
+    ch.tasks[ch.count++] = task;
     ++size_;
     min_ = std::min(min_, slot);
   }
 
   [[nodiscard]] bool empty() const { return size_ == 0; }
-  /// Entries across all slots.
+  /// Task ids across all slots.
   [[nodiscard]] std::size_t size() const { return size_; }
   /// The lowest slot a push may use.
   [[nodiscard]] std::int64_t floor() const { return floor_; }
@@ -94,8 +93,8 @@ class SlotBuckets {
     return min_;
   }
 
-  /// Empties slot min_slot(), handing `f` its entries one chunk at a
-  /// time as a std::span<const Entry> (in no particular order), and
+  /// Empties slot min_slot(), handing `f` its task ids one chunk at a
+  /// time as a std::span<const std::int32_t> (in no particular order), and
   /// raises floor() past it.  Requires !empty(); `f` must not push
   /// into this queue.
   template <class F>
@@ -108,7 +107,7 @@ class SlotBuckets {
       if (ch.next >= 0) {
         simd::prefetch(&chunks_[static_cast<std::size_t>(ch.next)]);
       }
-      f(std::span<const Entry>(ch.entries, ch.count));
+      f(std::span<const std::int32_t>(ch.tasks, ch.count));
       size_ -= ch.count;
       const std::int32_t next = ch.next;
       ch.next = free_;
@@ -132,9 +131,9 @@ class SlotBuckets {
   struct Chunk {
     std::uint32_t count;
     std::int32_t next;  // next chunk of this slot (or of the freelist)
-    Entry entries[kCap];
+    std::int32_t tasks[kCap];
   };
-  static_assert(sizeof(Chunk) <= 128);
+  static_assert(sizeof(Chunk) == 64);
 
   ArenaVector<std::int32_t> head_;  // [slot - base_] -> first chunk or -1
   ArenaVector<Chunk> chunks_;

@@ -15,12 +15,21 @@ namespace {
 // simulate reaches two of them) and risk overflow in slot arithmetic.
 constexpr std::int64_t kPeriodBound = std::int64_t{1} << 40;
 
+/// The splitmix64 finalizer, stateless (core/rng.hpp's splitmix64 is
+/// the generator step).
+std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
 }  // namespace
 
 namespace detail {
 
-TaskStateRecord task_state_record(const Task& task, std::int64_t head,
-                                  std::int64_t last_slot, std::int64_t t) {
+TaskStateRecord position_record(const Task& task, std::int64_t head,
+                                std::int64_t t) {
   TaskStateRecord rec;
   const Weight& w = task.weight();
   // Every placement advances the head, so head is the allocation count.
@@ -31,6 +40,13 @@ TaskStateRecord task_state_record(const Task& task, std::int64_t head,
   }
   rec.rem = head % w.e;
   rec.anchor = task.subtask_at(head).release - t;
+  return rec;
+}
+
+TaskStateRecord task_state_record(const Task& task, std::int64_t head,
+                                  std::int64_t last_slot, std::int64_t t) {
+  TaskStateRecord rec = position_record(task, head, t);
+  if (rec.rem == TaskStateRecord::kFinished) return rec;
   // Availability exactly as the simulator computes it (constructor for
   // head 0, commit_placement afterwards), clamped at t: a head whose
   // bucket predates t is already in — or about to drain into — the
@@ -42,13 +58,16 @@ TaskStateRecord task_state_record(const Task& task, std::int64_t head,
   return rec;
 }
 
-std::uint64_t hash_records(const std::vector<TaskStateRecord>& records) {
+std::uint64_t hash_state(const StateFingerprint& fp) {
   std::uint64_t h = 0x51ab7cee1db316a5ull;
-  for (const TaskStateRecord& r : records) {
+  for (const TaskStateRecord& r : fp.records) {
     h = splitmix64(h ^ static_cast<std::uint64_t>(r.rem));
     h = splitmix64(h ^ static_cast<std::uint64_t>(r.anchor));
     h = splitmix64(h ^ static_cast<std::uint64_t>(r.avail_rel));
     h = splitmix64(h ^ static_cast<std::uint64_t>(r.lag_num));
+  }
+  for (const std::int64_t p : fp.procs) {
+    h = splitmix64(h ^ static_cast<std::uint64_t>(p));
   }
   return h;
 }
@@ -85,7 +104,7 @@ StateFingerprint sfq_state_fingerprint(const SfqSimulator& sim) {
     fp.records.push_back(detail::task_state_record(
         sys.task(k), sim.head_of(k), sim.last_slot_of(k), fp.at));
   }
-  fp.hash = detail::hash_records(fp.records);
+  fp.hash = detail::hash_state(fp);
   return fp;
 }
 
@@ -141,7 +160,7 @@ StateFingerprint ScheduleStateScanner::at(std::int64_t t) {
     fp.records.push_back(detail::task_state_record(
         sys_->task(static_cast<std::int64_t>(k)), head, last, t));
   }
-  fp.hash = detail::hash_records(fp.records);
+  fp.hash = detail::hash_state(fp);
   return fp;
 }
 

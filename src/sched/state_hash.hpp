@@ -16,7 +16,10 @@
 // in the ready heap and a head whose calendar bucket is drained this
 // very slot are behaviorally identical under SFQ).  The 64-bit hash is
 // only a fast table probe; equality — `same_state` — always compares
-// the full record vectors, so detection is collision-proof.
+// the full record vectors, so detection is collision-proof.  The DVQ
+// model (dvq/dvq_scheduler.cpp) snapshots into the same fingerprint:
+// the same records, readiness in exact ticks instead of clamped slots,
+// plus each processor's remaining busy time.
 //
 // Fingerprints are exact only for zero-phase periodic task systems
 // (flyweight or eager; early release allowed): `fingerprintable` gates
@@ -38,30 +41,41 @@ class SlotSchedule;
 
 /// Canonical decision-relevant state of one task at a slot boundary t,
 /// expressed relative to t.  A task whose subtask sequence is exhausted
-/// holds the sentinel record (rem == kFinished).
+/// holds the sentinel record (rem == kFinished, avail_rel == 0).
 struct TaskStateRecord {
   static constexpr std::int64_t kFinished = -1;
 
   std::int64_t rem = 0;        ///< head seq mod raw e (kFinished if done)
-  std::int64_t anchor = 0;     ///< r(head) - t
-  std::int64_t avail_rel = 0;  ///< max(0, availability slot - t)
+  std::int64_t anchor = 0;     ///< r(head) - t, slots
+  /// When the head becomes available, relative to t.  SFQ: max(0,
+  /// availability slot - t), in slots.  DVQ: ready time - t in exact
+  /// ticks while the head waits for it (a head ready at exactly t fires
+  /// a decision event at t), or -1 once the head is in the ready queue
+  /// (queue order depends only on static priorities, never on when a
+  /// head joined).
+  std::int64_t avail_rel = 0;
   std::int64_t lag_num = 0;    ///< e_raw * t - allocated * p_raw
 
   friend bool operator==(const TaskStateRecord&,
                          const TaskStateRecord&) = default;
 };
 
-/// Full simulator state at boundary `at`: per-task records plus a mixing
-/// hash for cheap table lookups.
+/// Full simulator state at boundary `at`: per-task records, the DVQ
+/// model's per-processor state, and a mixing hash for cheap table
+/// lookups.
 struct StateFingerprint {
   std::uint64_t hash = 0;
   std::int64_t at = 0;
   std::vector<TaskStateRecord> records;
+  /// DVQ only (empty for SFQ, whose processors carry no state across a
+  /// boundary): each processor's remaining busy ticks past `at`, -1 when
+  /// idle.
+  std::vector<std::int64_t> procs;
 
   /// Collision-proof equality: hash first (fast reject), then the full
-  /// record vectors.
+  /// record and processor vectors.
   [[nodiscard]] bool same_state(const StateFingerprint& o) const {
-    return hash == o.hash && records == o.records;
+    return hash == o.hash && records == o.records && procs == o.procs;
   }
 };
 
@@ -109,24 +123,19 @@ class ScheduleStateScanner {
 };
 
 namespace detail {
-/// One task's record from its raw counters; shared by the online and
-/// offline paths so both produce byte-identical fingerprints.
+/// One task's record at boundary t from its head seq, with avail_rel
+/// left 0 for the model to fill in (the sentinel record if done).
+[[nodiscard]] TaskStateRecord position_record(const Task& task,
+                                              std::int64_t head,
+                                              std::int64_t t);
+/// One task's SFQ record from its raw counters; shared by the online
+/// and offline paths so both produce byte-identical fingerprints.
 [[nodiscard]] TaskStateRecord task_state_record(const Task& task,
                                                 std::int64_t head,
                                                 std::int64_t last_slot,
                                                 std::int64_t t);
-/// The splitmix64 finalizer: the one 64-bit mixer behind both models'
-/// state hashes (stateless; core/rng.hpp's splitmix64 is the generator
-/// step).
-[[nodiscard]] inline std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-/// Hash over the record vector (splitmix64 mixing).
-[[nodiscard]] std::uint64_t hash_records(
-    const std::vector<TaskStateRecord>& records);
+/// Hash over the records and processor states (splitmix64 mixing).
+[[nodiscard]] std::uint64_t hash_state(const StateFingerprint& fp);
 }  // namespace detail
 
 }  // namespace pfair

@@ -28,6 +28,22 @@ TEST(Hyperperiod, LcmOfPeriods) {
   EXPECT_THROW((void)hyperperiod(TaskSystem({}, 1)), ContractViolation);
 }
 
+// Coprime periods near the 2^40 bound: an lcm just under it is exact,
+// one whose product overflows int64 is refused, not computed.
+TEST(Hyperperiod, CoprimePeriodsNearTheBound) {
+  constexpr std::int64_t kTwo20 = std::int64_t{1} << 20;
+  constexpr std::int64_t kTwo40 = std::int64_t{1} << 40;
+  const auto pair = [](std::int64_t p, std::int64_t q) {
+    std::vector<Task> tasks;
+    tasks.push_back(Task::periodic("A", Weight(1, p), 4));
+    tasks.push_back(Task::periodic("B", Weight(1, q), 4));
+    return TaskSystem(std::move(tasks), 1);
+  };
+  EXPECT_EQ(hyperperiod(pair(kTwo20 - 1, kTwo20)), kTwo40 - kTwo20);
+  EXPECT_THROW((void)hyperperiod(pair(kTwo40 - 1, kTwo40)),
+               ContractViolation);
+}
+
 TEST(Hyperperiod, Pd2ScheduleRepeats) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     GeneratorConfig cfg;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "analysis/recount.hpp"
+#include "analysis/tardiness.hpp"
 #include "core/assert.hpp"
 #include "core/thread_pool.hpp"
 #include "dvq/decision_sink.hpp"
@@ -443,6 +444,52 @@ TEST(SchedMetrics, FastPathAgreesWithExplainRun) {
       (void)schedule_dvq_reference(sys, yields, dopts);
       expect_paths_agree(dfast.snapshot(), dref.snapshot(), tag + " dvq");
     }
+  }
+}
+
+// The metrics probe writes sched.tardiness_ticks during the run;
+// record_tardiness_metrics, run after it as pfairsim --metrics does,
+// adds only the per-task histograms and gauges.  So the overall
+// histogram counts each placed subtask once, and the per-task ones sum
+// to the same count.
+void expect_tardiness_counted_once(const TaskSystem& sys,
+                                   const MetricsSnapshot& snap,
+                                   const std::string& tag) {
+  const std::int64_t placements =
+      snap.counter_or(sched_metrics::kPlacements, -1);
+  EXPECT_EQ(placements, sys.total_subtasks()) << tag;
+  ASSERT_EQ(snap.histograms.count(sched_metrics::kTardinessTicks), 1u)
+      << tag;
+  EXPECT_EQ(snap.histograms.at(sched_metrics::kTardinessTicks).count,
+            placements)
+      << tag;
+  std::int64_t per_task = 0;
+  for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
+    per_task += snap.histograms
+                    .at("task." + sys.task(k).name() + ".tardiness_ticks")
+                    .count;
+  }
+  EXPECT_EQ(per_task, placements) << tag;
+  EXPECT_EQ(snap.gauges.at("sched.unscheduled_subtasks"), 0) << tag;
+}
+
+TEST(SchedMetrics, TardinessHistogramCountsEachPlacementOnce) {
+  for (int seed = 0; seed < 6; ++seed) {
+    const TaskSystem sys = metric_system(seed);
+    const std::string tag = "seed " + std::to_string(seed);
+    MetricsRegistry sreg;
+    SfqOptions sopts;
+    sopts.metrics = &sreg;
+    const SlotSchedule ssched = schedule_sfq(sys, sopts);
+    record_tardiness_metrics(sys, ssched, sreg);
+    expect_tardiness_counted_once(sys, sreg.snapshot(), tag + " sfq");
+
+    MetricsRegistry dreg;
+    DvqOptions dopts;
+    dopts.metrics = &dreg;
+    const DvqSchedule dsched = schedule_dvq(sys, metric_yields(seed), dopts);
+    record_tardiness_metrics(sys, dsched, dreg);
+    expect_tardiness_counted_once(sys, dreg.snapshot(), tag + " dvq");
   }
 }
 

@@ -1,9 +1,9 @@
 // The scheduler's shared slot structures, tested directly: the monotone
-// bucket queue behind both simulators' calendars and the ready queue's
-// deadline staging (sched/slot_buckets.hpp), and the ready queue itself
-// (sched/ready_queue.hpp), whose pops must come out in priority order
-// under any interleaving of pushes, pops and rebasing clears, in both
-// the packed-key and the comparator (PF) modes.
+// bucket queue of task ids behind both simulators' calendars
+// (sched/slot_buckets.hpp), and the ready queue (sched/ready_queue.hpp),
+// whose pops must come out in priority order under any interleaving of
+// pushes, pops and clears, in both the packed-key and the comparator
+// (PF) modes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,22 +24,15 @@
 namespace pfair {
 namespace {
 
-struct Pair {
-  std::uint64_t key;
-  std::uint64_t pay;
-};
+static_assert(SlotBuckets::kCap == 14);
 
-static_assert(SlotBuckets<std::int32_t>::kCap == 14);
-static_assert(SlotBuckets<Pair>::kCap == 7);
-
-// Drains the earliest slot, returning its entries (sorted) and checking
-// that no chunk exceeds the capacity.
-template <class Entry>
-std::vector<Entry> drain(SlotBuckets<Entry>& q) {
-  std::vector<Entry> out;
-  q.drain_min([&](std::span<const Entry> chunk) {
+// Drains the earliest slot, returning its task ids and checking that no
+// chunk exceeds the capacity.
+std::vector<std::int32_t> drain(SlotBuckets& q) {
+  std::vector<std::int32_t> out;
+  q.drain_min([&](std::span<const std::int32_t> chunk) {
     EXPECT_GE(chunk.size(), 1u);
-    EXPECT_LE(chunk.size(), SlotBuckets<Entry>::kCap);
+    EXPECT_LE(chunk.size(), SlotBuckets::kCap);
     out.insert(out.end(), chunk.begin(), chunk.end());
   });
   return out;
@@ -52,9 +45,8 @@ std::vector<std::int32_t> iota(std::int32_t n) {
 }
 
 TEST(SlotBuckets, OneSlotHoldsMoreThanAChunk) {
-  SlotBuckets<std::int32_t> q;
-  constexpr auto kCap =
-      static_cast<std::int32_t>(SlotBuckets<std::int32_t>::kCap);
+  SlotBuckets q;
+  constexpr auto kCap = static_cast<std::int32_t>(SlotBuckets::kCap);
   const std::int32_t n = 3 * kCap + 5;
   for (std::int32_t i = 0; i < n; ++i) q.push(5, i);
   EXPECT_EQ(q.size(), static_cast<std::size_t>(n));
@@ -67,7 +59,7 @@ TEST(SlotBuckets, OneSlotHoldsMoreThanAChunk) {
 }
 
 TEST(SlotBuckets, DrainsSlotsInOrderAcrossGaps) {
-  SlotBuckets<std::int32_t> q;
+  SlotBuckets q;
   q.push(2000, 4);
   q.push(3, 1);
   q.push(100, 3);
@@ -88,7 +80,7 @@ TEST(SlotBuckets, DrainsSlotsInOrderAcrossGaps) {
 }
 
 TEST(SlotBuckets, FloorBoundsPushesAndMinFollowsThem) {
-  SlotBuckets<std::int32_t> q;
+  SlotBuckets q;
   EXPECT_EQ(q.floor(), 0);
   q.push(10, 0);
   q.push(20, 1);
@@ -111,33 +103,28 @@ TEST(SlotBuckets, FloorBoundsPushesAndMinFollowsThem) {
 }
 
 TEST(SlotBuckets, ResetRebasesBelowAndAboveTheOldBase) {
-  SlotBuckets<Pair> q;
-  for (std::uint64_t i = 0; i < 20; ++i) {
-    q.push(10 + static_cast<std::int64_t>(i), Pair{i, ~i});
-  }
+  SlotBuckets q;
+  for (std::int32_t i = 0; i < 20; ++i) q.push(10 + i, i);
   q.reset(1'000'000);
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.floor(), 1'000'000);
-  EXPECT_THROW(q.push(999'999, Pair{0, 0}), ContractViolation);
-  q.push(1'000'005, Pair{7, 8});
-  q.push(1'000'000, Pair{5, 6});
+  EXPECT_THROW(q.push(999'999, 0), ContractViolation);
+  q.push(1'000'005, 7);
+  q.push(1'000'000, 5);
   EXPECT_EQ(q.min_slot(), 1'000'000);
-  std::vector<Pair> got = drain(q);
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].key, 5u);
-  EXPECT_EQ(got[0].pay, 6u);
+  EXPECT_EQ(drain(q), std::vector<std::int32_t>{5});
   EXPECT_EQ(q.min_slot(), 1'000'005);
 
   q.reset(-50);
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.floor(), -50);
-  EXPECT_THROW(q.push(-51, Pair{0, 0}), ContractViolation);
-  q.push(-40, Pair{2, 0});
-  q.push(-50, Pair{1, 0});
+  EXPECT_THROW(q.push(-51, 0), ContractViolation);
+  q.push(-40, 2);
+  q.push(-50, 1);
   EXPECT_EQ(q.min_slot(), -50);
-  EXPECT_EQ(drain(q)[0].key, 1u);
+  EXPECT_EQ(drain(q), std::vector<std::int32_t>{1});
   EXPECT_EQ(q.min_slot(), -40);
-  EXPECT_EQ(drain(q)[0].key, 2u);
+  EXPECT_EQ(drain(q), std::vector<std::int32_t>{2});
   EXPECT_EQ(q.floor(), -39);
   EXPECT_TRUE(q.empty());
 }
@@ -147,9 +134,9 @@ TEST(SlotBuckets, ResetRebasesBelowAndAboveTheOldBase) {
 // drains nor a run of rebased restarts takes another byte of the arena.
 TEST(SlotBuckets, FreelistAndResetReuseStorage) {
   Arena arena;
-  SlotBuckets<std::int32_t> q(&arena);
+  SlotBuckets q(&arena);
   const std::int32_t per_slot =
-      2 * static_cast<std::int32_t>(SlotBuckets<std::int32_t>::kCap) + 3;
+      2 * static_cast<std::int32_t>(SlotBuckets::kCap) + 3;
   const auto run = [&](std::int64_t base) {
     q.reset(base);
     q.push(base + 1000, -1);  // sizes the head array for the whole run
@@ -189,37 +176,31 @@ std::vector<SubtaskRef> all_refs(const TaskSystem& sys) {
   return out;
 }
 
-// Packed mode with synthetic keys spread over many deadline slots, so
-// most pushes are staged: every pop is the least key queued, across
-// clears that rebase the staging below and above earlier deadlines.
+// Packed mode with synthetic keys drawn from the whole 64-bit range (so
+// deadline fields far beyond any slot index occur): every pop is the
+// least key queued and peek_task names it, across clears, with and
+// without an arena.
 TEST(ReadyQueue, PackedPopsAscendUnderRandomInterleavings) {
   const TaskSystem sys = small_system(3);
   const PriorityOrder order(sys, Policy::kPd2);
   const PackedKeys keys(sys, Policy::kPd2);
   ASSERT_TRUE(keys.packable());
-  // Deadline fields up to 2^24 fit above the low bits.
-  const int shift = keys.deadline_shift();
-  ASSERT_LE(shift, 40);
-  const std::int64_t bias = keys.deadline_of(0);
   for (const bool with_arena : {false, true}) {
     Arena arena;
     ReadyQueue q(order, keys, with_arena ? &arena : nullptr);
     Rng rng(with_arena ? 11 : 7);
-    std::set<std::uint64_t> model;                  // live keys
-    std::vector<std::uint64_t> by_id;               // payload id -> key
-    std::int64_t lo = 0;                            // deadline window
+    std::set<std::uint64_t> model;     // live keys
+    std::vector<std::uint64_t> by_id;  // payload id -> key
     for (int op = 0; op < 20000; ++op) {
       const std::int64_t r = rng.uniform(0, 99);
       if (r < 55) {
-        // Mostly ahead of the pops (staged), some behind (straight to
-        // the heap).
-        const std::int64_t ds =
-            std::max<std::int64_t>(0, lo + rng.uniform(-20, 300));
-        const std::uint64_t low = static_cast<std::uint64_t>(
-            rng.uniform(0, (std::int64_t{1} << shift) - 1));
+        // Half the keys near the live minimum, half anywhere; ~0 is the
+        // heap's padding value, never a key.
         const std::uint64_t key =
-            (static_cast<std::uint64_t>(ds) << shift) | low;
-        if (!model.insert(key).second) continue;
+            r < 28 && !model.empty()
+                ? *model.begin() + rng.next_u64() % 4096
+                : rng.next_u64();
+        if (key == ~std::uint64_t{0} || !model.insert(key).second) continue;
         q.push_key(key, static_cast<std::int32_t>(by_id.size()), 0);
         by_id.push_back(key);
       } else if (r < 98) {
@@ -228,19 +209,16 @@ TEST(ReadyQueue, PackedPopsAscendUnderRandomInterleavings) {
           continue;
         }
         ASSERT_EQ(q.size(), model.size());
+        const std::int32_t peeked = q.peek_task();
         const SubtaskRef got = q.pop_best();
+        ASSERT_EQ(got.task, peeked);
         ASSERT_EQ(by_id[static_cast<std::size_t>(got.task)], *model.begin())
             << "op " << op;
-        // The push window follows the pops forward.
-        lo = static_cast<std::int64_t>(*model.begin() >> shift);
         model.erase(model.begin());
       } else {
-        // Rebase anywhere around the live window, as warp does.
-        const std::int64_t base = bias + lo + rng.uniform(-50, 400);
-        q.clear(base);
+        q.clear();
         model.clear();
         ASSERT_TRUE(q.empty());
-        lo = std::max<std::int64_t>(0, base - bias + rng.uniform(-100, 100));
       }
     }
     while (!model.empty()) {
@@ -296,7 +274,7 @@ TEST(ReadyQueue, PopsFollowThePriorityOrderInBothModes) {
         queued[index_of(got)] = false;
         live.erase(best);
       } else {
-        q.clear(rng.uniform(0, 60));
+        q.clear();
         for (const SubtaskRef& ref : live) queued[index_of(ref)] = false;
         live.clear();
         ASSERT_TRUE(q.empty());
