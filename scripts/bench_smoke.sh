@@ -34,8 +34,8 @@ mkdir -p "$OUT"
 "$BUILD/bench/bench_micro_sched" --json="$OUT/BENCH_micro_sched.json" \
   --benchmark_filter=BM_WindowMath >/dev/null 2>&1
 # One profiled run: fills the report's "profile" section, writes a
-# Prometheus dump, and arms the bench's own < 1.05x span-overhead shape
-# check (the whole bench exits nonzero if profiling costs too much).
+# Prometheus dump, and reports the span overhead (prof.*_overhead,
+# target < 1.05x; a value, not part of the bench's shape check).
 "$BUILD/bench/bench_scaling" --profile \
   --json="$OUT/BENCH_scaling_profiled.json" \
   --prom="$OUT/BENCH_scaling_profiled.prom" >/dev/null

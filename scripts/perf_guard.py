@@ -61,9 +61,9 @@ BENCHES = [
         True,
     ),
     # --profile records the per-phase self-time breakdown in the
-    # report's "profile" section (and arms the bench's own < 1.05x
-    # span-overhead shape check); on a regression the gate names the
-    # phase that moved most.
+    # report's "profile" section (and reports the span overhead as
+    # prof.*_overhead); on a regression the gate names the phase that
+    # moved most.
     ("bench_scaling", "scaling", ["--profile"], {}, True),
     # One DVQ experiment, wall-clock only.
     ("bench_epdf_dvq", "epdf_dvq", ["--repeat=5"], {}, False),

@@ -1,41 +1,44 @@
 // Offline recount of the scheduler-quality counters (obs/quality.hpp)
-// from a finished schedule — an O(schedule) oracle for the incremental
-// accounting both simulators perform per decision.
+// from a finished schedule, in O(schedule) — the one producer of
+// quality counts.  Every scheduler entry point hands its finished run
+// to add_recount (below), which fills SfqOptions/DvqOptions::quality
+// and the sched.preemptions / .migrations / .idle_quanta metrics; no
+// simulator counts quality per decision.
 //
 // The recount derives every number from the placements alone (plus the
 // task system's eligibility times), replaying the decision-instant
 // structure the simulator walked: slot boundaries for SFQ, the distinct
 // readiness/completion instants for DVQ.  By construction it is
-// path-independent, so
-//   incremental (fast path) == recount
-// is asserted in tests/prof_test.cpp across policies and workloads, and
-// `pfairsim --profile` re-verifies it on every run.
+// path-independent.  Its independent check is the reference
+// schedulers' explain stream: tests/prof_test.cpp counts all five
+// fields from those events and asserts they equal the recount, across
+// policies and workloads.
 //
 // Both overloads require a *complete* schedule (every subtask placed) —
-// a truncated run's counters depend on where the horizon cut it.
+// a truncated run's counters depend on where the horizon cut it, so a
+// truncated run reports none.
 //
-// The recount stays an independent oracle of the fast path even though
-// it is itself O(placements): every sort key — slot, start, readiness,
-// completion — is derived from the placements and the tasks' eligibility
-// times (one SubtaskCursor walk per task), never from simulator order or
-// state.  The sorts are a counting sort by slot
-// (SFQ) and a radix sort by tick time (DVQ, core/radix_sort.hpp); they
-// change only how fast the keys are ordered, not what is counted.  A
-// DVQ schedule whose order log (dvq/dvq_schedule.hpp) checks out — every
-// placement named once, starts nondecreasing, no processor double-booked
-// — skips the sorts: the log supplies the start order, the values still
-// come from the table.
+// Every sort key — slot, start, readiness, completion — is derived from
+// the placements and the tasks' eligibility times (one SubtaskCursor
+// walk per task), never from simulator order or state.  The sorts are a
+// counting sort by slot (SFQ) and a radix sort by tick time (DVQ,
+// core/radix_sort.hpp); they change only how fast the keys are ordered,
+// not what is counted.  A DVQ schedule whose order log
+// (dvq/dvq_schedule.hpp) checks out — every placement named once,
+// starts nondecreasing, no processor double-booked — skips the sorts:
+// the log supplies the start order, the values still come from the
+// table.
 //
-// The recount is also the quality source of explain runs: the reference
-// schedulers fill SfqOptions/DvqOptions::quality and the sched.*
-// quality metrics from it after the run.  That is why the SFQ overload
-// is compiled into pfair_sched and the DVQ one into pfair_dvq.
+// The SFQ overload is compiled into pfair_sched and the DVQ one into
+// pfair_dvq, so each model's schedulers can call add_recount.
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "dvq/dvq_schedule.hpp"
+#include "obs/probe.hpp"
+#include "obs/prof.hpp"
 #include "obs/quality.hpp"
 #include "sched/schedule.hpp"
 
@@ -76,5 +79,25 @@ void count_switches(std::span<const ProcCell> by_time, QualityCounters& q);
 /// every completion instant up to the last start.
 [[nodiscard]] QualityCounters recount_quality(const TaskSystem& sys,
                                               const DvqSchedule& sched);
+
+/// Adds the recount of a finished run's schedule to `*quality` and to
+/// `metrics`' sched.preemptions / .migrations / .idle_quanta counters
+/// (either may be null).  A truncated run (incomplete schedule) adds
+/// nothing.  Each scheduler entry point calls this once, after its run.
+template <class Schedule>
+void add_recount(const TaskSystem& sys, const Schedule& sched,
+                 QualityCounters* quality, MetricsRegistry* metrics) {
+  if ((quality == nullptr && metrics == nullptr) || !sched.complete()) {
+    return;
+  }
+  PFAIR_PROF_SPAN(kAnalysis);
+  const QualityCounters q = recount_quality(sys, sched);
+  if (quality != nullptr) *quality += q;
+  if (metrics != nullptr) {
+    metrics->counter(sched_metrics::kPreemptions).add(q.preemptions);
+    metrics->counter(sched_metrics::kMigrations).add(q.migrations);
+    metrics->counter(sched_metrics::kIdleQuanta).add(q.idle_slots);
+  }
+}
 
 }  // namespace pfair

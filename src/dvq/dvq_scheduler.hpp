@@ -40,9 +40,11 @@ struct DvqOptions {
   /// makespan).
   MetricsRegistry* metrics = nullptr;
   /// Optional scheduler-quality counters (not owned; obs/quality.hpp):
-  /// preemptions, migrations, idle capacity, context switches
-  /// accumulate incrementally with no effect on placements.  Like
-  /// trace/metrics, attaching disables cycle fast-forward.
+  /// when the run returns with a complete schedule, its recount
+  /// (analysis/recount.hpp) — preemptions, migrations, idle capacity,
+  /// context switches — is added here (and to the sched.* quality
+  /// metrics); a truncated run adds nothing.  Like trace/metrics,
+  /// attaching disables cycle fast-forward.
   QualityCounters* quality = nullptr;
   /// Optional bump arena (not owned; core/arena.hpp) backing the
   /// simulator's working state, as for SfqOptions::arena.  Must be

@@ -8,7 +8,6 @@
 #include "core/assert.hpp"
 #include "core/simd.hpp"
 #include "obs/prof.hpp"
-#include "obs/quality.hpp"
 
 namespace pfair {
 
@@ -213,8 +212,6 @@ void DvqSimulator::step_into(std::vector<SubtaskRef>& started, Time t) {
     });
   }
 
-  const std::size_t free0 = free_count_;
-  const std::size_t base = started.size();
   // 2.+3. Dispatch.  No spans at this granularity: an event costs a few
   // hundred nanoseconds, so even one clock-read pair per event would be
   // double-digit overhead — run_until() scopes the whole loop instead.
@@ -225,9 +222,6 @@ void DvqSimulator::step_into(std::vector<SubtaskRef>& started, Time t) {
   }
   // Staggered: a processor nothing was ready for waits a slot.
   while (kGrid && free_count_ > 0) book_until(pop_free_proc(), t + kQuantum);
-  if (quality_ != nullptr) [[unlikely]] {
-    note_quality_event(free0, started, base);
-  }
 }
 
 void DvqSimulator::set_trace_sink(TraceSink* sink) {
@@ -242,86 +236,9 @@ void DvqSimulator::set_trace_sink(TraceSink* sink) {
 void DvqSimulator::attach_metrics(MetricsRegistry& reg) {
   PFAIR_REQUIRE(!grid_, "staggered runs are unobserved");
   probe_.attach_metrics(reg);
-  if (quality_ == nullptr) {
-    metric_quality_ = QualityCounters{};
-    start_quality(&metric_quality_);
-  }
 }
 
-void DvqSimulator::detach_metrics() {
-  probe_.detach_metrics();
-  if (quality_ == &metric_quality_) start_quality(nullptr);
-}
-
-void DvqSimulator::set_quality(QualityCounters* q) {
-  PFAIR_REQUIRE(!grid_ || q == nullptr, "staggered runs are unobserved");
-  PFAIR_REQUIRE(q == nullptr || remaining_ == sys_->total_subtasks(),
-                "attach quality counters before the first step");
-  if (q == nullptr && probe_.metering()) {
-    metric_quality_ = QualityCounters{};
-    q = &metric_quality_;
-  }
-  start_quality(q);
-}
-
-void DvqSimulator::start_quality(QualityCounters* q) {
-  quality_ = q;
-  if (q == nullptr) return;
-  const auto procs = static_cast<std::size_t>(sys_->processors());
-  q->resize_procs(procs);
-  proc_task_.assign(procs, -1);
-}
-
-#if defined(__GNUC__)
-__attribute__((noinline))
-#endif
-void DvqSimulator::note_quality_event(std::size_t free0,
-                                      const std::vector<SubtaskRef>& started,
-                                      std::size_t base) {
-  QualityCounters& q = *quality_;
-  ++q.decision_points;
-  std::int64_t migrations = 0;
-  std::int64_t preemptions = 0;
-  for (std::size_t i = base; i < started.size(); ++i) {
-    const SubtaskRef ref = started[i];
-    const DvqPlacement& pl = sched_.placement(ref);
-    const int proc = pl.proc;
-    if (ref.seq > 0) {
-      const DvqPlacement& prev =
-          sched_.placement(SubtaskRef{ref.task, ref.seq - 1});
-      if (prev.proc >= 0 && prev.proc != proc) ++migrations;
-      // Preemption: this subtask was ready the instant its predecessor
-      // completed (eligibility had already passed) yet starts strictly
-      // later — the task was descheduled in between.  Charged once, at
-      // the start (the tick-space analog of the SFQ slot rule).
-      const Time prev_end = prev.completion();
-      if (pl.start > prev_end &&
-          Time::slots(sys_->task(ref.task).eligible_at(ref.seq)) <=
-              prev_end) {
-        ++preemptions;
-      }
-    }
-    std::int32_t& occupant = proc_task_[static_cast<std::size_t>(proc)];
-    if (occupant != ref.task) {
-      if (occupant >= 0) {
-        ++q.context_switches;
-        ++q.per_proc_switches[static_cast<std::size_t>(proc)];
-      }
-      occupant = ref.task;
-    }
-  }
-  // No capacity at this instant (a readiness event landed while every
-  // processor was busy): nothing is idle.  Otherwise every free
-  // processor the work-conserving dispatch left unfilled idles for this
-  // decision instant.
-  const std::size_t placed = started.size() - base;
-  const auto idle =
-      static_cast<std::int64_t>(free0 > placed ? free0 - placed : 0);
-  q.migrations += migrations;
-  q.preemptions += preemptions;
-  q.idle_slots += idle;
-  probe_.count_quality(preemptions, migrations, idle);
-}
+void DvqSimulator::detach_metrics() { probe_.detach_metrics(); }
 
 template <bool kProbed, bool kGrid>
 void DvqSimulator::step_fast(std::vector<SubtaskRef>& started, Time t) {
@@ -386,7 +303,6 @@ void DvqSimulator::warp(std::int64_t cycles, std::int64_t cycle_slots,
                         std::int64_t boundary_slot) {
   PFAIR_REQUIRE(!grid_, "staggered runs do not warp");
   PFAIR_REQUIRE(!probe_.enabled(), "warp would skip trace events and metrics");
-  PFAIR_REQUIRE(quality_ == nullptr, "warp would skip quality accounting");
   PFAIR_REQUIRE(cycles >= 0 && cycle_slots > 0, "bad warp parameters");
   if (cycles == 0) return;
   const std::int64_t shift_slots = cycles * cycle_slots;

@@ -40,8 +40,9 @@
 // A probe (decision-mask trace sink and/or metrics) rides on the same
 // fast path: decision events are reported as placements commit,
 // sched.ready_set_size is the ready heap's size at each instant with a
-// free processor, and the quality metrics come from the incremental
-// QualityCounters accounting (note_quality_event).  The explain events
+// free processor.  As in SfqSimulator, quality counts and their metrics
+// come from the recount of the finished schedule (add_recount,
+// analysis/recount.hpp), not from the event loop.  The explain events
 // (kExplainTraceEvents) come only from `schedule_dvq_reference`;
 // set_trace_sink rejects a sink asking for them, and `schedule_dvq`
 // routes such a sink there.
@@ -54,7 +55,6 @@
 #include "dvq/dvq_schedule.hpp"
 #include "dvq/yield.hpp"
 #include "obs/probe.hpp"
-#include "obs/quality.hpp"
 #include "sched/packed_key.hpp"
 #include "sched/positions.hpp"
 #include "sched/priority.hpp"
@@ -147,12 +147,6 @@ class DvqSimulator {
   /// attached mid-run: counting starts at the next step.
   void attach_metrics(MetricsRegistry& reg);
   void detach_metrics();
-  /// Accumulates scheduler-quality counters (obs/quality.hpp) into `q`
-  /// incrementally, one O(changes) update per event — placements are
-  /// unaffected.  Must be attached before the first step; `q` must
-  /// outlive the simulator.  analysis/recount.hpp recomputes the same
-  /// numbers offline.
-  void set_quality(QualityCounters* q);
 
  private:
   /// Where a task's head waits until it joins the ready heap.
@@ -193,16 +187,6 @@ class DvqSimulator {
   template <bool kProbed, bool kGrid>
   void step_fast(std::vector<SubtaskRef>& started, Time t);
   void note_placement(Time t, SubtaskRef ref, int proc, Time c);
-  // Folds one event instant's decisions into quality_ and the probe's
-  // quality metrics: `free0` is the free-processor count before
-  // dispatch, `started[base..)` the placements made at this instant
-  // (already committed).
-  void note_quality_event(std::size_t free0,
-                          const std::vector<SubtaskRef>& started,
-                          std::size_t base);
-  // Points quality_ at `q` (null: off) and resets the per-processor
-  // occupancy.
-  void start_quality(QualityCounters* q);
 
   // Bookkeeping for one placement at instant `t`: writes the schedule
   // cell and log entry, books the completion, and routes the
@@ -248,13 +232,6 @@ class DvqSimulator {
   std::vector<SubtaskRef> scratch_started_;
   Time now_;
   std::int64_t remaining_;
-
-  // Quality accounting (null = off): the task each processor last ran.
-  // With metrics but no caller-supplied counters, quality_ points at
-  // metric_quality_ (see SfqSimulator).
-  QualityCounters* quality_ = nullptr;
-  QualityCounters metric_quality_;
-  std::vector<std::int32_t> proc_task_;
 };
 
 }  // namespace pfair

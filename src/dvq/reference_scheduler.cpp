@@ -143,11 +143,7 @@ DvqSchedule schedule_dvq_reference(const TaskSystem& sys,
     }
   }
 
-  if ((opts.quality != nullptr || probe.metering()) && sched.complete()) {
-    const QualityCounters q = recount_quality(sys, sched);
-    if (opts.quality != nullptr) *opts.quality += q;
-    probe.count_quality(q.preemptions, q.migrations, q.idle_slots);
-  }
+  add_recount(sys, sched, opts.quality, opts.metrics);
   return sched;
 }
 

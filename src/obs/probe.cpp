@@ -6,9 +6,11 @@ void SchedProbe::attach_metrics(MetricsRegistry& reg) {
   invocations_ = &reg.counter(sched_metrics::kInvocations);
   comparisons_ = &reg.counter(sched_metrics::kComparisons);
   placements_ = &reg.counter(sched_metrics::kPlacements);
-  preemptions_ = &reg.counter(sched_metrics::kPreemptions);
-  migrations_ = &reg.counter(sched_metrics::kMigrations);
-  idle_quanta_ = &reg.counter(sched_metrics::kIdleQuanta);
+  // Registered so they read 0, not missing, until add_recount fills
+  // them (analysis/recount.hpp).
+  (void)reg.counter(sched_metrics::kPreemptions);
+  (void)reg.counter(sched_metrics::kMigrations);
+  (void)reg.counter(sched_metrics::kIdleQuanta);
   deadline_misses_ = &reg.counter(sched_metrics::kDeadlineMisses);
   ready_size_ = &reg.histogram(sched_metrics::kReadySetSize);
   compares_per_decision_ =

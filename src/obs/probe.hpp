@@ -12,12 +12,14 @@
 //   * decision hooks (begin/end_decision, place, migrate, deadline)
 //     fire on both;
 //   * the O(changes) fast paths of SfqSimulator / DvqSimulator add the
-//     counting hooks (ready_size, count_quality) — every sched.* metric
-//     except sched.comparisons is served there;
+//     counting hook ready_size;
 //   * the explain hooks (ready_set, compare_outcome, comparisons,
 //     preempt, proc_free, idle) fire only on the reference schedulers,
 //     which scan and sort every decision anyway.  A sink asking for any
 //     explain event (see wants_explain) gets such an explain run.
+// The probe counts no quality: sched.preemptions / .migrations /
+// .idle_quanta are filled once per run from the recount of the finished
+// schedule (analysis/recount.hpp, add_recount).
 #pragma once
 
 #include "obs/metrics.hpp"
@@ -25,12 +27,13 @@
 
 namespace pfair {
 
-/// Metric names used by `SchedProbe::attach_metrics`.  One definition
-/// per counter: sched.preemptions / .migrations / .idle_quanta follow
-/// QualityCounters (obs/quality.hpp) — incremental on the fast path,
-/// recounted offline after an explain run — and sched.comparisons (with
-/// its per-decision histogram) is counted only by explain runs, the
-/// only path that compares subtasks pairwise.
+/// Metric names registered by `SchedProbe::attach_metrics`.  One
+/// definition per counter: sched.preemptions / .migrations /
+/// .idle_quanta are QualityCounters (obs/quality.hpp) fields, added by
+/// add_recount after a complete run on either path (they read 0 after a
+/// truncated one), and sched.comparisons (with its per-decision
+/// histogram) is counted only by explain runs, the only path that
+/// compares subtasks pairwise.
 namespace sched_metrics {
 inline constexpr const char* kInvocations = "sched.invocations";
 inline constexpr const char* kComparisons = "sched.comparisons";
@@ -124,7 +127,7 @@ class SchedProbe {
     }
   }
 
-  /// Trace-only: sched.migrations counts through count_quality.
+  /// Trace-only: sched.migrations comes from the recount.
   void migrate(Time at, const SubtaskRef& ref, int from, int to) {
     if (sink_ != nullptr) {
       TraceEvent e;
@@ -165,15 +168,6 @@ class SchedProbe {
   void ready_size(std::int64_t n) {
     if (ready_size_ != nullptr) pending_ready_sizes_.add(n);
   }
-  /// Quality increments (QualityCounters definitions): per decision on
-  /// the fast path, once from the recount after an explain run.
-  void count_quality(std::int64_t preemptions, std::int64_t migrations,
-                     std::int64_t idle) {
-    if (preemptions_ == nullptr) return;
-    if (preemptions != 0) preemptions_->add(preemptions);
-    if (migrations != 0) migrations_->add(migrations);
-    if (idle != 0) idle_quanta_->add(idle);
-  }
 
   // --- Explain hooks (reference schedulers only) ---
 
@@ -210,7 +204,7 @@ class SchedProbe {
   }
 
   /// A ready subtask denied a processor (trace-only; sched.preemptions
-  /// counts through count_quality).
+  /// comes from the recount).
   void preempt(Time at, const SubtaskRef& ref) {
     if (sink_ != nullptr) {
       TraceEvent e;
@@ -233,7 +227,7 @@ class SchedProbe {
   }
 
   /// `count` processors left without work after a decision (trace-only;
-  /// sched.idle_quanta counts through count_quality).
+  /// sched.idle_quanta comes from the recount).
   void idle(Time at, std::int64_t count) {
     if (sink_ != nullptr) {
       TraceEvent e;
@@ -270,9 +264,6 @@ class SchedProbe {
   Counter* invocations_ = nullptr;
   Counter* comparisons_ = nullptr;
   Counter* placements_ = nullptr;
-  Counter* preemptions_ = nullptr;
-  Counter* migrations_ = nullptr;
-  Counter* idle_quanta_ = nullptr;
   Counter* deadline_misses_ = nullptr;
   Histogram* ready_size_ = nullptr;
   Histogram* compares_per_decision_ = nullptr;

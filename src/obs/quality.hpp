@@ -3,14 +3,13 @@
 //
 // These are the practicality metrics the multiprocessor-scheduling
 // literature compares algorithms on (a schedule that meets every
-// deadline but thrashes tasks across CPUs is not free).  Both
-// simulators maintain them incrementally when a `QualityCounters` is
-// attached via SfqOptions/DvqOptions (or metrics are — the
-// sched.preemptions / .migrations / .idle_quanta metrics share these
-// definitions); analysis/recount.hpp recomputes the same numbers from a
-// finished schedule in O(schedule), so the incremental path is testable
-// against an independent oracle, and explain runs take their counters
-// from it.
+// deadline but thrashes tasks across CPUs is not free).  One producer
+// fills them: analysis/recount.hpp derives them from a finished,
+// complete schedule in O(schedule), and every scheduler entry point
+// adds that recount to the `QualityCounters` attached via
+// SfqOptions/DvqOptions and to the sched.preemptions / .migrations /
+// .idle_quanta metrics, which share these definitions.  The simulators
+// count nothing per decision.
 //
 // Definitions (shared across the slot-synchronous and event-driven
 // models; "instant" is a slot boundary for SFQ and a dispatch event for

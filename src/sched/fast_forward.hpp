@@ -9,7 +9,9 @@
 // cycles as the limit and every task's subtask count allow, and hands
 // back a SplicedSchedule (sched/compressed_schedule.hpp).  Probing needs
 // an unobserved run — observed streams are never elided — so without it
-// this is the plain full run, wrapped unengaged.
+// this is the plain full run, wrapped unengaged.  That full run is what
+// the quality recount (analysis/recount.hpp, add_recount) reads once the
+// run returns, for opts.quality and opts.metrics.
 //
 // A model plugs in through a hooks type M:
 //   M::Sim, M::Stored      the simulator and the schedule it stores;
@@ -31,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/recount.hpp"
 #include "core/assert.hpp"
 #include "obs/prof.hpp"
 #include "sched/compressed_schedule.hpp"
@@ -59,9 +62,9 @@ SplicedSchedule<typename Model::Stored> fast_forward(
   auto& sim = *sim_store;
   if (opts.trace != nullptr) sim.set_trace_sink(opts.trace);
   if (opts.metrics != nullptr) sim.attach_metrics(*opts.metrics);
-  if (opts.quality != nullptr) sim.set_quality(opts.quality);
 
-  // A watched run never probes: its skipped slots would go unobserved.
+  // A watched run never probes: its skipped slots would go unobserved,
+  // and the quality recount needs the whole schedule.
   const bool observed = opts.trace != nullptr || opts.metrics != nullptr ||
                         opts.quality != nullptr;
   CycleStats stats;
@@ -134,8 +137,9 @@ SplicedSchedule<typename Model::Stored> fast_forward(
   // done() is the stored schedule's complete() without its O(subtasks)
   // DVQ scan.
   const bool complete = sim.done();
-  Spliced out(std::move(sim).take_schedule(), stats, std::move(splices),
-              complete);
+  typename Model::Stored stored = std::move(sim).take_schedule();
+  add_recount(sys, stored, opts.quality, opts.metrics);
+  Spliced out(std::move(stored), stats, std::move(splices), complete);
   if (stats.engaged) {
     out.stats_.sim_slots = Model::ran_to(sim, out) - stats.slots_skipped;
   }

@@ -75,10 +75,12 @@ SlotSchedule schedule_sfq_reference(const TaskSystem& sys,
     detail::sort_ready(order, ready, m, probe, at);
     if (explain) {
       // Tasks that held a processor in the previous slot and are ready
-      // but lost out in this one are denied; unused capacity is idle.
+      // but lost out in this one are denied (a task that never ran holds
+      // last_slot -1, which slot 0 must not read as its previous slot);
+      // unused capacity is idle.
       for (std::size_t r = m; r < ready.size(); ++r) {
         const auto k = static_cast<std::size_t>(ready[r].task);
-        if (last_slot[k] == now - 1) probe.preempt(at, ready[r]);
+        if (now > 0 && last_slot[k] == now - 1) probe.preempt(at, ready[r]);
       }
       if (m < procs) probe.idle(at, static_cast<std::int64_t>(procs - m));
     }
@@ -105,11 +107,7 @@ SlotSchedule schedule_sfq_reference(const TaskSystem& sys,
     if (explain) probe.end_decision();
   }
 
-  if ((opts.quality != nullptr || probe.metering()) && sched.complete()) {
-    const QualityCounters q = recount_quality(sys, sched);
-    if (opts.quality != nullptr) *opts.quality += q;
-    probe.count_quality(q.preemptions, q.migrations, q.idle_slots);
-  }
+  add_recount(sys, sched, opts.quality, opts.metrics);
   return sched;
 }
 

@@ -3,6 +3,7 @@
 #include <optional>
 #include <vector>
 
+#include "analysis/recount.hpp"
 #include "obs/prof.hpp"
 #include "sched/compressed_schedule.hpp"
 #include "sched/fast_forward.hpp"
@@ -69,8 +70,8 @@ void schedule_sfq_into(const TaskSystem& sys, const SfqOptions& opts,
   }
   if (opts.trace != nullptr) sim->set_trace_sink(opts.trace);
   if (opts.metrics != nullptr) sim->attach_metrics(*opts.metrics);
-  if (opts.quality != nullptr) sim->set_quality(opts.quality);
   sim->run_until(limit);
+  add_recount(sys, out, opts.quality, opts.metrics);
 }
 
 }  // namespace pfair

@@ -37,10 +37,11 @@ struct SfqOptions {
   /// histograms accumulate into it on the fast path (see obs/probe.hpp).
   MetricsRegistry* metrics = nullptr;
   /// Optional scheduler-quality counters (not owned; obs/quality.hpp):
-  /// preemptions, migrations, idle slots, context switches accumulate
-  /// incrementally with no effect on placements.  Like trace/metrics,
-  /// attaching disables cycle fast-forward (skipped slots would be
-  /// uncounted).
+  /// when the run returns with a complete schedule, its recount
+  /// (analysis/recount.hpp) — preemptions, migrations, idle slots,
+  /// context switches — is added here (and to the sched.* quality
+  /// metrics); a truncated run adds nothing.
+  /// Like trace/metrics, attaching disables cycle fast-forward.
   QualityCounters* quality = nullptr;
   /// Optional bump arena (not owned; core/arena.hpp) backing all of the
   /// scheduler's working state — key tables, ready heap, calendar

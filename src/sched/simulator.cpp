@@ -5,7 +5,6 @@
 
 #include "core/simd.hpp"
 #include "obs/prof.hpp"
-#include "obs/quality.hpp"
 
 namespace pfair {
 
@@ -128,9 +127,6 @@ void SfqSimulator::step_into(ArenaVector<SubtaskRef>& picks) {
       step_fast<false>(picks);
     }
   }
-  if (quality_ != nullptr) [[unlikely]] {
-    note_quality(picks.data(), picks.size());
-  }
 }
 
 void SfqSimulator::set_trace_sink(TraceSink* sink) {
@@ -143,88 +139,9 @@ void SfqSimulator::set_trace_sink(TraceSink* sink) {
 
 void SfqSimulator::attach_metrics(MetricsRegistry& reg) {
   probe_.attach_metrics(reg);
-  if (quality_ == nullptr) {
-    metric_quality_ = QualityCounters{};
-    start_quality(&metric_quality_);
-  }
 }
 
-void SfqSimulator::detach_metrics() {
-  probe_.detach_metrics();
-  if (quality_ == &metric_quality_) start_quality(nullptr);
-}
-
-void SfqSimulator::set_quality(QualityCounters* q) {
-  PFAIR_REQUIRE(q == nullptr || now_ == 0,
-                "attach quality counters before the first step");
-  if (q == nullptr && probe_.metering()) {
-    metric_quality_ = QualityCounters{};
-    q = &metric_quality_;
-  }
-  start_quality(q);
-}
-
-void SfqSimulator::start_quality(QualityCounters* q) {
-  quality_ = q;
-  prev_tasks_.clear();
-  if (q == nullptr) return;
-  const auto procs = static_cast<std::size_t>(sys_->processors());
-  q->resize_procs(procs);
-  proc_task_.assign(procs, -1);
-  if (now_ == 0) return;
-  // Started mid-run (metrics attached late): last slot's occupants are
-  // the preemption candidates of the next step.
-  for (std::size_t k = 0; k < hot_.size(); ++k) {
-    if (hot_[k].last_slot == now_ - 1) {
-      prev_tasks_.push_back(static_cast<std::int32_t>(k));
-    }
-  }
-}
-
-#if defined(__GNUC__)
-__attribute__((noinline))
-#endif
-void SfqSimulator::note_quality(const SubtaskRef* picks, std::size_t count) {
-  const std::int64_t t = now_ - 1;  // the slot just decided
-  QualityCounters& q = *quality_;
-  ++q.decision_points;
-  const auto procs = static_cast<std::size_t>(sys_->processors());
-  const auto idle = static_cast<std::int64_t>(procs - count);
-  std::int64_t migrations = 0;
-  std::int64_t preemptions = 0;
-  for (std::size_t r = 0; r < count; ++r) {
-    const SubtaskRef ref = picks[r];
-    if (ref.seq > 0) {
-      const int prev =
-          sched_->placement(SubtaskRef{ref.task, ref.seq - 1}).proc;
-      if (prev >= 0 && prev != static_cast<int>(r)) ++migrations;
-    }
-    std::int32_t& occupant = proc_task_[r];
-    if (occupant != ref.task) {
-      if (occupant >= 0) {
-        ++q.context_switches;
-        ++q.per_proc_switches[r];
-      }
-      occupant = ref.task;
-    }
-  }
-  // A task that held a processor in the previous slot, is still ready
-  // here (eligible, work left) and was not placed, was preempted.  Only
-  // last slot's picks are candidates; a placement this slot would have
-  // advanced last_slot to t.
-  for (const std::int32_t k : prev_tasks_) {
-    const HotTask& h = hot_[static_cast<std::size_t>(k)];
-    if (h.last_slot != t - 1 || h.done()) continue;
-    if (h.eligible(pos_.data()) > t) continue;
-    ++preemptions;
-  }
-  prev_tasks_.clear();
-  for (std::size_t r = 0; r < count; ++r) prev_tasks_.push_back(picks[r].task);
-  q.idle_slots += idle;
-  q.migrations += migrations;
-  q.preemptions += preemptions;
-  probe_.count_quality(preemptions, migrations, idle);
-}
+void SfqSimulator::detach_metrics() { probe_.detach_metrics(); }
 
 template <bool kProbed>
 void SfqSimulator::step_fast(ArenaVector<SubtaskRef>& picks) {
@@ -284,7 +201,6 @@ void SfqSimulator::run_until(std::int64_t slot_limit) {
 void SfqSimulator::warp(std::int64_t cycles, std::int64_t cycle_slots,
                         const std::vector<std::int64_t>& cycle_allocs) {
   PFAIR_REQUIRE(!probe_.enabled(), "warp would skip trace events and metrics");
-  PFAIR_REQUIRE(quality_ == nullptr, "warp would skip quality accounting");
   PFAIR_REQUIRE(cycles >= 0 && cycle_slots > 0, "bad warp parameters");
   if (cycles == 0) return;
   const std::int64_t shift = cycles * cycle_slots;

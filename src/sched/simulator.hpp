@@ -35,9 +35,11 @@
 //
 // A probe (decision-mask trace sink and/or metrics) rides on the same
 // fast path: the decision events are reported as placements commit,
-// sched.ready_set_size is the ready heap's size at each decision, and
-// the quality metrics come from the incremental QualityCounters
-// accounting (note_quality).  There is no second decision body.  The
+// sched.ready_set_size is the ready heap's size at each decision.  There
+// is no second decision body, and no quality accounting: quality counts
+// and the sched.preemptions / .migrations / .idle_quanta metrics come
+// from the recount of the finished schedule (analysis/recount.hpp,
+// add_recount), which the scheduler entry points run.  The
 // explain events (kExplainTraceEvents) come only from
 // `schedule_sfq_reference`; set_trace_sink rejects a sink asking for
 // them, and `schedule_sfq` routes such a sink there.
@@ -50,7 +52,6 @@
 #include "core/arena.hpp"
 #include "core/rational.hpp"
 #include "obs/probe.hpp"
-#include "obs/quality.hpp"
 #include "sched/packed_key.hpp"
 #include "sched/positions.hpp"
 #include "sched/priority.hpp"
@@ -137,12 +138,6 @@ class SfqSimulator {
   /// attached mid-run: counting starts at the next step.
   void attach_metrics(MetricsRegistry& reg);
   void detach_metrics();
-  /// Accumulates scheduler-quality counters (obs/quality.hpp) into `q`
-  /// incrementally, one O(M) update per slot — placements are
-  /// unaffected.  Must be attached before the first step; `q` must
-  /// outlive the simulator.  analysis/recount.hpp recomputes the same
-  /// numbers offline.
-  void set_quality(QualityCounters* q);
 
  private:
   /// All mutable per-task scheduling state, one cache line per task:
@@ -160,13 +155,6 @@ class SfqSimulator {
   template <bool kProbed>
   void step_fast(ArenaVector<SubtaskRef>& picks);
   void note_placement(Time at, SubtaskRef ref, int proc);
-  // Folds one slot's decisions (already committed; now_ advanced) into
-  // quality_ and the probe's quality metrics.  `picks[r]` ran on
-  // processor r.
-  void note_quality(const SubtaskRef* picks, std::size_t count);
-  // Points quality_ at `q` (null: off) and resets the incremental state;
-  // mid-run, last slot's occupants are re-derived from the counters.
-  void start_quality(QualityCounters* q);
 
   // Bookkeeping for one placement in slot now():
   // head/lag/progress counters plus the successor's calendar entry.
@@ -197,16 +185,6 @@ class SfqSimulator {
   std::int64_t now_ = 0;
   std::int64_t remaining_;
   bool packed_;
-
-  // Quality accounting (null = off): the task occupying each processor
-  // at the last slot that used it, and the tasks placed last slot (the
-  // only preemption candidates).  With metrics but no caller-supplied
-  // counters, quality_ points at metric_quality_ so sched.preemptions /
-  // .migrations / .idle_quanta share QualityCounters' definitions.
-  QualityCounters* quality_ = nullptr;
-  QualityCounters metric_quality_;
-  std::vector<std::int32_t> proc_task_;
-  std::vector<std::int32_t> prev_tasks_;
 };
 
 }  // namespace pfair

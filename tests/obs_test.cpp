@@ -494,7 +494,7 @@ TEST(SchedMetrics, TardinessHistogramCountsEachPlacementOnce) {
 }
 
 // An explain run fills the caller's quality counters from the recount,
-// exactly what the fast path accumulates incrementally.
+// exactly as the fast path does.
 TEST(SchedMetrics, ExplainRunFillsQualityFromRecount) {
   const TaskSystem sys = metric_system(3);
   QualityCounters fast;

@@ -1,6 +1,7 @@
 // Self-profiling span layer (obs/prof.hpp), histogram algebra
-// (obs/metrics.hpp), and the scheduler-quality counters' incremental ==
-// offline-recount contract (obs/quality.hpp, analysis/recount.hpp).
+// (obs/metrics.hpp), and the scheduler-quality recount (obs/quality.hpp,
+// analysis/recount.hpp) against counts taken from the reference
+// schedulers' explain streams.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,8 +17,10 @@
 #include "dvq/dvq_scheduler.hpp"
 #include "io/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/probe.hpp"
 #include "obs/prof.hpp"
 #include "obs/quality.hpp"
+#include "obs/trace.hpp"
 #include "sched/sfq_scheduler.hpp"
 #include "workload/generator.hpp"
 
@@ -310,7 +313,7 @@ TEST(Histogram, ConcurrentAddAndMergeLoseNothing) {
   EXPECT_EQ(bucketed, src.count());
 }
 
-// --- quality counters: incremental == offline recount ------------------
+// --- quality counters: the recount against the explain stream ----------
 
 constexpr Policy kAllPolicies[] = {Policy::kEpdf, Policy::kPf, Policy::kPd,
                                    Policy::kPd2};
@@ -349,52 +352,6 @@ struct FailureLog {
     if (first.empty()) first = what;
   }
 };
-
-TEST(Quality, SfqIncrementalMatchesRecountAcrossSeedsAndPolicies) {
-  FailureLog failures;
-  global_pool().parallel_for(0, kSeeds * 4, [&](std::int64_t i) {
-    const int seed = static_cast<int>(i / 4);
-    const Policy policy = kAllPolicies[i % 4];
-    const TaskSystem sys = make_system(seed);
-    SfqOptions opts;
-    opts.policy = policy;
-    QualityCounters live;
-    opts.quality = &live;
-    const SlotSchedule sched = schedule_sfq(sys, opts);
-    if (!sched.complete()) return;  // recount needs a full schedule
-    const QualityCounters offline = recount_quality(sys, sched);
-    if (live != offline) {
-      failures.record("seed " + std::to_string(seed) + " " +
-                      to_string(policy) + ": " + quality_to_string(live) +
-                      " vs recount " + quality_to_string(offline));
-    }
-  });
-  EXPECT_EQ(failures.count.load(), 0) << failures.first;
-}
-
-TEST(Quality, DvqIncrementalMatchesRecountAcrossSeedsAndPolicies) {
-  FailureLog failures;
-  global_pool().parallel_for(0, kSeeds * 4, [&](std::int64_t i) {
-    const int seed = static_cast<int>(i / 4);
-    const Policy policy = kAllPolicies[i % 4];
-    const TaskSystem sys = make_system(seed);
-    const BernoulliYield yields(static_cast<std::uint64_t>(seed) * 7919 + 3,
-                                1, 3, kTick, kQuantum - kTick);
-    DvqOptions opts;
-    opts.policy = policy;
-    QualityCounters live;
-    opts.quality = &live;
-    const DvqSchedule sched = schedule_dvq(sys, yields, opts);
-    if (!sched.complete()) return;
-    const QualityCounters offline = recount_quality(sys, sched);
-    if (live != offline) {
-      failures.record("seed " + std::to_string(seed) + " " +
-                      to_string(policy) + ": " + quality_to_string(live) +
-                      " vs recount " + quality_to_string(offline));
-    }
-  });
-  EXPECT_EQ(failures.count.load(), 0) << failures.first;
-}
 
 // --- recount edge cases ------------------------------------------------
 
@@ -578,42 +535,240 @@ TaskSystem sized_system(int seed) {
   return sys;
 }
 
-TEST(Quality, RecountMatchesIncrementalOnBothSidesOfTheRadixThreshold) {
-  constexpr int kSystems = 200;
-  FailureLog failures;
+// The reference schedulers' explain runs report every decision instant,
+// placement, migration, denial and idle processor.  Counting the five
+// QualityCounters fields off that stream shares no code with the recount
+// (analysis/recount*.cpp), so it is the recount's oracle:
+//   * decision points: kSlotBegin / kEventBegin events;
+//   * migrations: kMigrate events;
+//   * idle: the sum of kProcIdle details;
+//   * context switches: each processor's last occupant over the kPlace
+//     events (total and per processor);
+//   * preemptions: SFQ's kPreempt events (a task that ran last slot and
+//     is denied in this one).  DVQ reports every ready subtask left
+//     unserved as kPreempt, so there a preemption is a kPlace that starts
+//     after its predecessor's start + cost although its eligibility time
+//     had already passed by then.
+class QualityFromEvents final : public TraceSink {
+ public:
+  QualityFromEvents(const TaskSystem& sys, bool dvq)
+      : sys_(sys),
+        dvq_(dvq),
+        occupant_(static_cast<std::size_t>(sys.processors()), -1),
+        prev_end_(static_cast<std::size_t>(sys.num_tasks()), 0) {
+    q_.per_proc_switches.assign(static_cast<std::size_t>(sys.processors()),
+                                0);
+  }
+
+  [[nodiscard]] TraceEventMask event_mask() const override {
+    return trace_mask_of(TraceEventKind::kSlotBegin) |
+           trace_mask_of(TraceEventKind::kEventBegin) |
+           trace_mask_of(TraceEventKind::kPlace) |
+           trace_mask_of(TraceEventKind::kMigrate) |
+           trace_mask_of(TraceEventKind::kPreempt) |
+           trace_mask_of(TraceEventKind::kProcIdle);
+  }
+
+  void on_event(const TraceEvent& e) override {
+    switch (e.kind) {
+      case TraceEventKind::kSlotBegin:
+      case TraceEventKind::kEventBegin:
+        ++q_.decision_points;
+        break;
+      case TraceEventKind::kMigrate:
+        ++q_.migrations;
+        break;
+      case TraceEventKind::kProcIdle:
+        q_.idle_slots += e.detail;
+        break;
+      case TraceEventKind::kPreempt:
+        if (!dvq_) ++q_.preemptions;
+        break;
+      case TraceEventKind::kPlace:
+        place(e);
+        break;
+      default:
+        break;
+    }
+  }
+
+  [[nodiscard]] const QualityCounters& counts() const { return q_; }
+
+ private:
+  void place(const TraceEvent& e) {
+    const auto p = static_cast<std::size_t>(e.proc);
+    if (occupant_[p] >= 0 && occupant_[p] != e.subject.task) {
+      ++q_.context_switches;
+      ++q_.per_proc_switches[p];
+    }
+    occupant_[p] = e.subject.task;
+    if (!dvq_) return;
+    // A DVQ kPlace carries the start as `at` and the cost in ticks as
+    // `detail`.
+    std::int64_t& prev_end =
+        prev_end_[static_cast<std::size_t>(e.subject.task)];
+    const std::int64_t start = e.at.raw_ticks();
+    const std::int64_t eligible =
+        Time::slots(sys_.task(e.subject.task).eligible_at(e.subject.seq))
+            .raw_ticks();
+    if (e.subject.seq > 0 && start > prev_end && eligible <= prev_end) {
+      ++q_.preemptions;
+    }
+    prev_end = start + e.detail;
+  }
+
+  const TaskSystem& sys_;
+  bool dvq_;
+  QualityCounters q_;
+  std::vector<std::int32_t> occupant_;
+  std::vector<std::int64_t> prev_end_;  // ticks, per task
+};
+
+/// The systems both oracle tests run: make_system's seeds and
+/// sized_system's, each with its own yield seed, under every policy.
+/// Calls check(sys, policy, yields, tag).  Asserts the sized systems land
+/// on both sides of the recount's radix threshold (kRadixSortMin).
+template <class Check>
+void for_each_oracle_case(Check check) {
   std::atomic<int> above{0}, below{0};
-  global_pool().parallel_for(0, kSystems, [&](std::int64_t i) {
-    const int seed = static_cast<int>(i);
-    const TaskSystem sys = sized_system(seed);
-    (static_cast<std::size_t>(sys.total_subtasks()) >= kRadixSortMin ? above
-                                                                     : below)
-        .fetch_add(1, std::memory_order_relaxed);
-    const BernoulliYield yields(static_cast<std::uint64_t>(seed) * 31 + 7, 1,
-                                2, kTick, kQuantum - kTick);
-    for (const Policy policy : kAllPolicies) {
-      const std::string tag =
-          "seed " + std::to_string(seed) + " " + to_string(policy);
-      SfqOptions sopts;
-      sopts.policy = policy;
-      QualityCounters slive;
-      sopts.quality = &slive;
-      const SlotSchedule slots = schedule_sfq(sys, sopts);
-      if (slots.complete() && recount_quality(sys, slots) != slive) {
-        failures.record(tag + " sfq: " + quality_to_string(slive));
-      }
-      DvqOptions dopts;
-      dopts.policy = policy;
-      QualityCounters dlive;
-      dopts.quality = &dlive;
-      const DvqSchedule dvq = schedule_dvq(sys, yields, dopts);
-      if (dvq.complete() && recount_quality(sys, dvq) != dlive) {
-        failures.record(tag + " dvq: " + quality_to_string(dlive));
+  constexpr int kSized = 200;
+  global_pool().parallel_for(0, (kSeeds + kSized) * 4, [&](std::int64_t i) {
+    const int c = static_cast<int>(i / 4);
+    const Policy policy = kAllPolicies[i % 4];
+    const bool sized = c >= kSeeds;
+    const int seed = sized ? c - kSeeds : c;
+    const TaskSystem sys = sized ? sized_system(seed) : make_system(seed);
+    const auto s = static_cast<std::uint64_t>(seed);
+    const BernoulliYield yields =
+        sized ? BernoulliYield(s * 31 + 7, 1, 2, kTick, kQuantum - kTick)
+              : BernoulliYield(s * 7919 + 3, 1, 3, kTick, kQuantum - kTick);
+    if (sized && policy == Policy::kPd2) {
+      (static_cast<std::size_t>(sys.total_subtasks()) >= kRadixSortMin
+           ? above
+           : below)
+          .fetch_add(1, std::memory_order_relaxed);
+    }
+    check(sys, policy, yields,
+          std::string(sized ? "sized" : "seed") + " " + std::to_string(seed) +
+              " " + to_string(policy));
+  });
+  EXPECT_GT(above.load(), 20);
+  EXPECT_GT(below.load(), 20);
+}
+
+TEST(Quality, SfqExplainStreamCountsMatchRecount) {
+  FailureLog failures;
+  std::atomic<int> compared{0};
+  for_each_oracle_case([&](const TaskSystem& sys, Policy policy,
+                           const YieldModel&, const std::string& tag) {
+    QualityFromEvents events(sys, /*dvq=*/false);
+    SfqOptions opts;
+    opts.policy = policy;
+    opts.trace = &events;
+    const SlotSchedule sched = schedule_sfq(sys, opts);
+    if (!sched.complete()) return;  // the recount needs a full schedule
+    compared.fetch_add(1, std::memory_order_relaxed);
+    const QualityCounters recount = recount_quality(sys, sched);
+    if (events.counts() != recount) {
+      failures.record(tag + ": events " + quality_to_string(events.counts()) +
+                      " vs recount " + quality_to_string(recount));
+    }
+  });
+  EXPECT_EQ(failures.count.load(), 0) << failures.first;
+  EXPECT_GT(compared.load(), 700);
+}
+
+TEST(Quality, DvqExplainStreamCountsMatchRecount) {
+  // Every cost one tick short of a quantum leaves a processor idle for
+  // exactly one tick before the next slot boundary, a gap the seeded
+  // Bernoulli costs almost never produce.
+  const FixedYield one_tick_short(kTick);
+  FailureLog failures;
+  std::atomic<int> compared{0};
+  for_each_oracle_case([&](const TaskSystem& sys, Policy policy,
+                           const YieldModel& yields, const std::string& tag) {
+    const YieldModel* const models[] = {&yields, &one_tick_short};
+    for (const YieldModel* y : models) {
+      QualityFromEvents events(sys, /*dvq=*/true);
+      DvqOptions opts;
+      opts.policy = policy;
+      opts.trace = &events;
+      const DvqSchedule sched = schedule_dvq(sys, *y, opts);
+      if (!sched.complete()) continue;
+      compared.fetch_add(1, std::memory_order_relaxed);
+      const QualityCounters recount = recount_quality(sys, sched);
+      if (events.counts() != recount) {
+        failures.record(tag + (y == &yields ? "" : " one tick short") +
+                        ": events " + quality_to_string(events.counts()) +
+                        " vs recount " + quality_to_string(recount));
       }
     }
   });
   EXPECT_EQ(failures.count.load(), 0) << failures.first;
-  EXPECT_GT(above.load(), 20);
-  EXPECT_GT(below.load(), 20);
+  EXPECT_GT(compared.load(), 1400);
+}
+
+// A run cut short by horizon_limit reports no quality: the recount needs
+// a complete schedule.  The caller's counters stay untouched and the
+// three quality metrics read 0 (registered, not missing), on the fast
+// path and on the explain path, in both models.
+TEST(Quality, TruncatedRunsReportNoQuality) {
+  const TaskSystem sys = make_system(0);
+  const FullQuantumYield full;
+  QualityCounters untouched;
+  untouched.preemptions = 7;
+  const auto expect_none = [&](const MetricsRegistry& reg,
+                               const QualityCounters& q,
+                               const std::string& tag) {
+    EXPECT_EQ(q, untouched) << tag;
+    const MetricsSnapshot snap = reg.snapshot();
+    for (const char* name :
+         {sched_metrics::kPreemptions, sched_metrics::kMigrations,
+          sched_metrics::kIdleQuanta}) {
+      EXPECT_EQ(snap.counter_or(name, -1), 0) << tag << " " << name;
+    }
+  };
+  for (const bool explain : {false, true}) {
+    const std::string path = explain ? "explain" : "fast";
+    // A RingBufferSink asks for every event kind: an explain run.
+    RingBufferSink ring(1 << 12);
+    TraceSink* const sink = explain ? &ring : nullptr;
+    {
+      MetricsRegistry reg;
+      QualityCounters q = untouched;
+      SfqOptions opts;
+      opts.horizon_limit = 2;
+      opts.trace = sink;
+      opts.metrics = &reg;
+      opts.quality = &q;
+      ASSERT_FALSE(schedule_sfq(sys, opts).complete()) << path;
+      expect_none(reg, q, path + " sfq");
+    }
+    {
+      MetricsRegistry reg;
+      QualityCounters q = untouched;
+      SfqOptions opts;
+      opts.horizon_limit = 2;
+      opts.trace = sink;
+      opts.metrics = &reg;
+      opts.quality = &q;
+      SlotSchedule out(sys);
+      schedule_sfq_into(sys, opts, out);
+      ASSERT_FALSE(out.complete()) << path;
+      expect_none(reg, q, path + " sfq_into");
+    }
+    {
+      MetricsRegistry reg;
+      QualityCounters q = untouched;
+      DvqOptions opts;
+      opts.horizon_limit = 2;
+      opts.trace = sink;
+      opts.metrics = &reg;
+      opts.quality = &q;
+      ASSERT_FALSE(schedule_dvq(sys, full, opts).complete()) << path;
+      expect_none(reg, q, path + " dvq");
+    }
+  }
 }
 
 // --- batched histogram samples ------------------------------------------

@@ -12,7 +12,6 @@
 #include "dvq/dvq_simulator.hpp"
 #include "dvq/staggered.hpp"
 #include "obs/metrics.hpp"
-#include "obs/quality.hpp"
 #include "obs/trace.hpp"
 #include "sched/sfq_scheduler.hpp"
 #include "workload/generator.hpp"
@@ -268,16 +267,13 @@ TEST(Staggered, GridModeRefusesWarpAndObservers) {
                    /*staggered_grid=*/true);
   RingBufferSink sink(16);
   MetricsRegistry reg;
-  QualityCounters q;
   EXPECT_THROW(sim.set_trace_sink(&sink), ContractViolation);
   EXPECT_THROW(sim.attach_metrics(reg), ContractViolation);
-  EXPECT_THROW(sim.set_quality(&q), ContractViolation);
   const std::vector<std::int64_t> allocs(
       static_cast<std::size_t>(sys.num_tasks()), 0);
   EXPECT_THROW(sim.warp(1, 1, allocs, 0), ContractViolation);
   // Refusals leave the simulator usable.
   sim.set_trace_sink(nullptr);
-  sim.set_quality(nullptr);
   sim.run_until(Time::slots(default_horizon(sys)));
   EXPECT_TRUE(sim.schedule().complete());
 }

@@ -51,10 +51,10 @@
 // still need a live run and are ignored); the dvq fast-forward path has
 // no replay, so observability flags are ignored there.
 //
-// Live sfq/dvq runs additionally maintain scheduler-quality counters
-// (preemptions, migrations, idle capacity, context switches) and verify
-// them against the offline recount (analysis/recount.hpp); a mismatch
-// is a scheduler bug and forces a nonzero exit.
+// Live sfq/dvq runs also print the scheduler-quality counters
+// (preemptions, migrations, idle capacity, context switches), recounted
+// from the finished schedule (analysis/recount.hpp); a truncated run has
+// none.
 //
 // The task file format is documented in src/io/parse.hpp.
 #include <chrono>
@@ -344,26 +344,13 @@ int run(const CliOptions& o) {
           : nullptr;
   const bool want_quality = obs && !o.fast_forward;
   QualityCounters qual;
-  bool quality_ok = true;
-  // Prints the counters and verifies them against the offline recount —
-  // a mismatch means the incremental accounting diverged from the
-  // schedule itself, i.e. a bug.
-  const auto verify_quality = [&](const auto& sched) {
+  // Prints the counters the run filled from the recount of its schedule.
+  const auto print_quality = [&](const auto& sched) {
     if (!want_quality) return;
-    PFAIR_PROF_SPAN(kAnalysis);
+    PFAIR_PROF_SPAN(kRender);
     std::cout << "quality: " << quality_to_string(qual);
-    if (!sched.complete()) {
-      std::cout << " (recount skipped: incomplete schedule)\n";
-      return;
-    }
-    const QualityCounters recount = recount_quality(*sys, sched);
-    if (qual == recount) {
-      std::cout << " (recount: match)\n";
-    } else {
-      quality_ok = false;
-      std::cout << " (recount: MISMATCH)\n";
-      std::cout << "recount: " << quality_to_string(recount) << "\n";
-    }
+    if (!sched.complete()) std::cout << " (not counted: incomplete schedule)";
+    std::cout << "\n";
   };
   std::ofstream trace_f;
   std::unique_ptr<JsonlSink> jsonl;
@@ -469,7 +456,7 @@ int run(const CliOptions& o) {
       tard = measure_tardiness(*sys, sched);
       if (metrics != nullptr) record_tardiness_metrics(*sys, sched, reg);
     }
-    verify_quality(sched);
+    print_quality(sched);
     if (!o.csv_path.empty()) {
       PFAIR_PROF_SPAN(kExport);
       export_slot_schedule(*sys, sched).write_file(o.csv_path);
@@ -518,7 +505,7 @@ int run(const CliOptions& o) {
       tard = measure_tardiness(*sys, sched);
       if (metrics != nullptr) record_tardiness_metrics(*sys, sched, reg);
     }
-    verify_quality(sched);
+    print_quality(sched);
     if (!o.csv_path.empty()) {
       PFAIR_PROF_SPAN(kExport);
       export_dvq_schedule(*sys, sched).write_file(o.csv_path);
@@ -622,11 +609,7 @@ int run(const CliOptions& o) {
     std::cout << line << snap.table();
   }
 
-  if (!quality_ok) {
-    std::cerr << "pfairsim: quality counters diverged from the offline "
-                 "recount\n";
-  }
-  return tard.none_late() && !audit_failed && quality_ok ? 0 : 1;
+  return tard.none_late() && !audit_failed ? 0 : 1;
 }
 
 }  // namespace
