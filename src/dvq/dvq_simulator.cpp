@@ -19,7 +19,6 @@ DvqSimulator::DvqSimulator(const TaskSystem& sys, const YieldModel& yields,
       keys_(sys, policy, arena),
       ready_q_(order_, keys_, arena),
       sched_(sys),
-      packed_(keys_.packable()),
       grid_(staggered_grid),
       hot_(arena),
       pos_(arena),
@@ -98,11 +97,7 @@ void DvqSimulator::wait_in_calendar(std::int32_t k, std::int64_t slot) {
 void DvqSimulator::make_ready(std::int32_t k) {
   HotTask& h = hot_[static_cast<std::size_t>(k)];
   h.wait = kReady;
-  if (packed_) {
-    ready_q_.push_key(h.next_key, k, h.head);
-  } else {
-    ready_q_.push(SubtaskRef{k, h.head});
-  }
+  ready_q_.push(k, h);
 }
 
 void DvqSimulator::add_completion(Completion c) {
@@ -254,13 +249,14 @@ void DvqSimulator::step_fast(std::vector<SubtaskRef>& started, Time t) {
   // names its task's current head: entries leave the queue only by
   // being popped here (warp rebuilds it outright).
   while (free_count_ > 0 && !ready_q_.empty()) {
-    if (packed_) {
-      simd::prefetch(&hot_[static_cast<std::size_t>(ready_q_.peek_task())]);
-    }
-    const SubtaskRef ref = ready_q_.pop_best();
+    simd::prefetch(&hot_[static_cast<std::size_t>(ready_q_.peek_task())]);
+    const std::int32_t k = ready_q_.pop_task();
+    const HotTask& h = hot_[static_cast<std::size_t>(k)];
+    const SubtaskRef ref{k, h.head};
+    [[maybe_unused]] const std::uint64_t key = h.next_key;  // pre-commit
     const int proc = pop_free_proc();
     [[maybe_unused]] const Time c = commit_placement<kGrid>(ref, t, proc);
-    if constexpr (kProbed) note_placement(t, ref, proc, c);
+    if constexpr (kProbed) note_placement(t, ref, proc, c, key);
     started.push_back(ref);
   }
   if constexpr (kProbed) probe_.end_decision();
@@ -271,15 +267,15 @@ void DvqSimulator::step_fast(std::vector<SubtaskRef>& started, Time t) {
 #if defined(__GNUC__)
 __attribute__((noinline))
 #endif
-void DvqSimulator::note_placement(Time t, SubtaskRef ref, int proc,
-                                  Time c) {
+void DvqSimulator::note_placement(Time t, SubtaskRef ref, int proc, Time c,
+                                  std::uint64_t key) {
   probe_.place(t, ref, proc, c.raw_ticks());
   if (ref.seq > 0 && probe_.tracing()) {
     const int prev = sched_.placement(SubtaskRef{ref.task, ref.seq - 1}).proc;
     if (prev >= 0 && prev != proc) probe_.migrate(t, ref, prev, proc);
   }
   const std::int64_t deadline = keys_.packable()
-                                    ? keys_.deadline_of(keys_.order_key(ref))
+                                    ? keys_.deadline_of(key)
                                     : sys_->subtask(ref).deadline;
   const std::int64_t tard = std::max<std::int64_t>(
       0, (t + c).raw_ticks() - deadline * kTicksPerSlot);

@@ -186,7 +186,9 @@ class DvqSimulator {
   // decision events and the ready-set size to the probe.
   template <bool kProbed, bool kGrid>
   void step_fast(std::vector<SubtaskRef>& started, Time t);
-  void note_placement(Time t, SubtaskRef ref, int proc, Time c);
+  // `key` as in SfqSimulator::note_placement.
+  void note_placement(Time t, SubtaskRef ref, int proc, Time c,
+                      std::uint64_t key);
 
   // Bookkeeping for one placement at instant `t`: writes the schedule
   // cell and log entry, books the completion, and routes the
@@ -210,7 +212,6 @@ class DvqSimulator {
   ReadyQueue ready_q_;
   SchedProbe probe_;
   DvqSchedule sched_;
-  bool packed_;
   bool grid_;  // staggered_grid
 
   ArenaVector<HotTask> hot_;

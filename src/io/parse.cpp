@@ -205,6 +205,20 @@ TaskSystem ParsedSystem::build() const {
     }
     out.push_back(Task::periodic_phased(t.name, w, t.phase, end, m.table));
   }
+  // Every task joining at or after an explicit horizon builds nothing,
+  // and a schedule of nothing would read "valid".
+  if (std::none_of(out.begin(), out.end(),
+                   [](const Task& t) { return t.num_subtasks() > 0; })) {
+    const ParsedTask& first = *std::min_element(
+        tasks.begin(), tasks.end(),
+        [](const ParsedTask& a, const ParsedTask& b) {
+          return a.phase < b.phase;
+        });
+    PFAIR_REQUIRE_INPUT(false, "line " << first.line
+                                       << ": no task joins before the horizon "
+                                       << h << " (the earliest at phase "
+                                       << first.phase << ")");
+  }
   std::int64_t max_deadline = 0;
   std::string why;
   const std::int64_t bad = detail::horizon_overflow(out, max_deadline, why);

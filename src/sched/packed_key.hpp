@@ -35,9 +35,10 @@
 // steps in another, one (offset, e) pair per task.  The simulators'
 // position tables (sched/positions.hpp) read the flat spans directly;
 // `order_key` stays the scalar accessor.  The pseudo-deadline is the
-// most significant field, so `deadline_of` reads it back from a key
-// alone.  When an Arena is supplied the arrays live there, so repeated
-// constructions are allocation-free in steady state.
+// most significant field and the task id the least, so `deadline_of`
+// and `task_of` read them back from a key alone.  When an Arena is
+// supplied the arrays live there, so repeated constructions are
+// allocation-free in steady state.
 //
 // PF's tie-break walks the successor b-bit string lexicographically and
 // is not a fixed-width tuple; it keeps `compare_pf_bits`.  `packable()`
@@ -106,6 +107,13 @@ class PackedKeys {
   /// significant field, stored biased by the system's earliest one.
   [[nodiscard]] std::int64_t deadline_of(std::uint64_t key) const {
     return static_cast<std::int64_t>(key >> deadline_shift_) + min_deadline_;
+  }
+  /// The task id encoded in `key` (an order_key of this system): its
+  /// least significant field, how the keys-only ready heap names the
+  /// task of each entry.
+  [[nodiscard]] std::int32_t task_of(std::uint64_t key) const {
+    return static_cast<std::int32_t>(key &
+                                     ((std::uint64_t{1} << tie_bits_) - 1));
   }
 
  private:

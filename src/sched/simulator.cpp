@@ -18,8 +18,7 @@ SfqSimulator::SfqSimulator(const TaskSystem& sys, Policy policy, Arena* arena,
       pos_(arena),
       calendar_(arena),
       scratch_picks_(arena),
-      remaining_(sys.total_subtasks()),
-      packed_(keys_.packable()) {
+      remaining_(sys.total_subtasks()) {
   if (out != nullptr) {
     PFAIR_REQUIRE(out->num_tasks() == sys.num_tasks() &&
                       out->placed_count() == 0 &&
@@ -106,15 +105,8 @@ void SfqSimulator::step_into(ArenaVector<SubtaskRef>& picks) {
         for (const std::int32_t k : tasks) {
           simd::prefetch(&hot[static_cast<std::size_t>(k)]);
         }
-        if (packed_) {
-          for (const std::int32_t k : tasks) {
-            const HotTask& h = hot[static_cast<std::size_t>(k)];
-            ready_q_.push_key(h.next_key, k, h.head);
-          }
-        } else {
-          for (const std::int32_t k : tasks) {
-            ready_q_.push(SubtaskRef{k, hot[static_cast<std::size_t>(k)].head});
-          }
+        for (const std::int32_t k : tasks) {
+          ready_q_.push(k, hot[static_cast<std::size_t>(k)]);
         }
       });
     }
@@ -154,15 +146,15 @@ void SfqSimulator::step_fast(ArenaVector<SubtaskRef>& picks) {
   const HotTask* hot = hot_.data();
   while (picks.size() < m && !ready_q_.empty()) {
     // Overlap the root task's hot-record fetch with the pop's sift-down.
-    if (packed_) {
-      simd::prefetch(&hot[static_cast<std::size_t>(ready_q_.peek_task())]);
-    }
-    // Every queued entry names its task's current head: entries leave
-    // the queue only by being popped here (warp rebuilds it outright).
-    const SubtaskRef ref = ready_q_.pop_best();
+    simd::prefetch(&hot[static_cast<std::size_t>(ready_q_.peek_task())]);
+    // Every queued task's head is its queued subtask: entries leave the
+    // queue only by being popped here (warp rebuilds it outright).
+    const std::int32_t k = ready_q_.pop_task();
+    const HotTask& h = hot[static_cast<std::size_t>(k)];
+    const SubtaskRef ref{k, h.head};
     const int proc = static_cast<int>(picks.size());
-    place_fast(hot[static_cast<std::size_t>(ref.task)], ref.seq, proc);
-    if constexpr (kProbed) note_placement(at, ref, proc);
+    place_fast(h, ref.seq, proc);
+    if constexpr (kProbed) note_placement(at, ref, proc, h.next_key);
     commit_placement(ref);
     picks.push_back(ref);
   }
@@ -175,17 +167,16 @@ void SfqSimulator::step_fast(ArenaVector<SubtaskRef>& picks) {
 #if defined(__GNUC__)
 __attribute__((noinline))
 #endif
-void SfqSimulator::note_placement(Time at, SubtaskRef ref, int proc) {
+void SfqSimulator::note_placement(Time at, SubtaskRef ref, int proc,
+                                  std::uint64_t key) {
   probe_.place(at, ref, proc, now_);
   if (ref.seq > 0 && probe_.tracing()) {
     const int prev = sched_->placement(SubtaskRef{ref.task, ref.seq - 1}).proc;
     if (prev >= 0 && prev != proc) probe_.migrate(at, ref, prev, proc);
   }
-  // Called before commit_placement: the hot record still holds the
-  // placed subtask's key, which encodes its deadline.
-  const std::int64_t deadline =
-      packed_ ? keys_.deadline_of(hot_[static_cast<std::size_t>(ref.task)].next_key)
-              : sys_->subtask(ref).deadline;
+  const std::int64_t deadline = keys_.packable()
+                                    ? keys_.deadline_of(key)
+                                    : sys_->subtask(ref).deadline;
   const std::int64_t tard_slots = std::max<std::int64_t>(0, now_ + 1 - deadline);
   probe_.deadline(at, ref, tard_slots * kTicksPerSlot);
 }

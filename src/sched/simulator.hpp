@@ -22,16 +22,18 @@
 // division-free head cursor of sched/positions.hpp (head, the head's
 // precomputed priority key, the in-period position) plus the last slot;
 // the per-position constants (key base/step, eligibility base) sit in a
-// flat PosRec table shared by flyweight jobs; the ready set is the SoA
-// 8-ary SIMD heap of ready_queue.hpp; the calendar is a SlotBuckets
-// queue (sched/slot_buckets.hpp: chunked buckets recycled through a
-// freelist), whose drained chunks are walked with explicit prefetch of
-// the hot records they name; and schedule cells are written through a
-// raw pointer (SlotSchedule befriends the simulator) instead of the
-// checked `place`.  With an Arena supplied, every piece of working
-// state is bump-allocated, so repeated schedule calls allocate nothing
-// in steady state.  None of this changes placements: keys realize the
-// same strict total order, so the A/B suite pins bit-identicality.
+// flat PosRec table shared by flyweight jobs; the ready set is the
+// keys-only 8-ary SIMD heap of ready_queue.hpp, whose pops name a task
+// (a key's low field) and leave its head to this record; the calendar
+// is a SlotBuckets queue (sched/slot_buckets.hpp: chunked buckets
+// recycled through a freelist), whose drained chunks are walked with
+// explicit prefetch of the hot records they name; and schedule cells
+// are written through a raw pointer (SlotSchedule befriends the
+// simulator) instead of the checked `place`.  With an Arena supplied,
+// every piece of working state is bump-allocated, so repeated schedule
+// calls allocate nothing in steady state.  None of this changes
+// placements: keys realize the same strict total order, so the A/B
+// suite pins bit-identicality.
 //
 // A probe (decision-mask trace sink and/or metrics) rides on the same
 // fast path: the decision events are reported as placements commit,
@@ -154,7 +156,9 @@ class SfqSimulator {
   // decision events and the ready-set size to the probe.
   template <bool kProbed>
   void step_fast(ArenaVector<SubtaskRef>& picks);
-  void note_placement(Time at, SubtaskRef ref, int proc);
+  // `key` is the placed subtask's order key, read before the commit
+  // advances the cursor (unused unless packable).
+  void note_placement(Time at, SubtaskRef ref, int proc, std::uint64_t key);
 
   // Bookkeeping for one placement in slot now():
   // head/lag/progress counters plus the successor's calendar entry.
@@ -184,7 +188,6 @@ class SfqSimulator {
 
   std::int64_t now_ = 0;
   std::int64_t remaining_;
-  bool packed_;
 };
 
 }  // namespace pfair

@@ -99,8 +99,10 @@ TEST(PackedKey, MirrorsCompareOnGeneratedWorkloads) {
   }
 }
 
-// deadline_of decodes the pseudo-deadline field of any order key — the
-// probed placement hooks read tardiness through it.
+// deadline_of and task_of decode the two ends of any order key — the
+// probed placement hooks read tardiness through the first, the ready
+// heap its entries' tasks through the second.  The one-task system has
+// a task field zero bits wide.
 TEST(PackedKey, DeadlineOfDecodesEveryKey) {
   GeneratorConfig cfg;
   cfg.processors = 3;
@@ -112,13 +114,16 @@ TEST(PackedKey, DeadlineOfDecodesEveryKey) {
   const TaskSystem phased = advance_eligibility(periodic, 2, 1, 4, 5);
   const TaskSystem gis = drop_subtasks(add_is_jitter(periodic, 3, 1, 3, 7),
                                        1, 6, 3);
-  for (const TaskSystem* sys : {&periodic, &phased, &gis}) {
+  const TaskSystem single({Task::periodic("solo", Weight(2, 3), 30)}, 1);
+  for (const TaskSystem* sys : {&periodic, &phased, &gis, &single}) {
     for (const Policy policy : {Policy::kEpdf, Policy::kPd, Policy::kPd2}) {
       const PackedKeys keys(*sys, policy);
       ASSERT_TRUE(keys.packable());
       for (const SubtaskRef& ref : all_refs(*sys)) {
-        ASSERT_EQ(keys.deadline_of(keys.order_key(ref)),
-                  sys->subtask(ref).deadline)
+        const std::uint64_t key = keys.order_key(ref);
+        ASSERT_EQ(keys.deadline_of(key), sys->subtask(ref).deadline)
+            << ref << " " << to_string(policy);
+        ASSERT_EQ(keys.task_of(key), ref.task)
             << ref << " " << to_string(policy);
       }
     }

@@ -253,6 +253,33 @@ TEST(Parse, HugePhaseOverflowingTheHorizonIsRejected) {
   EXPECT_EQ(late.build().task(1).num_subtasks(), 0);
 }
 
+// An explicit horizon before every task's phase built no subtasks, and
+// pfairsim printed "validity: valid" with no decision points.  It is an
+// input error naming the horizon and the earliest-joining task's line; a
+// single late joiner beside a task that builds stays legal (the `late`
+// case above).
+TEST(Parse, HorizonBeforeEveryReleaseIsRejected) {
+  expect_build_error("processors 2\nhorizon 50\ntask a 1/2 phase=60\n",
+                     {"line 3", "horizon 50", "phase 60"});
+  expect_build_error(
+      "processors 2\nhorizon 50\n"
+      "task a 1/2 phase=90\n"
+      "task b 1/3 phase=50\n",
+      {"line 4", "horizon 50", "phase 50"});
+  EXPECT_EQ(parse_task_string("processors 2\nhorizon 50\n"
+                              "task a 1/2 phase=49\n")
+                .build()
+                .task(0)
+                .num_subtasks(),
+            1);
+  // A jobs= task builds its subtasks past any horizon.
+  EXPECT_EQ(parse_task_string("processors 2\nhorizon 50\n"
+                              "task a 1/2 jobs=2 phase=60\n")
+                .build()
+                .total_subtasks(),
+            2);
+}
+
 // A recurring task joining at or past the 4096-slot default-horizon cap
 // used to build no subtasks, and pfairsim printed "validity: valid" over
 // nothing.  Below the cap the horizon is unchanged; a horizon line or a

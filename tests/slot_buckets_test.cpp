@@ -10,12 +10,14 @@
 #include <cstdint>
 #include <set>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/arena.hpp"
 #include "core/rng.hpp"
 #include "sched/packed_key.hpp"
+#include "sched/positions.hpp"
 #include "sched/priority.hpp"
 #include "sched/ready_queue.hpp"
 #include "sched/slot_buckets.hpp"
@@ -177,11 +179,19 @@ std::vector<SubtaskRef> all_refs(const TaskSystem& sys) {
 }
 
 // Packed mode with synthetic keys drawn from the whole 64-bit range (so
-// deadline fields far beyond any slot index occur): every pop is the
-// least key queued and peek_task names it, across clears, with and
-// without an arena.
+// deadline fields far beyond any slot index occur), each carrying a
+// distinct live task id in the tie field of a system of 4096 tasks (a
+// 12-bit field): every pop is the least live key, and peek_task names
+// its task, across clears, with and without an arena.
 TEST(ReadyQueue, PackedPopsAscendUnderRandomInterleavings) {
-  const TaskSystem sys = small_system(3);
+  constexpr std::int32_t kTasks = 4096;
+  constexpr std::uint64_t kTaskMask = kTasks - 1;
+  std::vector<Task> tasks;
+  for (std::int32_t k = 0; k < kTasks; ++k) {
+    tasks.push_back(Task::periodic("t" + std::to_string(k),
+                                   Weight(1, kTasks), kTasks));
+  }
+  const TaskSystem sys(std::move(tasks), 1);
   const PriorityOrder order(sys, Policy::kPd2);
   const PackedKeys keys(sys, Policy::kPd2);
   ASSERT_TRUE(keys.packable());
@@ -189,50 +199,65 @@ TEST(ReadyQueue, PackedPopsAscendUnderRandomInterleavings) {
     Arena arena;
     ReadyQueue q(order, keys, with_arena ? &arena : nullptr);
     Rng rng(with_arena ? 11 : 7);
-    std::set<std::uint64_t> model;     // live keys
-    std::vector<std::uint64_t> by_id;  // payload id -> key
+    std::set<std::uint64_t> model;  // live keys
+    std::vector<std::int32_t> idle(static_cast<std::size_t>(kTasks));
+    for (std::int32_t k = 0; k < kTasks; ++k) {
+      idle[static_cast<std::size_t>(k)] = k;
+    }
     for (int op = 0; op < 20000; ++op) {
       const std::int64_t r = rng.uniform(0, 99);
       if (r < 55) {
+        if (idle.empty()) continue;
         // Half the keys near the live minimum, half anywhere; ~0 is the
         // heap's padding value, never a key.
-        const std::uint64_t key =
+        const std::size_t pick = static_cast<std::size_t>(
+            rng.uniform(0, static_cast<std::int64_t>(idle.size()) - 1));
+        const auto task = static_cast<std::uint64_t>(idle[pick]);
+        const std::uint64_t high =
             r < 28 && !model.empty()
-                ? *model.begin() + rng.next_u64() % 4096
+                ? *model.begin() + rng.next_u64() % 4 * (kTaskMask + 1)
                 : rng.next_u64();
-        if (key == ~std::uint64_t{0} || !model.insert(key).second) continue;
-        q.push_key(key, static_cast<std::int32_t>(by_id.size()), 0);
-        by_id.push_back(key);
+        const std::uint64_t key = (high & ~kTaskMask) | task;
+        if (key == ~std::uint64_t{0}) continue;
+        ASSERT_TRUE(model.insert(key).second);
+        HeadCursor head{};
+        head.next_key = key;
+        q.push(static_cast<std::int32_t>(task), head);
+        idle[pick] = idle.back();
+        idle.pop_back();
       } else if (r < 98) {
         if (model.empty()) {
           ASSERT_TRUE(q.empty());
           continue;
         }
         ASSERT_EQ(q.size(), model.size());
-        const std::int32_t peeked = q.peek_task();
-        const SubtaskRef got = q.pop_best();
-        ASSERT_EQ(got.task, peeked);
-        ASSERT_EQ(by_id[static_cast<std::size_t>(got.task)], *model.begin())
-            << "op " << op;
+        const auto want = static_cast<std::int32_t>(*model.begin() & kTaskMask);
+        ASSERT_EQ(q.peek_task(), want) << "op " << op;
+        ASSERT_EQ(q.pop_task(), want) << "op " << op;
         model.erase(model.begin());
+        idle.push_back(want);
       } else {
         q.clear();
+        for (const std::uint64_t key : model) {
+          idle.push_back(static_cast<std::int32_t>(key & kTaskMask));
+        }
         model.clear();
         ASSERT_TRUE(q.empty());
       }
     }
     while (!model.empty()) {
-      ASSERT_EQ(by_id[static_cast<std::size_t>(q.pop_best().task)],
-                *model.begin());
+      ASSERT_EQ(q.pop_task(),
+                static_cast<std::int32_t>(*model.begin() & kTaskMask));
       model.erase(model.begin());
     }
     EXPECT_TRUE(q.empty());
   }
 }
 
-// Both modes with real subtasks (push by ref): PD2 through the packed
-// keys, PF through PriorityOrder::higher.  Each pop is the entry no
-// other queued entry outranks.
+// Both modes with real subtasks, at most one queued per task (as the
+// simulators queue them): PD2 through the packed keys, PF through
+// PriorityOrder::higher.  Each pop, and the peek before it, is the task
+// whose entry no other queued entry outranks.
 TEST(ReadyQueue, PopsFollowThePriorityOrderInBothModes) {
   for (const Policy policy : {Policy::kPd2, Policy::kPf}) {
     SCOPED_TRACE(policy == Policy::kPf ? "PF (fallback)" : "PD2 (packed)");
@@ -245,18 +270,21 @@ TEST(ReadyQueue, PopsFollowThePriorityOrderInBothModes) {
     ReadyQueue q(order, keys);
     Rng rng(19);
     std::vector<SubtaskRef> live;
-    std::vector<bool> queued(refs.size(), false);
-    const auto index_of = [&](const SubtaskRef& r) {
-      return static_cast<std::size_t>(sys.flat_index(r));
+    std::vector<bool> queued(static_cast<std::size_t>(sys.num_tasks()), false);
+    const auto task_index = [](const SubtaskRef& r) {
+      return static_cast<std::size_t>(r.task);
     };
     for (int op = 0; op < 6000; ++op) {
       const std::int64_t r = rng.uniform(0, 99);
       if (r < 55) {
         const SubtaskRef ref = refs[static_cast<std::size_t>(
             rng.uniform(0, static_cast<std::int64_t>(refs.size()) - 1))];
-        if (queued[index_of(ref)]) continue;
-        queued[index_of(ref)] = true;
-        q.push(ref);
+        if (queued[task_index(ref)]) continue;
+        queued[task_index(ref)] = true;
+        HeadCursor head{};
+        head.head = ref.seq;
+        head.next_key = keys.packable() ? keys.order_key(ref) : 0;
+        q.push(ref.task, head);
         live.push_back(ref);
       } else if (r < 97) {
         if (live.empty()) {
@@ -269,13 +297,13 @@ TEST(ReadyQueue, PopsFollowThePriorityOrderInBothModes) {
             [&](const SubtaskRef& a, const SubtaskRef& b) {
               return order.higher(a, b);
             });
-        const SubtaskRef got = q.pop_best();
-        ASSERT_EQ(got, *best) << "op " << op;
-        queued[index_of(got)] = false;
+        ASSERT_EQ(q.peek_task(), best->task) << "op " << op;
+        ASSERT_EQ(q.pop_task(), best->task) << "op " << op;
+        queued[task_index(*best)] = false;
         live.erase(best);
       } else {
         q.clear();
-        for (const SubtaskRef& ref : live) queued[index_of(ref)] = false;
+        for (const SubtaskRef& ref : live) queued[task_index(ref)] = false;
         live.clear();
         ASSERT_TRUE(q.empty());
       }
