@@ -25,6 +25,8 @@
 #include <utility>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "pfair/pfair.hpp"
 
 #include "bench_main.hpp"
@@ -96,6 +98,20 @@ double best_ms(int reps, Fn&& fn) {
     if (r == 0 || ms < best) best = ms;
   }
   return best;
+}
+
+// Minor page faults of this process per call over `reps` calls of `fn`
+// (getrusage(RUSAGE_SELF): the bench's own process, nothing else).
+template <typename Fn>
+double minor_faults_per_call(int reps, Fn&& fn) {
+  const auto faults = [] {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return static_cast<double>(ru.ru_minflt);
+  };
+  const double before = faults();
+  for (int r = 0; r < reps; ++r) fn();
+  return (faults() - before) / reps;
 }
 
 // Interleaved off/on timing (one pair per rep), so a background load
@@ -755,6 +771,8 @@ int run_bench(pfair::bench::BenchContext& ctx) {
   // prefix, one cycle, and a tail, and warp over the rest; the full runs
   // (cycle_detect off) are the O(horizon) oracles.  The ff timings feed
   // the perf guard (cycle/ cases) so the compressed path stays fast.
+  // Reported beside them, outside `ok`: the cells each ff run stores
+  // against the system's subtasks, and minor page faults per ff call.
   std::cout << "\n=== cycle fast-forward (n = 1024, horizon "
             << kCycleHorizon << ") ===\n\n";
   double cycle_sfq_speedup = 0.0, cycle_dvq_speedup = 0.0;
@@ -783,6 +801,8 @@ int run_bench(pfair::bench::BenchContext& ctx) {
     cycle_identical &=
         same_sfq(full, cyc->materialize(), sys);
     cycle_sfq_speedup = full_ms / std::max(ff_ms, 1e-9);
+    const double ff_faults = minor_faults_per_call(
+        reps, [&] { cyc.emplace(schedule_sfq_cyclic(sys, copts)); });
 
     const FullQuantumYield yields;
     DvqOptions dfopts;
@@ -800,6 +820,12 @@ int run_bench(pfair::bench::BenchContext& ctx) {
     cycle_identical &=
         same_dvq(dfull, dcyc->materialize(), sys);
     cycle_dvq_speedup = dfull_ms / std::max(dff_ms, 1e-9);
+    const double dff_faults = minor_faults_per_call(reps, [&] {
+      dcyc.emplace(schedule_dvq_cyclic(sys, yields, dcopts));
+    });
+    const auto subtasks = static_cast<double>(sys.total_subtasks());
+    const auto sfq_cells = static_cast<double>(cyc->stored().stored_cells());
+    const auto dvq_cells = static_cast<double>(dcyc->stored().stored_cells());
 
     ctx.value("cycle.sfq_full_ms", full_ms);
     ctx.value("cycle.sfq_ff_ms", ff_ms);
@@ -807,6 +833,11 @@ int run_bench(pfair::bench::BenchContext& ctx) {
     ctx.value("cycle.dvq_full_ms", dfull_ms);
     ctx.value("cycle.dvq_ff_ms", dff_ms);
     ctx.value("cycle.dvq_speedup", cycle_dvq_speedup);
+    ctx.value("cycle.subtasks", subtasks);
+    ctx.value("cycle.sfq_ff_stored_cells", sfq_cells);
+    ctx.value("cycle.dvq_ff_stored_cells", dvq_cells);
+    ctx.value("cycle.sfq_ff_minor_faults", ff_faults);
+    ctx.value("cycle.dvq_ff_minor_faults", dff_faults);
     for (const auto& [name, ms] :
          {std::pair<const char*, double>{"cycle/ff_sfq", ff_ms},
           {"cycle/ff_dvq", dff_ms}}) {
@@ -819,16 +850,19 @@ int run_bench(pfair::bench::BenchContext& ctx) {
 
     TextTable cyct;
     cyct.header({"model", "full (ms)", "ff (ms)", "x", "prefix", "cycle",
-                 "skipped", "identical"});
+                 "skipped", "identical", "stored cells", "of subtasks",
+                 "faults/ff"});
     cyct.row({"sfq", cell(full_ms, 2), cell(ff_ms, 2),
               cell(cycle_sfq_speedup, 1), cell(cyc->stats().prefix_slots),
               cell(cyc->stats().cycle_slots), cell(cyc->stats().cycles_skipped),
-              cycle_identical ? "yes" : "NO"});
+              cycle_identical ? "yes" : "NO", cell(sfq_cells, 0),
+              cell(sfq_cells / subtasks, 3), cell(ff_faults, 1)});
     cyct.row({"dvq", cell(dfull_ms, 2), cell(dff_ms, 2),
               cell(cycle_dvq_speedup, 1), cell(dcyc->stats().prefix_slots),
               cell(dcyc->stats().cycle_slots),
               cell(dcyc->stats().cycles_skipped),
-              cycle_identical ? "yes" : "NO"});
+              cycle_identical ? "yes" : "NO", cell(dvq_cells, 0),
+              cell(dvq_cells / subtasks, 3), cell(dff_faults, 1)});
     std::cout << cyct.str() << "\n";
   }
 

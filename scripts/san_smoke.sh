@@ -18,7 +18,11 @@
 # freelist are what ASan should see, and the ready queue under random
 # pushes, pops and clears; bounded_memory_test schedules task files
 # whose pseudo-deadlines reach 2^40 under both models within an
-# allocation budget.  Any ASan/UBSan report aborts the run
+# allocation budget; storage_test and cycle_test's CycleStorage cases
+# drive every relayout of the gapped schedule store (growth ahead of
+# the simulated slots, the warp's gap, a reused stored() copy, the full
+# shape for materialize()), whose index arithmetic ASan should see.
+# Any ASan/UBSan report aborts the run
 # (-fno-sanitize-recover=all).
 # Usage: scripts/san_smoke.sh [build-dir]   (default build-san)
 set -e
@@ -31,12 +35,12 @@ cmake --build "$BUILD" -j --target \
   tasks_test window_table_test priority_test packed_key_test \
   sfq_test simulator_test ab_equivalence_test analysis_test prof_test \
   io_test cycle_test dvq_simulator_test dvq_test staggered_test \
-  parse_test slot_buckets_test bounded_memory_test >/dev/null
+  parse_test slot_buckets_test bounded_memory_test storage_test >/dev/null
 
 for t in tasks_test window_table_test priority_test packed_key_test \
          sfq_test simulator_test ab_equivalence_test analysis_test prof_test \
          io_test cycle_test dvq_simulator_test dvq_test staggered_test \
-         parse_test slot_buckets_test bounded_memory_test; do
+         parse_test slot_buckets_test bounded_memory_test storage_test; do
   echo "san_smoke: $t"
   "$BUILD/tests/$t" --gtest_brief=1
 done

@@ -78,7 +78,7 @@ TaskCounts walk_subtasks(const TaskSystem& sys, const DvqSchedule& sched,
 bool recount_in_log_order(const TaskSystem& sys, const DvqSchedule& sched,
                           QualityCounters& q) {
   const std::span<const std::int64_t> log = sched.order_log();
-  const auto n = static_cast<std::size_t>(sched.total_cells());
+  const auto n = static_cast<std::size_t>(sched.stored_cells());
   if (log.size() != n || n == 0) return false;
   constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
   std::vector<std::size_t> pos_of(n, kNone);  // flat index -> log position

@@ -337,7 +337,7 @@ bool log_rules_out_overlaps(const DvqSchedule& sched, std::size_t procs,
   // Kept per thread across calls, like the lanes (see BusyLanes).
   thread_local std::vector<std::int64_t> last_end;
   last_end.assign(procs, std::numeric_limits<std::int64_t>::min());
-  const std::int64_t total = sched.total_cells();
+  const std::int64_t total = sched.stored_cells();
   for (const std::int64_t i : log) {
     if (i < 0 || i >= total) return false;
     const DvqPlacement p = sched.flat_placement(i);

@@ -4,11 +4,13 @@
 // function: each subtask has a (possibly non-integral) commencement time
 // S(T_i) and an actual execution cost c(T_i) <= 1.  Both are exact Times.
 //
-// Storage mirrors SlotSchedule (sched/schedule.hpp): one calloc-backed
-// block of 16-byte cells indexed by TaskSystem::flat_index, all-zero
-// meaning "unplaced", so construction is O(tasks) and only written cells
-// fault memory in.  Every place() also appends the cell's flat index to
-// an order log (8 bytes), so a cell plus its log entry take 24 bytes.
+// Storage mirrors SlotSchedule (sched/schedule.hpp): a CellStore
+// (sched/cell_store.hpp) of 16-byte cells, all-zero meaning "unplaced".
+// A schedule built here stores every subtask, its cell index being
+// TaskSystem::flat_index; the one a DvqSimulator fills stores only the
+// seqs it can have placed, and an unstored seq reads as unplaced.  Every
+// place() also appends the cell's index to an order log (8 bytes), so a
+// placement takes 24 bytes; a relayout of the store renumbers the log.
 // The simulator (which also runs the staggered model) and the reference
 // scheduler place in nondecreasing start order, which lets the offline checks
 // (analysis/validity.cpp, analysis/recount_dvq.cpp) read each
@@ -25,12 +27,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "core/assert.hpp"
 #include "core/time.hpp"
+#include "sched/cell_store.hpp"
 #include "tasks/task_system.hpp"
 
 namespace pfair {
@@ -48,14 +50,9 @@ struct DvqPlacement {
 /// A complete DVQ (or staggered) schedule.
 class DvqSchedule {
  public:
-  /// An empty (all-unplaced) schedule shaped like `sys`.  O(tasks): the
-  /// cell block is zero pages until written.
-  explicit DvqSchedule(const TaskSystem& sys);
-
-  DvqSchedule(const DvqSchedule& o);
-  DvqSchedule& operator=(const DvqSchedule& o);
-  DvqSchedule(DvqSchedule&&) noexcept = default;
-  DvqSchedule& operator=(DvqSchedule&&) noexcept = default;
+  /// An empty (all-unplaced) schedule shaped like `sys`, storing every
+  /// subtask.  O(subtasks): the cell block is zeroed.
+  explicit DvqSchedule(const TaskSystem& sys) : DvqSchedule(sys, true) {}
 
   [[nodiscard]] DvqPlacement placement(const SubtaskRef& ref) const;
   void place(const SubtaskRef& ref, Time start, Time cost, int proc);
@@ -70,10 +67,7 @@ class DvqSchedule {
                       first <= last && last <= num_subtasks(task),
                   "bad walk of task " << task << " over seqs [" << first
                                       << ", " << last << ")");
-    const Cell* c = cells_.get() + offsets_[static_cast<std::size_t>(task)];
-    for (std::int64_t s = first; s < last; ++s) {
-      f(static_cast<std::int32_t>(s), c[s].value());
-    }
+    store_.walk(task, first, last, f);
   }
   /// Visits every placement of `task` in seq order: f(seq, placement).
   template <class F>
@@ -82,7 +76,7 @@ class DvqSchedule {
   }
 
   /// True iff every subtask has been placed.  O(1).
-  [[nodiscard]] bool complete() const { return placed_ == total_cells(); }
+  [[nodiscard]] bool complete() const { return placed_ == store_.subtasks(); }
 
   /// Latest completion time (Time() if nothing placed).
   [[nodiscard]] Time makespan() const { return makespan_; }
@@ -92,23 +86,25 @@ class DvqSchedule {
     return busy_ticks_;
   }
 
-  [[nodiscard]] std::int64_t num_tasks() const {
-    return static_cast<std::int64_t>(offsets_.size()) - 1;
-  }
+  [[nodiscard]] std::int64_t num_tasks() const { return store_.num_tasks(); }
   [[nodiscard]] std::int64_t num_subtasks(std::int64_t task) const {
-    return offsets_[static_cast<std::size_t>(task) + 1] -
-           offsets_[static_cast<std::size_t>(task)];
+    return store_.num_subtasks(task);
   }
 
-  /// Number of cells: the flat indices are [0, total_cells()).
-  [[nodiscard]] std::int64_t total_cells() const { return offsets_.back(); }
-  /// The placement in flat cell `i` (task-major, seq order; see
-  /// TaskSystem::flat_index).  Requires 0 <= i < total_cells().
+  /// Number of cells held: the cell indices are [0, stored_cells()).  A
+  /// schedule storing every subtask holds total_subtasks() cells, its
+  /// index of a subtask being TaskSystem::flat_index.
+  [[nodiscard]] std::int64_t stored_cells() const { return store_.size(); }
+  /// The placement in cell `i` (task-major, seq order).  Requires
+  /// 0 <= i < stored_cells().
   [[nodiscard]] DvqPlacement flat_placement(std::int64_t i) const {
-    PFAIR_ASSERT(i >= 0 && i < total_cells());
-    return cells_[static_cast<std::size_t>(i)].value();
+    PFAIR_ASSERT(i >= 0 && i < stored_cells());
+    return store_.data()[i].value();
   }
-  /// The flat index of every placement, in the order place() was called
+  /// Stores every subtask (a no-op when it already does), so any
+  /// subtask can be placed.  O(subtasks) when it relays the store.
+  void store_all();
+  /// The cell index of every placement, in the order place() was called
   /// (see the header note: order only, never a placement's value).
   [[nodiscard]] std::span<const std::int64_t> order_log() const {
     return log_;
@@ -117,7 +113,7 @@ class DvqSchedule {
  private:
   // The simulator's hot path writes cells and the log through raw
   // pointers: its head cursor already guarantees place()'s
-  // preconditions, as in SlotSchedule.
+  // preconditions, as in SlotSchedule.  It also relays the store.
   friend class DvqSimulator;
   // Tests corrupt the order log to pin that the checks verify it.
   friend struct DvqScheduleTestPeer;
@@ -136,12 +132,50 @@ class DvqSchedule {
   };
   static_assert(sizeof(Cell) == 16);
 
-  std::vector<std::int64_t> offsets_;  // [task] -> first cell; sentinel end
-  std::unique_ptr<Cell[], void (*)(Cell*)> cells_;
-  std::vector<std::int64_t> log_;      // flat index per place(), in order
+  /// Shaped like `sys`, storing every subtask (`all`) or none.
+  DvqSchedule(const TaskSystem& sys, bool all);
+  /// Relays the store to `layout` (CellStore::relayout) and renumbers
+  /// the log; every logged cell must stay stored.  False if unchanged.
+  template <class Layout>
+  bool relayout(Layout&& layout) {
+    return renumbered([&](const auto& moved) {
+      return store_.relayout(layout, moved);
+    });
+  }
+  /// Runs relay(moved), a relayout of the store that reports each moved
+  /// run of cells to moved(from, to, n), and renumbers the log to match.
+  template <class Relay>
+  bool renumbered(Relay&& relay);
+
+  CellStore<Cell> store_;
+  std::vector<std::int64_t> log_;     // cell index per place(), in order
   std::vector<std::int64_t> busy_ticks_;
   Time makespan_;
   std::int64_t placed_ = 0;
 };
+
+template <class Relay>
+bool DvqSchedule::renumbered(Relay&& relay) {
+  constexpr std::int64_t kDropped = -1;
+  std::vector<std::int64_t> renumber;  // old cell index -> new
+  const auto moved = [&](std::int64_t from, std::int64_t to,
+                         std::int64_t n) {
+    if (log_.empty()) return;
+    if (renumber.empty()) {
+      renumber.assign(static_cast<std::size_t>(store_.size()), kDropped);
+    }
+    for (std::int64_t j = 0; j < n; ++j) {
+      renumber[static_cast<std::size_t>(from + j)] = to + j;
+    }
+  };
+  if (!relay(moved)) return false;
+  for (std::int64_t& i : log_) {
+    PFAIR_REQUIRE(!renumber.empty() &&
+                      renumber[static_cast<std::size_t>(i)] != kDropped,
+                  "relayout dropped a placement");
+    i = renumber[static_cast<std::size_t>(i)];
+  }
+  return true;
+}
 
 }  // namespace pfair

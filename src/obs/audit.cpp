@@ -15,12 +15,17 @@ constexpr auto kLaterCritical = [](const auto& a, const auto& b) {
 };
 
 // The classical lag bounds assume a task whose fluid service starts at
-// time 0 and whose subtasks are all eligible exactly at release.
+// time 0 and whose subtasks are all eligible exactly at release.  A
+// flyweight task's eligibility is its release unless it releases early
+// (Task::synthesize), so only an early-releasing or materialized task
+// needs the walk.
 bool lag_meaningful(const Task& task) {
   if (task.kind() != TaskKind::kPeriodic) return false;
   if (task.phase() != 0) return false;
+  if (task.window_table() != nullptr && !task.early_release()) return true;
+  SubtaskCursor subs(task);
   for (std::int64_t s = 0; s < task.num_subtasks(); ++s) {
-    const Subtask sub = task.subtask_at(s);
+    const Subtask sub = subs.next();
     if (sub.eligible != sub.release) return false;
   }
   return true;

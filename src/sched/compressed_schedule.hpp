@@ -16,14 +16,16 @@
 // The result is a `SplicedSchedule<Stored>` — `CycleSchedule` over a
 // SlotSchedule, `DvqCycleSchedule` over a DvqSchedule.  The stored
 // schedule holds the real prefix [0, t1) and the real tail
-// [t1 + m*C, ...); placements inside the skipped window are synthesized
+// [t1 + m*C, ...), and stores cells for those seqs only: the skipped
+// seqs are its gap (sched/cell_store.hpp), which reads as unplaced.
+// Placements inside the skipped window are synthesized
 // on demand by shifting their base-cycle counterparts j*C slots (same
 // processor and cost — the decision sequence is identical, so the
 // processor assignment is too).  The class mirrors the stored type's
 // read surface, so the validity / lag / tardiness analyses and the
 // InvariantAuditor consume it unchanged.  Building and storing a
-// spliced schedule is O(prefix + cycle + tail + tasks) regardless of
-// the horizon, and so are validity and tardiness: when an O(tasks) side
+// spliced schedule is O(prefix + cycle + tail + tasks) in time and
+// memory regardless of the horizon, and so are validity and tardiness: when an O(tasks) side
 // check shows every task's windows shift by exactly one cycle per cycle
 // (`repeats_exactly`), they walk each task once per cycle
 // (`walk_task_once`: stored prefix and base cycle, synthesized cycle 1,
@@ -114,16 +116,6 @@ struct SpliceTraits<SlotSchedule> {
     out.place(ref, p.slot, p.proc);
   }
 };
-
-template <class Stored>
-class SplicedSchedule;
-
-namespace detail {
-template <class Model, class Opts, class... SimArgs>
-SplicedSchedule<typename Model::Stored> fast_forward(
-    const TaskSystem& sys, const Opts& opts, bool probe,
-    const SimArgs&... sim_args);
-}  // namespace detail
 
 /// A schedule stored as real prefix + one stored cycle + repeat count +
 /// real tail.  Mirrors the `Stored` read surface (placement by value —
@@ -257,11 +249,12 @@ class SplicedSchedule {
   }
 
   [[nodiscard]] const CycleStats& stats() const { return stats_; }
-  /// The physically stored placements (prefix + base cycle + tail).
+  /// The physically stored placements (prefix + base cycle + tail); the
+  /// skipped seqs are not stored and read as unplaced.
   [[nodiscard]] const Stored& stored() const { return inner_; }
 
-  /// Expands into a plain schedule holding every placement, stored and
-  /// synthesized.  O(subtasks); the rvalue form reuses the stored one.
+  /// Expands into a plain schedule storing every subtask and holding
+  /// every placement, stored and synthesized.  O(subtasks).
   [[nodiscard]] Stored materialize() const& {
     Stored out = inner_;
     synthesize_into(out);
@@ -291,9 +284,10 @@ class SplicedSchedule {
     return Traits::shifted(from.placement(SubtaskRef{task, base}),
                            (off / sp.per_cycle + 1) * cycle_shift());
   }
-  /// Places every synthesized seq into `out`, which holds the stored
-  /// placements (the base copies it reads).
+  /// Stores every seq of `out`, which holds the stored placements (the
+  /// base copies it reads), and places every synthesized seq there.
   void synthesize_into(Stored& out) const {
+    out.store_all();
     if (!stats_.engaged) return;
     for (std::size_t k = 0; k < splices_.size(); ++k) {
       const TaskSplice& sp = splices_[k];

@@ -7,7 +7,8 @@
 // attaches the run's observers.  When probing, it snapshots the state at
 // every hyperperiod boundary; on a recurrence it warps over as many whole
 // cycles as the limit and every task's subtask count allow, and hands
-// back a SplicedSchedule (sched/compressed_schedule.hpp).  Probing needs
+// back a SplicedSchedule (sched/compressed_schedule.hpp) whose stored
+// schedule holds cells for the simulated seqs only.  Probing needs
 // an unobserved run — observed streams are never elided — so without it
 // this is the plain full run, wrapped unengaged.  That full run is what
 // the quality recount (analysis/recount.hpp, add_recount) reads once the
@@ -72,6 +73,11 @@ SplicedSchedule<typename Model::Stored> fast_forward(
   const std::int64_t hyper =
       probe && !observed ? fingerprint_period(sys) : 0;
   if (hyper > 0) {
+    // Store only what the run simulates: a recurrence leaves the skipped
+    // cycles unstored, and a run that never recurs grows its store as it
+    // goes, to the full shape only once it has simulated that far.  A
+    // limit short of one hyperperiod leaves nothing to probe.
+    if (hyper <= limit) sim.store_ahead();
     struct Snap {
       StateFingerprint state;
       std::vector<std::int64_t> heads;

@@ -68,6 +68,35 @@ struct HeadCursor {
     return true;
   }
 
+  /// The number of seqs eligible before slot `t` — every seq a
+  /// simulator can have placed by then.  Eligibility is nondecreasing in
+  /// seq (Eq. (6)), so this is one division and a binary search over one
+  /// position period.
+  [[nodiscard]] std::int64_t eligible_before(std::int64_t t,
+                                             const PosRec* pos) const {
+    if (count == 0) return 0;
+    const PosRec* first = pos + pos_off;
+    // Seqs of job j eligible before t.
+    const auto in_job = [&](std::int64_t j) {
+      return std::partition_point(first, first + e,
+                                  [&](const PosRec& r) {
+                                    return r.elig_base + j * elig_p < t;
+                                  }) -
+             first;
+    };
+    if (elig_p == 0) return in_job(0);  // e == count: job stays 0
+    // Job j's first seq is eligible at b0 + j * elig_p, and no seq of a
+    // later job earlier, so every job before `last` (the last job
+    // starting before t) is eligible whole.
+    const std::int64_t b0 = first->elig_base;
+    std::int64_t span = 0;
+    if (t <= b0) return 0;
+    if (__builtin_sub_overflow(t, b0, &span)) return count;
+    const std::int64_t last = (span - 1) / elig_p;
+    if (last >= (count + e - 1) / e) return count;
+    return std::min<std::int64_t>(count, last * e + in_job(last));
+  }
+
   /// Jumps the head to seq `to` (<= count).
   void seek(std::int32_t to, const PosRec* pos) {
     head = to;
@@ -88,6 +117,20 @@ struct HeadCursor {
   }
 };
 static_assert(sizeof(HeadCursor) == 48);
+
+/// How far ahead a simulator's schedule stores: every seq eligible
+/// before slot `until` is stored, or was skipped by a warp.
+struct StoreBudget {
+  std::int64_t until = 0;
+  std::int64_t skipped = 0;  ///< slots warped over
+
+  /// The budget to grow to for a run up to slot `t` > until: t, or more
+  /// if that would not double the simulated span.
+  [[nodiscard]] std::int64_t grown(std::int64_t t) const {
+    const std::int64_t span = until - skipped;
+    return t - until > span ? t : until + span;
+  }
+};
 
 /// Fills `pos` with every task's position records, in task order, and
 /// calls per_task(k, cursor) once per task with the task's cursor at

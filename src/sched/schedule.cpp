@@ -1,80 +1,38 @@
 #include "sched/schedule.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "core/assert.hpp"
 
 namespace pfair {
 
-namespace {
-
-template <typename Cell>
-Cell* alloc_cells(std::int64_t total) {
-  auto* data = static_cast<Cell*>(
-      std::calloc(static_cast<std::size_t>(std::max<std::int64_t>(total, 1)),
-                  sizeof(Cell)));
-  PFAIR_REQUIRE(data != nullptr, "schedule allocation failed");
-  return data;
-}
-
-}  // namespace
-
-SlotSchedule::SlotSchedule(const TaskSystem& sys) : cells_(nullptr, nullptr) {
-  offsets_.reserve(static_cast<std::size_t>(sys.num_tasks()) + 1);
-  std::int64_t total = 0;
-  offsets_.push_back(0);
-  for (std::int64_t k = 0; k < sys.num_tasks(); ++k) {
-    total += sys.task(k).num_subtasks();
-    offsets_.push_back(total);
-  }
-  // calloc: large blocks arrive as lazily mapped zero pages, so an
-  // all-unscheduled schedule costs no physical memory until written.
-  cells_ = std::unique_ptr<Cell[], void (*)(Cell*)>(
-      alloc_cells<Cell>(total), +[](Cell* p) { std::free(p); });
-}
-
-SlotSchedule::SlotSchedule(const SlotSchedule& o)
-    : offsets_(o.offsets_),
-      cells_(alloc_cells<Cell>(o.total()), +[](Cell* p) { std::free(p); }),
-      horizon_(o.horizon_),
-      placed_(o.placed_) {
-  std::memcpy(cells_.get(), o.cells_.get(),
-              static_cast<std::size_t>(total()) * sizeof(Cell));
-}
-
-SlotSchedule& SlotSchedule::operator=(const SlotSchedule& o) {
-  if (this != &o) *this = SlotSchedule(o);
-  return *this;
-}
-
-const SlotSchedule::Cell& SlotSchedule::cell(const SubtaskRef& ref) const {
+SlotPlacement SlotSchedule::placement(const SubtaskRef& ref) const {
   PFAIR_REQUIRE(ref.task >= 0 && ref.task < num_tasks(),
                 "bad task in " << ref);
   PFAIR_REQUIRE(ref.seq >= 0 && ref.seq < num_subtasks(ref.task),
                 "bad seq in " << ref);
-  return cells_[static_cast<std::size_t>(
-      offsets_[static_cast<std::size_t>(ref.task)] + ref.seq)];
-}
-
-SlotPlacement SlotSchedule::placement(const SubtaskRef& ref) const {
-  const Cell& c = cell(ref);
-  return SlotPlacement{c.slot_p1 - 1, c.proc_p1 - 1};
+  const Cell* c = store_.find(ref.task, ref.seq);
+  return c == nullptr ? SlotPlacement{} : c->value();
 }
 
 void SlotSchedule::place(const SubtaskRef& ref, std::int64_t slot, int proc) {
   PFAIR_REQUIRE(slot >= 0, "cannot place in negative slot");
-  auto& c = const_cast<Cell&>(cell(ref));
-  PFAIR_ASSERT_MSG(c.slot_p1 == 0, "subtask " << ref << " placed twice");
-  c.slot_p1 = slot + 1;
-  c.proc_p1 = proc + 1;
+  (void)placement(ref);  // checks the ref
+  Cell* c = store_.find(ref.task, ref.seq);
+  PFAIR_REQUIRE(c != nullptr, "subtask " << ref << " is not stored");
+  PFAIR_ASSERT_MSG(c->slot_p1 == 0, "subtask " << ref << " placed twice");
+  c->slot_p1 = slot + 1;
+  c->proc_p1 = proc + 1;
   ++placed_;
   horizon_ = std::max(horizon_, slot + 1);
 }
 
+void SlotSchedule::store_all() {
+  store_.store_all([](std::int64_t, std::int64_t, std::int64_t) {});
+}
+
 void SlotSchedule::clear_placements() {
-  std::fill_n(cells_.get(), static_cast<std::size_t>(total()), Cell{});
+  store_.clear();
   horizon_ = 0;
   placed_ = 0;
 }
@@ -88,14 +46,9 @@ std::int64_t SlotSchedule::completion_slot(const SubtaskRef& ref) const {
 std::vector<SubtaskRef> SlotSchedule::slot_contents(std::int64_t slot) const {
   std::vector<SubtaskRef> out;
   for (std::int64_t k = 0; k < num_tasks(); ++k) {
-    const std::int64_t begin = offsets_[static_cast<std::size_t>(k)];
-    const std::int64_t end = offsets_[static_cast<std::size_t>(k) + 1];
-    for (std::int64_t i = begin; i < end; ++i) {
-      if (cells_[static_cast<std::size_t>(i)].slot_p1 == slot + 1) {
-        out.push_back(SubtaskRef{static_cast<std::int32_t>(k),
-                                 static_cast<std::int32_t>(i - begin)});
-      }
-    }
+    walk_task(k, [&](std::int32_t s, const SlotPlacement& p) {
+      if (p.slot == slot) out.push_back(SubtaskRef{static_cast<std::int32_t>(k), s});
+    });
   }
   std::sort(out.begin(), out.end(),
             [this](const SubtaskRef& a, const SubtaskRef& b) {

@@ -2,21 +2,23 @@
 // stored as per-subtask placements (SFQ model: every allocation starts on a
 // slot boundary and occupies one whole quantum).
 //
-// Storage is a single calloc-backed cell block over all subtasks, with
-// zero meaning "unscheduled" (slot and proc are stored shifted by +1).
-// Construction therefore costs O(tasks) — the kernel hands back lazily
-// mapped zero pages — and only cells that are actually written ever
-// fault memory in.  That is what keeps the cycle fast-forward path
-// (sched/compressed_schedule.hpp) O(prefix + cycle + tail): a warped
-// run writes a few hundred slots of a multi-million-subtask schedule
-// and never touches the rest.
+// Storage is a CellStore (sched/cell_store.hpp) of 16-byte cells, zero
+// meaning "unscheduled" (slot and proc are stored shifted by +1).  A
+// schedule built here stores every subtask: the block is allocated and
+// zeroed up front, O(subtasks).  The schedule an SfqSimulator fills
+// stores only the seqs it can have placed: the simulator grows the
+// store ahead of the slots it simulates, and a warp leaves the skipped
+// seqs unstored.  An unstored seq reads as unscheduled and every
+// accessor keeps its full-shape meaning, so a cycle fast-forwarded run
+// (sched/compressed_schedule.hpp) stores O(tasks + prefix + cycle +
+// tail) cells whatever its horizon.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/assert.hpp"
+#include "sched/cell_store.hpp"
 #include "tasks/task_system.hpp"
 
 namespace pfair {
@@ -35,20 +37,15 @@ struct SlotPlacement {
 /// A complete SFQ-model schedule for a task system.
 class SlotSchedule {
  public:
-  /// An empty (all-unscheduled) schedule shaped like `sys`.  O(tasks):
-  /// the cell block is zero pages until written.
-  explicit SlotSchedule(const TaskSystem& sys);
-
-  SlotSchedule(const SlotSchedule& o);
-  SlotSchedule& operator=(const SlotSchedule& o);
-  SlotSchedule(SlotSchedule&&) noexcept = default;
-  SlotSchedule& operator=(SlotSchedule&&) noexcept = default;
+  /// An empty (all-unscheduled) schedule shaped like `sys`, storing
+  /// every subtask.  O(subtasks): the cell block is zeroed.
+  explicit SlotSchedule(const TaskSystem& sys) : SlotSchedule(sys, true) {}
 
   [[nodiscard]] SlotPlacement placement(const SubtaskRef& ref) const;
   void place(const SubtaskRef& ref, std::int64_t slot, int proc);
 
   /// True iff every materialized subtask received a slot.  O(1).
-  [[nodiscard]] bool complete() const { return placed_ == total(); }
+  [[nodiscard]] bool complete() const { return placed_ == store_.subtasks(); }
 
   /// Number of slots used: 1 + latest occupied slot (0 if empty).
   [[nodiscard]] std::int64_t horizon() const { return horizon_; }
@@ -60,12 +57,9 @@ class SlotSchedule {
   /// All subtasks placed in `slot`, ordered by processor.
   [[nodiscard]] std::vector<SubtaskRef> slot_contents(std::int64_t slot) const;
 
-  [[nodiscard]] std::int64_t num_tasks() const {
-    return static_cast<std::int64_t>(offsets_.size()) - 1;
-  }
+  [[nodiscard]] std::int64_t num_tasks() const { return store_.num_tasks(); }
   [[nodiscard]] std::int64_t num_subtasks(std::int64_t task) const {
-    return offsets_[static_cast<std::size_t>(task) + 1] -
-           offsets_[static_cast<std::size_t>(task)];
+    return store_.num_subtasks(task);
   }
 
   /// Visits the placements of seqs [first, last) of `task` in seq order,
@@ -79,11 +73,7 @@ class SlotSchedule {
                       first <= last && last <= num_subtasks(task),
                   "bad walk of task " << task << " over seqs [" << first
                                       << ", " << last << ")");
-    const Cell* c = cells_.get() + offsets_[static_cast<std::size_t>(task)];
-    for (std::int64_t s = first; s < last; ++s) {
-      f(static_cast<std::int32_t>(s),
-        SlotPlacement{c[s].slot_p1 - 1, c[s].proc_p1 - 1});
-    }
+    store_.walk(task, first, last, f);
   }
   /// Visits every placement of `task` in seq order: f(seq, placement).
   template <class F>
@@ -93,9 +83,15 @@ class SlotSchedule {
 
   /// Number of placements recorded so far.
   [[nodiscard]] std::int64_t placed_count() const { return placed_; }
+  /// Number of cells held: every subtask's, unless a simulator filled
+  /// the schedule (see the header note).
+  [[nodiscard]] std::int64_t stored_cells() const { return store_.size(); }
+  /// Stores every subtask (a no-op when it already does), so any
+  /// subtask can be placed.  O(subtasks) when it relays the store.
+  void store_all();
 
-  /// Reverts every placement (an O(total) memset over the cell block)
-  /// so the schedule can be refilled in place — the reuse hook behind
+  /// Reverts every placement (a pass over the stored cells) so the
+  /// schedule can be refilled in place — the reuse hook behind
   /// `schedule_sfq_into`, which keeps sweeps and throughput loops free
   /// of steady-state allocations.
   void clear_placements();
@@ -103,22 +99,25 @@ class SlotSchedule {
  private:
   // The simulator's hot path writes cells through a raw pointer —
   // the simulator's head cursor already guarantees place()'s
-  // preconditions (valid ref, never placed twice), so the checked
-  // accessor would only re-verify per placement what is invariant.
+  // preconditions (valid ref, never placed twice) — and grows and
+  // relays the store (relayout) as it runs.
   friend class SfqSimulator;
-
 
   /// One subtask's placement, shifted so all-zero bytes == unscheduled.
   struct Cell {
-    std::int64_t slot_p1 = 0;
-    std::int32_t proc_p1 = 0;
+    std::int64_t slot_p1;
+    std::int32_t proc_p1;
+
+    [[nodiscard]] SlotPlacement value() const {
+      return SlotPlacement{slot_p1 - 1, proc_p1 - 1};
+    }
   };
+  static_assert(sizeof(Cell) == 16);
 
-  [[nodiscard]] std::int64_t total() const { return offsets_.back(); }
-  [[nodiscard]] const Cell& cell(const SubtaskRef& ref) const;
+  /// Shaped like `sys`, storing every subtask (`all`) or none.
+  SlotSchedule(const TaskSystem& sys, bool all) : store_(sys, all) {}
 
-  std::vector<std::int64_t> offsets_;  // [task] -> first cell; sentinel end
-  std::unique_ptr<Cell[], void (*)(Cell*)> cells_;
+  CellStore<Cell> store_;
   std::int64_t horizon_ = 0;
   std::int64_t placed_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "sched/simulator.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <span>
 
 #include "core/simd.hpp"
@@ -22,14 +23,14 @@ SfqSimulator::SfqSimulator(const TaskSystem& sys, Policy policy, Arena* arena,
   if (out != nullptr) {
     PFAIR_REQUIRE(out->num_tasks() == sys.num_tasks() &&
                       out->placed_count() == 0 &&
-                      out->total() == sys.total_subtasks(),
+                      out->store_.subtasks() == sys.total_subtasks(),
                   "external schedule does not match the task system");
-    sched_ = out;
+    sched_ = out;  // stored in full at the first step, as an owned one
   } else {
-    owned_sched_.emplace(sys);
+    owned_sched_ = SlotSchedule(sys, false);  // stores as the run goes
     sched_ = &*owned_sched_;
   }
-  cells_ = sched_->cells_.get();
+  cells_ = sched_->store_.data();
 
   const std::int64_t n = sys.num_tasks();
   hot_.resize(static_cast<std::size_t>(n));
@@ -61,6 +62,44 @@ void SfqSimulator::place_fast(const HotTask& h, std::int32_t seq, int proc) {
   sched_->horizon_ = std::max(sched_->horizon_, now_ + 1);
 }
 
+void SfqSimulator::store_ahead() {
+  PFAIR_REQUIRE(budget_.until == 0, "store_ahead after the first step");
+  ahead_ = true;
+}
+
+void SfqSimulator::store_before(std::int64_t t) {
+  if (t <= budget_.until) return;
+  PFAIR_PROF_SPAN(kConstruction);
+  if (!ahead_) {
+    budget_.until = std::numeric_limits<std::int64_t>::max();
+    sched_->store_all();
+    rebase();
+    return;
+  }
+  budget_.until = budget_.grown(t);
+  const PosRec* pos = pos_.data();
+  relayout([&](std::size_t k, StoredSeqs s) {
+    s.end = std::max(s.end, hot_[k].eligible_before(budget_.until, pos));
+    return s;
+  });
+}
+
+template <class Layout>
+void SfqSimulator::relayout(Layout&& layout) {
+  if (sched_->store_.relayout(
+          layout, [](std::int64_t, std::int64_t, std::int64_t) {})) {
+    rebase();
+  }
+}
+
+void SfqSimulator::rebase() {
+  const CellStore<SlotSchedule::Cell>& store = sched_->store_;
+  cells_ = sched_->store_.data();
+  for (std::size_t k = 0; k < hot_.size(); ++k) {
+    hot_[k].cell_base = store.base(static_cast<std::int64_t>(k), hot_[k].head);
+  }
+}
+
 void SfqSimulator::commit_placement(const SubtaskRef& ref) {
   HotTask& h = hot_[static_cast<std::size_t>(ref.task)];
   h.last_slot = now_;
@@ -87,6 +126,7 @@ std::vector<SubtaskRef> SfqSimulator::ready() const {
 }
 
 std::vector<SubtaskRef> SfqSimulator::step() {
+  store_before(now_ + 1);
   scratch_picks_.clear();
   step_into(scratch_picks_);
   return std::vector<SubtaskRef>(scratch_picks_.begin(), scratch_picks_.end());
@@ -182,6 +222,7 @@ void SfqSimulator::note_placement(Time at, SubtaskRef ref, int proc,
 }
 
 void SfqSimulator::run_until(std::int64_t slot_limit) {
+  store_before(slot_limit);
   const SchedProbe::Batch batch(probe_);
   while (!done() && now_ < slot_limit) {
     scratch_picks_.clear();
@@ -210,6 +251,18 @@ void SfqSimulator::warp(std::int64_t cycles, std::int64_t cycle_slots,
     if (adv > 0) h.last_slot += shift;
   }
   now_ += shift;
+  // The skipped seqs leave the store; it keeps every seq eligible
+  // before the new now_.
+  budget_.until = now_;
+  budget_.skipped += shift;
+  const auto skip = [&](std::size_t k, const StoredSeqs&) {
+    const HotTask& h = hot_[k];
+    const std::int64_t adv = cycles * cycle_allocs[k];
+    return StoredSeqs{h.head - adv, h.head,
+                      std::max<std::int64_t>(h.head,
+                                             h.eligible_before(now_, pos))};
+  };
+  relayout(skip);
   // Rebuild the availability structures: every queued or bucketed entry
   // names a pre-warp head seq, so drop them all and re-derive each
   // task's availability from the counters (exactly as the constructor

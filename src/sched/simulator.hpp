@@ -29,7 +29,15 @@
 // recycled through a freelist), whose drained chunks are walked with
 // explicit prefetch of the hot records they name; and schedule cells
 // are written through a raw pointer (SlotSchedule befriends the
-// simulator) instead of the checked `place`.  With an Arena supplied,
+// simulator) instead of the checked `place`.
+//
+// The schedule stores every subtask from the first step on, as one
+// zeroed block (sched/cell_store.hpp).  A probing run of the
+// fast-forward driver stores only what it can have placed instead:
+// before it simulates up to slot t, the store is grown to hold every seq
+// eligible before t, the slot budget at least doubling each time (so a
+// run copies O(simulated) cells in all), and a warp leaves the skipped
+// seqs unstored.  With an Arena supplied,
 // every piece of working state is bump-allocated, so repeated schedule
 // calls allocate nothing in steady state.  None of this changes
 // placements: keys realize the same strict total order, so the A/B
@@ -122,7 +130,8 @@ class SfqSimulator {
   /// `cycle_allocs[k]` subtasks: counters jump, the availability calendar
   /// and ready heap are rebuilt (each head cursor seeks its new seq),
   /// and simulation resumes at now() + cycles * cycle_slots as if every
-  /// skipped slot had been stepped.  The caller, the shared fast-forward
+  /// skipped slot had been stepped.  The skipped seqs are left unstored
+  /// (they read as unscheduled).  The caller, the shared fast-forward
   /// driver (detail::fast_forward, sched/fast_forward.hpp), has *proved*
   /// the recurrence via fingerprints; the skipped placements are never
   /// materialized here.  Requires an uninstrumented simulator at a slot
@@ -166,6 +175,22 @@ class SfqSimulator {
   // Writes one placement cell directly (the unchecked fast-path
   // counterpart of SlotSchedule::place; same invariants by design).
   void place_fast(const HotTask& h, std::int32_t seq, int proc);
+  // The fast-forward driver stores ahead (store_ahead) when it probes.
+  template <class Model, class Opts, class... SimArgs>
+  friend SplicedSchedule<typename Model::Stored> detail::fast_forward(
+      const TaskSystem&, const Opts&, bool, const SimArgs&...);
+  // From here on, grow the store only ahead of the slots simulated
+  // (header note) instead of storing every seq at the first step.
+  // Requires a simulator that has not stepped.
+  void store_ahead();
+  // Makes the store hold every seq eligible before slot `t`: all of
+  // them at the first growth unless storing ahead.
+  void store_before(std::int64_t t);
+  // Relays the store to `layout` and rebases every cursor's cells.
+  template <class Layout>
+  void relayout(Layout&& layout);
+  // Points cells_ and every cursor's cell_base at the store's layout.
+  void rebase();
 
   const TaskSystem* sys_;
   SchedProbe probe_;
@@ -175,6 +200,8 @@ class SfqSimulator {
   std::optional<SlotSchedule> owned_sched_;
   SlotSchedule* sched_;          // owned_sched_ or the external `out`
   SlotSchedule::Cell* cells_;    // sched_'s raw cell block
+  StoreBudget budget_;
+  bool ahead_ = false;  // store_ahead() was called
 
   ArenaVector<HotTask> hot_;
   ArenaVector<PosRec> pos_;

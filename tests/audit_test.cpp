@@ -128,6 +128,51 @@ TEST(InvariantAuditor, TardinessAllowanceIsOneQuantumUnderDvq) {
   EXPECT_EQ(auditor.findings().front().kind, Violation::Kind::kDeadlineMiss);
 }
 
+// Lag::kAuto turns the lag checks on only when every task is synchronous
+// periodic and eligible at release throughout.  An SFQ stream that never
+// serves the task under-serves it past lag 1 by slot 2, so it must raise
+// kLagBound exactly when the checks are on.
+std::int64_t lag_findings_when_starved(Task task) {
+  std::vector<Task> tasks;
+  tasks.push_back(std::move(task));
+  const TaskSystem sys(std::move(tasks), 1);
+  InvariantAuditor auditor(sys);
+  TraceEvent slot;
+  slot.kind = TraceEventKind::kSlotBegin;
+  for (std::int64_t t = 0; t < 6; ++t) {
+    slot.at = Time::slots(t);
+    auditor.on_event(slot);
+  }
+  return std::count_if(
+      auditor.findings().begin(), auditor.findings().end(),
+      [](const AuditFinding& f) { return f.kind == Violation::Kind::kLagBound; });
+}
+
+TEST(InvariantAuditor, AutoLagIsOnOnlyForSynchronousPeriodicTasks) {
+  const Weight w(2, 3);  // e = 2: early release moves T_2 off its release
+  // On: flyweight and materialized synchronous periodic tasks.
+  EXPECT_GT(lag_findings_when_starved(Task::periodic("a", w, 12)), 0);
+  EXPECT_GT(
+      lag_findings_when_starved(Task::periodic_phased_eager("a", w, 0, 12)),
+      0);
+  // Early release moves no eligibility when e = 1, so the checks stay on.
+  EXPECT_GT(lag_findings_when_starved(
+                Task::periodic("a", Weight(1, 3), 12).with_early_release()),
+            0);
+  // Off: a phase, early release (flyweight flag or materialized
+  // eligibility), an IS task.
+  EXPECT_EQ(lag_findings_when_starved(Task::periodic_phased("a", w, 1, 12)),
+            0);
+  EXPECT_EQ(lag_findings_when_starved(
+                Task::periodic("a", w, 12).with_early_release()),
+            0);
+  EXPECT_EQ(lag_findings_when_starved(
+                Task::periodic_phased_eager("a", w, 0, 12).with_early_release()),
+            0);
+  EXPECT_EQ(lag_findings_when_starved(Task::intra_sporadic("a", w, {0}, 8)),
+            0);
+}
+
 // The full pipeline: broken run -> finding -> captured bundle ->
 // round-trip through JSON -> replay reproduces -> shrink stays minimal.
 TEST(Capture, BrokenRunIsCapturedShrunkAndReplayable) {

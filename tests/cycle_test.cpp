@@ -31,9 +31,11 @@
 #include "dvq/reference_scheduler.hpp"
 #include "dvq/yield.hpp"
 #include "obs/audit.hpp"
+#include "sched/cell_store.hpp"
 #include "sched/compressed_schedule.hpp"
 #include "sched/reference_scheduler.hpp"
 #include "sched/sfq_scheduler.hpp"
+#include "sched/simulator.hpp"
 #include "sched/state_hash.hpp"
 #include "workload/generator.hpp"
 #include "workload/paper_figures.hpp"
@@ -1032,6 +1034,288 @@ TEST(CycleFastForward, OfflineCheckAgreesWithOnlineDetector) {
     opts.cycle_detect = true;
     EXPECT_TRUE(schedule_sfq_cyclic(sys, opts).stats().engaged)
         << "seed " << seed;
+  }
+}
+
+// --- Storage: a probing run stores only the seqs it simulates ---
+//
+// A probing run grows its store ahead of the slots it simulates and a
+// warp leaves the skipped seqs unstored (sched/cell_store.hpp).  Every
+// relayout path must keep the schedule bit-identical to the reference
+// and to the unprobed full run, and the store must read the skipped
+// seqs as unplaced.
+
+std::int64_t start_ticks(const SlotPlacement& p) {
+  return p.scheduled() ? p.slot * kTicksPerSlot : -1;
+}
+std::int64_t start_ticks(const DvqPlacement& p) {
+  return p.placed ? p.start.raw_ticks() : -1;
+}
+bool same_placement(const SlotPlacement& a, const SlotPlacement& b) {
+  return a.slot == b.slot && a.proc == b.proc;
+}
+bool same_placement(const DvqPlacement& a, const DvqPlacement& b) {
+  return a.placed == b.placed && a.start == b.start && a.cost == b.cost &&
+         a.proc == b.proc;
+}
+
+/// Reads every seq through `cyc` and through its store: a placement
+/// starting in the skipped window is synthesized, so the store must read
+/// it unplaced; any other must read alike from both.  The store's
+/// walk_task must read as its placement().  Returns the number of
+/// skipped seqs; `mismatches` counts the seqs that break either rule.
+template <class Cyc>
+std::int64_t skipped_seqs(const TaskSystem& sys, const Cyc& cyc,
+                          std::int64_t* mismatches) {
+  const CycleStats& st = cyc.stats();
+  const std::int64_t lo = st.detect_slot * kTicksPerSlot;
+  const std::int64_t hi = (st.detect_slot + st.slots_skipped) * kTicksPerSlot;
+  std::int64_t skipped = 0;
+  for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
+    for (std::int32_t s = 0; s < sys.task(k).num_subtasks(); ++s) {
+      const SubtaskRef ref{k, s};
+      const auto spliced = cyc.placement(ref);
+      const auto stored = cyc.stored().placement(ref);
+      const std::int64_t at = start_ticks(spliced);
+      if (st.engaged && at >= lo && at < hi) {
+        ++skipped;
+        *mismatches += start_ticks(stored) == -1 ? 0 : 1;
+      } else {
+        *mismatches += same_placement(spliced, stored) ? 0 : 1;
+      }
+    }
+    std::int32_t next = 0;
+    cyc.stored().walk_task(k, [&](std::int32_t s, const auto& p) {
+      *mismatches += s == next++ &&
+                             same_placement(p, cyc.stored().placement({k, s}))
+                         ? 0
+                         : 1;
+    });
+    *mismatches += next == sys.task(k).num_subtasks() ? 0 : 1;
+  }
+  return skipped;
+}
+
+/// Runs `sys` through both cyclic drivers with `limit`, checks each
+/// against the reference and the unprobed run, and returns the stats
+/// with the stored and skipped cell counts.
+struct StoredRun {
+  CycleStats sfq, dvq;
+  std::int64_t sfq_stored = 0, sfq_skipped = 0;
+  std::int64_t dvq_stored = 0, dvq_skipped = 0;
+};
+StoredRun run_both(const TaskSystem& sys, std::int64_t limit,
+                   const YieldModel& yields, const std::string& tag) {
+  StoredRun out;
+  std::string why;
+  SfqOptions sopts;
+  sopts.horizon_limit = limit;
+  const CycleSchedule sc = schedule_sfq_cyclic(sys, sopts);
+  SfqOptions sfull = sopts;
+  sfull.cycle_detect = false;
+  const SlotSchedule sref = schedule_sfq_reference(sys, sopts);
+  EXPECT_TRUE(same_sfq(sref, sc.materialize(), sys, &why)) << tag << why;
+  EXPECT_TRUE(same_sfq(sref, schedule_sfq(sys, sfull), sys, &why))
+      << tag << why;
+  EXPECT_EQ(sc.materialize().stored_cells(), sys.total_subtasks()) << tag;
+  std::int64_t bad = 0;
+  out.sfq = sc.stats();
+  out.sfq_skipped = skipped_seqs(sys, sc, &bad);
+  out.sfq_stored = sc.stored().stored_cells();
+  EXPECT_EQ(bad, 0) << tag << " SFQ store";
+
+  DvqOptions dopts;
+  dopts.horizon_limit = limit;
+  const DvqCycleSchedule dc = schedule_dvq_cyclic(sys, yields, dopts);
+  DvqOptions dfull = dopts;
+  dfull.cycle_detect = false;
+  const DvqSchedule dref = schedule_dvq_reference(sys, yields, dopts);
+  EXPECT_TRUE(same_dvq(dref, dc.materialize(), sys, &why)) << tag << why;
+  EXPECT_TRUE(same_dvq(dref, schedule_dvq(sys, yields, dfull), sys, &why))
+      << tag << why;
+  EXPECT_EQ(dc.materialize().stored_cells(), sys.total_subtasks()) << tag;
+  bad = 0;
+  out.dvq = dc.stats();
+  out.dvq_skipped = skipped_seqs(sys, dc, &bad);
+  out.dvq_stored = dc.stored().stored_cells();
+  EXPECT_EQ(bad, 0) << tag << " DVQ store";
+  return out;
+}
+
+// Recurrences found at the first boundary warp out of the first budget
+// (one hyperperiod); later ones grow the store before they warp — under
+// full quanta every DVQ run here recurs only at the second boundary.
+// A complete run then stores exactly the seqs it did not skip.
+TEST(CycleStorage, GrowsUntilTheRecurrenceThenStoresOnlyWhatItSimulates) {
+  const FullQuantumYield yields;
+  int late_dvq = 0;
+  for (int seed = 0; seed < 48; ++seed) {
+    const TaskSystem sys = make_cyclic_system(seed, 12);
+    const std::int64_t hyper = fingerprint_period(sys);
+    const std::string tag = "seed " + std::to_string(seed) + ": ";
+    const StoredRun r = run_both(sys, 0, yields, tag);
+    ASSERT_TRUE(r.sfq.engaged && r.dvq.engaged) << tag;
+    EXPECT_EQ(r.sfq_stored, sys.total_subtasks() - r.sfq_skipped) << tag;
+    EXPECT_EQ(r.dvq_stored, sys.total_subtasks() - r.dvq_skipped) << tag;
+    EXPECT_EQ(r.sfq.detect_slot, hyper) << tag;
+    late_dvq += r.dvq.detect_slot > hyper ? 1 : 0;
+  }
+  EXPECT_GE(late_dvq, 24);
+}
+
+// A probing run cut by horizon_limit stores no seq eligible only past
+// the limit, though the task system has many.
+TEST(CycleStorage, TruncatedProbeStoresNothingPastItsLimit) {
+  const FixedYield yields(Time::slots_frac(0, 3, 4));
+  for (int seed = 0; seed < 24; ++seed) {
+    const TaskSystem sys = make_cyclic_system(seed, 40);
+    const std::string tag = "seed " + std::to_string(seed) + ": ";
+    const StoredRun r = run_both(sys, 6 * kPool, yields, tag);
+    ASSERT_TRUE(r.sfq.engaged && r.dvq.engaged) << tag;
+    EXPECT_LT(r.sfq_stored, sys.total_subtasks() / 4) << tag;
+    EXPECT_LT(r.dvq_stored, sys.total_subtasks() / 4) << tag;
+  }
+}
+
+// A probing run that never warps grows its store from the first
+// hyperperiod's budget to the full shape.  Task C's one subtask runs
+// dry by the first boundary, which ends the probe there.
+TEST(CycleStorage, ProbeThatNeverRecursGrowsToTheFullShape) {
+  std::vector<Task> tasks;
+  tasks.push_back(Task::periodic("A", Weight(1, 2), 20 * kPool));
+  tasks.push_back(Task::periodic("B", Weight(1, 3), 20 * kPool));
+  tasks.push_back(Task::periodic("C", Weight(1, 6), 6));
+  const TaskSystem sys(std::move(tasks), 1);
+  const FixedYield yields(Time::slots_frac(0, 3, 4));
+  const StoredRun r = run_both(sys, 0, yields, "");
+  EXPECT_FALSE(r.sfq.engaged);
+  EXPECT_FALSE(r.dvq.engaged);
+  EXPECT_EQ(r.sfq_stored, sys.total_subtasks());
+  EXPECT_EQ(r.dvq_stored, sys.total_subtasks());
+}
+
+// A store has one gap, so a second warp stores the first one's skipped
+// seqs again (as unplaced cells) and leaves its own as the gap.  Two
+// tasks of weight 1/2 on one processor repeat every two slots, so any
+// warp by whole two-slot cycles is exact: every stored placement must
+// match the reference, and exactly the skipped seqs (3 + 2 cycles, one
+// seq per task each) must read unplaced.
+TEST(CycleStorage, SecondWarpKeepsTheFirstWarpsSeqsUnplaced) {
+  std::vector<Task> tasks;
+  tasks.push_back(Task::periodic("A", Weight(1, 2), 40));
+  tasks.push_back(Task::periodic("B", Weight(1, 2), 40));
+  const TaskSystem sys(std::move(tasks), 1);
+  const std::vector<std::int64_t> allocs = {1, 1};
+  const auto check = [&](const auto& got, const auto& want) {
+    int unplaced = 0;
+    for (std::int32_t k = 0; k < 2; ++k) {
+      for (std::int32_t s = 0; s < sys.task(k).num_subtasks(); ++s) {
+        const auto g = got.placement({k, s});
+        if (start_ticks(g) == -1) {
+          ++unplaced;
+        } else {
+          EXPECT_TRUE(same_placement(g, want.placement({k, s}))) << k << s;
+        }
+      }
+    }
+    EXPECT_EQ(unplaced, 2 * 5);
+  };
+
+  SfqSimulator sfq(sys);
+  sfq.run_until(2);
+  sfq.warp(3, 2, allocs);
+  sfq.run_until(10);
+  sfq.warp(2, 2, allocs);
+  sfq.run_until(40);
+  EXPECT_TRUE(sfq.done());
+  check(sfq.schedule(), schedule_sfq_reference(sys));
+
+  const FullQuantumYield yields;
+  DvqSimulator dvq(sys, yields);
+  dvq.run_until(Time::slots(2));
+  dvq.warp(3, 2, allocs, 2);
+  dvq.run_until(Time::slots(10));
+  dvq.warp(2, 2, allocs, 10);
+  dvq.run_until(Time::slots(40));
+  EXPECT_TRUE(dvq.done());
+  check(dvq.schedule(), schedule_dvq_reference(sys, yields));
+}
+
+// A store walks a gap of any length as unplaced cells and every stored
+// seq as its own cell, before and after the gap.
+struct NumberedCell {
+  std::int64_t v;
+  [[nodiscard]] std::int64_t value() const { return v; }
+};
+TEST(CycleStorage, WalkReadsALongGapAsUnplaced) {
+  std::vector<Task> tasks;
+  tasks.push_back(Task::periodic("A", Weight(1, 2), 600));
+  tasks.push_back(Task::periodic("B", Weight(1, 3), 600));
+  const TaskSystem sys(std::move(tasks), 1);
+  CellStore<NumberedCell> store(sys, true);
+  for (std::int64_t i = 0; i < store.size(); ++i) store.data()[i].v = i + 1;
+  ASSERT_TRUE(store.relayout(
+      [](std::size_t k, const StoredSeqs& s) {
+        return k == 0 ? StoredSeqs{10, 250, s.end} : s;
+      },
+      [](std::int64_t, std::int64_t, std::int64_t) {}));
+  EXPECT_EQ(store.size(), sys.total_subtasks() - 240);
+  for (std::int32_t k = 0; k < 2; ++k) {
+    std::int64_t next = 0;
+    store.walk(k, 0, sys.task(k).num_subtasks(),
+               [&](std::int32_t s, std::int64_t v) {
+                 ASSERT_EQ(s, next++);
+                 const bool gap = k == 0 && s >= 10 && s < 250;
+                 EXPECT_EQ(v, gap ? 0 : sys.subtask_offset(k) + s + 1) << s;
+                 EXPECT_EQ(store.find(k, s) == nullptr, gap) << s;
+               });
+    EXPECT_EQ(next, sys.task(k).num_subtasks());
+  }
+}
+
+// schedule_sfq_into refills a copy of a fast-forwarded run's stored
+// schedule, skipped seqs and all, to the full run.
+TEST(CycleStorage, ScheduleIntoRefillsAStoredCopy) {
+  const TaskSystem sys = make_cyclic_system(3, 12);
+  const CycleSchedule cyc = schedule_sfq_cyclic(sys, SfqOptions{});
+  ASSERT_TRUE(cyc.stats().engaged);
+  ASSERT_LT(cyc.stored().stored_cells(), sys.total_subtasks());
+  SlotSchedule out = cyc.stored();
+  schedule_sfq_into(sys, SfqOptions{}, out);
+  EXPECT_EQ(out.stored_cells(), sys.total_subtasks());
+  EXPECT_TRUE(out.complete());
+  std::string why;
+  EXPECT_TRUE(same_sfq(schedule_sfq_reference(sys), out, sys, &why)) << why;
+  // And again, over the placements of the first refill.
+  schedule_sfq_into(sys, SfqOptions{}, out);
+  EXPECT_TRUE(same_sfq(schedule_sfq_reference(sys), out, sys, &why)) << why;
+}
+
+// The step API of an unprobed simulator stores every subtask from its
+// first step, and steps to the reference schedule.
+TEST(CycleStorage, UnprobedStepApiStoresTheFullShape) {
+  const TaskSystem sys = make_cyclic_system(5, 4);
+  SfqSimulator sfq(sys);
+  while (!sfq.done()) (void)sfq.step();
+  std::string why;
+  EXPECT_EQ(sfq.schedule().stored_cells(), sys.total_subtasks());
+  EXPECT_TRUE(same_sfq(schedule_sfq_reference(sys), sfq.schedule(), sys, &why))
+      << why;
+
+  const FixedYield yields(Time::slots_frac(0, 3, 4));
+  DvqSimulator dvq(sys, yields);
+  while (dvq.has_events() && !dvq.done()) (void)dvq.step();
+  EXPECT_EQ(dvq.schedule().stored_cells(), sys.total_subtasks());
+  EXPECT_TRUE(same_dvq(schedule_dvq_reference(sys, yields), dvq.schedule(),
+                       sys, &why))
+      << why;
+  // Cell indices are the task system's flat indices.
+  for (const std::int64_t i : dvq.schedule().order_log()) {
+    const DvqPlacement p = dvq.schedule().flat_placement(i);
+    std::int32_t k = 0;
+    while (sys.subtask_offset(k + 1) <= i) ++k;
+    const auto seq = static_cast<std::int32_t>(i - sys.subtask_offset(k));
+    ASSERT_TRUE(same_placement(p, dvq.schedule().placement({k, seq}))) << i;
   }
 }
 
