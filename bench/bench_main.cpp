@@ -86,6 +86,19 @@ void BenchContext::value(const std::string& name, double v) {
   values_.emplace_back(name, v);
 }
 
+namespace {
+
+/// Everything the report serializer needs about one finished run.
+struct BenchReport {
+  std::string bench;            ///< name without the bench_ prefix
+  int exit_code = 0;            ///< from the final repetition
+  std::vector<double> wall_ms;  ///< one entry per repetition
+  const BenchContext* ctx = nullptr;  ///< final repetition's context
+  bool profiled = false;              ///< ran under --profile
+  prof::ProfileSnapshot profile;      ///< final repetition's spans
+};
+
+/// Serializes a report in the pfair-bench-v1 schema.
 std::string bench_report_json(const BenchReport& report) {
   std::ostringstream os;
   os << "{\n";
@@ -144,6 +157,9 @@ std::string bench_report_json(const BenchReport& report) {
   return os.str();
 }
 
+/// Scans argv for `--json` / `--json=PATH`, removing it.  Returns the
+/// output path ("" when the flag is absent); `name` supplies the
+/// BENCH_<name>.json default.
 std::string extract_json_flag(int& argc, char** argv,
                               const std::string& name) {
   std::string path;
@@ -162,6 +178,8 @@ std::string extract_json_flag(int& argc, char** argv,
   argc = w;
   return path;
 }
+
+}  // namespace
 
 int bench_main(int argc, char** argv, const char* name,
                int (*fn)(BenchContext&)) {

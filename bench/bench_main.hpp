@@ -20,7 +20,7 @@
 //
 // The report schema ("pfair-bench-v1") bundles the exit code, wall
 // times, any scalar values the bench recorded via `ctx.value()`, the
-// per-case timings (google-benchmark benches), an optional profile
+// per-case timings (`ctx.add_case()`), an optional profile
 // section, and a full metrics snapshot, plus `git describe` metadata
 // captured at configure time and the box fingerprint (cores, SIMD
 // backend, compiler, build type) — enough to diff two runs of the same
@@ -37,7 +37,7 @@
 
 namespace pfair::bench {
 
-/// One timed case inside a bench (google-benchmark style).
+/// One timed case inside a bench: ns per operation over `iterations`.
 struct BenchCase {
   std::string name;
   double ns_per_op = 0.0;
@@ -76,25 +76,6 @@ class BenchContext {
   std::vector<BenchCase> cases_;
   bool profiling_ = false;
 };
-
-/// Everything the report serializer needs about one finished run.
-struct BenchReport {
-  std::string bench;            ///< name without the bench_ prefix
-  int exit_code = 0;            ///< from the final repetition
-  std::vector<double> wall_ms;  ///< one entry per repetition
-  const BenchContext* ctx = nullptr;  ///< final repetition's context
-  bool profiled = false;              ///< ran under --profile
-  prof::ProfileSnapshot profile;      ///< final repetition's spans
-};
-
-/// Serializes a report in the pfair-bench-v1 schema.
-[[nodiscard]] std::string bench_report_json(const BenchReport& report);
-
-/// Scans argv for `--json` / `--json=PATH`, removing it.  Returns the
-/// output path ("" when the flag is absent); `name` supplies the
-/// BENCH_<name>.json default.
-[[nodiscard]] std::string extract_json_flag(int& argc, char** argv,
-                                            const std::string& name);
 
 /// The uniform main: parses --json/--repeat, times `fn` over the
 /// repetitions, writes the report, and returns `fn`'s exit code.

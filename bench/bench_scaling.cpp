@@ -14,6 +14,10 @@
 // staggered_test pins its schedules against a boundary-walk oracle.
 // Construction is timed from subtask specs and, as `construction/text/<n>`,
 // from task-file text through parse_task_string(text).build().
+//
+// Experiment X4 rides along: the cost per placement of each scheduler
+// (SFQ under EPDF, PF and PD², PD^B, DVQ, staggered) on fully loaded
+// generated systems at M = 4, 8, 16, as reported values.
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -75,6 +79,17 @@ std::string make_scaling_text(std::int64_t n) {
             std::to_string(p) + "\n";
   }
   return text;
+}
+
+/// X4's systems: M processors fully loaded with generated periodic
+/// tasks.
+TaskSystem make_system(int m, std::int64_t horizon, std::uint64_t seed) {
+  GeneratorConfig cfg;
+  cfg.processors = m;
+  cfg.target_util = Rational(m);
+  cfg.horizon = horizon;
+  cfg.seed = seed;
+  return generate_periodic(cfg);
 }
 
 TaskSystem make_scaling_system(std::int64_t n) {
@@ -288,6 +303,61 @@ int run_bench(pfair::bench::BenchContext& ctx) {
   std::cout << "sfq_arena / sfq_fast at n = 16384: " << arena_vs_fast_max_n
             << "x\n";
   ctx.value("sfq.arena_vs_fast.16384", arena_vs_fast_max_n);
+
+  // --- X4: cost per placement by scheduler ---
+  // One whole-schedule call on make_system(m, 48, 7), best of kReps, per
+  // placement: x4.<leg>_ns_per_placement.<m>.  The perf gate's case is
+  // one DVQ call on each of the three systems, timed as one
+  // (x4_dvq/sweep): a single M = 16 call (~50 us) sits under its floor.
+  std::cout << "\n=== X4: ns per placement by scheduler "
+               "(make_system(m, 48, 7)) ===\n\n";
+  {
+    constexpr int kReps = 200;
+    const BernoulliYield yields(11, 1, 2, Time::ticks(kTicksPerSlot / 2),
+                                kQuantum - kTick);
+    const FullQuantumYield full;
+    std::vector<TaskSystem> systems;
+    TextTable xt;
+    xt.header({"M", "subtasks", "sfq epdf", "sfq pf", "sfq pd2", "pd^b", "dvq",
+               "staggered"});
+    for (const int m : {4, 8, 16}) {
+      const TaskSystem& sys = systems.emplace_back(make_system(m, 48, 7));
+      const auto sfq = [&](Policy policy) {
+        SfqOptions o;
+        o.policy = policy;
+        return best_ms(kReps, [&] { (void)schedule_sfq(sys, o); });
+      };
+      const std::pair<const char*, double> legs[] = {
+          {"sfq_epdf", sfq(Policy::kEpdf)},
+          {"sfq_pf", sfq(Policy::kPf)},
+          {"sfq_pd2", sfq(Policy::kPd2)},
+          {"pdb", best_ms(kReps, [&] { (void)schedule_pdb(sys); })},
+          {"dvq", best_ms(kReps, [&] { (void)schedule_dvq(sys, yields); })},
+          {"staggered",
+           best_ms(kReps, [&] { (void)schedule_staggered(sys, full); })},
+      };
+      const std::string tag = std::to_string(m);
+      const auto placements = static_cast<double>(sys.total_subtasks());
+      std::vector<std::string> row{cell(static_cast<std::int64_t>(m)),
+                                   cell(sys.total_subtasks())};
+      for (const auto& [name, ms] : legs) {
+        const double ns = ms * 1e6 / placements;
+        ctx.value(std::string("x4.") + name + "_ns_per_placement." + tag, ns);
+        row.push_back(cell(ns, 1));
+      }
+      xt.row(row);
+    }
+    std::cout << xt.str();
+    pfair::bench::BenchCase c;
+    c.name = "x4_dvq/sweep";
+    c.ns_per_op = 1e6 * best_ms(kReps, [&] {
+      for (const TaskSystem& sys : systems) (void)schedule_dvq(sys, yields);
+    });
+    c.iterations = kReps;
+    std::cout << "x4_dvq/sweep (one DVQ call per system): "
+              << c.ns_per_op / 1e3 << " us\n";
+    ctx.add_case(std::move(c));
+  }
 
   // --- Auditor overhead: invariant checking on the production path ---
   // The auditor's event mask fits in kDecisionTraceEvents, so an

@@ -8,7 +8,7 @@ BUILD="${1:-build-rel}"
 
 cmake -B "$BUILD" -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$BUILD" -j --target \
-  bench_fig2_models bench_table1_pdb bench_micro_sched bench_scaling \
+  bench_fig2_models bench_table1_pdb bench_scaling \
   bench_throughput bench_switching bench_staggered pfairsim >/dev/null
 
 OUT="$BUILD/bench-reports"
@@ -29,10 +29,6 @@ mkdir -p "$OUT"
 # growth after warmup, a conservative decisions/sec floor).
 "$BUILD/bench/bench_throughput" --json="$OUT/BENCH_throughput.json" \
   >/dev/null
-# Keep the google-benchmark run fast: one cheap case is enough to prove
-# the report path.
-"$BUILD/bench/bench_micro_sched" --json="$OUT/BENCH_micro_sched.json" \
-  --benchmark_filter=BM_WindowMath >/dev/null 2>&1
 # One profiled run: fills the report's "profile" section, writes a
 # Prometheus dump, and reports the span overhead (prof.*_overhead,
 # target < 1.05x; a value, not part of the bench's shape check).

@@ -51,15 +51,6 @@ MIN_SLOWER_PAIRS = 4
 
 # (bench target, report name, extra argv, extra env, paired)
 BENCHES = [
-    # google-benchmark micro costs, with repetitions for medians.
-    (
-        "bench_micro_sched",
-        "micro_sched",
-        ["--benchmark_filter=BM_SfqSchedule|BM_DvqSchedule",
-         "--benchmark_repetitions=3"],
-        {},
-        True,
-    ),
     # --profile records the per-phase self-time breakdown in the
     # report's "profile" section (and reports the span overhead as
     # prof.*_overhead); on a regression the gate names the phase that
@@ -78,8 +69,6 @@ BENCHES = [
 ]
 
 GUARDED_PATTERNS = [
-    r"^BM_SfqSchedule/",
-    r"^BM_DvqSchedule/",
     r"^sfq_fast/",
     # SIMD+arena and forced-scalar legs of the P1 sweep: the optimized
     # path must not regress in either backend.
@@ -98,6 +87,10 @@ GUARDED_PATTERNS = [
     # Post-simulation layers (bench_scaling): validity, tardiness,
     # recount and CSV export, one call over a whole schedule.
     r"^post/",
+    # Experiment X4's DVQ sweep (bench_scaling): one call on each fully
+    # loaded generated system (M = 4, 8, 16), timed as one case so that
+    # it clears MIN_GUARDED_NS.
+    r"^x4_dvq/",
 ]
 
 # Cases whose parent median sits below this ride along in the

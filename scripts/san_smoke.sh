@@ -19,7 +19,7 @@
 # pushes, pops and clears; bounded_memory_test schedules task files
 # whose pseudo-deadlines reach 2^40 under both models within an
 # allocation budget; storage_test and cycle_test's CycleStorage cases
-# drive every relayout of the gapped schedule store (growth ahead of
+# drive every relayout of the schedule store (growth ahead of
 # the simulated slots, the warp's gap, a reused stored() copy, the full
 # shape for materialize()), whose index arithmetic ASan should see.
 # Any ASan/UBSan report aborts the run

@@ -7,9 +7,10 @@
 // Storage mirrors SlotSchedule (sched/schedule.hpp): a CellStore
 // (sched/cell_store.hpp) of 16-byte cells, all-zero meaning "unplaced".
 // A schedule built here stores every subtask, its cell index being
-// TaskSystem::flat_index; the one a DvqSimulator fills stores only the
-// seqs it can have placed, and an unstored seq reads as unplaced.  Every
-// place() also appends the cell's index to an order log (8 bytes), so a
+// TaskSystem::flat_index; the one a DvqSimulator owns grows as the run
+// goes (StoreBudget, sched/positions.hpp), storing only the seqs it can
+// have placed, and an unstored seq reads as unplaced.  Every place()
+// also appends the cell's index to an order log (8 bytes), so a
 // placement takes 24 bytes; a relayout of the store renumbers the log.
 // The simulator (which also runs the staggered model) and the reference
 // scheduler place in nondecreasing start order, which lets the offline checks
@@ -36,6 +37,9 @@
 #include "tasks/task_system.hpp"
 
 namespace pfair {
+
+template <class Sched>
+class StoreBudget;  // sched/positions.hpp
 
 /// Placement of one subtask on the continuous time line.
 struct DvqPlacement {
@@ -111,10 +115,12 @@ class DvqSchedule {
   }
 
  private:
-  // The simulator's hot path writes cells and the log through raw
-  // pointers: its head cursor already guarantees place()'s
-  // preconditions, as in SlotSchedule.  It also relays the store.
+  // The simulator's hot path writes cells and the log directly: its
+  // head cursor already guarantees place()'s preconditions, as in
+  // SlotSchedule.  Its StoreBudget grows and relays the store.
   friend class DvqSimulator;
+  template <class>
+  friend class StoreBudget;
   // Tests corrupt the order log to pin that the checks verify it.
   friend struct DvqScheduleTestPeer;
 

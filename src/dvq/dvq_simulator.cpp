@@ -18,7 +18,8 @@ DvqSimulator::DvqSimulator(const TaskSystem& sys, const YieldModel& yields,
       order_(sys, policy),
       keys_(sys, policy, arena),
       ready_q_(order_, keys_, arena),
-      sched_(sys, false),  // stores as the run goes
+      sched_(sys, false),  // grows as the run goes
+      budget_(sched_, sys.max_deadline()),
       grid_(staggered_grid),
       hot_(arena),
       pos_(arena),
@@ -136,7 +137,7 @@ Time DvqSimulator::commit_placement(const SubtaskRef& ref, Time t,
   // processor.
   {
     const auto i = h.cell_base + ref.seq;
-    DvqSchedule::Cell& cell = sched_.store_.data()[i];
+    DvqSchedule::Cell& cell = budget_.cells()[i];
     PFAIR_ASSERT(cell.proc_p1 == 0);
     cell = DvqSchedule::Cell{t.raw_ticks(),
                              static_cast<std::int32_t>(c.raw_ticks()),
@@ -166,46 +167,12 @@ Time DvqSimulator::commit_placement(const SubtaskRef& ref, Time t,
   return c;
 }
 
-void DvqSimulator::store_ahead() {
-  PFAIR_REQUIRE(budget_.until == 0, "store_ahead after the first step");
-  ahead_ = true;
-}
-
-void DvqSimulator::store_before(std::int64_t t) {
-  if (t <= budget_.until) return;
-  PFAIR_PROF_SPAN(kConstruction);
-  if (!ahead_) {
-    budget_.until = std::numeric_limits<std::int64_t>::max();
-    sched_.store_all();
-    rebase();
-    return;
-  }
-  budget_.until = budget_.grown(t);
-  const PosRec* pos = pos_.data();
-  relayout([&](std::size_t k, StoredSeqs s) {
-    s.end = std::max(s.end, hot_[k].eligible_before(budget_.until, pos));
-    return s;
-  });
-}
-
-template <class Layout>
-void DvqSimulator::relayout(Layout&& layout) {
-  if (sched_.relayout(layout)) rebase();
-}
-
-void DvqSimulator::rebase() {
-  for (std::size_t k = 0; k < hot_.size(); ++k) {
-    hot_[k].cell_base =
-        sched_.store_.base(static_cast<std::int64_t>(k), hot_[k].head);
-  }
-}
-
 std::vector<SubtaskRef> DvqSimulator::step() {
   std::vector<SubtaskRef> started;
   if (!has_events()) return started;
   const Time t = next_event_time();
   // Work starting at t is eligible by t's slot.
-  store_before(t.slot_floor() + 1);
+  budget_.grow(t.slot_floor() + 1, hot_, pos_.data());
   grid_ ? step_into<true>(started, t) : step_into<false>(started, t);
   return started;
 }
@@ -321,7 +288,8 @@ void DvqSimulator::note_placement(Time t, SubtaskRef ref, int proc, Time c,
 void DvqSimulator::run_until(Time time_limit) {
   // Work starting before the limit is eligible before its ceiling slot.
   const std::int64_t ticks = time_limit.raw_ticks();
-  store_before(ticks / kTicksPerSlot + (ticks % kTicksPerSlot > 0 ? 1 : 0));
+  budget_.grow(ticks / kTicksPerSlot + (ticks % kTicksPerSlot > 0 ? 1 : 0),
+               hot_, pos_.data());
   PFAIR_PROF_SPAN(kDvqEvents);
   const SchedProbe::Batch batch(probe_);
   while (remaining_ > 0 && has_events()) {
@@ -342,17 +310,11 @@ void DvqSimulator::warp(std::int64_t cycles, std::int64_t cycle_slots,
   if (cycles == 0) return;
   const std::int64_t shift_slots = cycles * cycle_slots;
   const Time shift = Time::slots(shift_slots);
-  const auto n = static_cast<std::size_t>(sys_->num_tasks());
-  for (std::size_t k = 0; k < n; ++k) {
-    HotTask& h = hot_[k];
-    const std::int64_t adv = cycles * cycle_allocs[k];
-    PFAIR_REQUIRE(h.head + adv <= h.count,
-                  "warp overruns task "
-                      << sys_->task(static_cast<std::int64_t>(k)).name());
-    h.seek(static_cast<std::int32_t>(h.head + adv), pos_.data());
-    remaining_ -= adv;
-    if (!h.done()) h.ready_at += shift.raw_ticks();
-  }
+  const std::int64_t resume = boundary_slot + shift_slots;
+  remaining_ -= budget_.warp(cycles, cycle_allocs, shift_slots, resume, hot_,
+                             pos_.data(), [&](HotTask& h, std::int64_t) {
+                               if (!h.done()) h.ready_at += shift.raw_ticks();
+                             });
   // Uniform time shifts preserve completion order, so release times
   // (unread while idle) and completion events move in place; a hand-off
   // whose task the warp exhausted is void.
@@ -367,25 +329,12 @@ void DvqSimulator::warp(std::int64_t cycles, std::int64_t cycle_slots,
     completions_[i].at = completions_[i].at + shift;
   }
   now_ = now_ + shift;
-  // The skipped seqs leave the store; it keeps every seq eligible
-  // before the new boundary.
-  const std::int64_t resume = boundary_slot + shift_slots;
-  budget_.until = resume;
-  budget_.skipped += shift_slots;
-  const auto skip = [&](std::size_t k, const StoredSeqs&) {
-    const HotTask& h = hot_[k];
-    const std::int64_t adv = cycles * cycle_allocs[k];
-    return StoredSeqs{h.head - adv, h.head,
-                      std::max<std::int64_t>(
-                          h.head, h.eligible_before(resume, pos_.data()))};
-  };
-  relayout(skip);
   // Queued entries and calendar lists name pre-warp seqs — rebuild both.
   // Each head rejoins where it waited at the boundary (every calendar
   // instant lies at or after it, so the calendar restarts there).
   ready_q_.clear();
   calendar_.reset(resume);
-  for (std::size_t k = 0; k < n; ++k) {
+  for (std::size_t k = 0; k < hot_.size(); ++k) {
     const HotTask& h = hot_[k];
     if (h.done() || h.wait == kHandOff) continue;
     const auto task = static_cast<std::int32_t>(k);

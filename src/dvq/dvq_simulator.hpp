@@ -34,12 +34,11 @@
 // eligibility position), the readiness instant and where the head
 // waits — and placements are written straight into the
 // DvqSchedule's cells and order log (the schedule befriends the
-// simulator).  As in SfqSimulator, the schedule stores every subtask
-// from the first step on, except in a probing run of the fast-forward
-// driver: that stores only the seqs eligible before the slots simulated
-// so far (the slot budget at least doubling as it grows), and a warp
-// leaves the skipped seqs unstored.  Schedules are bit-identical to the retained naive
-// reference (`schedule_dvq_reference`).
+// simulator).  The schedule grows through the same StoreBudget
+// (sched/positions.hpp) as SfqSimulator's: it stores the seqs eligible
+// before the slots simulated so far, and a warp leaves the skipped seqs
+// unstored.  Schedules are bit-identical to the retained naive reference
+// (`schedule_dvq_reference`).
 //
 // A probe (decision-mask trace sink and/or metrics) rides on the same
 // fast path: decision events are reported as placements commit,
@@ -201,22 +200,6 @@ class DvqSimulator {
   // Returns the charged cost.
   template <bool kGrid>
   Time commit_placement(const SubtaskRef& ref, Time t, int proc);
-  // The fast-forward driver stores ahead (store_ahead) when it probes.
-  template <class Model, class Opts, class... SimArgs>
-  friend SplicedSchedule<typename Model::Stored> detail::fast_forward(
-      const TaskSystem&, const Opts&, bool, const SimArgs&...);
-  // From here on, grow the store only ahead of the slots simulated
-  // (header note) instead of storing every seq at the first step.
-  // Requires a simulator that has not stepped.
-  void store_ahead();
-  // Makes the store hold every seq eligible before slot `t`: all of
-  // them at the first growth unless storing ahead.
-  void store_before(std::int64_t t);
-  // Relays the store to `layout` and rebases every cursor's cells.
-  template <class Layout>
-  void relayout(Layout&& layout);
-  // Points every cursor's cell_base at the store's layout.
-  void rebase();
   // Puts task k's head in the calendar bucket of `slot`.
   void wait_in_calendar(std::int32_t k, std::int64_t slot);
   // Pushes task k's head into the ready heap.
@@ -233,8 +216,7 @@ class DvqSimulator {
   ReadyQueue ready_q_;
   SchedProbe probe_;
   DvqSchedule sched_;
-  StoreBudget budget_;
-  bool ahead_ = false;  // store_ahead() was called
+  StoreBudget<DvqSchedule> budget_;
   bool grid_;  // staggered_grid
 
   ArenaVector<HotTask> hot_;

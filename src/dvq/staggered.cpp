@@ -11,7 +11,11 @@ DvqSchedule schedule_staggered(const TaskSystem& sys, const YieldModel& yields,
   DvqSimulator sim(sys, yields, opts.policy, nullptr,
                    /*staggered_grid=*/true);
   sim.run_until(Time::slots(limit));
-  return std::move(sim).take_schedule();
+  // Stores every subtask, as the other public schedulers' results do; a
+  // run that reached every subtask stores them already.
+  DvqSchedule out = std::move(sim).take_schedule();
+  out.store_all();
+  return out;
 }
 
 }  // namespace pfair

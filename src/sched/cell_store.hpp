@@ -6,14 +6,17 @@
 // cells only for the seqs it *stores*, though: task k stores seqs
 // [0, gap_begin) ∪ [gap_end, end) as one contiguous run of cells, and a
 // seq outside them reads as an all-zero cell, which both cell types
-// define as "unplaced".  A full-shape store holds every seq — what the
-// public schedule constructors, the reference schedulers and
-// materialize() build, and what a simulator stores from its first step.
-// A simulator the fast-forward driver has store ahead grows its store
-// ahead of the slots it simulates instead, and its warp leaves the
-// skipped seqs in the gap (sched/simulator.hpp, dvq/dvq_simulator.hpp),
-// so a fast-forwarded run holds O(tasks + simulated placements) cells,
-// whatever its horizon.
+// define as "unplaced".  Every store has that one layout, one record
+// per task: its first cell, its gap, its stored end and its full count
+// (an empty gap is kept at the stored end, so an ungapped task is one
+// run from seq 0).
+// The public schedule constructors, the reference schedulers and
+// materialize() store every seq (no gap, end = count).  A simulator
+// grows its store ahead of the slots it simulates instead, and a warp
+// leaves the skipped seqs in the gap (StoreBudget, sched/positions.hpp),
+// so a run holds cells for the seqs eligible before its limit, and a
+// fast-forwarded one O(tasks + simulated placements) cells, whatever
+// its horizon.
 //
 // Cells are allocated through operator new and zeroed (or copied) in
 // full, so a store's memory is what it holds: no lazily mapped pages,
@@ -31,19 +34,6 @@
 
 namespace pfair {
 
-template <class Stored>
-class SplicedSchedule;
-
-namespace detail {
-/// The fast-forward driver (sched/fast_forward.hpp), declared here for
-/// the types that befriend it: SplicedSchedule and the simulators, which
-/// store ahead for it.
-template <class Model, class Opts, class... SimArgs>
-SplicedSchedule<typename Model::Stored> fast_forward(
-    const TaskSystem& sys, const Opts& opts, bool probe,
-    const SimArgs&... sim_args);
-}  // namespace detail
-
 /// The seqs one task stores: [0, gap_begin) ∪ [gap_end, end), with
 /// 0 <= gap_begin <= gap_end <= end <= its subtask count.
 struct StoredSeqs {
@@ -57,29 +47,27 @@ struct StoredSeqs {
   friend bool operator==(const StoredSeqs&, const StoredSeqs&) = default;
 };
 
-/// The gapped cell block of one schedule (see the header note).  A
-/// store that holds every seq, or none, keeps one offset per task, as a
-/// dense block would; only a gapped store keeps per-task seq ranges.
+/// The cell block of one schedule (see the header note).
 template <class Cell>
 class CellStore {
  public:
   /// Shaped like `sys`, storing every seq (`all`) or none.  O(tasks),
   /// plus the zeroed block when `all`.
   CellStore(const TaskSystem& sys, bool all) {
-    first_.reserve(static_cast<std::size_t>(sys.num_tasks()) + 1);
-    first_.push_back(0);
+    tasks_.reserve(static_cast<std::size_t>(sys.num_tasks()));
     for (std::int64_t k = 0; k < sys.num_tasks(); ++k) {
-      first_.push_back(first_.back() + sys.task(k).num_subtasks());
+      const std::int64_t count = sys.task(k).num_subtasks();
+      const StoredSeqs seqs = canonical({0, 0, all ? count : 0});
+      tasks_.push_back(TaskCells{size_, seqs, count});
+      size_ += seqs.cells();
+      subtasks_ += count;
     }
-    subtasks_ = first_.back();
-    size_ = all ? subtasks_ : 0;
     cells_ = block(size_);
     std::fill_n(cells_.get(), size_, Cell{});
   }
 
   CellStore(const CellStore& o)
-      : first_(o.first_),
-        gapped_(o.gapped_),
+      : tasks_(o.tasks_),
         cells_(block(o.size_)),
         size_(o.size_),
         subtasks_(o.subtasks_) {
@@ -93,25 +81,30 @@ class CellStore {
   CellStore& operator=(CellStore&&) noexcept = default;
 
   [[nodiscard]] std::int64_t num_tasks() const {
-    return static_cast<std::int64_t>(first_.size()) - 1;
+    return static_cast<std::int64_t>(tasks_.size());
   }
   [[nodiscard]] std::int64_t num_subtasks(std::int64_t task) const {
-    return gapped_.empty() ? at(first_, task + 1) - at(first_, task)
-                           : at(gapped_, task).count;
+    return at(task).count;
   }
   /// Subtasks of the full shape.
   [[nodiscard]] std::int64_t subtasks() const { return subtasks_; }
   /// Cells held.
   [[nodiscard]] std::int64_t size() const { return size_; }
+  /// True iff every seq is stored: the store holds the full shape.
+  [[nodiscard]] bool all() const { return size_ == subtasks_; }
   [[nodiscard]] StoredSeqs seqs(std::int64_t task) const {
-    if (!gapped_.empty()) return at(gapped_, task).seqs;
-    return StoredSeqs{0, 0, all() ? num_subtasks(task) : 0};
+    const StoredSeqs& g = at(task).seqs;
+    return g.gap_begin == g.gap_end ? StoredSeqs{0, 0, g.end} : g;
   }
 
   /// The cell of seq `seq` of `task`, or nullptr if it is not stored.
   /// Requires a valid task and seq.
   [[nodiscard]] const Cell* find(std::int64_t task, std::int64_t seq) const {
-    return segment(task, seq, seq + 1).cells;
+    const StoredSeqs& g = at(task).seqs;
+    if (seq >= g.end || (seq >= g.gap_begin && seq < g.gap_end)) {
+      return nullptr;
+    }
+    return cells_.get() + (base(task, seq) + seq);
   }
   [[nodiscard]] Cell* find(std::int64_t task, std::int64_t seq) {
     return const_cast<Cell*>(std::as_const(*this).find(task, seq));
@@ -123,37 +116,40 @@ class CellStore {
   /// is base(task, seq) + seq while seq and its successors stay on
   /// the same side of the gap.
   [[nodiscard]] std::int64_t base(std::int64_t task, std::int64_t seq) const {
-    const StoredSeqs g = seqs(task);
-    return at(first_, task) - (seq < g.gap_end ? 0 : g.gap_end - g.gap_begin);
+    const TaskCells& t = at(task);
+    const StoredSeqs& g = t.seqs;
+    return t.first - (seq < g.gap_end ? 0 : g.gap_end - g.gap_begin);
   }
 
-  /// Calls f(lo, hi, cells) for the maximal runs of seqs [first, last)
-  /// of `task`, in seq order: `cells` holds seq lo's cell onward, or is
-  /// null for a run that is not stored.
+  /// Calls f(lo, hi, cells) for the runs of seqs [first, last) of
+  /// `task` (at most four), in seq order: `cells` holds seq lo's cell
+  /// onward, or is null for a run that is not stored.
   template <class F>
   void runs(std::int64_t task, std::int64_t first, std::int64_t last,
             F&& f) const {
-    for (std::int64_t s = first; s < last;) {
-      const Segment seg = segment(task, s, last);
-      f(s, seg.end, seg.cells);
-      s = seg.end;
-    }
+    runs(at(task), cells_.get(), first, last, f);
   }
 
   /// Calls f(seq, cell.value()) for seqs [first, last) of `task` in seq
-  /// order, an unstored seq with a zero cell.  One call site for f,
-  /// stepping through contiguous cells (unstored seqs through a run of
-  /// zero cells, kZeroRun at a time), so the hot walks of the analyses
-  /// inline it once and run as over a plain array.
+  /// order, an unstored seq with a zero cell.  The task's record is
+  /// looked up once; f has one call site, stepping through contiguous cells
+  /// (unstored seqs through a run of zero cells, kZeroRun at a time), so
+  /// the hot walks of the analyses inline it once and run as over a
+  /// plain array.
   template <class F>
   void walk(std::int64_t task, std::int64_t first, std::int64_t last,
             F&& f) const {
+    const TaskCells& t = at(task);
     for (std::int64_t s = first; s < last;) {
-      Segment seg = segment(task, s, last);
-      if (seg.cells == nullptr) {
-        seg = {std::min<std::int64_t>(seg.end, s + kZeroRun), kUnstored};
+      const Run r = run(t, s, last);
+      const Cell* c = kUnstored;
+      std::int64_t stop = r.end;
+      if (r.stored) {
+        c = cells_.get() + (r.base + s);
+      } else {
+        stop = std::min(stop, s + kZeroRun);
       }
-      for (const Cell* c = seg.cells; s < seg.end; ++s, ++c) {
+      for (; s < stop; ++s, ++c) {
         f(static_cast<std::int32_t>(s), c->value());
       }
     }
@@ -163,18 +159,11 @@ class CellStore {
   void clear() { std::fill_n(cells_.get(), size_, Cell{}); }
 
   /// Stores every seq, keeping the stored cells (moved() as for
-  /// relayout).  O(1) when the store holds every seq already; a store
-  /// holding none and no gap keeps the full shape's offsets, so it only
-  /// needs the zeroed block.  Returns false when nothing changed.
+  /// relayout).  O(1), returning false, when the store holds every seq
+  /// already.
   template <class Moved>
   bool store_all(Moved&& moved) {
     if (all()) return false;
-    if (gapped_.empty()) {
-      cells_ = block(subtasks_);
-      std::fill_n(cells_.get(), subtasks_, Cell{});
-      size_ = subtasks_;
-      return true;
-    }
     return relayout(
         [this](std::size_t k, const StoredSeqs&) {
           return StoredSeqs{0, 0, num_subtasks(static_cast<std::int64_t>(k))};
@@ -182,54 +171,53 @@ class CellStore {
         moved);
   }
 
-  /// Relays the store so task k stores `layout(k, seqs(k))`: a cell whose
-  /// seq stays stored is copied (moved(from, to, n) reports each run of n
-  /// cells from index `from` to index `to`), a newly stored one is zero,
-  /// and a cell whose seq leaves the store is dropped.  Returns false,
-  /// touching nothing, when no task's layout changes.  O(tasks + the new
-  /// block).
+  /// Relays the store so task k stores `layout(k, seqs(k))` (called once
+  /// per task): a cell whose seq stays stored is copied (moved(from, to,
+  /// n) reports each run of n cells from index `from` to index `to`), a
+  /// newly stored one is zero, and a cell whose seq leaves the store is
+  /// dropped.  Returns false, touching nothing, when no task's layout
+  /// changes.  O(tasks + the new block).  A layout out of its task's
+  /// bounds is a ContractViolation that leaves the store unusable.
   template <class Layout, class Moved>
   bool relayout(Layout&& layout, Moved&& moved) {
-    const auto n = static_cast<std::size_t>(num_tasks());
+    // The layout is rewritten in place; the old one is kept in old_ while
+    // there are cells to copy out of the old block.
+    old_.clear();
+    if (size_ > 0) old_.reserve(tasks_.size());
     std::int64_t size = 0;
-    bool changed = false, full = true;
-    for (std::size_t k = 0; k < n; ++k) {
-      const auto task = static_cast<std::int64_t>(k);
-      const StoredSeqs o = seqs(task);
-      const StoredSeqs g = layout(k, o);
+    bool changed = false;
+    for (std::size_t k = 0; k < tasks_.size(); ++k) {
+      TaskCells& t = tasks_[k];
+      const StoredSeqs g = layout(k, seqs(static_cast<std::int64_t>(k)));
       PFAIR_REQUIRE(0 <= g.gap_begin && g.gap_begin <= g.gap_end &&
-                        g.gap_end <= g.end && g.end <= num_subtasks(task),
+                        g.gap_end <= g.end && g.end <= t.count,
                     "bad stored seqs of task " << k);
-      changed |= g != o;
-      full &= g.cells() == num_subtasks(task);
-      size += g.cells();
+      if (size_ > 0) old_.push_back(t.seqs);
+      changed |= canonical(g) != t.seqs;
+      t = TaskCells{size, canonical(g), t.count};
+      size += t.seqs.cells();
     }
     if (!changed) return false;
-    // Each task is copied out of the old block before its offset moves;
-    // later tasks still read the old offsets.
-    std::vector<Gapped> next(full ? 0 : n);
+    // Zero the new block in one pass, then copy each stored cell whose
+    // seq stays stored; task k's old cells start at `from`.
     auto cells = block(size);
-    Cell* dst = cells.get();
-    for (std::size_t k = 0; k < n; ++k) {
-      const auto task = static_cast<std::int64_t>(k);
-      const StoredSeqs g = layout(k, seqs(task));
-      const auto fill = [&](std::int64_t lo, std::int64_t hi, const Cell* c) {
-        if (c == nullptr) {
-          std::fill_n(dst, hi - lo, Cell{});
-        } else {
+    std::fill_n(cells.get(), size, Cell{});
+    std::int64_t from = 0;
+    for (std::size_t k = 0; k < old_.size(); ++k) {
+      const TaskCells& t = tasks_[k];
+      const TaskCells was{from, old_[k], t.count};
+      from += old_[k].cells();
+      Cell* dst = cells.get() + t.first;
+      const auto copy = [&](std::int64_t lo, std::int64_t hi, const Cell* c) {
+        if (c != nullptr) {
           std::copy_n(c, hi - lo, dst);
           moved(c - cells_.get(), dst - cells.get(), hi - lo);
         }
         dst += hi - lo;
       };
-      const std::int64_t first = dst - cells.get();
-      if (!full) next[k] = Gapped{g, num_subtasks(task)};
-      runs(task, 0, g.gap_begin, fill);
-      runs(task, g.gap_end, g.end, fill);
-      first_[k] = first;
+      runs(was, cells_.get(), 0, t.seqs.gap_begin, copy);
+      runs(was, cells_.get(), t.seqs.gap_end, t.seqs.end, copy);
     }
-    first_.back() = size;
-    gapped_ = std::move(next);
     cells_ = std::move(cells);
     size_ = size;
     return true;
@@ -240,38 +228,49 @@ class CellStore {
   static constexpr std::int64_t kZeroRun = 64;
   static constexpr Cell kUnstored[kZeroRun]{};
 
-  struct Gapped {
+  /// One task's layout.
+  struct TaskCells {
+    std::int64_t first;  // index of seq 0's cell, the gap aside
     StoredSeqs seqs;
     std::int64_t count;  // subtasks of the full shape
   };
 
-  /// Seqs [s, end) of a task, all stored from `cells` on, or none
-  /// (null); end <= last.
-  struct Segment {
+  /// Seqs [s, end) of a task: stored, seq's cell at index base + seq,
+  /// or not.
+  struct Run {
     std::int64_t end;
-    const Cell* cells;
+    std::int64_t base;
+    bool stored;
   };
-  [[nodiscard]] Segment segment(std::int64_t task, std::int64_t s,
-                                std::int64_t last) const {
-    const std::int64_t first = at(first_, task);
-    if (gapped_.empty()) {
-      return {last, all() ? cells_.get() + (first + s) : nullptr};
-    }
-    const StoredSeqs& g = at(gapped_, task).seqs;
-    if (s < g.gap_begin) {
-      return {std::min(last, g.gap_begin), cells_.get() + (first + s)};
-    }
-    if (s < g.gap_end) return {std::min(last, g.gap_end), nullptr};
+  /// The run of task layout `t` from seq s on, cut at `last`.
+  static Run run(const TaskCells& t, std::int64_t s, std::int64_t last) {
+    const StoredSeqs& g = t.seqs;
+    if (s < g.gap_begin) return {std::min(last, g.gap_begin), t.first, true};
+    if (s < g.gap_end) return {std::min(last, g.gap_end), 0, false};
     if (s < g.end) {
-      return {std::min(last, g.end),
-              cells_.get() + (first + s - (g.gap_end - g.gap_begin))};
+      return {std::min(last, g.end), t.first - (g.gap_end - g.gap_begin),
+              true};
     }
-    return {last, nullptr};
+    return {last, 0, false};
+  }
+  /// runs() over layout `t` of the block `cells`.
+  template <class F>
+  static void runs(const TaskCells& t, const Cell* cells, std::int64_t first,
+                   std::int64_t last, F&& f) {
+    for (std::int64_t s = first; s < last;) {
+      const Run r = run(t, s, last);
+      f(s, r.end, r.stored ? cells + (r.base + s) : nullptr);
+      s = r.end;
+    }
+  }
+  /// `g` with an empty gap moved to its end, so that the run before the
+  /// gap is the whole of an ungapped task: one test in run().
+  static StoredSeqs canonical(const StoredSeqs& g) {
+    return g.gap_begin == g.gap_end ? StoredSeqs{g.end, g.end, g.end} : g;
   }
 
-  template <class V>
-  static const typename V::value_type& at(const V& v, std::int64_t i) {
-    return v[static_cast<std::size_t>(i)];
+  [[nodiscard]] const TaskCells& at(std::int64_t task) const {
+    return tasks_[static_cast<std::size_t>(task)];
   }
   /// An uninitialized block of `size` cells; none for an empty store.
   static std::unique_ptr<Cell[]> block(std::int64_t size) {
@@ -279,15 +278,11 @@ class CellStore {
     return std::make_unique_for_overwrite<Cell[]>(
         static_cast<std::size_t>(size));
   }
-  /// Every seq stored.  A gapped store lacks some, so it holds fewer
-  /// cells than the full shape.
-  [[nodiscard]] bool all() const { return size_ == subtasks_; }
 
-  // Ungapped: [task] -> index of seq 0's cell = flat offset; sentinel
-  // subtasks().  Gapped: [task] -> index of seq 0's cell (gap aside);
-  // sentinel size().
-  std::vector<std::int64_t> first_;
-  std::vector<Gapped> gapped_;  // empty unless gapped
+  std::vector<TaskCells> tasks_;
+  // relayout()'s copy of the old layout, kept so that a store relaid
+  // many times (a growing simulator's) allocates it once.  Not copied.
+  std::vector<StoredSeqs> old_;
   std::unique_ptr<Cell[]> cells_;
   std::int64_t size_ = 0;
   std::int64_t subtasks_ = 0;

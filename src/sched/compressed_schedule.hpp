@@ -53,6 +53,18 @@ namespace pfair {
 
 class TraceSink;
 
+template <class Stored>
+class SplicedSchedule;
+
+namespace detail {
+/// The fast-forward driver (sched/fast_forward.hpp), which SplicedSchedule
+/// befriends.
+template <class Model, class Opts, class... SimArgs>
+SplicedSchedule<typename Model::Stored> fast_forward(
+    const TaskSystem& sys, const Opts& opts, bool probe,
+    const SimArgs&... sim_args);
+}  // namespace detail
+
 /// Splice parameters of one task: which seqs are synthesized and where
 /// their base copies live.
 struct TaskSplice {

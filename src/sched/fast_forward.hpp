@@ -8,11 +8,15 @@
 // every hyperperiod boundary; on a recurrence it warps over as many whole
 // cycles as the limit and every task's subtask count allow, and hands
 // back a SplicedSchedule (sched/compressed_schedule.hpp) whose stored
-// schedule holds cells for the simulated seqs only.  Probing needs
-// an unobserved run — observed streams are never elided — so without it
-// this is the plain full run, wrapped unengaged.  That full run is what
-// the quality recount (analysis/recount.hpp, add_recount) reads once the
-// run returns, for opts.quality and opts.metrics.
+// schedule holds cells for the simulated seqs only: every simulator
+// grows its store as it simulates, and the warp leaves the skipped seqs
+// unstored (StoreBudget, sched/positions.hpp).  Probing needs an
+// unobserved run — observed streams are never elided — so without it
+// this is the plain full run, wrapped unengaged: one run_to(limit),
+// which grows the store once, to the seqs eligible before the limit.
+// That full run is what the quality recount (analysis/recount.hpp,
+// add_recount) reads once the run returns, for opts.quality and
+// opts.metrics.
 //
 // A model plugs in through a hooks type M:
 //   M::Sim, M::Stored      the simulator and the schedule it stores;
@@ -73,11 +77,6 @@ SplicedSchedule<typename Model::Stored> fast_forward(
   const std::int64_t hyper =
       probe && !observed ? fingerprint_period(sys) : 0;
   if (hyper > 0) {
-    // Store only what the run simulates: a recurrence leaves the skipped
-    // cycles unstored, and a run that never recurs grows its store as it
-    // goes, to the full shape only once it has simulated that far.  A
-    // limit short of one hyperperiod leaves nothing to probe.
-    if (hyper <= limit) sim.store_ahead();
     struct Snap {
       StateFingerprint state;
       std::vector<std::int64_t> heads;

@@ -17,12 +17,23 @@
 // records start with: advance() is the per-placement step, eligible()
 // the head's eligibility slot, and seek() — the one division — jumps
 // it after a warp.
+//
+// StoreBudget is the one way a simulator stores its run: before it
+// simulates up to slot t it grows its schedule's store to every seq
+// eligible before t (the slot budget at least doubling, so a run copies
+// O(simulated) cells in all), a warp seeks the heads and leaves the
+// skipped seqs as the store's gap, and each relayout rebases every
+// cursor's cells.  An unprobed run grows once, to its limit.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "core/arena.hpp"
+#include "core/assert.hpp"
+#include "obs/prof.hpp"
+#include "sched/cell_store.hpp"
 #include "sched/packed_key.hpp"
 #include "tasks/task_system.hpp"
 #include "tasks/window_table.hpp"
@@ -41,7 +52,7 @@ struct PosRec {
 struct HeadCursor {
   std::uint64_t next_key;   // order key of subtask `head` (packed mode)
   std::int64_t elig_p;      // eligibility shift per job (0: job fixed 0)
-  std::int64_t cell_base;   // flat schedule-cell index of subtask 0
+  std::int64_t cell_base;   // base of the head's stored run (cell_base + head)
   std::int32_t head;        // next unscheduled seq
   std::int32_t count;       // total subtasks
   std::int32_t rem;         // head % e
@@ -118,18 +129,105 @@ struct HeadCursor {
 };
 static_assert(sizeof(HeadCursor) == 48);
 
-/// How far ahead a simulator's schedule stores: every seq eligible
-/// before slot `until` is stored, or was skipped by a warp.
-struct StoreBudget {
-  std::int64_t until = 0;
-  std::int64_t skipped = 0;  ///< slots warped over
+/// A simulator's hold on the store of its schedule `Sched` (a
+/// SlotSchedule or DvqSchedule; both befriend this type), and the
+/// routines that move it (see the header note): every seq eligible
+/// before slot `until` is stored, or was skipped by a warp.  cells() is
+/// the one way to the cell block: a task's head cell is
+/// cells()[cell_base + head] in its cursor (a HeadCursor, `Hot`).
+template <class Sched>
+class StoreBudget {
+ public:
+  using Cell = typename Sched::Cell;
+
+  /// Holds `sched`, which must outlive it.  The first grow() of an
+  /// empty store bases the cursors; rebase() one that holds cells.
+  /// `last_deadline` is its task system's latest deadline.
+  StoreBudget(Sched& sched, std::int64_t last_deadline)
+      : sched_(&sched), last_deadline_(last_deadline) {}
+
+  [[nodiscard]] Cell* cells() const { return cells_; }
 
   /// The budget to grow to for a run up to slot `t` > until: t, or more
   /// if that would not double the simulated span.
   [[nodiscard]] std::int64_t grown(std::int64_t t) const {
-    const std::int64_t span = until - skipped;
-    return t - until > span ? t : until + span;
+    const std::int64_t span = until_ - skipped_;
+    return t - until_ > span ? t : until_ + span;
   }
+
+  /// Makes the store hold every seq eligible before slot `t`.  O(1) when
+  /// t is within the budget or the store holds every seq.
+  template <class Hot>
+  void grow(std::int64_t t, ArenaVector<Hot>& hot, const PosRec* pos) {
+    if (t <= until_) return;
+    until_ = grown(t);
+    if (sched_->store_.all()) return;
+    PFAIR_PROF_SPAN(kConstruction);
+    if (skipped_ == 0 && until_ >= last_deadline_) {
+      // Every seq is eligible before its deadline, so this stores them
+      // all; no search per task.
+      sched_->store_all();
+      rebase(hot);
+      return;
+    }
+    relay(hot, [&](std::size_t k, StoredSeqs s) {
+      s.end = std::max(s.end, hot[k].eligible_before(until_, pos));
+      return s;
+    });
+  }
+
+  /// Moves every head cycles * cycle_allocs[k] seqs on, then calls
+  /// moved(h, seqs moved) per task, for a warp over `shift` slots that
+  /// resumes at slot `resume`.  The skipped seqs leave the store as its
+  /// gap; it keeps every seq eligible before `resume`.  Returns the seqs
+  /// skipped in all.
+  template <class Hot, class Moved>
+  std::int64_t warp(std::int64_t cycles,
+                    const std::vector<std::int64_t>& cycle_allocs,
+                    std::int64_t shift, std::int64_t resume,
+                    ArenaVector<Hot>& hot, const PosRec* pos, Moved&& moved) {
+    std::int64_t skipped_seqs = 0;
+    for (std::size_t k = 0; k < hot.size(); ++k) {
+      Hot& h = hot[k];
+      const std::int64_t adv = cycles * cycle_allocs[k];
+      PFAIR_REQUIRE(h.head + adv <= h.count, "warp overruns task " << k);
+      h.seek(static_cast<std::int32_t>(h.head + adv), pos);
+      skipped_seqs += adv;
+      moved(h, adv);
+    }
+    until_ = resume;
+    skipped_ += shift;
+    relay(hot, [&](std::size_t k, const StoredSeqs&) {
+      const Hot& h = hot[k];
+      return StoredSeqs{h.head - cycles * cycle_allocs[k], h.head,
+                        std::max<std::int64_t>(
+                            h.head, h.eligible_before(resume, pos))};
+    });
+    return skipped_seqs;
+  }
+
+  /// Points cells() and every cursor's cell_base at the store's layout.
+  template <class Hot>
+  void rebase(ArenaVector<Hot>& hot) {
+    cells_ = sched_->store_.data();
+    for (std::size_t k = 0; k < hot.size(); ++k) {
+      hot[k].cell_base =
+          sched_->store_.base(static_cast<std::int64_t>(k), hot[k].head);
+    }
+  }
+
+ private:
+  /// Relays the store to `layout` and rebases.
+  template <class Hot, class Layout>
+  void relay(ArenaVector<Hot>& hot, Layout&& layout) {
+    if (sched_->relayout(layout)) rebase(hot);
+  }
+
+  Sched* sched_;
+  std::int64_t last_deadline_;
+  Cell* cells_ = nullptr;
+  std::int64_t until_ = 0;
+  std::int64_t skipped_ = 0;  // slots warped over
 };
 
 /// Fills `pos` with every task's position records, in task order, and
@@ -159,7 +257,6 @@ void build_positions(const TaskSystem& sys, const PackedKeys& keys,
     const Task& task = sys.task(k);
     const std::int64_t cnt = task.num_subtasks();
     HeadCursor cur{};
-    cur.cell_base = sys.subtask_offset(k);
     cur.count = static_cast<std::int32_t>(cnt);
     cur.e = 1;
     cur.pos_off = static_cast<std::int32_t>(positions);

@@ -5,13 +5,14 @@
 // Storage is a CellStore (sched/cell_store.hpp) of 16-byte cells, zero
 // meaning "unscheduled" (slot and proc are stored shifted by +1).  A
 // schedule built here stores every subtask: the block is allocated and
-// zeroed up front, O(subtasks).  The schedule an SfqSimulator fills
+// zeroed up front, O(subtasks).  The schedule an SfqSimulator owns
 // stores only the seqs it can have placed: the simulator grows the
-// store ahead of the slots it simulates, and a warp leaves the skipped
-// seqs unstored.  An unstored seq reads as unscheduled and every
-// accessor keeps its full-shape meaning, so a cycle fast-forwarded run
-// (sched/compressed_schedule.hpp) stores O(tasks + prefix + cycle +
-// tail) cells whatever its horizon.
+// store ahead of the slots it simulates (StoreBudget,
+// sched/positions.hpp), and a warp leaves the skipped seqs unstored.
+// An unstored seq reads as unscheduled and every accessor keeps its
+// full-shape meaning, so a run cut short stores no seq eligible past its
+// limit, and a cycle fast-forwarded run (sched/compressed_schedule.hpp)
+// stores O(tasks + prefix + cycle + tail) cells whatever its horizon.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +23,9 @@
 #include "tasks/task_system.hpp"
 
 namespace pfair {
+
+template <class Sched>
+class StoreBudget;  // sched/positions.hpp
 
 /// Where one subtask was placed: the slot it occupies and the processor it
 /// ran on.  `slot == kUnscheduled` means the scheduler never placed it
@@ -83,7 +87,7 @@ class SlotSchedule {
 
   /// Number of placements recorded so far.
   [[nodiscard]] std::int64_t placed_count() const { return placed_; }
-  /// Number of cells held: every subtask's, unless a simulator filled
+  /// Number of cells held: every subtask's, unless a simulator owned
   /// the schedule (see the header note).
   [[nodiscard]] std::int64_t stored_cells() const { return store_.size(); }
   /// Stores every subtask (a no-op when it already does), so any
@@ -97,11 +101,13 @@ class SlotSchedule {
   void clear_placements();
 
  private:
-  // The simulator's hot path writes cells through a raw pointer —
+  // The simulator's hot path writes cells straight into the block —
   // the simulator's head cursor already guarantees place()'s
-  // preconditions (valid ref, never placed twice) — and grows and
-  // relays the store (relayout) as it runs.
+  // preconditions (valid ref, never placed twice) — and its StoreBudget
+  // grows and relays the store (relayout) as it runs.
   friend class SfqSimulator;
+  template <class>
+  friend class StoreBudget;
 
   /// One subtask's placement, shifted so all-zero bytes == unscheduled.
   struct Cell {
@@ -116,6 +122,13 @@ class SlotSchedule {
 
   /// Shaped like `sys`, storing every subtask (`all`) or none.
   SlotSchedule(const TaskSystem& sys, bool all) : store_(sys, all) {}
+  /// Relays the store to `layout` (CellStore::relayout).  False if
+  /// unchanged.
+  template <class Layout>
+  bool relayout(Layout&& layout) {
+    return store_.relayout(layout,
+                           [](std::int64_t, std::int64_t, std::int64_t) {});
+  }
 
   CellStore<Cell> store_;
   std::int64_t horizon_ = 0;

@@ -1,7 +1,6 @@
 #include "sched/simulator.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <span>
 
 #include "core/simd.hpp"
@@ -15,22 +14,20 @@ SfqSimulator::SfqSimulator(const TaskSystem& sys, Policy policy, Arena* arena,
       order_(sys, policy),
       keys_(sys, policy, arena),
       ready_q_(order_, keys_, arena),
+      owned_sched_(out == nullptr ? std::optional(SlotSchedule(sys, false))
+                                  : std::nullopt),  // grows as the run goes
+      sched_(out == nullptr ? &*owned_sched_ : out),
+      budget_(*sched_, sys.max_deadline()),
       hot_(arena),
       pos_(arena),
       calendar_(arena),
       scratch_picks_(arena),
       remaining_(sys.total_subtasks()) {
-  if (out != nullptr) {
-    PFAIR_REQUIRE(out->num_tasks() == sys.num_tasks() &&
-                      out->placed_count() == 0 &&
-                      out->store_.subtasks() == sys.total_subtasks(),
-                  "external schedule does not match the task system");
-    sched_ = out;  // stored in full at the first step, as an owned one
-  } else {
-    owned_sched_ = SlotSchedule(sys, false);  // stores as the run goes
-    sched_ = &*owned_sched_;
-  }
-  cells_ = sched_->store_.data();
+  PFAIR_REQUIRE(out == nullptr ||
+                    (out->num_tasks() == sys.num_tasks() &&
+                     out->placed_count() == 0 &&
+                     out->store_.subtasks() == sys.total_subtasks()),
+                "external schedule does not match the task system");
 
   const std::int64_t n = sys.num_tasks();
   hot_.resize(static_cast<std::size_t>(n));
@@ -44,6 +41,10 @@ SfqSimulator::SfqSimulator(const TaskSystem& sys, Policy policy, Arena* arena,
                      static_cast<std::int32_t>(k));
     }
   });
+  if (out != nullptr) {
+    out->store_all();  // so growing it is a no-op
+    budget_.rebase(hot_);
+  }
 }
 
 SlotSchedule SfqSimulator::take_schedule() && {
@@ -53,51 +54,12 @@ SlotSchedule SfqSimulator::take_schedule() && {
 }
 
 void SfqSimulator::place_fast(const HotTask& h, std::int32_t seq, int proc) {
-  SlotSchedule::Cell& c =
-      cells_[static_cast<std::size_t>(h.cell_base + seq)];
+  SlotSchedule::Cell& c = budget_.cells()[h.cell_base + seq];
   PFAIR_ASSERT(c.slot_p1 == 0);
   c.slot_p1 = now_ + 1;
   c.proc_p1 = proc + 1;
   ++sched_->placed_;
   sched_->horizon_ = std::max(sched_->horizon_, now_ + 1);
-}
-
-void SfqSimulator::store_ahead() {
-  PFAIR_REQUIRE(budget_.until == 0, "store_ahead after the first step");
-  ahead_ = true;
-}
-
-void SfqSimulator::store_before(std::int64_t t) {
-  if (t <= budget_.until) return;
-  PFAIR_PROF_SPAN(kConstruction);
-  if (!ahead_) {
-    budget_.until = std::numeric_limits<std::int64_t>::max();
-    sched_->store_all();
-    rebase();
-    return;
-  }
-  budget_.until = budget_.grown(t);
-  const PosRec* pos = pos_.data();
-  relayout([&](std::size_t k, StoredSeqs s) {
-    s.end = std::max(s.end, hot_[k].eligible_before(budget_.until, pos));
-    return s;
-  });
-}
-
-template <class Layout>
-void SfqSimulator::relayout(Layout&& layout) {
-  if (sched_->store_.relayout(
-          layout, [](std::int64_t, std::int64_t, std::int64_t) {})) {
-    rebase();
-  }
-}
-
-void SfqSimulator::rebase() {
-  const CellStore<SlotSchedule::Cell>& store = sched_->store_;
-  cells_ = sched_->store_.data();
-  for (std::size_t k = 0; k < hot_.size(); ++k) {
-    hot_[k].cell_base = store.base(static_cast<std::int64_t>(k), hot_[k].head);
-  }
 }
 
 void SfqSimulator::commit_placement(const SubtaskRef& ref) {
@@ -126,7 +88,7 @@ std::vector<SubtaskRef> SfqSimulator::ready() const {
 }
 
 std::vector<SubtaskRef> SfqSimulator::step() {
-  store_before(now_ + 1);
+  budget_.grow(now_ + 1, hot_, pos_.data());
   scratch_picks_.clear();
   step_into(scratch_picks_);
   return std::vector<SubtaskRef>(scratch_picks_.begin(), scratch_picks_.end());
@@ -222,7 +184,7 @@ void SfqSimulator::note_placement(Time at, SubtaskRef ref, int proc,
 }
 
 void SfqSimulator::run_until(std::int64_t slot_limit) {
-  store_before(slot_limit);
+  budget_.grow(slot_limit, hot_, pos_.data());
   const SchedProbe::Batch batch(probe_);
   while (!done() && now_ < slot_limit) {
     scratch_picks_.clear();
@@ -238,31 +200,13 @@ void SfqSimulator::warp(std::int64_t cycles, std::int64_t cycle_slots,
   const std::int64_t shift = cycles * cycle_slots;
   const auto n = static_cast<std::size_t>(sys_->num_tasks());
   const PosRec* pos = pos_.data();
-  for (std::size_t k = 0; k < n; ++k) {
-    HotTask& h = hot_[k];
-    const std::int64_t adv = cycles * cycle_allocs[k];
-    PFAIR_REQUIRE(h.head + adv <= h.count,
-                  "warp overruns task "
-                      << sys_->task(static_cast<std::int64_t>(k)).name());
-    h.seek(static_cast<std::int32_t>(h.head + adv), pos);
-    remaining_ -= adv;
-    // The task's most recent quantum moved forward with the cycle; a
-    // task idle through the whole cycle keeps its (pre-t0) last slot.
-    if (adv > 0) h.last_slot += shift;
-  }
+  // The task's most recent quantum moved forward with the cycle; a task
+  // idle through the whole cycle keeps its (pre-t0) last slot.
+  remaining_ -= budget_.warp(cycles, cycle_allocs, shift, now_ + shift, hot_,
+                             pos, [&](HotTask& h, std::int64_t adv) {
+                               if (adv > 0) h.last_slot += shift;
+                             });
   now_ += shift;
-  // The skipped seqs leave the store; it keeps every seq eligible
-  // before the new now_.
-  budget_.until = now_;
-  budget_.skipped += shift;
-  const auto skip = [&](std::size_t k, const StoredSeqs&) {
-    const HotTask& h = hot_[k];
-    const std::int64_t adv = cycles * cycle_allocs[k];
-    return StoredSeqs{h.head - adv, h.head,
-                      std::max<std::int64_t>(h.head,
-                                             h.eligible_before(now_, pos))};
-  };
-  relayout(skip);
   // Rebuild the availability structures: every queued or bucketed entry
   // names a pre-warp head seq, so drop them all and re-derive each
   // task's availability from the counters (exactly as the constructor

@@ -28,18 +28,16 @@
 // is a SlotBuckets queue (sched/slot_buckets.hpp: chunked buckets
 // recycled through a freelist), whose drained chunks are walked with
 // explicit prefetch of the hot records they name; and schedule cells
-// are written through a raw pointer (SlotSchedule befriends the
-// simulator) instead of the checked `place`.
+// are written straight into the schedule's cell block (SlotSchedule
+// befriends the simulator) instead of through the checked `place`.
 //
-// The schedule stores every subtask from the first step on, as one
-// zeroed block (sched/cell_store.hpp).  A probing run of the
-// fast-forward driver stores only what it can have placed instead:
-// before it simulates up to slot t, the store is grown to hold every seq
-// eligible before t, the slot budget at least doubling each time (so a
-// run copies O(simulated) cells in all), and a warp leaves the skipped
-// seqs unstored.  With an Arena supplied,
-// every piece of working state is bump-allocated, so repeated schedule
-// calls allocate nothing in steady state.  None of this changes
+// The schedule stores only what the run can have placed (StoreBudget,
+// sched/positions.hpp): before it simulates up to slot t, its store
+// grows to every seq eligible before t, and a warp leaves the skipped
+// seqs unstored.  run_until(limit) grows it once, to the limit.  With an
+// Arena supplied, every piece of working state is bump-allocated, and a
+// schedule supplied as `out` is stored in full up front, so repeated
+// schedule calls allocate nothing in steady state.  None of this changes
 // placements: keys realize the same strict total order, so the A/B
 // suite pins bit-identicality.
 //
@@ -81,8 +79,9 @@ class SfqSimulator {
   /// With `arena`, all working state is bump-allocated there (the arena
   /// must be fresh or reset; the simulator never resets it).  With
   /// `out`, placements are written into `*out` — it must be shaped like
-  /// `sys` and hold no placements (see SlotSchedule::clear_placements)
-  /// — and take_schedule() must not be called.
+  /// `sys` and hold no placements (see SlotSchedule::clear_placements);
+  /// it is made to store every subtask — and take_schedule() must not be
+  /// called.
   explicit SfqSimulator(const TaskSystem& sys, Policy policy = Policy::kPd2,
                         Arena* arena = nullptr, SlotSchedule* out = nullptr);
 
@@ -175,22 +174,6 @@ class SfqSimulator {
   // Writes one placement cell directly (the unchecked fast-path
   // counterpart of SlotSchedule::place; same invariants by design).
   void place_fast(const HotTask& h, std::int32_t seq, int proc);
-  // The fast-forward driver stores ahead (store_ahead) when it probes.
-  template <class Model, class Opts, class... SimArgs>
-  friend SplicedSchedule<typename Model::Stored> detail::fast_forward(
-      const TaskSystem&, const Opts&, bool, const SimArgs&...);
-  // From here on, grow the store only ahead of the slots simulated
-  // (header note) instead of storing every seq at the first step.
-  // Requires a simulator that has not stepped.
-  void store_ahead();
-  // Makes the store hold every seq eligible before slot `t`: all of
-  // them at the first growth unless storing ahead.
-  void store_before(std::int64_t t);
-  // Relays the store to `layout` and rebases every cursor's cells.
-  template <class Layout>
-  void relayout(Layout&& layout);
-  // Points cells_ and every cursor's cell_base at the store's layout.
-  void rebase();
 
   const TaskSystem* sys_;
   SchedProbe probe_;
@@ -199,9 +182,7 @@ class SfqSimulator {
   ReadyQueue ready_q_;
   std::optional<SlotSchedule> owned_sched_;
   SlotSchedule* sched_;          // owned_sched_ or the external `out`
-  SlotSchedule::Cell* cells_;    // sched_'s raw cell block
-  StoreBudget budget_;
-  bool ahead_ = false;  // store_ahead() was called
+  StoreBudget<SlotSchedule> budget_;
 
   ArenaVector<HotTask> hot_;
   ArenaVector<PosRec> pos_;

@@ -1241,38 +1241,6 @@ TEST(CycleStorage, SecondWarpKeepsTheFirstWarpsSeqsUnplaced) {
   check(dvq.schedule(), schedule_dvq_reference(sys, yields));
 }
 
-// A store walks a gap of any length as unplaced cells and every stored
-// seq as its own cell, before and after the gap.
-struct NumberedCell {
-  std::int64_t v;
-  [[nodiscard]] std::int64_t value() const { return v; }
-};
-TEST(CycleStorage, WalkReadsALongGapAsUnplaced) {
-  std::vector<Task> tasks;
-  tasks.push_back(Task::periodic("A", Weight(1, 2), 600));
-  tasks.push_back(Task::periodic("B", Weight(1, 3), 600));
-  const TaskSystem sys(std::move(tasks), 1);
-  CellStore<NumberedCell> store(sys, true);
-  for (std::int64_t i = 0; i < store.size(); ++i) store.data()[i].v = i + 1;
-  ASSERT_TRUE(store.relayout(
-      [](std::size_t k, const StoredSeqs& s) {
-        return k == 0 ? StoredSeqs{10, 250, s.end} : s;
-      },
-      [](std::int64_t, std::int64_t, std::int64_t) {}));
-  EXPECT_EQ(store.size(), sys.total_subtasks() - 240);
-  for (std::int32_t k = 0; k < 2; ++k) {
-    std::int64_t next = 0;
-    store.walk(k, 0, sys.task(k).num_subtasks(),
-               [&](std::int32_t s, std::int64_t v) {
-                 ASSERT_EQ(s, next++);
-                 const bool gap = k == 0 && s >= 10 && s < 250;
-                 EXPECT_EQ(v, gap ? 0 : sys.subtask_offset(k) + s + 1) << s;
-                 EXPECT_EQ(store.find(k, s) == nullptr, gap) << s;
-               });
-    EXPECT_EQ(next, sys.task(k).num_subtasks());
-  }
-}
-
 // schedule_sfq_into refills a copy of a fast-forwarded run's stored
 // schedule, skipped seqs and all, to the full run.
 TEST(CycleStorage, ScheduleIntoRefillsAStoredCopy) {
@@ -1291,8 +1259,8 @@ TEST(CycleStorage, ScheduleIntoRefillsAStoredCopy) {
   EXPECT_TRUE(same_sfq(schedule_sfq_reference(sys), out, sys, &why)) << why;
 }
 
-// The step API of an unprobed simulator stores every subtask from its
-// first step, and steps to the reference schedule.
+// The step API of an unprobed simulator grows its store as it steps, to
+// every subtask by the end, and steps to the reference schedule.
 TEST(CycleStorage, UnprobedStepApiStoresTheFullShape) {
   const TaskSystem sys = make_cyclic_system(5, 4);
   SfqSimulator sfq(sys);
@@ -1317,6 +1285,170 @@ TEST(CycleStorage, UnprobedStepApiStoresTheFullShape) {
     const auto seq = static_cast<std::int32_t>(i - sys.subtask_offset(k));
     ASSERT_TRUE(same_placement(p, dvq.schedule().placement({k, seq}))) << i;
   }
+}
+
+// A run that does not probe and stops at its horizon limit stores no
+// seq eligible only past the limit: the simulators' run_until, and the
+// cyclic drivers on a phased copy of the system, which cannot probe.
+TEST(CycleStorage, UnprobedRunCutShortStoresOnlyUpToItsLimit) {
+  const FixedYield yields(Time::slots_frac(0, 3, 4));
+  const std::int64_t limit = 6 * kPool;
+  SfqOptions sopts;
+  sopts.horizon_limit = limit;
+  DvqOptions dopts;
+  dopts.horizon_limit = limit;
+  std::string why;
+  for (int seed = 0; seed < 24; ++seed) {
+    const TaskSystem sys = make_cyclic_system(seed, 40);
+    const std::string tag = "seed " + std::to_string(seed) + ": ";
+    SfqSimulator sfq(sys);
+    sfq.run_until(limit);
+    EXPECT_LT(sfq.schedule().stored_cells(), sys.total_subtasks() / 4) << tag;
+    EXPECT_TRUE(same_sfq(schedule_sfq_reference(sys, sopts), sfq.schedule(),
+                         sys, &why))
+        << tag << why;
+    DvqSimulator dvq(sys, yields);
+    dvq.run_until(Time::slots(limit));
+    EXPECT_LT(dvq.schedule().stored_cells(), sys.total_subtasks() / 4) << tag;
+    EXPECT_TRUE(same_dvq(schedule_dvq_reference(sys, yields, dopts),
+                         dvq.schedule(), sys, &why))
+        << tag << why;
+
+    std::vector<Task> tasks;
+    for (std::int64_t k = 0; k < sys.num_tasks(); ++k) {
+      tasks.push_back(Task::periodic_phased(sys.task(k).name(),
+                                            sys.task(k).weight(),
+                                            k == 0 ? 1 : 0, 40 * kPool));
+    }
+    const TaskSystem phased(std::move(tasks), sys.processors());
+    ASSERT_EQ(fingerprint_period(phased), 0) << tag;
+    const CycleSchedule sc = schedule_sfq_cyclic(phased, sopts);
+    EXPECT_FALSE(sc.stats().engaged) << tag;
+    EXPECT_LT(sc.stored().stored_cells(), phased.total_subtasks() / 4) << tag;
+    EXPECT_TRUE(same_sfq(schedule_sfq_reference(phased, sopts),
+                         sc.materialize(), phased, &why))
+        << tag << why;
+    const DvqCycleSchedule dc = schedule_dvq_cyclic(phased, yields, dopts);
+    EXPECT_FALSE(dc.stats().engaged) << tag;
+    EXPECT_LT(dc.stored().stored_cells(), phased.total_subtasks() / 4) << tag;
+    EXPECT_TRUE(same_dvq(schedule_dvq_reference(phased, yields, dopts),
+                         dc.materialize(), phased, &why))
+        << tag << why;
+  }
+}
+
+// Every layout a store can take reads like a naive per-seq map through
+// every accessor: find, seqs, num_subtasks, base, runs and walk.  The
+// layouts: a long gap (several zero runs of the walk), a gap from seq 0,
+// a gap to the end, a stored end short of the count with no gap, a gap
+// and a short end, an ungapped task, a single-seq task (stored, and in a
+// gap) and a zero-subtask task; then the whole store again.
+struct NumberedCell {
+  std::int64_t v;
+  [[nodiscard]] std::int64_t value() const { return v; }
+};
+TEST(CycleStorage, WalkReadsALongGapAsUnplaced) {
+  std::vector<Task> tasks;
+  tasks.push_back(Task::periodic("long", Weight(1, 2), 600));  // 300 seqs
+  for (const char* name : {"gap0", "gapend", "short", "mid", "whole"}) {
+    tasks.push_back(Task::periodic(name, Weight(1, 2), 40));  // 20 seqs
+  }
+  tasks.push_back(Task::periodic("one", Weight(1, 40), 40));
+  tasks.push_back(Task::periodic("one_gap", Weight(1, 40), 40));
+  tasks.push_back(Task::intra_sporadic("none", Weight(1, 2), {}, 0));
+  const TaskSystem sys(std::move(tasks), 1);
+  ASSERT_EQ(sys.task(0).num_subtasks(), 300);
+  ASSERT_EQ(sys.task(6).num_subtasks(), 1);
+  ASSERT_EQ(sys.task(8).num_subtasks(), 0);
+  const std::vector<StoredSeqs> layouts = {
+      {10, 250, 300}, {0, 7, 20}, {5, 20, 20}, {0, 0, 12}, {3, 9, 16},
+      {0, 0, 20},     {0, 0, 1},  {0, 1, 1},   {0, 0, 0}};
+
+  CellStore<NumberedCell> store(sys, true);
+  for (std::int64_t i = 0; i < store.size(); ++i) store.data()[i].v = i + 1;
+  // Checks every accessor against `stored(k, s)`: a stored seq reads its
+  // original number, an unstored one zero.
+  const auto check = [&](const auto& stored, const std::string& tag) {
+    std::int64_t cells = 0;
+    for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
+      const std::int64_t count = sys.task(k).num_subtasks();
+      ASSERT_EQ(store.num_subtasks(k), count) << tag << k;
+      const auto want = [&](std::int64_t s) {
+        return stored(k, s) ? sys.subtask_offset(k) + s + 1 : 0;
+      };
+      for (std::int64_t s = 0; s < count; ++s) {
+        const NumberedCell* c = store.find(k, s);
+        ASSERT_EQ(c != nullptr, stored(k, s)) << tag << k << "/" << s;
+        if (c == nullptr) continue;
+        ++cells;
+        EXPECT_EQ(c->v, want(s)) << tag << k << "/" << s;
+        EXPECT_EQ(store.data() + (store.base(k, s) + s), c)
+            << tag << k << "/" << s;
+      }
+      // Every range between two seqs at or next to a layout boundary.
+      const StoredSeqs& g = layouts[static_cast<std::size_t>(k)];
+      std::vector<std::int64_t> ends;
+      for (const std::int64_t b : {std::int64_t{0}, g.gap_begin, g.gap_end,
+                                   g.end, count}) {
+        for (std::int64_t d = -1; d <= 1; ++d) {
+          if (b + d >= 0 && b + d <= count) ends.push_back(b + d);
+        }
+      }
+      for (const std::int64_t first : ends) {
+        for (const std::int64_t last : ends) {
+          if (last < first) continue;
+          std::int64_t next = first;
+          store.runs(k, first, last,
+                     [&](std::int64_t lo, std::int64_t hi,
+                         const NumberedCell* c) {
+                       ASSERT_EQ(lo, next) << tag << k;
+                       ASSERT_LT(lo, hi) << tag << k;
+                       for (std::int64_t s = lo; s < hi; ++s) {
+                         ASSERT_EQ(c != nullptr, stored(k, s)) << tag << k;
+                         if (c != nullptr) {
+                           EXPECT_EQ(c[s - lo].v, want(s)) << tag << k;
+                         }
+                       }
+                       next = hi;
+                     });
+          EXPECT_EQ(next, last) << tag << k << " [" << first << ", " << last;
+          next = first;
+          store.walk(k, first, last, [&](std::int32_t s, std::int64_t v) {
+            ASSERT_EQ(s, next++) << tag << k;
+            EXPECT_EQ(v, want(s)) << tag << k << "/" << s;
+          });
+          EXPECT_EQ(next, last) << tag << k << " [" << first << ", " << last;
+        }
+      }
+    }
+    EXPECT_EQ(store.size(), cells) << tag;
+  };
+
+  ASSERT_TRUE(store.relayout(
+      [&](std::size_t k, const StoredSeqs&) { return layouts[k]; },
+      [](std::int64_t, std::int64_t, std::int64_t) {}));
+  const auto in_layout = [&](std::int64_t k, std::int64_t s) {
+    const StoredSeqs& g = layouts[static_cast<std::size_t>(k)];
+    return s < g.end && (s < g.gap_begin || s >= g.gap_end);
+  };
+  for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
+    EXPECT_EQ(store.seqs(k), layouts[static_cast<std::size_t>(k)]) << k;
+  }
+  check(in_layout, "gapped: task ");
+
+  // Storing every seq keeps each stored cell and zeroes the rest.
+  store.store_all([](std::int64_t, std::int64_t, std::int64_t) {});
+  EXPECT_EQ(store.size(), sys.total_subtasks());
+  for (std::int32_t k = 0; k < sys.num_tasks(); ++k) {
+    EXPECT_EQ(store.seqs(k), (StoredSeqs{0, 0, sys.task(k).num_subtasks()}));
+    for (std::int64_t s = 0; s < sys.task(k).num_subtasks(); ++s) {
+      EXPECT_EQ(store.find(k, s)->v,
+                in_layout(k, s) ? sys.subtask_offset(k) + s + 1 : 0)
+          << k << "/" << s;
+    }
+  }
+  for (std::int64_t i = 0; i < store.size(); ++i) store.data()[i].v = i + 1;
+  check([](std::int64_t, std::int64_t) { return true; }, "full: task ");
 }
 
 }  // namespace
