@@ -361,8 +361,8 @@ int run_bench(pfair::bench::BenchContext& ctx) {
 
   // --- Auditor overhead: invariant checking on the production path ---
   // The auditor's event mask fits in kDecisionTraceEvents, so an
-  // auditor-only run stays on the O(changes) fast path with only the
-  // decision-outcome events emitted.  Required shape: a clean audit.
+  // auditor-only run builds no explanations: only the decision-outcome
+  // events are emitted.  Required shape: a clean audit.
   // The ratio to the uninstrumented runtime at n = 4096 is reported, not
   // shape-checked (see the note above `ok`); its target is < 1.5x.
   std::cout << "\n=== auditor overhead (n = 4096) ===\n\n";

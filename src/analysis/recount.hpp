@@ -9,10 +9,10 @@
 // task system's eligibility times), replaying the decision-instant
 // structure the simulator walked: slot boundaries for SFQ, the distinct
 // readiness/completion instants for DVQ.  By construction it is
-// path-independent.  Its independent check is the reference
-// schedulers' explain stream: tests/prof_test.cpp counts all five
-// fields from those events and asserts they equal the recount, across
-// policies and workloads.
+// path-independent.  Its independent check is the explain stream:
+// tests/prof_test.cpp counts all five fields from the events of the
+// simulators and of the reference schedulers and asserts they equal the
+// recount, across policies and workloads.
 //
 // Both overloads require a *complete* schedule (every subtask placed) —
 // a truncated run's counters depend on where the horizon cut it, so a

@@ -1,7 +1,6 @@
 // The DVQ half of analysis/recount.hpp.  It is compiled into pfair_dvq
-// (the SFQ half into pfair_sched) so each model's explain run can fill
-// the quality counters from this oracle after the reference scheduler
-// finishes.
+// (the SFQ half into pfair_sched) so the DVQ reference scheduler can
+// fill the quality counters from this oracle when it finishes.
 #include <algorithm>
 #include <iterator>
 #include <limits>

@@ -19,9 +19,8 @@
 //
 // Detection bails out cleanly — `stats().engaged == false`, full run
 // returned — for non-fingerprintable systems (IS/GIS, phased), yield
-// models without periodic costs (Bernoulli, scripted), observed runs
-// (an explain-mask sink gets the reference schedule, unengaged), and
-// horizons too short to reach a second hyperperiod boundary.
+// models without periodic costs (Bernoulli, scripted), observed runs,
+// and horizons too short to reach a second hyperperiod boundary.
 //
 // The snapshot and the DVQ hooks of the shared driver
 // (sched/fast_forward.hpp) live in dvq/dvq_scheduler.cpp, next to

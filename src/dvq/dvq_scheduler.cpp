@@ -5,7 +5,6 @@
 
 #include "dvq/dvq_cycle.hpp"
 #include "dvq/dvq_simulator.hpp"
-#include "dvq/reference_scheduler.hpp"
 #include "obs/metrics.hpp"
 #include "sched/fast_forward.hpp"
 #include "sched/state_hash.hpp"
@@ -77,12 +76,9 @@ struct DvqModel {
 DvqSchedule schedule_dvq(const TaskSystem& sys, const YieldModel& yields,
                          const DvqOptions& opts) {
   DvqSchedule sched =
-      wants_explain(opts.trace)
-          ? schedule_dvq_reference(sys, yields, opts)
-          : detail::fast_forward<DvqModel>(
-                sys, opts, opts.cycle_detect && yields.periodic_costs(),
-                yields)
-                .materialize();
+      detail::fast_forward<DvqModel>(
+          sys, opts, opts.cycle_detect && yields.periodic_costs(), yields)
+          .materialize();
   if (opts.metrics != nullptr) {
     publish_idle_ticks(sys, sched, *opts.metrics);
   }
@@ -92,9 +88,6 @@ DvqSchedule schedule_dvq(const TaskSystem& sys, const YieldModel& yields,
 DvqCycleSchedule schedule_dvq_cyclic(const TaskSystem& sys,
                                      const YieldModel& yields,
                                      const DvqOptions& opts) {
-  if (wants_explain(opts.trace)) {
-    return DvqCycleSchedule(schedule_dvq_reference(sys, yields, opts));
-  }
   return detail::fast_forward<DvqModel>(sys, opts, yields.periodic_costs(),
                                         yields);
 }

@@ -24,15 +24,12 @@ struct QualityCounters;  // obs/quality.hpp
 
 struct DvqOptions {
   Policy policy = Policy::kPd2;
-  // For the per-instant decision log, install a DvqDecisionSink
-  // (dvq/decision_sink.hpp) as `trace`.
   /// Hard stop, in slots (0 = automatic, as for the SFQ scheduler).
   std::int64_t horizon_limit = 0;
   /// Optional structured trace receiver (not owned; see obs/trace.hpp).
-  /// A sink whose mask fits kDecisionTraceEvents is fed from the
-  /// O(changes) fast path; one asking for explain events (e.g. a
-  /// DvqDecisionSink) makes this an explain run of
-  /// schedule_dvq_reference.  Either way the schedule is bit-identical.
+  /// It is fed the decision events and, if its mask asks for any explain
+  /// kind, each decision's canonical explanation, O(M) events an
+  /// instant.  The schedule is bit-identical either way.
   TraceSink* trace = nullptr;
   /// Optional metrics registry (not owned); sched.* counters and
   /// histograms accumulate into it on the fast path, plus a final

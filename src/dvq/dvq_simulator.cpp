@@ -27,6 +27,7 @@ DvqSimulator::DvqSimulator(const TaskSystem& sys, const YieldModel& yields,
       completions_(arena),
       free_bits_(arena),
       calendar_(arena),
+      handed_(arena),
       remaining_(sys.total_subtasks()) {
   const auto m = static_cast<std::size_t>(sys.processors());
   procs_.resize(m);
@@ -188,10 +189,7 @@ void DvqSimulator::step_into(std::vector<SubtaskRef>& started, Time t) {
     PFAIR_ASSERT(completions_[comp_head_].at == t);
     const std::int32_t proc = completions_[comp_head_++].proc;
     Proc& pr = procs_[static_cast<std::size_t>(proc)];
-    if (pr.hand_off >= 0) {
-      make_ready(pr.hand_off);
-      pr.hand_off = -1;
-    }
+    if (pr.hand_off >= 0) make_ready(pr.hand_off);
     if (kGrid && pr.busy_until > t) {
       book_until(proc, pr.busy_until);  // staggered: idle until its boundary
     } else {
@@ -224,10 +222,6 @@ void DvqSimulator::step_into(std::vector<SubtaskRef>& started, Time t) {
 
 void DvqSimulator::set_trace_sink(TraceSink* sink) {
   PFAIR_REQUIRE(!grid_ || sink == nullptr, "staggered runs are unobserved");
-  PFAIR_REQUIRE(!wants_explain(sink),
-                "the simulator emits decision events only; explain events "
-                "come from schedule_dvq_reference (or schedule_dvq, which "
-                "routes such a sink there)");
   probe_.set_sink(sink);
 }
 
@@ -244,7 +238,8 @@ void DvqSimulator::step_fast(std::vector<SubtaskRef>& started, Time t) {
     probe_.begin_decision(TraceEventKind::kEventBegin, t);
     // The ready set is only consulted when a processor is free.
     if (free_count_ > 0) {
-      probe_.ready_size(static_cast<std::int64_t>(ready_q_.size()));
+      if (probe_.explaining()) explain_free(t);
+      probe_.ready_set(t, static_cast<std::int64_t>(ready_q_.size()));
     }
   }
   // 2.+3. Hand each free processor (ascending id) the highest-priority
@@ -262,16 +257,46 @@ void DvqSimulator::step_fast(std::vector<SubtaskRef>& started, Time t) {
     if constexpr (kProbed) note_placement(t, ref, proc, c, key);
     started.push_back(ref);
   }
-  if constexpr (kProbed) probe_.end_decision();
+  if constexpr (kProbed) {
+    if (probe_.explaining()) explain_denials(t, started);
+    probe_.end_decision();
+  }
+}
+
+// noinline: probe-only code, as note_placement.
+[[gnu::noinline]] void DvqSimulator::explain_free(Time t) {
+  // Free processors in ascending id; one freed at t by a completion that
+  // handed its task's successor to the ready heap names that task.
+  for (std::int32_t p = 0; p < sys_->processors(); ++p) {
+    if (proc_busy(p)) continue;
+    probe_.proc_free(t, p);
+    const Proc& pr = procs_[static_cast<std::size_t>(p)];
+    if (pr.busy_until == t && pr.hand_off >= 0) {
+      handed_.push_back(SubtaskRef{
+          pr.hand_off, hot_[static_cast<std::size_t>(pr.hand_off)].head});
+    }
+  }
+}
+
+[[gnu::noinline]] void DvqSimulator::explain_denials(
+    Time t, const std::vector<SubtaskRef>& started) {
+  ready_q_.explain_cut(probe_, t, started, hot_.data());
+  // Preemptions: successors handed off at t that are still waiting.
+  std::sort(handed_.begin(), handed_.end());
+  for (const SubtaskRef& ref : handed_) {
+    if (hot_[static_cast<std::size_t>(ref.task)].head == ref.seq) {
+      probe_.preempt(t, ref);
+    }
+  }
+  handed_.clear();
+  probe_.idle(t, static_cast<std::int64_t>(free_count_));
 }
 
 // noinline: probe-only code; folding it into step() costs the unprobed
 // path measurable icache pressure.
-#if defined(__GNUC__)
-__attribute__((noinline))
-#endif
-void DvqSimulator::note_placement(Time t, SubtaskRef ref, int proc, Time c,
-                                  std::uint64_t key) {
+[[gnu::noinline]] void DvqSimulator::note_placement(Time t, SubtaskRef ref,
+                                                    int proc, Time c,
+                                                    std::uint64_t key) {
   probe_.place(t, ref, proc, c.raw_ticks());
   if (ref.seq > 0 && probe_.tracing()) {
     const int prev = sched_.placement(SubtaskRef{ref.task, ref.seq - 1}).proc;

@@ -40,15 +40,14 @@
 // unstored.  Schedules are bit-identical to the retained naive reference
 // (`schedule_dvq_reference`).
 //
-// A probe (decision-mask trace sink and/or metrics) rides on the same
-// fast path: decision events are reported as placements commit,
+// A probe (trace sink and/or metrics) rides on the same fast path:
+// decision events are reported as placements commit,
 // sched.ready_set_size is the ready heap's size at each instant with a
-// free processor.  As in SfqSimulator, quality counts and their metrics
-// come from the recount of the finished schedule (add_recount,
-// analysis/recount.hpp), not from the event loop.  The explain events
-// (kExplainTraceEvents) come only from `schedule_dvq_reference`;
-// set_trace_sink rejects a sink asking for them, and `schedule_dvq`
-// routes such a sink there.
+// free processor, and an explain sink gets each instant's explanation
+// (obs/trace.hpp) in O(M), its preemptions found among the instant's
+// hand-offs.  As in SfqSimulator, quality counts and their metrics come
+// from the recount of the finished schedule (add_recount,
+// analysis/recount.hpp), not from the event loop.
 #pragma once
 
 #include <cstdint>
@@ -141,10 +140,8 @@ class DvqSimulator {
   [[nodiscard]] DvqSchedule take_schedule() && { return std::move(sched_); }
 
   /// Installs a structured trace sink (not owned; null uninstalls) — at
-  /// any step; placements are unaffected.  The sink's event_mask() must
-  /// fit in kDecisionTraceEvents: explain events (and with them the
-  /// DvqDecisionSink log) come from schedule_dvq_reference, which
-  /// schedule_dvq routes such a sink to (a ContractViolation here).
+  /// any step; placements are unaffected.  The sink's event_mask()
+  /// decides whether each instant's explanation is built.
   void set_trace_sink(TraceSink* sink);
   /// Accumulates sched.* metrics (see obs/probe.hpp) into `reg`, which
   /// must outlive the simulator or the next detach_metrics().  May be
@@ -171,7 +168,9 @@ class DvqSimulator {
 
   struct Proc {
     Time busy_until;  // when it next takes work (staggered: a boundary)
-    std::int32_t hand_off = -1;  // task whose head readies at completion
+    // Task whose head readies at completion; kept until the processor is
+    // booked again, so explain_free can name the instant's hand-offs.
+    std::int32_t hand_off = -1;
   };
   struct Completion {
     Time at;
@@ -187,9 +186,15 @@ class DvqSimulator {
   template <bool kGrid>
   void step_into(std::vector<SubtaskRef>& started, Time t);
   // The O(changes) decision body.  kProbed additionally reports the
-  // decision events and the ready-set size to the probe.
+  // decision events, the ready-set size and the explanation.
   template <bool kProbed, bool kGrid>
   void step_fast(std::vector<SubtaskRef>& started, Time t);
+  // The explanation before the pops: free processors; fills handed_.
+  void explain_free(Time t);
+  // The explanation after the pops: cut, preemptions among handed_
+  // (emptied), idle capacity; nothing at an instant with no free
+  // processor.
+  void explain_denials(Time t, const std::vector<SubtaskRef>& started);
   // `key` as in SfqSimulator::note_placement.
   void note_placement(Time t, SubtaskRef ref, int proc, Time c,
                       std::uint64_t key);
@@ -235,6 +240,8 @@ class DvqSimulator {
   // their head becomes ready.  warp() rebases it.
   SlotBuckets calendar_;
 
+  // Successors handed off at the instant being explained.
+  ArenaVector<SubtaskRef> handed_;
   std::vector<SubtaskRef> scratch_started_;
   Time now_;
   std::int64_t remaining_;

@@ -88,17 +88,10 @@ DvqSchedule schedule_dvq_reference(const TaskSystem& sys,
                                  static_cast<std::int32_t>(head[k])});
     }
     if (explain) probe.ready_set(t, static_cast<std::int64_t>(ready.size()));
-    if (ready.empty()) {
-      if (explain) {
-        probe.idle(t, static_cast<std::int64_t>(free_procs.size()));
-        probe.end_decision();
-      }
-      continue;
-    }
 
     // 3. Assign in priority order, immediately (work-conserving).
     const auto m = std::min(free_procs.size(), ready.size());
-    detail::sort_ready(order, ready, m, probe, t);
+    detail::sort_ready(order, ready, m);
     for (std::size_t r = 0; r < m; ++r) {
       const SubtaskRef ref = ready[r];
       const Time c = yields.checked_cost(sys, ref);
@@ -131,14 +124,19 @@ DvqSchedule schedule_dvq_reference(const TaskSystem& sys,
       }
     }
     if (explain) {
-      // Ready subtasks left unserved at this instant (the paper's
-      // blocked work) and capacity beyond the ready set.
-      for (std::size_t r = m; r < ready.size(); ++r) {
-        probe.preempt(t, ready[r]);
-      }
-      if (m < free_procs.size()) {
-        probe.idle(t, static_cast<std::int64_t>(free_procs.size() - m));
-      }
+      // A denied subtask whose predecessor completed at t, when it was
+      // already eligible, is preempted (the recount's rule); capacity
+      // beyond the ready set is idle.
+      detail::explain_denials(
+          order, ready, m,
+          [&](const SubtaskRef& ref) {
+            if (ref.seq == 0) return false;
+            return sched.placement(SubtaskRef{ref.task, ref.seq - 1})
+                           .completion() == t &&
+                   Time::slots(sys.subtask(ref).eligible) <= t;
+          },
+          probe, t);
+      probe.idle(t, static_cast<std::int64_t>(free_procs.size() - m));
       probe.end_decision();
     }
   }

@@ -1,4 +1,4 @@
-// The naive DVQ scheduler: the correctness oracle and the explain path.
+// The naive DVQ scheduler: the correctness oracle.
 //
 // This is the pre-optimization hot path of DvqSimulator: one bag-style
 // event queue of bare timestamps (duplicates and all), a full O(n) task
@@ -11,12 +11,12 @@
 // bit-identical schedules, and `bench_scaling` measures the gap.
 // Deliberately simple — do not optimize this function.
 //
-// As for the SFQ reference, it is also the one source of the explain
-// events: with `opts.trace` / `opts.metrics` set it reports free
-// processors, ready sets, comparisons, ready subtasks left unserved and
-// idle capacity at every instant, alongside decision events that are
-// byte-identical to the fast path's.  `schedule_dvq` routes every sink
-// that asks for explain events (a DvqDecisionSink, say) here.
+// As the SFQ reference does, it reports the fast path's event stream
+// byte for byte, each decision's canonical explanation included when the
+// sink asks for it (obs/trace.hpp, kExplainTraceEvents), derived here
+// from the full scan, the sorted winners, the hand-offs of each instant
+// and PriorityOrder::compare.  It is the explanation's oracle, and
+// replay_bundle's engine (obs/capture.hpp).
 #pragma once
 
 #include "dvq/dvq_scheduler.hpp"
@@ -24,12 +24,11 @@
 namespace pfair {
 
 /// Reference counterpart of `schedule_dvq` (same options).  With
-/// `trace` / `metrics` set this is an explain run: every event kind is
-/// reported, sched.comparisons is counted, and — after the run, if the
-/// schedule is complete — `quality` and the sched.preemptions /
-/// .migrations / .idle_quanta metrics are filled from recount_quality
-/// (a truncated explain run leaves them untouched).  The arena and
-/// cycle_detect options are ignored.
+/// `trace` / `metrics` set it reports the events and sched.* metrics of
+/// the fast path; after the run, if the schedule is complete, `quality`
+/// and the sched.preemptions / .migrations / .idle_quanta metrics are
+/// filled from recount_quality (a truncated run leaves them untouched).
+/// The arena and cycle_detect options are ignored.
 [[nodiscard]] DvqSchedule schedule_dvq_reference(const TaskSystem& sys,
                                                  const YieldModel& yields,
                                                  const DvqOptions& opts = {});

@@ -38,8 +38,9 @@ struct ProfileSnapshot;  // obs/prof.hpp
 /// trace (e.g. a RingBufferSink snapshot) as instant events — decision
 /// boundaries, preemptions, migrations, deadline outcomes — on the
 /// processor rows (tid M is the "scheduler" row for processor-less
-/// events).  kCompare events are skipped: they dominate the stream and
-/// drown the timeline.
+/// events).  kCompare cuts are skipped: an instant event carries one
+/// subtask, and a cut relates two (the last winner and the first denied
+/// subtask), so the row would show half of it.
 [[nodiscard]] std::string export_chrome_trace(const TaskSystem& sys,
                                               const DvqSchedule& sched);
 [[nodiscard]] std::string export_chrome_trace(const TaskSystem& sys,

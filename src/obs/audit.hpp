@@ -22,8 +22,8 @@
 // and the lag upper bound uses a lazy min-heap of per-task critical
 // times, so slots where nothing can go wrong cost O(1).  The auditor's
 // event_mask() fits inside kDecisionTraceEvents, so attaching *only* an
-// auditor keeps the simulators on their fast paths; it also tolerates
-// the full stream of an explain run (extra kinds are ignored),
+// auditor builds no decision explanations; it also tolerates a full
+// stream with the explanations in it (extra kinds are ignored),
 // including streams replayed from `pfairsim --trace` JSONL files.
 //
 // Violations surface three ways: an `AuditFinding` record (kept up to

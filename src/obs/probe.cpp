@@ -4,7 +4,6 @@ namespace pfair {
 
 void SchedProbe::attach_metrics(MetricsRegistry& reg) {
   invocations_ = &reg.counter(sched_metrics::kInvocations);
-  comparisons_ = &reg.counter(sched_metrics::kComparisons);
   placements_ = &reg.counter(sched_metrics::kPlacements);
   // Registered so they read 0, not missing, until add_recount fills
   // them (analysis/recount.hpp).
@@ -13,8 +12,6 @@ void SchedProbe::attach_metrics(MetricsRegistry& reg) {
   (void)reg.counter(sched_metrics::kIdleQuanta);
   deadline_misses_ = &reg.counter(sched_metrics::kDeadlineMisses);
   ready_size_ = &reg.histogram(sched_metrics::kReadySetSize);
-  compares_per_decision_ =
-      &reg.histogram(sched_metrics::kComparesPerDecision);
   tardiness_ = &reg.histogram(sched_metrics::kTardinessTicks);
 }
 

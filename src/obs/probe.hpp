@@ -8,15 +8,16 @@
 // registry names once, up front — the per-event path never does a
 // string lookup.
 //
-// Two paths serve a probe, and the hooks are grouped by path:
+// Both simulators and both reference schedulers drive the same hooks,
+// in the same order, so a decision reads the same on every path:
 //   * decision hooks (begin/end_decision, place, migrate, deadline)
-//     fire on both;
-//   * the O(changes) fast paths of SfqSimulator / DvqSimulator add the
-//     counting hook ready_size;
-//   * the explain hooks (ready_set, compare_outcome, comparisons,
-//     preempt, proc_free, idle) fire only on the reference schedulers,
-//     which scan and sort every decision anyway.  A sink asking for any
-//     explain event (see wants_explain) gets such an explain run.
+//     report what was decided;
+//   * the explain hooks (proc_free, ready_set, cut, preempt, idle)
+//     report why: the canonical explanation of each decision, O(M)
+//     events (obs/trace.hpp, kExplainTraceEvents).  They emit only
+//     when the sink's event_mask() asks for an explain kind, which
+//     set_sink resolves once (explaining()); a decision-mask sink such
+//     as the auditor sees the decision events alone.
 // The probe counts no quality: sched.preemptions / .migrations /
 // .idle_quanta are filled once per run from the recount of the finished
 // schedule (analysis/recount.hpp, add_recount).
@@ -30,21 +31,16 @@ namespace pfair {
 /// Metric names registered by `SchedProbe::attach_metrics`.  One
 /// definition per counter: sched.preemptions / .migrations /
 /// .idle_quanta are QualityCounters (obs/quality.hpp) fields, added by
-/// add_recount after a complete run on either path (they read 0 after a
-/// truncated one), and sched.comparisons (with its per-decision
-/// histogram) is counted only by explain runs, the only path that
-/// compares subtasks pairwise.
+/// add_recount after a complete run (they read 0 after a truncated
+/// one).
 namespace sched_metrics {
 inline constexpr const char* kInvocations = "sched.invocations";
-inline constexpr const char* kComparisons = "sched.comparisons";
 inline constexpr const char* kPlacements = "sched.placements";
 inline constexpr const char* kPreemptions = "sched.preemptions";
 inline constexpr const char* kMigrations = "sched.migrations";
 inline constexpr const char* kIdleQuanta = "sched.idle_quanta";
 inline constexpr const char* kDeadlineMisses = "sched.deadline_misses";
 inline constexpr const char* kReadySetSize = "sched.ready_set_size";
-inline constexpr const char* kComparesPerDecision =
-    "sched.comparisons_per_decision";
 inline constexpr const char* kTardinessTicks = "sched.tardiness_ticks";
 }  // namespace sched_metrics
 
@@ -52,8 +48,13 @@ class SchedProbe {
  public:
   SchedProbe() = default;
 
-  /// Installs `sink` (null uninstalls).
-  void set_sink(TraceSink* sink) { sink_ = sink; }
+  /// Installs `sink` (null uninstalls) and resolves, from its
+  /// event_mask(), whether the explain hooks emit.
+  void set_sink(TraceSink* sink) {
+    sink_ = sink;
+    explain_ =
+        sink != nullptr && (sink->event_mask() & kExplainTraceEvents) != 0;
+  }
   /// Resolves the sched.* metric names in `reg` (stable handles).
   void attach_metrics(MetricsRegistry& reg);
   /// Drops the metric handles; counting stops, the registry keeps its
@@ -64,12 +65,15 @@ class SchedProbe {
   }
 
   [[nodiscard]] bool tracing() const { return sink_ != nullptr; }
+  /// True iff the sink asks for explain events: the simulators build a
+  /// decision's explanation only then.
+  [[nodiscard]] bool explaining() const { return explain_; }
   [[nodiscard]] bool metering() const { return invocations_ != nullptr; }
   /// True iff any hook would do work — hot loops branch on this once.
   [[nodiscard]] bool enabled() const { return tracing() || metering(); }
   [[nodiscard]] TraceSink* sink() const { return sink_; }
 
-  // --- Decision hooks (fast and explain paths) ---
+  // --- Decision hooks ---
 
   /// One scheduler invocation (slot boundary / event instant).
   void begin_decision(TraceEventKind kind, Time at, std::int64_t detail = 0) {
@@ -162,19 +166,12 @@ class SchedProbe {
     }
   }
 
-  // --- Counting hooks (metrics only, no events) ---
+  // --- Explain hooks (events only while explaining()) ---
 
-  /// Size of one decision's ready set, read off the fast path's heap.
-  void ready_size(std::int64_t n) {
-    if (ready_size_ != nullptr) pending_ready_sizes_.add(n);
-  }
-
-  // --- Explain hooks (reference schedulers only) ---
-
-  /// The ready set a decision scanned (also feeds the size histogram).
+  /// The size of a decision's ready set (also feeds the size histogram).
   void ready_set(Time at, std::int64_t n) {
-    ready_size(n);
-    if (sink_ != nullptr) {
+    if (ready_size_ != nullptr) pending_ready_sizes_.add(n);
+    if (explain_) {
       TraceEvent e;
       e.kind = TraceEventKind::kReadySet;
       e.at = at;
@@ -183,30 +180,28 @@ class SchedProbe {
     }
   }
 
-  /// Outcome of one priority comparison (trace-only; counting goes
-  /// through comparisons()).
-  void compare_outcome(Time at, const SubtaskRef& winner,
-                       const SubtaskRef& loser, TieRule rule) {
-    if (sink_ != nullptr) {
+  /// The decision's cut, emitted only when some ready subtask is denied:
+  /// `winner` is the lowest-priority subtask placed, `denied` the
+  /// highest-priority one left waiting, and `rule` the priority rule that
+  /// orders them (a kCompare event: subject beat other).
+  void cut(Time at, const SubtaskRef& winner, const SubtaskRef& denied,
+           TieRule rule) {
+    if (explain_) {
       TraceEvent e;
       e.kind = TraceEventKind::kCompare;
       e.aux = static_cast<std::int32_t>(rule);
       e.at = at;
       e.subject = winner;
-      e.other = loser;
+      e.other = denied;
       emit(e);
     }
   }
-  /// `n` comparisons performed by one decision.
-  void comparisons(std::int64_t n) {
-    if (comparisons_ != nullptr) comparisons_->add(n);
-    if (compares_per_decision_ != nullptr) compares_per_decision_->add(n);
-  }
 
-  /// A ready subtask denied a processor (trace-only; sched.preemptions
+  /// A preempted subtask: ready and denied at a decision right after
+  /// its predecessor held a processor (see kPreempt; sched.preemptions
   /// comes from the recount).
   void preempt(Time at, const SubtaskRef& ref) {
-    if (sink_ != nullptr) {
+    if (explain_) {
       TraceEvent e;
       e.kind = TraceEventKind::kPreempt;
       e.at = at;
@@ -215,9 +210,9 @@ class SchedProbe {
     }
   }
 
-  /// A processor free at a DVQ decision instant (trace-only).
+  /// A processor free at a DVQ decision instant.
   void proc_free(Time at, int proc) {
-    if (sink_ != nullptr) {
+    if (explain_) {
       TraceEvent e;
       e.kind = TraceEventKind::kProcFree;
       e.proc = proc;
@@ -226,10 +221,10 @@ class SchedProbe {
     }
   }
 
-  /// `count` processors left without work after a decision (trace-only;
-  /// sched.idle_quanta comes from the recount).
+  /// `count` processors left without work after a decision, if any
+  /// (sched.idle_quanta comes from the recount).
   void idle(Time at, std::int64_t count) {
-    if (sink_ != nullptr) {
+    if (explain_ && count > 0) {
       TraceEvent e;
       e.kind = TraceEventKind::kProcIdle;
       e.at = at;
@@ -239,7 +234,7 @@ class SchedProbe {
   }
 
  private:
-  explicit SchedProbe(TraceSink* sink) : sink_(sink) {}
+  explicit SchedProbe(TraceSink* sink) { set_sink(sink); }
   void emit(const TraceEvent& e) { sink_->on_event(e); }
   void flush_counts() {
     if (pending_invocations_ != 0) {
@@ -262,11 +257,9 @@ class SchedProbe {
 
   TraceSink* sink_ = nullptr;
   Counter* invocations_ = nullptr;
-  Counter* comparisons_ = nullptr;
   Counter* placements_ = nullptr;
   Counter* deadline_misses_ = nullptr;
   Histogram* ready_size_ = nullptr;
-  Histogram* compares_per_decision_ = nullptr;
   Histogram* tardiness_ = nullptr;
   // Pending counts, flushed by end_decision (or by the enclosing Batch):
   // one atomic update per decision or per run instead of one per
@@ -276,6 +269,7 @@ class SchedProbe {
   std::int64_t pending_on_time_ = 0;
   HistogramBatch pending_ready_sizes_;
   bool batching_ = false;
+  bool explain_ = false;
 };
 
 }  // namespace pfair

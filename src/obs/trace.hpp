@@ -1,7 +1,8 @@
 // Structured scheduler trace events — the decision-level record the
 // paper's arguments (and the overhead accounting of Nelissen et al.)
-// are made of: slot/event boundaries, ready sets, priority-comparison
-// outcomes, placements, preemptions, migrations and deadline results.
+// are made of: slot/event boundaries, ready sets, the priority cut of
+// each decision, placements, preemptions, migrations and deadline
+// results.
 //
 // Events are emitted by the simulators into an installed `TraceSink`;
 // with no sink installed the hot paths skip all trace work (a single
@@ -30,9 +31,11 @@ enum class TraceEventKind : std::uint8_t {
   kSlotBegin,     ///< SFQ slot boundary reached (detail = slot index)
   kEventBegin,    ///< DVQ event instant reached
   kReadySet,      ///< ready set computed (detail = its size)
-  kCompare,       ///< priority comparison: subject beat other (aux = rule)
+  kCompare,       ///< the decision's cut: subject (lowest-priority winner)
+                  ///< beat other (highest-priority denied; aux = rule)
   kPlace,         ///< subject placed on proc (detail = cost/slot)
-  kPreempt,       ///< subject was ready but denied a processor
+  kPreempt,       ///< subject ready and denied right after its predecessor
+                  ///< held a processor (the recount's preemption)
   kMigrate,       ///< subject placed on proc != predecessor's (aux = from)
   kProcFree,      ///< proc free at a DVQ decision instant
   kProcIdle,      ///< capacity left idle after a decision (detail = count)
@@ -45,9 +48,10 @@ enum class TraceEventKind : std::uint8_t {
 [[nodiscard]] const char* to_string(TraceEventKind k);
 
 /// Bitmask over TraceEventKind: bit `1 << kind` set means the sink wants
-/// events of that kind.  A sink's mask is a *path-selection hint*, not a
-/// filter: a sink may still receive events outside its mask (e.g. from
-/// an explain run requested by another sink in a tee).
+/// events of that kind.  A sink's mask is not a filter: it only tells
+/// the scheduler whether to build explain events at all, so a sink may
+/// still receive kinds outside its mask (e.g. explain events requested
+/// by another sink in a tee).
 using TraceEventMask = std::uint32_t;
 
 [[nodiscard]] constexpr TraceEventMask trace_mask_of(TraceEventKind k) {
@@ -59,8 +63,8 @@ inline constexpr TraceEventMask kAllTraceEvents =
     (trace_mask_of(TraceEventKind::kAuditFinding) << 1) - 1;
 
 /// The decision-outcome events: slot/event boundaries, placements,
-/// migrations, deadline outcomes and audit findings.  The O(changes)
-/// fast paths of both simulators emit exactly these.
+/// migrations, deadline outcomes and audit findings.  A sink whose mask
+/// fits here gets exactly these.
 inline constexpr TraceEventMask kDecisionTraceEvents =
     trace_mask_of(TraceEventKind::kSlotBegin) |
     trace_mask_of(TraceEventKind::kEventBegin) |
@@ -70,14 +74,19 @@ inline constexpr TraceEventMask kDecisionTraceEvents =
     trace_mask_of(TraceEventKind::kDeadlineMiss) |
     trace_mask_of(TraceEventKind::kAuditFinding);
 
-/// The "explain" events — why each decision came out the way it did:
-/// ready sets, comparison outcomes, ready subtasks denied a processor,
-/// free and idle processors.  Only the reference schedulers, which scan
-/// and sort every decision, emit them; `schedule_sfq` / `schedule_dvq`
-/// (and the `_into` / cyclic variants) route a run whose sink asks for
-/// any of them to `schedule_*_reference` — an explain run.  Filtered to
-/// kDecisionTraceEvents, an explain run's stream is byte-identical to
-/// the fast path's.
+/// The "explain" events — why each decision came out the way it did.
+/// A scheduler builds them only for a sink that asks for one
+/// (SchedProbe::explaining): one canonical explanation per decision,
+/// O(M) events, in this order after the boundary event:
+///   * DVQ, when a processor is free: kProcFree, ascending, then
+///     kReadySet; SFQ: kReadySet every slot;
+///   * the winners' kPlace / kMigrate / deadline events;
+///   * one kCompare cut, only when a ready subtask is denied;
+///   * kPreempt in ascending task order, the recount's preemptions (SFQ:
+///     ran last slot, ready now, denied; DVQ: ready at its predecessor's
+///     completion and denied then);
+///   * kProcIdle, when capacity is left unused.
+/// The simulators' stream is byte-identical to the reference schedulers'.
 inline constexpr TraceEventMask kExplainTraceEvents =
     trace_mask_of(TraceEventKind::kReadySet) |
     trace_mask_of(TraceEventKind::kCompare) |
@@ -130,9 +139,8 @@ class TraceSink {
   /// sinks that group events per decision can commit.  Default no-op.
   virtual void flush() {}
   /// The event kinds this sink needs (default: everything).  Queried
-  /// when a run starts: a mask within kDecisionTraceEvents keeps the run
-  /// on the O(changes) fast path, anything more makes it an explain run
-  /// (see wants_explain).
+  /// when the sink is installed: a mask that asks for any explain kind
+  /// makes the scheduler build each decision's explanation.
   [[nodiscard]] virtual TraceEventMask event_mask() const {
     return kAllTraceEvents;
   }
@@ -197,7 +205,7 @@ class TeeSink final : public TraceSink {
     if (b_ != nullptr) b_->flush();
   }
   /// Union of the children's needs: any child asking for explain events
-  /// makes the whole tee an explain run.
+  /// gets them built for the whole tee.
   [[nodiscard]] TraceEventMask event_mask() const override {
     TraceEventMask m = 0;
     if (a_ != nullptr) m |= a_->event_mask();
@@ -209,12 +217,6 @@ class TeeSink final : public TraceSink {
   TraceSink* a_;
   TraceSink* b_;
 };
-
-/// True iff `sink` asks for any explain event, i.e. a run feeding it
-/// must be an explain run on the reference path.
-[[nodiscard]] inline bool wants_explain(const TraceSink* sink) {
-  return sink != nullptr && (sink->event_mask() & kExplainTraceEvents) != 0;
-}
 
 /// Serializes one event as a single-line JSON object (no newline).
 [[nodiscard]] std::string trace_event_json(const TraceEvent& e);

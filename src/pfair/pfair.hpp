@@ -73,7 +73,6 @@
 #include "workload/generator.hpp"      // IWYU pragma: export
 #include "workload/paper_figures.hpp"  // IWYU pragma: export
 
-#include "dvq/decision_sink.hpp"  // IWYU pragma: export
 
 #include "io/csv.hpp"       // IWYU pragma: export
 #include "io/export.hpp"    // IWYU pragma: export

@@ -414,9 +414,7 @@ using CycleSchedule = SplicedSchedule<SlotSchedule>;
 /// system is not fingerprintable, the horizon never reaches a second
 /// hyperperiod boundary, no recurrence shows up, or the run is observed
 /// (opts.trace / opts.metrics / opts.quality) — observed streams are
-/// never elided.  A trace sink asking for explain events makes this an
-/// explain run of schedule_sfq_reference, wrapped unengaged.  Ignores
-/// opts.cycle_detect (callers gate on it).
+/// never elided.  Ignores opts.cycle_detect (callers gate on it).
 [[nodiscard]] CycleSchedule schedule_sfq_cyclic(const TaskSystem& sys,
                                                 const SfqOptions& opts = {});
 

@@ -120,6 +120,10 @@ PackedKeys::PackedKeys(const TaskSystem& sys, Policy policy, Arena* arena)
       (has_tiebreak_fields ? 1 + bits_gd : 0) + bits_w + bits_t;
   deadline_shift_ = shift_d;
   min_deadline_ = min_d;
+  rule_shift_[static_cast<int>(TieRule::kDeadline)] = shift_d;
+  rule_shift_[static_cast<int>(TieRule::kBBit)] = shift_gd + bits_gd;
+  rule_shift_[static_cast<int>(TieRule::kGroupDeadline)] = shift_gd;
+  rule_shift_[static_cast<int>(TieRule::kWeight)] = bits_t;
 
   // Size the flat arrays: flyweight tasks contribute min(e, count)
   // in-period positions, materialized ones a position per subtask.

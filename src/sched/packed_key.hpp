@@ -46,6 +46,7 @@
 // field widths exceed 64 bits); callers fall back to PriorityOrder.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 #include "core/arena.hpp"
@@ -115,6 +116,16 @@ class PackedKeys {
     return static_cast<std::int32_t>(key &
                                      ((std::uint64_t{1} << tie_bits_) - 1));
   }
+  /// The rule PriorityOrder::compare decides two subtasks by, read off
+  /// their order keys: the most significant field in which they differ
+  /// (TieRule::kTie when only the task id does).
+  [[nodiscard]] TieRule deciding_rule(std::uint64_t a, std::uint64_t b) const {
+    const int top = 63 - std::countl_zero(a ^ b);
+    for (int f = 0; f < 4; ++f) {
+      if (top >= rule_shift_[f]) return static_cast<TieRule>(f);
+    }
+    return TieRule::kTie;
+  }
 
  private:
   const TaskSystem* sys_;
@@ -128,6 +139,8 @@ class PackedKeys {
   ArenaVector<std::uint64_t> step_;
   int tie_bits_ = 0;
   int deadline_shift_ = 0;
+  // Lowest bit of each rule's field, indexed by TieRule.
+  int rule_shift_[4] = {};
   std::int64_t min_deadline_ = 0;  // bias of the deadline field
   bool packable_ = false;
 };

@@ -47,6 +47,7 @@
 
 #include "core/arena.hpp"
 #include "core/simd.hpp"
+#include "obs/probe.hpp"
 #include "sched/packed_key.hpp"
 #include "sched/positions.hpp"
 #include "sched/priority.hpp"
@@ -125,6 +126,27 @@ class ReadyQueue {
   /// loop prefetch that task's hot record before popping.
   [[nodiscard]] std::int32_t peek_task() const {
     return packed_ ? pkeys_->task_of(keys_.data()[kBase]) : fb_.front().task;
+  }
+
+  /// Reports a decision's cut (obs/trace.hpp) after its pops, if an
+  /// entry is left: the last of `placed` against the best entry, whose
+  /// task's head cursor is in `hot`.  Packed mode reads the rule off the
+  /// two keys (PackedKeys::deciding_rule), the fallback asks PriorityOrder.
+  template <class Placed, class Hot>
+  void explain_cut(SchedProbe& probe, Time at, const Placed& placed,
+                   const Hot* hot) const {
+    if (placed.empty() || empty()) return;
+    const SubtaskRef& winner = placed.back();
+    const std::int32_t k = peek_task();
+    const SubtaskRef top{k, hot[static_cast<std::size_t>(k)].head};
+    TieRule rule = TieRule::kTie;
+    if (packed_) {
+      rule = pkeys_->deciding_rule(pkeys_->order_key(winner),
+                                   keys_.data()[kBase]);
+    } else {
+      (void)order_->compare(winner, top, &rule);
+    }
+    probe.cut(at, winner, top, rule);
   }
 
  private:

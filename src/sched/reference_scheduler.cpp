@@ -10,29 +10,32 @@ namespace pfair {
 namespace detail {
 
 void sort_ready(const PriorityOrder& order, std::vector<SubtaskRef>& ready,
-                std::size_t m, SchedProbe& probe, Time at) {
-  const auto mid = ready.begin() + static_cast<std::ptrdiff_t>(m);
-  if (!probe.enabled()) {
-    std::partial_sort(ready.begin(), mid, ready.end(),
-                      [&order](const SubtaskRef& a, const SubtaskRef& b) {
-                        return order.higher(a, b);
-                      });
-    return;
-  }
-  // The same strict order as order.higher, with every comparison and
-  // its deciding rule reported on the side.
-  std::int64_t ncmp = 0;
-  std::partial_sort(ready.begin(), mid, ready.end(),
-                    [&](const SubtaskRef& a, const SubtaskRef& b) {
-                      ++ncmp;
-                      TieRule rule = TieRule::kTie;
-                      const int c = order.compare(a, b, &rule);
-                      const bool a_wins = c != 0 ? c < 0 : a < b;
-                      probe.compare_outcome(at, a_wins ? a : b,
-                                            a_wins ? b : a, rule);
-                      return a_wins;
+                std::size_t m) {
+  std::partial_sort(ready.begin(),
+                    ready.begin() + static_cast<std::ptrdiff_t>(m),
+                    ready.end(),
+                    [&order](const SubtaskRef& a, const SubtaskRef& b) {
+                      return order.higher(a, b);
                     });
-  probe.comparisons(ncmp);
+}
+
+void explain_denials(const PriorityOrder& order,
+                     std::vector<SubtaskRef>& ready, std::size_t m,
+                     const std::function<bool(const SubtaskRef&)>& preempted,
+                     SchedProbe& probe, Time at) {
+  if (m == ready.size()) return;
+  const auto denied = ready.begin() + static_cast<std::ptrdiff_t>(m);
+  const SubtaskRef first = *std::min_element(
+      denied, ready.end(), [&order](const SubtaskRef& a, const SubtaskRef& b) {
+        return order.higher(a, b);
+      });
+  TieRule rule = TieRule::kTie;
+  (void)order.compare(ready[m - 1], first, &rule);
+  probe.cut(at, ready[m - 1], first, rule);
+  std::sort(denied, ready.end());
+  for (auto it = denied; it != ready.end(); ++it) {
+    if (preempted(*it)) probe.preempt(at, *it);
+  }
 }
 
 }  // namespace detail
@@ -72,18 +75,7 @@ SlotSchedule schedule_sfq_reference(const TaskSystem& sys,
     }
     const auto m = std::min<std::size_t>(procs, ready.size());
     if (explain) probe.ready_set(at, static_cast<std::int64_t>(ready.size()));
-    detail::sort_ready(order, ready, m, probe, at);
-    if (explain) {
-      // Tasks that held a processor in the previous slot and are ready
-      // but lost out in this one are denied (a task that never ran holds
-      // last_slot -1, which slot 0 must not read as its previous slot);
-      // unused capacity is idle.
-      for (std::size_t r = m; r < ready.size(); ++r) {
-        const auto k = static_cast<std::size_t>(ready[r].task);
-        if (now > 0 && last_slot[k] == now - 1) probe.preempt(at, ready[r]);
-      }
-      if (m < procs) probe.idle(at, static_cast<std::int64_t>(procs - m));
-    }
+    detail::sort_ready(order, ready, m);
     for (std::size_t r = 0; r < m; ++r) {
       const SubtaskRef ref = ready[r];
       const int proc = static_cast<int>(r);
@@ -102,9 +94,23 @@ SlotSchedule schedule_sfq_reference(const TaskSystem& sys,
       const auto k = static_cast<std::size_t>(ref.task);
       ++head[k];
       last_slot[k] = now;
-      --remaining;
     }
-    if (explain) probe.end_decision();
+    remaining -= static_cast<std::int64_t>(m);
+    if (explain) {
+      // A denied subtask whose task held a processor in the previous slot
+      // is preempted (a task that never ran holds last_slot -1, which
+      // slot 0 must not read as its previous slot); unused capacity is
+      // idle.
+      detail::explain_denials(
+          order, ready, m,
+          [&](const SubtaskRef& ref) {
+            return now > 0 &&
+                   last_slot[static_cast<std::size_t>(ref.task)] == now - 1;
+          },
+          probe, at);
+      probe.idle(at, static_cast<std::int64_t>(procs - m));
+      probe.end_decision();
+    }
   }
 
   add_recount(sys, sched, opts.quality, opts.metrics);

@@ -1,4 +1,4 @@
-// The naive SFQ scheduler: the correctness oracle and the explain path.
+// The naive SFQ scheduler: the correctness oracle.
 //
 // This is the pre-optimization hot path of SfqSimulator: at every slot,
 // scan all n tasks for ready heads into a fresh vector and partial_sort
@@ -10,16 +10,16 @@
 // the gap.  Deliberately simple and allocation-happy — do not optimize
 // this function.
 //
-// Because it scans and sorts every decision anyway, it is also the one
-// source of the explain events (obs/trace.hpp, kExplainTraceEvents):
-// with `opts.trace` / `opts.metrics` set it reports the full event
-// stream — ready sets, every comparison and its deciding rule, ready
-// tasks denied a processor, idle capacity — alongside the decision
-// events, which are byte-identical to the fast path's.  `schedule_sfq`
-// routes every sink that asks for explain events here.  Observing
-// never influences a decision.
+// With `opts.trace` set it reports the same event stream as the fast
+// path, byte for byte: the decision events and, when the sink asks for
+// them, each decision's canonical explanation (obs/trace.hpp,
+// kExplainTraceEvents) — here derived from the full scan, the sorted
+// winners and PriorityOrder::compare, sharing nothing with the
+// simulators' heap.  That makes it the oracle of the explanation too.
+// Observing never influences a decision.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "obs/probe.hpp"
@@ -28,23 +28,29 @@
 namespace pfair {
 
 /// Reference counterpart of `schedule_sfq` (same options).  With
-/// `trace` / `metrics` set this is an explain run: every event kind is
-/// reported, sched.comparisons is counted, and — after the run, if the
-/// schedule is complete — `quality` and the sched.preemptions /
-/// .migrations / .idle_quanta metrics are filled from recount_quality
-/// (a truncated explain run leaves them untouched).  The arena and
-/// cycle_detect options are ignored.
+/// `trace` / `metrics` set it reports the events and sched.* metrics of
+/// the fast path; after the run, if the schedule is complete, `quality`
+/// and the sched.preemptions / .migrations / .idle_quanta metrics are
+/// filled from recount_quality (a truncated run leaves them untouched).
+/// The arena and cycle_detect options are ignored.
 [[nodiscard]] SlotSchedule schedule_sfq_reference(const TaskSystem& sys,
                                                   const SfqOptions& opts = {});
 
 namespace detail {
 /// Both reference schedulers' winner selection: partial_sort of the `m`
 /// highest-priority subtasks of `ready` to its front, in
-/// PriorityOrder::higher order.  In an explain run (`probe` enabled)
-/// every comparison is reported with its deciding rule and the count is
-/// tallied; the order is the same either way.
+/// PriorityOrder::higher order.
 void sort_ready(const PriorityOrder& order, std::vector<SubtaskRef>& ready,
-                std::size_t m, SchedProbe& probe, Time at);
+                std::size_t m);
+/// Both reference schedulers' explanation once the `m` winners at the
+/// front of `ready` are placed: if any subtask was denied, the cut (the
+/// last winner against the best of the rest, ruled by
+/// PriorityOrder::compare), then kPreempt, in ascending task order, for
+/// each denied subtask that `preempted` holds for.  Sorts the denied.
+void explain_denials(const PriorityOrder& order,
+                     std::vector<SubtaskRef>& ready, std::size_t m,
+                     const std::function<bool(const SubtaskRef&)>& preempted,
+                     SchedProbe& probe, Time at);
 }  // namespace detail
 
 }  // namespace pfair

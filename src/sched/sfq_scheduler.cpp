@@ -7,7 +7,6 @@
 #include "obs/prof.hpp"
 #include "sched/compressed_schedule.hpp"
 #include "sched/fast_forward.hpp"
-#include "sched/reference_scheduler.hpp"
 #include "sched/simulator.hpp"
 #include "sched/state_hash.hpp"
 
@@ -39,7 +38,6 @@ struct SfqModel {
 }  // namespace
 
 SlotSchedule schedule_sfq(const TaskSystem& sys, const SfqOptions& opts) {
-  if (wants_explain(opts.trace)) return schedule_sfq_reference(sys, opts);
   // Materializing a fast-forwarded run reproduces the full run placement
   // for placement (asserted by tests/cycle_test.cpp).
   return detail::fast_forward<SfqModel>(sys, opts, opts.cycle_detect)
@@ -48,18 +46,11 @@ SlotSchedule schedule_sfq(const TaskSystem& sys, const SfqOptions& opts) {
 
 CycleSchedule schedule_sfq_cyclic(const TaskSystem& sys,
                                   const SfqOptions& opts) {
-  if (wants_explain(opts.trace)) {
-    return CycleSchedule(schedule_sfq_reference(sys, opts));
-  }
   return detail::fast_forward<SfqModel>(sys, opts, true);
 }
 
 void schedule_sfq_into(const TaskSystem& sys, const SfqOptions& opts,
                        SlotSchedule& out) {
-  if (wants_explain(opts.trace)) {
-    out = schedule_sfq_reference(sys, opts);
-    return;
-  }
   out.clear_placements();
   const std::int64_t limit =
       opts.horizon_limit > 0 ? opts.horizon_limit : default_horizon(sys);

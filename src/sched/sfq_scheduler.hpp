@@ -28,10 +28,9 @@ struct SfqOptions {
   /// suboptimal policies / infeasible systems).
   std::int64_t horizon_limit = 0;
   /// Optional structured trace receiver (not owned; see obs/trace.hpp).
-  /// A sink whose mask fits kDecisionTraceEvents is fed from the
-  /// O(changes) fast path; one asking for explain events makes this an
-  /// explain run of schedule_sfq_reference.  Either way the schedule is
-  /// bit-identical.
+  /// It is fed the decision events and, if its mask asks for any explain
+  /// kind, each decision's canonical explanation, O(M) events a slot.
+  /// The schedule is bit-identical either way.
   TraceSink* trace = nullptr;
   /// Optional metrics registry (not owned); sched.* counters and
   /// histograms accumulate into it on the fast path (see obs/probe.hpp).

@@ -22,6 +22,7 @@ SfqSimulator::SfqSimulator(const TaskSystem& sys, Policy policy, Arena* arena,
       pos_(arena),
       calendar_(arena),
       scratch_picks_(arena),
+      ran_last_(arena),
       remaining_(sys.total_subtasks()) {
   PFAIR_REQUIRE(out == nullptr ||
                     (out->num_tasks() == sys.num_tasks() &&
@@ -89,7 +90,6 @@ std::vector<SubtaskRef> SfqSimulator::ready() const {
 
 std::vector<SubtaskRef> SfqSimulator::step() {
   budget_.grow(now_ + 1, hot_, pos_.data());
-  scratch_picks_.clear();
   step_into(scratch_picks_);
   return std::vector<SubtaskRef>(scratch_picks_.begin(), scratch_picks_.end());
 }
@@ -123,13 +123,7 @@ void SfqSimulator::step_into(ArenaVector<SubtaskRef>& picks) {
   }
 }
 
-void SfqSimulator::set_trace_sink(TraceSink* sink) {
-  PFAIR_REQUIRE(!wants_explain(sink),
-                "the simulator emits decision events only; explain events "
-                "come from schedule_sfq_reference (or schedule_sfq, which "
-                "routes such a sink there)");
-  probe_.set_sink(sink);
-}
+void SfqSimulator::set_trace_sink(TraceSink* sink) { probe_.set_sink(sink); }
 
 void SfqSimulator::attach_metrics(MetricsRegistry& reg) {
   probe_.attach_metrics(reg);
@@ -142,8 +136,16 @@ void SfqSimulator::step_fast(ArenaVector<SubtaskRef>& picks) {
   [[maybe_unused]] const Time at = Time::slots(now_);
   if constexpr (kProbed) {
     probe_.begin_decision(TraceEventKind::kSlotBegin, at, now_);
-    probe_.ready_size(static_cast<std::int64_t>(ready_q_.size()));
+    probe_.ready_set(at, static_cast<std::int64_t>(ready_q_.size()));
+    // `picks` still holds the previous slot's winners.
+    if (probe_.explaining()) {
+      ran_last_.clear();
+      for (const SubtaskRef& ran : picks) {
+        ran_last_.push_back(SubtaskRef{ran.task, ran.seq + 1});
+      }
+    }
   }
+  picks.clear();
   const auto m = static_cast<std::size_t>(sys_->processors());
   const HotTask* hot = hot_.data();
   while (picks.size() < m && !ready_q_.empty()) {
@@ -160,17 +162,34 @@ void SfqSimulator::step_fast(ArenaVector<SubtaskRef>& picks) {
     commit_placement(ref);
     picks.push_back(ref);
   }
+  if constexpr (kProbed) {
+    if (probe_.explaining()) explain_denials(at, picks);
+  }
   ++now_;
   if constexpr (kProbed) probe_.end_decision();
 }
 
+[[gnu::noinline]] void SfqSimulator::explain_denials(
+    Time at, const ArenaVector<SubtaskRef>& picks) {
+  ready_q_.explain_cut(probe_, at, picks, hot_.data());
+  // Preemptions: successors of last slot's winners that are ready now
+  // (eligible; their predecessor is done) and were not placed.
+  std::sort(ran_last_.begin(), ran_last_.end());
+  for (const SubtaskRef& next : ran_last_) {
+    const HotTask& h = hot_[static_cast<std::size_t>(next.task)];
+    if (h.head == next.seq && !h.done() && h.eligible(pos_.data()) <= now_) {
+      probe_.preempt(at, next);
+    }
+  }
+  probe_.idle(at,
+              sys_->processors() - static_cast<std::int64_t>(picks.size()));
+}
+
 // noinline: probe-only code; folding it into step() costs the unprobed
 // path measurable icache pressure.
-#if defined(__GNUC__)
-__attribute__((noinline))
-#endif
-void SfqSimulator::note_placement(Time at, SubtaskRef ref, int proc,
-                                  std::uint64_t key) {
+[[gnu::noinline]] void SfqSimulator::note_placement(Time at, SubtaskRef ref,
+                                                    int proc,
+                                                    std::uint64_t key) {
   probe_.place(at, ref, proc, now_);
   if (ref.seq > 0 && probe_.tracing()) {
     const int prev = sched_->placement(SubtaskRef{ref.task, ref.seq - 1}).proc;
@@ -186,10 +205,7 @@ void SfqSimulator::note_placement(Time at, SubtaskRef ref, int proc,
 void SfqSimulator::run_until(std::int64_t slot_limit) {
   budget_.grow(slot_limit, hot_, pos_.data());
   const SchedProbe::Batch batch(probe_);
-  while (!done() && now_ < slot_limit) {
-    scratch_picks_.clear();
-    step_into(scratch_picks_);
-  }
+  while (!done() && now_ < slot_limit) step_into(scratch_picks_);
 }
 
 void SfqSimulator::warp(std::int64_t cycles, std::int64_t cycle_slots,

@@ -41,16 +41,16 @@
 // placements: keys realize the same strict total order, so the A/B
 // suite pins bit-identicality.
 //
-// A probe (decision-mask trace sink and/or metrics) rides on the same
-// fast path: the decision events are reported as placements commit,
-// sched.ready_set_size is the ready heap's size at each decision.  There
-// is no second decision body, and no quality accounting: quality counts
-// and the sched.preemptions / .migrations / .idle_quanta metrics come
-// from the recount of the finished schedule (analysis/recount.hpp,
-// add_recount), which the scheduler entry points run.  The
-// explain events (kExplainTraceEvents) come only from
-// `schedule_sfq_reference`; set_trace_sink rejects a sink asking for
-// them, and `schedule_sfq` routes such a sink there.
+// A probe (trace sink and/or metrics) rides on the same fast path: the
+// decision events are reported as placements commit,
+// sched.ready_set_size is the ready heap's size at each decision, and an
+// explain sink gets each slot's explanation (obs/trace.hpp) in O(M): the
+// cut is taken at the heap top left after the pops, the preemptions
+// among the previous slot's winners.  There is no second decision body,
+// and no quality accounting: quality counts and the sched.preemptions /
+// .migrations / .idle_quanta metrics come from the recount of the
+// finished schedule (analysis/recount.hpp, add_recount), which the
+// scheduler entry points run.
 #pragma once
 
 #include <cstdint>
@@ -140,8 +140,7 @@ class SfqSimulator {
 
   /// Installs a structured trace sink (not owned; may be null to
   /// uninstall) — at any step; placements are unaffected.  The sink's
-  /// event_mask() must fit in kDecisionTraceEvents: explain events come
-  /// from schedule_sfq_reference (a ContractViolation otherwise).
+  /// event_mask() decides whether each slot's explanation is built.
   void set_trace_sink(TraceSink* sink);
   /// Accumulates sched.* metrics (see obs/probe.hpp) into `reg`, which
   /// must outlive the simulator or the next detach_metrics().  May be
@@ -157,13 +156,15 @@ class SfqSimulator {
   };
   static_assert(sizeof(HotTask) == 64);
 
-  // One slot's decisions appended into `picks` (not cleared; reused as a
-  // scratch buffer by run_until so the hot loop never reallocates).
+  // One slot's decisions, written over the previous slot's in `picks`
+  // (the scratch buffer step() and run_until reuse).
   void step_into(ArenaVector<SubtaskRef>& picks);
   // The O(changes) slot body.  kProbed additionally reports the
-  // decision events and the ready-set size to the probe.
+  // decision events, the ready-set size and the explanation.
   template <bool kProbed>
   void step_fast(ArenaVector<SubtaskRef>& picks);
+  // The explanation after the pops: cut, preemptions, idle capacity.
+  void explain_denials(Time at, const ArenaVector<SubtaskRef>& picks);
   // `key` is the placed subtask's order key, read before the commit
   // advances the cursor (unused unless packable).
   void note_placement(Time at, SubtaskRef ref, int proc, std::uint64_t key);
@@ -193,6 +194,8 @@ class SfqSimulator {
   SlotBuckets calendar_;
 
   ArenaVector<SubtaskRef> scratch_picks_;
+  // The previous slot's winners' successors, at an explained decision.
+  ArenaVector<SubtaskRef> ran_last_;
 
   std::int64_t now_ = 0;
   std::int64_t remaining_;

@@ -119,7 +119,7 @@ struct FailureLog {
 };
 
 // Forwards to `inner` while asking only for the decision events, so the
-// run it observes stays on the fast path.
+// run it observes builds no explanation.
 class DecisionOnly final : public TraceSink {
  public:
   explicit DecisionOnly(TraceSink& inner) : inner_(&inner) {}
@@ -397,72 +397,78 @@ TEST(AbEquivalence, DvqMixedInstrumentationStaysIdentical) {
   }
 }
 
-// The decision-event lines of a JSONL stream, in order; `total` gets
-// the stream's line count.
-std::string decision_lines(const std::string& jsonl, std::size_t* total) {
+// The number of explain-event lines in a JSONL stream.
+std::size_t explain_lines(const std::string& jsonl) {
   std::istringstream is(jsonl);
-  std::string out;
+  std::size_t n = 0;
   std::string line;
-  *total = 0;
   while (std::getline(is, line)) {
-    ++*total;
     const TraceEvent e = trace_event_from_json(parse_json(line));
-    if ((trace_mask_of(e.kind) & kDecisionTraceEvents) != 0) {
-      out += line;
-      out += '\n';
-    }
+    if ((trace_mask_of(e.kind) & kExplainTraceEvents) != 0) ++n;
   }
-  return out;
+  return n;
 }
 
-// Runs `run(sink)` twice — with a full-mask JSONL sink (an explain run on
-// the reference path) and with the same sink behind a decision-only mask
-// (the fast path) — and checks that the explain stream, filtered to the
-// decision events, is byte-identical to the fast path's stream and
-// really carried explain events.
+// Runs `run(sink, reference)` with a full-mask JSONL sink on the fast
+// path and on the reference scheduler, and checks that the two streams,
+// every event kind included, are byte-identical and carry explain
+// events.
 template <typename Run>
-bool same_decision_stream(Run&& run, std::string* why) {
-  std::ostringstream full_os;
-  JsonlSink full(full_os);
-  run(&full);
+bool same_event_stream(Run&& run, std::string* why) {
   std::ostringstream fast_os;
-  JsonlSink fast_json(fast_os);
-  DecisionOnly fast(fast_json);
-  run(&fast);
-  std::size_t full_lines = 0;
-  const std::string filtered = decision_lines(full_os.str(), &full_lines);
-  if (filtered != fast_os.str()) {
-    *why = "filtered explain stream differs from the fast-path stream";
+  JsonlSink fast(fast_os);
+  run(&fast, /*reference=*/false);
+  std::ostringstream ref_os;
+  JsonlSink ref(ref_os);
+  run(&ref, /*reference=*/true);
+  const std::string a = fast_os.str();
+  const std::string b = ref_os.str();
+  if (a != b) {
+    std::istringstream as(a);
+    std::istringstream bs(b);
+    std::string la;
+    std::string lb;
+    for (int line = 1;; ++line) {
+      const bool more_a = static_cast<bool>(std::getline(as, la));
+      const bool more_b = static_cast<bool>(std::getline(bs, lb));
+      if (!more_a) la = "<end>";
+      if (!more_b) lb = "<end>";
+      if (la != lb || !more_a || !more_b) {
+        *why = "line " + std::to_string(line) + ": fast " + la +
+               " vs reference " + lb;
+        break;
+      }
+    }
     return false;
   }
-  if (full_lines <= fast_json.lines()) {
-    *why = "explain run emitted no explain events";
+  if (explain_lines(a) == 0) {
+    *why = "the stream carried no explain events";
     return false;
   }
   return true;
 }
 
-bool same_decision_streams(const TaskSystem& sys, const YieldModel& yields,
-                           Policy policy, std::string* why) {
-  SfqOptions sopts;
-  sopts.policy = policy;
-  if (!same_decision_stream(
-          [&](TraceSink* sink) {
-            SfqOptions o = sopts;
+bool same_event_streams(const TaskSystem& sys, const YieldModel& yields,
+                        Policy policy, std::string* why) {
+  if (!same_event_stream(
+          [&](TraceSink* sink, bool reference) {
+            SfqOptions o;
+            o.policy = policy;
             o.trace = sink;
-            (void)schedule_sfq(sys, o);
+            (void)(reference ? schedule_sfq_reference(sys, o)
+                             : schedule_sfq(sys, o));
           },
           why)) {
     *why = "sfq: " + *why;
     return false;
   }
-  DvqOptions dopts;
-  dopts.policy = policy;
-  if (!same_decision_stream(
-          [&](TraceSink* sink) {
-            DvqOptions o = dopts;
+  if (!same_event_stream(
+          [&](TraceSink* sink, bool reference) {
+            DvqOptions o;
+            o.policy = policy;
             o.trace = sink;
-            (void)schedule_dvq(sys, yields, o);
+            (void)(reference ? schedule_dvq_reference(sys, yields, o)
+                             : schedule_dvq(sys, yields, o));
           },
           why)) {
     *why = "dvq: " + *why;
@@ -471,7 +477,12 @@ bool same_decision_streams(const TaskSystem& sys, const YieldModel& yields,
   return true;
 }
 
-TEST(AbEquivalence, FigureExplainStreamsFilterToFastPathStreams) {
+// The fast path's whole event stream, each decision's canonical
+// explanation included, is the reference's byte for byte: the same
+// ready-set sizes, cut (winner, denied subtask and deciding rule, read
+// off packed keys on the fast path and from PriorityOrder::compare in
+// the reference), preemptions and idle capacity.
+TEST(AbEquivalence, FigureExplainStreamsMatchReference) {
   const FullQuantumYield full_quanta;
   for (const char* name : {"fig1a", "fig1b", "fig1c", "fig2", "fig3",
                            "fig6"}) {
@@ -481,12 +492,12 @@ TEST(AbEquivalence, FigureExplainStreamsFilterToFastPathStreams) {
         sc->yields != nullptr ? *sc->yields
                               : static_cast<const YieldModel&>(full_quanta);
     std::string why;
-    EXPECT_TRUE(same_decision_streams(sc->system, yields, Policy::kPd2, &why))
+    EXPECT_TRUE(same_event_streams(sc->system, yields, Policy::kPd2, &why))
         << name << " " << why;
   }
 }
 
-TEST(AbEquivalence, SeededExplainStreamsFilterToFastPathStreams) {
+TEST(AbEquivalence, SeededExplainStreamsMatchReference) {
   FailureLog failures;
   global_pool().parallel_for(
       0, kSeeds * 4,
@@ -498,7 +509,7 @@ TEST(AbEquivalence, SeededExplainStreamsFilterToFastPathStreams) {
               static_cast<std::uint64_t>(seed) * 7919 + 3, 1, 3, kTick,
               kQuantum - kTick);
           std::string why;
-          if (!same_decision_streams(sys, yields, policy, &why)) {
+          if (!same_event_streams(sys, yields, policy, &why)) {
             failures.record("seed " + std::to_string(seed) + " " +
                             to_string(policy) + " " + why);
           }

@@ -31,6 +31,7 @@
 #include "dvq/reference_scheduler.hpp"
 #include "dvq/yield.hpp"
 #include "obs/audit.hpp"
+#include "obs/trace.hpp"
 #include "sched/cell_store.hpp"
 #include "sched/compressed_schedule.hpp"
 #include "sched/reference_scheduler.hpp"
@@ -422,6 +423,70 @@ TEST(CycleFastForward, InstrumentedRunsNeverEngage) {
   iopts.trace = &audit;
   EXPECT_FALSE(schedule_sfq_cyclic(sys, iopts).stats().engaged);
   EXPECT_TRUE(audit.clean()) << audit.findings().front().str();
+}
+
+// An explain sink keeps every entry point on the one decision path: the
+// cyclic entry points (and schedule_sfq_into) stream exactly what the
+// plain entry point streams, each decision's explanation included, and
+// materialize to its schedule.  Observed, they never engage.
+TEST(CycleFastForward, ExplainedCyclicRunsStreamAsThePlainEntryPoint) {
+  const auto explained = [](const std::string& jsonl) {
+    return jsonl.find("\"k\": \"ready_set\"") != std::string::npos;
+  };
+  for (int seed = 0; seed < 12; ++seed) {
+    const TaskSystem sys = make_cyclic_system(seed, 4);
+    const BernoulliYield yields(static_cast<std::uint64_t>(seed) * 31 + 7, 1,
+                                2, kTick, kQuantum - kTick);
+    for (const Policy policy : kAllPolicies) {
+      const std::string tag =
+          "seed " + std::to_string(seed) + " " + to_string(policy);
+      std::string why;
+      {
+        SfqOptions opts;
+        opts.policy = policy;
+        opts.horizon_limit = 3 * kPool;
+        std::ostringstream plain_os;
+        JsonlSink plain_sink(plain_os);
+        opts.trace = &plain_sink;
+        const SlotSchedule plain = schedule_sfq(sys, opts);
+        std::ostringstream cyc_os;
+        JsonlSink cyc_sink(cyc_os);
+        opts.trace = &cyc_sink;
+        const CycleSchedule cyc = schedule_sfq_cyclic(sys, opts);
+        std::ostringstream into_os;
+        JsonlSink into_sink(into_os);
+        opts.trace = &into_sink;
+        SlotSchedule into(sys);
+        schedule_sfq_into(sys, opts, into);
+        EXPECT_TRUE(explained(plain_os.str())) << tag;
+        EXPECT_EQ(cyc_os.str(), plain_os.str()) << tag << " sfq cyclic";
+        EXPECT_EQ(into_os.str(), plain_os.str()) << tag << " sfq into";
+        EXPECT_FALSE(cyc.stats().engaged) << tag;
+        EXPECT_TRUE(same_sfq(cyc.materialize(), plain, sys, &why))
+            << tag << " sfq: " << why;
+        EXPECT_TRUE(same_sfq(into, plain, sys, &why))
+            << tag << " sfq into: " << why;
+      }
+      {
+        DvqOptions opts;
+        opts.policy = policy;
+        opts.horizon_limit = 3 * kPool;
+        std::ostringstream plain_os;
+        JsonlSink plain_sink(plain_os);
+        opts.trace = &plain_sink;
+        const DvqSchedule plain = schedule_dvq(sys, yields, opts);
+        std::ostringstream cyc_os;
+        JsonlSink cyc_sink(cyc_os);
+        opts.trace = &cyc_sink;
+        const DvqCycleSchedule cyc = schedule_dvq_cyclic(sys, yields, opts);
+        EXPECT_TRUE(explained(plain_os.str())) << tag;
+        EXPECT_EQ(cyc_os.str(), plain_os.str()) << tag << " dvq cyclic";
+        EXPECT_FALSE(cyc.stats().engaged) << tag;
+        EXPECT_TRUE(same_dvq(cyc.materialize(), plain, sys, &why))
+            << tag << " dvq: " << why;
+      }
+    }
+  }
 }
 
 void expect_same_summary(const TardinessSummary& a, const TardinessSummary& b,

@@ -6,7 +6,7 @@
 #include "analysis/blocking.hpp"
 #include "analysis/tardiness.hpp"
 #include "analysis/validity.hpp"
-#include "dvq/decision_sink.hpp"
+#include "decision_log.hpp"
 #include "dvq/dvq_scheduler.hpp"
 #include "sched/sfq_scheduler.hpp"
 #include "workload/generator.hpp"
@@ -117,16 +117,20 @@ TEST(Dvq, WorkConservation) {
   // At every decision instant recorded by the engine, a processor is
   // left idle only when no ready subtask remains.
   const FigureScenario sc = fig2_scenario(kTick, 2);
-  DvqDecisionSink decisions;
+  DecisionLog decisions;
   DvqOptions opts;
   opts.trace = &decisions;
   const DvqSchedule sched = schedule_dvq(sc.system, *sc.yields, opts);
-  for (const DvqDecision& d : decisions.decisions()) {
-    // Either every freed processor got work, or no ready subtask was left.
-    EXPECT_TRUE(d.started.size() == d.free_procs.size() ||
-                d.left_ready.empty())
+  int decided = 0;
+  for (const LoggedDecision& d : decisions.decisions()) {
+    if (d.ready < 0) continue;  // no processor was free
+    ++decided;
+    // Either every free processor got work, or the whole ready set did.
+    const auto placed = static_cast<std::int64_t>(d.placed.size());
+    EXPECT_TRUE(d.placed.size() == d.free_procs.size() || placed == d.ready)
         << "at " << d.at;
   }
+  EXPECT_GT(decided, 0);
 }
 
 TEST(Dvq, ValidityCheckerFlagsTheFig2Miss) {

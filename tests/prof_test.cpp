@@ -15,12 +15,14 @@
 #include "core/radix_sort.hpp"
 #include "core/thread_pool.hpp"
 #include "dvq/dvq_scheduler.hpp"
+#include "dvq/reference_scheduler.hpp"
 #include "io/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probe.hpp"
 #include "obs/prof.hpp"
 #include "obs/quality.hpp"
 #include "obs/trace.hpp"
+#include "sched/reference_scheduler.hpp"
 #include "sched/sfq_scheduler.hpp"
 #include "workload/generator.hpp"
 
@@ -535,27 +537,22 @@ TaskSystem sized_system(int seed) {
   return sys;
 }
 
-// The reference schedulers' explain runs report every decision instant,
-// placement, migration, denial and idle processor.  Counting the five
+// A run's explain stream reports every decision instant, placement,
+// migration, preemption and idle processor.  Counting the five
 // QualityCounters fields off that stream shares no code with the recount
 // (analysis/recount*.cpp), so it is the recount's oracle:
 //   * decision points: kSlotBegin / kEventBegin events;
 //   * migrations: kMigrate events;
+//   * preemptions: kPreempt events (SFQ: a task that ran last slot and is
+//     denied in this one; DVQ: a successor ready at its predecessor's
+//     completion and denied then);
 //   * idle: the sum of kProcIdle details;
 //   * context switches: each processor's last occupant over the kPlace
-//     events (total and per processor);
-//   * preemptions: SFQ's kPreempt events (a task that ran last slot and
-//     is denied in this one).  DVQ reports every ready subtask left
-//     unserved as kPreempt, so there a preemption is a kPlace that starts
-//     after its predecessor's start + cost although its eligibility time
-//     had already passed by then.
+//     events (total and per processor).
 class QualityFromEvents final : public TraceSink {
  public:
-  QualityFromEvents(const TaskSystem& sys, bool dvq)
-      : sys_(sys),
-        dvq_(dvq),
-        occupant_(static_cast<std::size_t>(sys.processors()), -1),
-        prev_end_(static_cast<std::size_t>(sys.num_tasks()), 0) {
+  explicit QualityFromEvents(const TaskSystem& sys)
+      : occupant_(static_cast<std::size_t>(sys.processors()), -1) {
     q_.per_proc_switches.assign(static_cast<std::size_t>(sys.processors()),
                                 0);
   }
@@ -578,15 +575,21 @@ class QualityFromEvents final : public TraceSink {
       case TraceEventKind::kMigrate:
         ++q_.migrations;
         break;
+      case TraceEventKind::kPreempt:
+        ++q_.preemptions;
+        break;
       case TraceEventKind::kProcIdle:
         q_.idle_slots += e.detail;
         break;
-      case TraceEventKind::kPreempt:
-        if (!dvq_) ++q_.preemptions;
+      case TraceEventKind::kPlace: {
+        const auto p = static_cast<std::size_t>(e.proc);
+        if (occupant_[p] >= 0 && occupant_[p] != e.subject.task) {
+          ++q_.context_switches;
+          ++q_.per_proc_switches[p];
+        }
+        occupant_[p] = e.subject.task;
         break;
-      case TraceEventKind::kPlace:
-        place(e);
-        break;
+      }
       default:
         break;
     }
@@ -595,33 +598,8 @@ class QualityFromEvents final : public TraceSink {
   [[nodiscard]] const QualityCounters& counts() const { return q_; }
 
  private:
-  void place(const TraceEvent& e) {
-    const auto p = static_cast<std::size_t>(e.proc);
-    if (occupant_[p] >= 0 && occupant_[p] != e.subject.task) {
-      ++q_.context_switches;
-      ++q_.per_proc_switches[p];
-    }
-    occupant_[p] = e.subject.task;
-    if (!dvq_) return;
-    // A DVQ kPlace carries the start as `at` and the cost in ticks as
-    // `detail`.
-    std::int64_t& prev_end =
-        prev_end_[static_cast<std::size_t>(e.subject.task)];
-    const std::int64_t start = e.at.raw_ticks();
-    const std::int64_t eligible =
-        Time::slots(sys_.task(e.subject.task).eligible_at(e.subject.seq))
-            .raw_ticks();
-    if (e.subject.seq > 0 && start > prev_end && eligible <= prev_end) {
-      ++q_.preemptions;
-    }
-    prev_end = start + e.detail;
-  }
-
-  const TaskSystem& sys_;
-  bool dvq_;
   QualityCounters q_;
   std::vector<std::int32_t> occupant_;
-  std::vector<std::int64_t> prev_end_;  // ticks, per task
 };
 
 /// The systems both oracle tests run: make_system's seeds and
@@ -656,26 +634,32 @@ void for_each_oracle_case(Check check) {
   EXPECT_GT(below.load(), 20);
 }
 
+// Both oracle tests count each run's stream on the fast path and on the
+// reference scheduler.
 TEST(Quality, SfqExplainStreamCountsMatchRecount) {
   FailureLog failures;
   std::atomic<int> compared{0};
   for_each_oracle_case([&](const TaskSystem& sys, Policy policy,
                            const YieldModel&, const std::string& tag) {
-    QualityFromEvents events(sys, /*dvq=*/false);
-    SfqOptions opts;
-    opts.policy = policy;
-    opts.trace = &events;
-    const SlotSchedule sched = schedule_sfq(sys, opts);
-    if (!sched.complete()) return;  // the recount needs a full schedule
-    compared.fetch_add(1, std::memory_order_relaxed);
-    const QualityCounters recount = recount_quality(sys, sched);
-    if (events.counts() != recount) {
-      failures.record(tag + ": events " + quality_to_string(events.counts()) +
-                      " vs recount " + quality_to_string(recount));
+    for (const bool reference : {false, true}) {
+      QualityFromEvents events(sys);
+      SfqOptions opts;
+      opts.policy = policy;
+      opts.trace = &events;
+      const SlotSchedule sched = reference ? schedule_sfq_reference(sys, opts)
+                                           : schedule_sfq(sys, opts);
+      if (!sched.complete()) return;  // the recount needs a full schedule
+      compared.fetch_add(1, std::memory_order_relaxed);
+      const QualityCounters recount = recount_quality(sys, sched);
+      if (events.counts() != recount) {
+        failures.record(tag + (reference ? " reference" : " fast") +
+                        ": events " + quality_to_string(events.counts()) +
+                        " vs recount " + quality_to_string(recount));
+      }
     }
   });
   EXPECT_EQ(failures.count.load(), 0) << failures.first;
-  EXPECT_GT(compared.load(), 700);
+  EXPECT_GT(compared.load(), 1400);
 }
 
 TEST(Quality, DvqExplainStreamCountsMatchRecount) {
@@ -689,29 +673,34 @@ TEST(Quality, DvqExplainStreamCountsMatchRecount) {
                            const YieldModel& yields, const std::string& tag) {
     const YieldModel* const models[] = {&yields, &one_tick_short};
     for (const YieldModel* y : models) {
-      QualityFromEvents events(sys, /*dvq=*/true);
-      DvqOptions opts;
-      opts.policy = policy;
-      opts.trace = &events;
-      const DvqSchedule sched = schedule_dvq(sys, *y, opts);
-      if (!sched.complete()) continue;
-      compared.fetch_add(1, std::memory_order_relaxed);
-      const QualityCounters recount = recount_quality(sys, sched);
-      if (events.counts() != recount) {
-        failures.record(tag + (y == &yields ? "" : " one tick short") +
-                        ": events " + quality_to_string(events.counts()) +
-                        " vs recount " + quality_to_string(recount));
+      for (const bool reference : {false, true}) {
+        QualityFromEvents events(sys);
+        DvqOptions opts;
+        opts.policy = policy;
+        opts.trace = &events;
+        const DvqSchedule sched =
+            reference ? schedule_dvq_reference(sys, *y, opts)
+                      : schedule_dvq(sys, *y, opts);
+        if (!sched.complete()) continue;
+        compared.fetch_add(1, std::memory_order_relaxed);
+        const QualityCounters recount = recount_quality(sys, sched);
+        if (events.counts() != recount) {
+          failures.record(tag + (y == &yields ? "" : " one tick short") +
+                          (reference ? " reference" : " fast") +
+                          ": events " + quality_to_string(events.counts()) +
+                          " vs recount " + quality_to_string(recount));
+        }
       }
     }
   });
   EXPECT_EQ(failures.count.load(), 0) << failures.first;
-  EXPECT_GT(compared.load(), 1400);
+  EXPECT_GT(compared.load(), 2800);
 }
 
 // A run cut short by horizon_limit reports no quality: the recount needs
 // a complete schedule.  The caller's counters stay untouched and the
-// three quality metrics read 0 (registered, not missing), on the fast
-// path and on the explain path, in both models.
+// three quality metrics read 0 (registered, not missing), with and
+// without an explain sink, in both models.
 TEST(Quality, TruncatedRunsReportNoQuality) {
   const TaskSystem sys = make_system(0);
   const FullQuantumYield full;
@@ -730,7 +719,7 @@ TEST(Quality, TruncatedRunsReportNoQuality) {
   };
   for (const bool explain : {false, true}) {
     const std::string path = explain ? "explain" : "fast";
-    // A RingBufferSink asks for every event kind: an explain run.
+    // A RingBufferSink asks for every event kind, explanations included.
     RingBufferSink ring(1 << 12);
     TraceSink* const sink = explain ? &ring : nullptr;
     {

@@ -7,7 +7,7 @@
 #include "analysis/lag.hpp"
 #include "analysis/tardiness.hpp"
 #include "analysis/validity.hpp"
-#include "dvq/decision_sink.hpp"
+#include "decision_log.hpp"
 #include "dvq/dvq_scheduler.hpp"
 #include "io/svg.hpp"
 #include "sched/sfq_scheduler.hpp"
@@ -78,24 +78,26 @@ TEST(Properties, ValidityImpliesPfairLagAndViceVersa) {
 }
 
 TEST(Properties, DvqCompletionOrderRespectsPriorityAtDecisions) {
-  // At every logged decision instant, the chosen set never skips a
-  // strictly higher-priority ready subtask (work-conserving greedy).
+  // At every decision instant that denies a ready subtask, the chosen
+  // set never skips a strictly higher-priority one (work-conserving
+  // greedy): the cut's denied subtask, the best of those left waiting,
+  // never outranks its lowest-priority winner.
   const TaskSystem sys = full_system(9, 3, 14);
   const BernoulliYield yields(3, 1, 2, kTick, kQuantum - kTick);
-  DvqDecisionSink decisions;
+  DecisionLog decisions;
   DvqOptions opts;
   opts.trace = &decisions;
   const DvqSchedule sched = schedule_dvq(sys, yields, opts);
   const PriorityOrder order(sys, Policy::kPd2);
-  for (const DvqDecision& d : decisions.decisions()) {
-    for (const SubtaskRef& waiting : d.left_ready) {
-      for (const SubtaskRef& chosen : d.started) {
-        EXPECT_FALSE(order.strictly_higher(waiting, chosen))
-            << "at " << d.at << ": " << waiting << " left while " << chosen
-            << " ran";
-      }
-    }
+  int cuts = 0;
+  for (const LoggedDecision& d : decisions.decisions()) {
+    if (!d.has_cut) continue;
+    ++cuts;
+    EXPECT_FALSE(order.strictly_higher(d.cut_denied, d.cut_winner))
+        << "at " << d.at << ": " << d.cut_denied << " left while "
+        << d.cut_winner << " ran";
   }
+  EXPECT_GT(cuts, 0);
 }
 
 TEST(Properties, TardinessSummaryConsistentWithValues) {

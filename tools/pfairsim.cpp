@@ -43,9 +43,10 @@
 // --trace/--metrics/--prom/--chrome-trace/--audit cover sfq and dvq;
 // the staggered model (the DVQ event loop on a boundary grid) is not
 // observable.
-// --metrics and an --audit-only sink ride the simulators' fast path;
-// --trace and --chrome-trace ask for every event kind, which makes the
-// run an explain run on the reference scheduler (obs/trace.hpp).
+// Every observed run stays on the simulators' fast path.  --trace and
+// --chrome-trace ask for every event kind, so their streams carry each
+// decision's canonical explanation (obs/trace.hpp), O(M) events a
+// decision; --metrics and an --audit-only sink get no explanation.
 // Under --fast-forward the sfq trace/audit sinks are fed by replaying
 // the decision stream of the compressed schedule (--metrics/--prom
 // still need a live run and are ignored); the dvq fast-forward path has
